@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +40,6 @@ from .logproduct import (
     carleson_log_bound,
     log_moments,
     lp_divergence_witness,
-    overlap,
 )
 from .measures import CantorParams, LebesgueInterval, build_cantor, growth_constant
 from .reports import ExperimentReport, Verdict
@@ -108,15 +107,34 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         cfg = ExperimentConfig()
-        valid = set(asdict(cfg))
+        types = {f.name: f.type for f in fields(cfg)}
         for key, val in raw.items():
-            if key not in valid:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key == "alphas":
-                val = tuple(float(a) for a in val)
-            setattr(cfg, key, val)
+            want, ok, convert = _FIELD_TYPES[types[key]]
+            if not ok(val):
+                raise ConfigError(f"config key {key!r} must be {want}, got {json.dumps(val)}")
+            setattr(cfg, key, convert(val))
         return cfg
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+# Field type name -> (description, check, conversion) for config values.
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "float": ("a number", _is_number, float),
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "tuple": ("a list of numbers",
+              lambda v: isinstance(v, list) and all(map(_is_number, v)),
+              lambda v: tuple(map(float, v))),
+}
 
 
 # -- individual experiments ---------------------------------------------------------
@@ -271,8 +289,7 @@ def _exp_logproduct(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         ell = b - a
         for F in fp.factors:
             if F.k_exp >= d + 1:  # len(I) >= 2/k_n: spacing regime of the bound
-                piece, _ = overlap(F, a, b)
-                if piece > 2 * F.total_measure * ell:
+                if F.overlap_measure(a, b) > 2 * F.total_measure * ell:
                     overlap_ok = False
         cb = carleson_log_bound(fp, a, b)
         if cb.bound > 2 * ell:

@@ -3,8 +3,11 @@
 Each factor is e**(-a_n) on a union E_n of 2**k_exp equally spaced pieces and
 1 elsewhere, so ln(1/f(t)) is the integer A(t) = sum a_n * 1_{E_n}(t).  All
 set queries (membership, overlaps, piece counts) run in exact rational
-arithmetic; pieces are never materialized, so k_n may be an astronomically
-large power of two represented by its exponent alone.
+arithmetic on k_n's exponent; pieces are never enumerated, so k_n may be an
+astronomically large power of two.  A piece count is built as an integer only
+when a caller asks for it (`SpacedSetFamily.overlap`); for the paper profile
+that integer has up to 24 million bits, so measure-only callers use
+`SpacedSetFamily.overlap_measure`.
 
 Two parameter profiles:
 
@@ -13,18 +16,22 @@ Two parameter profiles:
   exponent (~1.5e11 bits) exceeds any practical budget.
 * "demo": a_n = n, mass budget |E_n| a_n = 8**-n, same spacing rule for k_n.
   The slow exponent growth keeps every breakpoint enumerable (k_4 = 2**16),
-  which the direct Carleson integrals and exact moment sweeps need; the
+  which the direct Carleson integrals and exact moment sweeps need.  Every
+  piece endpoint lies on the lattice (1/D)Z with D = 3 * 2**30 for N = 4, so
+  the breakpoints and the moment sweep run on int64 numerators over D, while
+  `exponent` and `_segments` stay exact rational references.  The
   fast-decaying budget makes the truncated Carleson profile stabilize within
   a few percent by N = 2, so per-interval checks are uniform in N.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
+
+import numpy as np
 
 from .errors import (
     DegenerateInterval,
@@ -91,45 +98,67 @@ class SpacedSetFamily:
         r = (p << self.k_exp) % q
         return r * self.total_measure.denominator <= q * self.total_measure.numerator
 
-    def overlap(self, a: Rational, b: Rational) -> tuple[Fraction, int]:
-        """Exact |E ∩ [a,b]| and the number of pieces met."""
+    def _span(self, a: Rational, b: Rational) -> tuple[Fraction, Fraction, bool]:
+        """Validated [a, b] and whether both ends are dyadic no finer than 1/k."""
         a = Fraction(a)
         b = Fraction(b)
         if not (0 <= a <= b <= 1):
             raise OutOfDomain(f"[{a}, {b}] not inside [0,1]")
-        if a == b:
-            return Fraction(0), 0
         da, db = a.denominator, b.denominator
-        if (
+        coarse = (
             da & (da - 1) == 0
             and db & (db - 1) == 0
             and max(da.bit_length(), db.bit_length()) - 1 <= self.k_exp
-        ):
-            # Dyadic endpoints at least as coarse as the piece lattice: the
-            # equally spaced pieces tile each dyadic cell exactly, giving
-            # |E ∩ [a,b]| = |E| (b - a) without any huge-integer reduction.
-            diff = b - a
-            count = diff.numerator << (self.k_exp - (diff.denominator.bit_length() - 1))
-            return self.total_measure * diff, count + (1 if b < 1 else 0)
+        )
+        return a, b, coarse
+
+    def _pieces_met(self, a: Fraction, b: Fraction) -> tuple[int, int]:
+        """First and last index of the pieces meeting [a,b] (empty if first > last)."""
+        k = 1 << self.k_exp
+        # Piece i intersects [a,b] iff i/k <= b and i/k + pl >= a.
+        return max(0, _ceil((a - self.piece_length) * k)), min(k - 1, _floor(b * k))
+
+    def overlap_measure(self, a: Rational, b: Rational) -> Fraction:
+        """Exact |E ∩ [a,b]|, without building the piece count."""
+        a, b, coarse = self._span(a, b)
+        if a == b:
+            return Fraction(0)
+        if coarse:
+            # The equally spaced pieces tile each dyadic cell of the piece
+            # lattice exactly, giving |E ∩ [a,b]| = |E| (b - a) without any
+            # huge-integer reduction.
+            return self.total_measure * (b - a)
+        i_min, i_max = self._pieces_met(a, b)
+        if i_min > i_max:
+            return Fraction(0)
         k = 1 << self.k_exp
         pl = self.piece_length
-        # Piece i intersects [a,b] iff i/k <= b and i/k + pl >= a.
-        i_min = max(0, _ceil((a - pl) * k))
-        i_max = min(k - 1, _floor(b * k))
-        if i_min > i_max:
-            return Fraction(0), 0
-        count = i_max - i_min + 1
-        if count == 1:
-            lo = Fraction(i_min, k)
-            piece = min(b, lo + pl) - max(a, lo)
-            return max(piece, Fraction(0)), (1 if piece > 0 else 0)
-        # Interior pieces lie fully inside [a,b] because pl <= 1/k.
-        total = (count - 2) * pl
         first = Fraction(i_min, k)
+        total = min(b, first + pl) - max(a, first)
+        if i_min == i_max:
+            return max(total, Fraction(0))
+        # Interior pieces lie fully inside [a,b] because pl <= 1/k.
         last = Fraction(i_max, k)
-        total += min(b, first + pl) - max(a, first)
-        total += min(b, last + pl) - max(a, last)
-        return total, count
+        return total + (i_max - i_min - 1) * pl + min(b, last + pl) - max(a, last)
+
+    def overlap(self, a: Rational, b: Rational) -> tuple[Fraction, int]:
+        """Exact |E ∩ [a,b]| and the number of pieces met.
+
+        The count is an integer of up to k_exp bits; callers that need only
+        the measure use overlap_measure.
+        """
+        piece = self.overlap_measure(a, b)
+        a, b, coarse = self._span(a, b)
+        if a == b:
+            return piece, 0
+        if coarse:
+            diff = b - a
+            count = diff.numerator << (self.k_exp - (diff.denominator.bit_length() - 1))
+            return piece, count + (1 if b < 1 else 0)
+        i_min, i_max = self._pieces_met(a, b)
+        if i_min == i_max:
+            return piece, (1 if piece > 0 else 0)
+        return piece, max(0, i_max - i_min + 1)
 
 
 @dataclass
@@ -137,7 +166,7 @@ class LogProductFn:
     profile: str
     N: int
     factors: tuple[SpacedSetFamily, ...]
-    _breakpoints: Optional[list[Fraction]] = None
+    _breakpoints: Optional[np.ndarray] = None
 
     def exponent(self, t: Rational) -> int:
         """A(t) = sum of a_n over the families containing t; ln(1/f(t)) exactly."""
@@ -150,21 +179,54 @@ class LogProductFn:
         """sum |E_n| a_n: exactly 1 - 2**-N (paper) or (1 - 8**-N)/7 (demo)."""
         return sum((F.total_measure * F.a_n for F in self.factors), Fraction(0))
 
-    def breakpoints(self) -> list[Fraction]:
-        """Sorted piece endpoints of every family plus 0 and 1 (demo profile)."""
+    @property
+    def lattice(self) -> int:
+        """D such that every piece endpoint is j/D: 3 * 2**30 for demo N = 4."""
         if self.profile != "demo":
-            raise WrongProfile("breakpoint enumeration needs the demo profile")
+            raise WrongProfile("the breakpoint lattice needs the demo profile")
+        return math.lcm(*(d for F in self.factors
+                          for d in (1 << F.k_exp, F.piece_length.denominator)))
+
+    def breakpoints(self) -> np.ndarray:
+        """Sorted piece endpoints of every family plus 0 and 1, as int64
+        numerators j of j/D over D = self.lattice (demo profile)."""
+        D = self.lattice
         if self._breakpoints is None:
-            pts = {Fraction(0), Fraction(1)}
+            pts = [np.array([0, D], dtype=np.int64)]
             for F in self.factors:
                 k = 1 << F.k_exp
                 pl = F.piece_length
-                for i in range(k):
-                    lo = Fraction(i, k)
-                    pts.add(lo)
-                    pts.add(lo + pl)
-            self._breakpoints = sorted(p for p in pts if 0 <= p <= 1)
+                starts = np.arange(k, dtype=np.int64) * (D // k)
+                pts += [starts, starts + D // pl.denominator * pl.numerator]
+            self._breakpoints = np.unique(np.concatenate(pts))
         return self._breakpoints
+
+    def exponent_batch(self, x) -> np.ndarray:
+        """A(x) for an array of doubles in [0,1], equal to exponent(Fraction(x)).
+
+        Since k_n = 2**k_exp, x * k_n is exact in binary floating point and
+        modf gives the exact fractional part; comparing it with the largest
+        double <= |E_n| decides t k_n mod 1 <= |E_n| exactly (demo profile).
+        """
+        if self.profile != "demo":
+            raise WrongProfile("the batch exponent needs the demo profile")
+        x = np.asarray(x, dtype=float)
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise OutOfDomain("exponent_batch needs points in [0,1]")
+        A = np.zeros(x.shape, dtype=np.int64)
+        for F in self.factors:
+            frac = np.modf(np.ldexp(x, F.k_exp))[0]
+            inside = frac <= _float_floor(F.total_measure)
+            if F.total_measure != 1:  # t = 1 lies beyond the last piece
+                inside &= x < 1.0
+            A += F.a_n * inside
+        return A
+
+
+def _float_floor(q: Fraction) -> float:
+    """The largest double <= q."""
+    d = float(q)
+    return d if Fraction(d) <= q else math.nextafter(d, -math.inf)
 
 
 def eval_f(f: LogProductFn, t: Rational) -> tuple[int, float]:
@@ -248,8 +310,7 @@ def carleson_log_bound(f: LogProductFn, a: Rational, b: Rational) -> CarlesonLog
     bound = Fraction(0)
     for F in f.factors:
         if F.n > cutoff:
-            piece, _ = F.overlap(a, b)
-            bound += F.a_n * piece
+            bound += F.a_n * F.overlap_measure(a, b)
     return CarlesonLogBound(cutoff=cutoff, bound=bound)
 
 
@@ -276,13 +337,15 @@ def lp_divergence_witness(f: LogProductFn, n: int) -> Fraction:
 def _segments(f: LogProductFn, a: Fraction, b: Fraction, budget: int):
     """(lo, hi, A) pieces of the exponent A(t) on [a,b], exact endpoints."""
     bp = f.breakpoints()
-    i = bisect.bisect_right(bp, a)
-    j = bisect.bisect_left(bp, b)
-    pts = [a] + bp[i:j] + [b]
-    if len(pts) - 1 > budget:
+    D = f.lattice
+    # The breakpoints strictly inside (a, b): a < j/D < b.
+    i = int(np.searchsorted(bp, _floor(a * D), side="right"))
+    j = int(np.searchsorted(bp, _ceil(b * D), side="left"))
+    if j - i + 1 > budget:
         raise QuadratureBudgetExceeded(
-            f"{len(pts) - 1} segments exceed the resolution budget {budget}"
+            f"{j - i + 1} segments exceed the resolution budget {budget}"
         )
+    pts = [a] + [Fraction(int(p), D) for p in bp[i:j]] + [b]
     out = []
     for lo, hi in zip(pts[:-1], pts[1:]):
         mid = (lo + hi) / 2
@@ -308,15 +371,22 @@ def demo_carleson_quadrature(f: LogProductFn, a: Rational, b: Rational, resoluti
 
 
 def log_moments(f: LogProductFn, ps: tuple[int, ...]) -> dict[int, Fraction]:
-    """∫_0^1 (ln 1/f)^p dt = ∫ A(t)^p dt for each p, exact, one segment sweep."""
-    if f.profile != "demo":
-        raise WrongProfile("exact moments need the demo profile")
-    totals = {p: Fraction(0) for p in ps}
-    for lo, hi, A in _segments(f, Fraction(0), Fraction(1), 10**7):
-        w = hi - lo
-        for p in ps:
-            totals[p] += w * A**p
-    return totals
+    """∫_0^1 (ln 1/f)^p dt = ∫ A(t)^p dt for each p, exact, one segment sweep.
+
+    Segment [j/D, j'/D] has midpoint M/(2D) with M = j + j', which lies in
+    E_n iff (M k_n mod 2D) <= |E_n| 2D.  For demo N <= 4, M k_n <= 2D k_4 =
+    3 * 2**47, so this is int64 arithmetic; the level-set widths of A are
+    summed as integers and only the final sums are Fractions.
+    """
+    bp = f.breakpoints()
+    D = f.lattice
+    M = bp[:-1] + bp[1:]
+    A = np.zeros(len(M), dtype=np.int64)
+    for F in f.factors:
+        A += F.a_n * ((M * (1 << F.k_exp)) % (2 * D) <= _floor(F.total_measure * 2 * D))
+    widths = np.diff(bp)
+    levels = {int(v): int(widths[A == v].sum()) for v in np.unique(A)}
+    return {p: Fraction(sum(w * v**p for v, w in levels.items()), D) for p in ps}
 
 
 def log_moment(f: LogProductFn, p: int) -> Fraction:

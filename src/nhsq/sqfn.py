@@ -793,34 +793,26 @@ def testing_functional(kernel, measure, b, cubes, quad: QuadratureConfig,
 
 
 def _ci_segment_table(f, max_depth: int):
-    """Global segment decomposition for the C_I sweep, as exact floats.
+    """Global segment decomposition for the C_I sweep, as floats.
 
-    Breakpoints: every demo piece endpoint (all dyadic, hence exact doubles),
-    every depth-max_depth cube boundary (so segments never straddle a cube at
-    any shallower level), and geometric subdivision points near 0 and 1
-    (the saturation scale min(x, 1-x) varies fast there).  The per-segment
-    exponent A is evaluated by exact integer residue arithmetic on the
-    segment midpoint.
+    Breakpoints: every demo piece endpoint j/D on the lattice 1/D,
+    D = 3 * 2**30 for N = 4 (not all dyadic: |E_3| = 1/1536; j / D is one
+    correctly rounded division of exact doubles, so it equals
+    float(Fraction(j, D))), every depth-max_depth cube boundary
+    (so segments never straddle a cube at any shallower level), and geometric
+    subdivision points near 0 and 1 (the saturation scale min(x, 1-x) varies
+    fast there).  The per-segment exponent A is evaluated exactly on the
+    double segment midpoint by f.exponent_batch.
     """
-    pts = [float(p) for p in f.breakpoints()]
-    pts.extend((np.arange(2**max_depth + 1) / 2**max_depth).tolist())
     oct_pts = 2.0 ** (-(np.arange(1, 481)) / 8.0)
-    pts.extend(oct_pts.tolist())
-    pts.extend((1.0 - oct_pts).tolist())
-    bp = np.unique(np.asarray(pts, dtype=float))
-    bp = bp[(bp >= 0.0) & (bp <= 1.0)]
+    bp = np.unique(np.concatenate([
+        f.breakpoints() / f.lattice,
+        np.arange(2**max_depth + 1) / 2**max_depth,
+        oct_pts,
+        1.0 - oct_pts,
+    ]))
     mids = (bp[:-1] + bp[1:]) / 2.0
-    A = np.zeros(len(mids))
-    fams = [(F.a_n, F.k_exp, F.total_measure) for F in f.factors]
-    for i, x in enumerate(mids):
-        p, q = x.as_integer_ratio()
-        acc = 0
-        for a_n, k_exp, tot in fams:
-            # x*k mod 1 <= |E|  <=>  ((p << k_exp) mod q) * tot.den <= q * tot.num
-            if ((p << k_exp) % q) * tot.denominator <= q * tot.numerator:
-                acc += a_n
-        A[i] = acc
-    return bp, mids, A
+    return bp, mids, f.exponent_batch(mids).astype(float)
 
 
 def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig) -> dict:

@@ -86,6 +86,12 @@ def test_config_file_and_overrides(tmp_path):
         ExperimentConfig.from_dict({"bogus": 3})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(tmp_path / "missing.json")
+    for bad in ({"N": "40"}, {"N": 4.0}, {"seed": True}, {"m": "0.4"}, {"svg": 1},
+                {"out_dir": 3}, {"alphas": 1.0}, {"alphas": [1.0, "2"]}, [1]):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(bad)
+    cfg = ExperimentConfig.from_dict({"m": 1, "alphas": [1, 2.5], "svg": True})
+    assert cfg.m == 1.0 and isinstance(cfg.m, float) and cfg.alphas == (1.0, 2.5)
 
 
 def _run_cli(args, env_extra=None):
@@ -129,6 +135,14 @@ def test_cli_usage_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"seed": 3}')
     assert _run_cli(["validate-config", str(good)]).returncode == 0
+    # A mistyped value is refused with one message line, never a traceback.
+    typed = tmp_path / "typed.json"
+    typed.write_text('{"N": "40"}')
+    for args in (["validate-config", str(typed)],
+                 ["run", "vertical", "--config", str(typed), "--out", str(tmp_path)]):
+        proc = _run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: config key 'N' must be an integer, got \"40\"\n"
 
 
 def test_cli_failure_exit_code(tmp_path, monkeypatch):

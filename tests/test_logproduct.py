@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,8 @@ from nhsq.errors import (
     WrongProfile,
 )
 from nhsq.logproduct import (
+    _float_floor,
+    _segments,
     LOG2E_HI,
     LOG2E_LO,
     build_logproduct,
@@ -251,3 +255,77 @@ def test_moment_ratio_grows(demo):
         mom = log_moments(f, (1, 4))
         ratios.append(mom[4] / mom[1])
     assert ratios[0] < ratios[1] < ratios[2]
+
+
+def _brute_breakpoints(f):
+    pts = {Fraction(0), Fraction(1)}
+    for F in f.factors:
+        k = 1 << F.k_exp
+        for i in range(k):
+            pts.add(Fraction(i, k))
+            pts.add(Fraction(i, k) + F.piece_length)
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_lattice_breakpoints_and_segments_match_fraction_enumeration(N):
+    # Oracle: every piece endpoint enumerated as a Fraction.
+    f = build_logproduct("demo", N)
+    brute = _brute_breakpoints(f)
+    D = f.lattice
+    assert [Fraction(int(j), D) for j in f.breakpoints()] == brute
+    for a, b in [(Fraction(0), Fraction(1)), (brute[3], brute[-4]),
+                 (Fraction(1, 3), Fraction(5, 7)), (brute[5], Fraction(5, 7))]:
+        pts = [lo for lo, _, _ in _segments(f, a, b, 10**6)] + [b]
+        assert pts == [a] + [p for p in brute if a < p < b] + [b]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_lattice_moments_match_fraction_sweep(N):
+    # Oracle: exact Fraction sweep of A(mid)^p over the exponent segments.
+    f = build_logproduct("demo", N)
+    segs = _segments(f, Fraction(0), Fraction(1), 10**7)
+    mom = log_moments(f, (1, 2, 4))
+    for p in (1, 2, 4):
+        assert mom[p] == sum(((hi - lo) * f.exponent((lo + hi) / 2) ** p
+                              for lo, hi, _ in segs), Fraction(0))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_exponent_batch_matches_scalar_exponent(N):
+    f = build_logproduct("demo", N)
+    rng = np.random.default_rng(N)
+    bp = f.breakpoints() / f.lattice
+    x = np.concatenate([
+        rng.random(2000),
+        bp,
+        np.nextafter(bp, -np.inf)[1:],
+        np.nextafter(bp, np.inf)[:-1],
+        [0.0, 1.0],  # t = 1 is outside every family since |E_n| < 1
+    ])
+    expected = [f.exponent(Fraction(float(t))) for t in x]
+    assert f.exponent_batch(x).tolist() == expected
+    with pytest.raises(OutOfDomain):
+        f.exponent_batch([0.5, math.nextafter(1.0, 2.0)])
+    with pytest.raises(WrongProfile):
+        build_logproduct("paper", 1).exponent_batch([0.5])
+
+
+def test_float_floor_rounds_down():
+    # float(1/10) rounds up, float(1/3) rounds down; both must end <= q.
+    for q in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 1536), Fraction(1, 2)):
+        d = _float_floor(q)
+        assert Fraction(d) <= q < Fraction(math.nextafter(d, math.inf))
+
+
+def test_overlap_measure_and_bound_match_counted_overlap(paper):
+    rng = np.random.default_rng(7)
+    for d in range(1, 40):
+        k = int(rng.integers(0, 2**d))
+        a, b = Fraction(k, 2**d), Fraction(k + 1, 2**d)
+        for F in paper.factors:
+            assert F.overlap_measure(a, b) == overlap(F, a, b)[0]
+        cb = carleson_log_bound(paper, a, b)
+        counted = sum((F.a_n * overlap(F, a, b)[0] for F in paper.factors if F.n > cb.cutoff),
+                      Fraction(0))
+        assert cb.bound == counted
