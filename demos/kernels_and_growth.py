@@ -10,22 +10,22 @@ a factor 10 per separation decade.
 """
 
 from nhsq import (
+    CantorKernel,
     CantorParams,
+    LogProductKernel,
     StepKernel,
+    TildeKernel,
     build_cantor,
     build_logproduct,
-    cantor_kernel,
     check_holder_condition,
     check_size_condition,
     growth_constant,
-    logproduct_kernel,
-    tilde_transform,
 )
 from nhsq.measures import LebesgueInterval
 
 measure = build_cantor(CantorParams(m=0.4, C=16.0, depth=10))
-kc = cantor_kernel(measure)
-kv = logproduct_kernel(build_logproduct("demo", 3))
+kc = CantorKernel(measure)
+kv = LogProductKernel(build_logproduct("demo", 3))
 
 geo = measure.geometry[1]
 x_strip = geo.child_offsets[1] + geo.child_lengths[1] / 2
@@ -33,7 +33,7 @@ print("Cantor kernel spot values:")
 print(f"  strip interior, t = L, y = 1/2: {kc.evaluate(geo.L, x_strip, 0.5):.4f}")
 print(f"  just outside the strip:        {kc.evaluate(geo.L, geo.child_offsets[1] - 1e-12, 0.5):.4f}")
 print(f"  central gap, any t:            {kc.evaluate(geo.L * 0.7, 0.5, 0.5):.4f}")
-tk = tilde_transform(kc, measure)
+tk = TildeKernel(kc, measure)
 print(f"  tilde factor^2 at the strip:   {tk.factor(geo.L, x_strip)**2:.4f} (<= 1/(n+1))")
 
 print("\ncondition checkers (10^4 stratified samples):")

@@ -26,12 +26,9 @@ from .kernels import (
     LogProductKernel,
     StepKernel,
     TildeKernel,
-    cantor_kernel,
     check_holder_condition,
     check_size_condition,
     eval_theta,
-    logproduct_kernel,
-    tilde_transform,
 )
 from .logproduct import (
     LogProductFn,

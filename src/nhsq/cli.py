@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import NhsqError
+from .errors import ConfigError, NhsqError
 from .experiments import ExperimentConfig, list_experiments, run
 
 
@@ -50,7 +50,12 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.depth is not None:
         cfg.N = args.depth
     if args.alpha is not None:
-        cfg.alphas = tuple(float(a) for a in args.alpha.split(","))
+        try:
+            cfg.alphas = tuple(float(a) for a in args.alpha.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"--alpha must be comma-separated numbers, got {args.alpha!r}"
+            ) from None
     env_out = os.environ.get("NHSQ_OUT")
     if env_out:
         cfg.out_dir = env_out

@@ -29,11 +29,11 @@ from .dyadic import (
 )
 from .errors import ConfigError, UnknownExperiment
 from .kernels import (
+    CantorKernel,
+    LogProductKernel,
     StepKernel,
-    cantor_kernel,
     check_holder_condition,
     check_size_condition,
-    logproduct_kernel,
 )
 from .logproduct import (
     build_logproduct,
@@ -239,8 +239,8 @@ def _exp_growth(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
 def _exp_kernel_conditions(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     measure = build_cantor(CantorParams(m=cfg.m, C=cfg.C, depth=10))
-    kc = cantor_kernel(measure)
-    kv = logproduct_kernel(build_logproduct("demo", 3))
+    kc = CantorKernel(measure)
+    kv = LogProductKernel(build_logproduct("demo", 3))
     n = 10_000
     seed = derive_seed(cfg.seed, "kernel-conditions")
     results = {}
@@ -317,7 +317,7 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     quad = cfg.quad(trunc=12)
     sups = {}
     for N in (2, 3, 4):
-        kv = logproduct_kernel(build_logproduct("demo", N))
+        kv = LogProductKernel(build_logproduct("demo", N))
         prof = ci_profile(kv, 12, quad)
         sups[N] = prof["sup"]
         report.metrics[f"ci_sup_N{N}"] = prof["sup"]
@@ -330,7 +330,7 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     )
 
     measure = build_cantor(CantorParams(m=cfg.m, C=cfg.C, depth=14))
-    kc = cantor_kernel(measure)
+    kc = CantorKernel(measure)
     cubes = []
     for g in range(7):
         s, l, _ = measure.leaf_table(g)
@@ -347,7 +347,7 @@ def _exp_weak11(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     depth = 5
     measure = cfg.measure(min_depth=12)
     quad = cfg.quad(trunc=10)
-    kernel = cantor_kernel(measure)
+    kernel = CantorKernel(measure)
     rng = derive_rng(cfg.seed, "weak11-spikes")
     leaves = rng.integers(0, 4**depth, size=10)
     lam_grid = np.geomspace(1e-3, 1e5, 81)

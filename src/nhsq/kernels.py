@@ -10,20 +10,32 @@ Two concrete kernels:
 * LogProductKernel: phi_{V,t}(x - y) for x in [0,1] and f(x) <= t <= 1, zero
   otherwise, with m = alpha = 1.
 
+Every kernel's evaluate(t, x, y) broadcasts its three arguments and returns
+an array, or a float when all three are scalars.  The Cantor kernel walks
+all points down the tree together (CantorMeasure.descend); the log-product
+kernel takes its exponents from LogProductFn.exponent_batch.  A batch value
+equals the one-point value bit for bit: numpy's SIMD power and log on arrays
+can differ from libm by one unit in the last place, while one-point code
+(Python floats, numpy scalars) uses libm, so the powers, squares and logs of
+the kernels and checkers go through libm elementwise (_libm).  locate and
+LogProductFn.exponent stay as the one-point oracles.
+
 The size and continuity checkers are samplers, not proofs: they stratify
 over the kernels' active bands, add adversarial edge points, and report the
-worst observed ratio with its witness.
+worst observed ratio with its witness.  All sampled points of a checker are
+evaluated in one kernel call per array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import WrongProfile
 from .logproduct import LogProductFn
 from .measures import CantorMeasure
 from .rng import derive_rng
@@ -40,9 +52,6 @@ __all__ = [
     "LogProductKernel",
     "TildeKernel",
     "StepKernel",
-    "cantor_kernel",
-    "logproduct_kernel",
-    "tilde_transform",
     "eval_theta",
     "node_atoms",
     "check_size_condition",
@@ -53,6 +62,22 @@ __all__ = [
 
 
 # -- profiles -------------------------------------------------------------------
+
+
+def _libm(fn, a, *args):
+    """fn(v, *args) for every element v of a, through Python floats.
+
+    numpy's SIMD power and log on arrays can differ from libm by one unit in
+    the last place; one-point code uses libm, and so do batch values that go
+    through here.
+    """
+    a = np.asarray(a, dtype=float)
+    vals = map(fn, a.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(vals, dtype=float, count=a.size).reshape(a.shape)
+
+
+def _broadcast(*args):
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
 
 
 def bump(u):
@@ -71,7 +96,7 @@ def phi_v(z):
     """1 on [-1,1], C^1 smoothstep ramp to 0 on [1,2], even, support [-2,2]."""
     z = np.abs(np.asarray(z, dtype=float))
     u = np.clip(z - 1.0, 0.0, 1.0)
-    ramp = 1.0 - 3.0 * u**2 + 2.0 * u**3
+    ramp = 1.0 - 3.0 * _libm(math.pow, u, 2.0) + 2.0 * _libm(math.pow, u, 3.0)
     out = np.where(z <= 2.0, ramp, 0.0)
     return out if out.ndim else float(out)
 
@@ -168,13 +193,33 @@ class CantorKernel:
             off, length, mass = nxt
         return None
 
-    def evaluate(self, t: float, x: float, y) -> float:
-        act = self.locate(x, t)
-        if act is None:
-            y = np.asarray(y, dtype=float)
-            return np.zeros_like(y) if y.ndim else 0.0
-        center = act.offset + act.length / 2.0
-        return bump((np.asarray(y, dtype=float) - center) / act.length) / act.length**self.m
+    def evaluate(self, t, x, y):
+        """s_t(x, y) elementwise; every point walks x's node chain as in locate."""
+        t, x, y = _broadcast(t, x, y)
+        meas = self.measure
+        out = np.zeros(t.shape)
+        pending = (0.0 <= x) & (x <= 1.0) & (t > 0.0)
+        for g, off, length, _, alive in meas.descend(x, meas.depth - 1):
+            geo = meas.geometry[g + 1]
+            L_abs = geo.L * length
+            pending &= alive & ~(t > L_abs)
+            band = pending & (t >= L_abs / 2.0)
+            hit = np.zeros(t.shape, dtype=bool)
+            for j in (1, 2):
+                lo = off + geo.child_offsets[j] * length
+                hi = off + (geo.child_offsets[j] + geo.child_lengths[j]) * length
+                hit |= (lo <= x) & (x <= hi)
+            hit &= band
+            if hit.any():
+                ln = length[hit]
+                u = (y[hit] - (off[hit] + ln / 2.0)) / ln
+                # bump(u), squared through libm as bump squares one point.
+                phi = np.where(np.abs(u) <= 0.5, _libm(math.pow, np.cos(np.pi * u), 2.0), 0.0)
+                out[hit] = phi / _libm(math.pow, ln, self.m)
+            pending &= ~band
+            if not pending.any():
+                break
+        return out if out.ndim else float(out)
 
     def sample_active(self, rng: np.random.Generator, n: int):
         """Stratified (t, x) pairs over strips and bands, plus edge points."""
@@ -227,22 +272,28 @@ class LogProductKernel:
     """s_t(x,y) = phi_{V,t}(x-y) when x in [0,1] and f(x) <= t <= 1, else 0."""
 
     def __init__(self, f: LogProductFn):
+        if f.profile != "demo":
+            raise WrongProfile("the log-product kernel needs the demo profile")
         self.f = f
         self.m = 1.0
         self.alpha = 1.0
 
-    def active(self, x: float, t: float) -> bool:
-        if not (0.0 <= x <= 1.0) or not (0.0 < t <= 1.0):
-            return False
+    def active(self, x, t):
+        """x in [0,1] and f(x) <= t <= 1, elementwise over broadcast x, t."""
+        x, t = _broadcast(x, t)
+        xf, tf = x.ravel(), t.ravel()
+        on = (0.0 <= xf) & (xf <= 1.0) & (0.0 < tf) & (tf <= 1.0)
+        i = np.flatnonzero(on)
         # Comparison in log space: t >= e^-A  <=>  ln t >= -A (A exact integer).
-        A = self.f.exponent(Fraction(x))
-        return math.log(t) >= -A
+        on[i] = _libm(math.log, tf[i]) >= -self.f.exponent_batch(xf[i])
+        on = on.reshape(x.shape)
+        return on if on.ndim else bool(on)
 
-    def evaluate(self, t: float, x: float, y) -> float:
-        y = np.asarray(y, dtype=float)
-        if not self.active(x, t):
-            return np.zeros_like(y) if y.ndim else 0.0
-        out = np.asarray(phi_v((x - y) / t)) / t
+    def evaluate(self, t, x, y):
+        t, x, y = _broadcast(t, x, y)
+        on = np.asarray(self.active(x, t))
+        out = np.zeros(t.shape)
+        out[on] = phi_v((x[on] - y[on]) / t[on]) / t[on]
         return out if out.ndim else float(out)
 
     def theta_one(self, t: float, x: float) -> float:
@@ -254,13 +305,18 @@ class LogProductKernel:
         )
 
     def sample_active(self, rng: np.random.Generator, n: int):
+        """(t, x) with x uniform and ln t uniform on [ln t_lo, 0], where
+        t_lo = max(e^-min(A(x), 30), 1e-9).
+
+        Each row of draws is (x, u), the order of rng.random() followed by
+        rng.uniform(lo, 0.0), which computes lo + (0.0 - lo) * u.
+        """
+        draws = rng.random((n, 2))
+        A = self.f.exponent_batch(draws[:, 0])
         out = []
-        for _ in range(n):
-            x = rng.random()
-            A = self.f.exponent(Fraction(x))
-            t_lo = max(math.exp(-min(A, 30)), 1e-9)
-            t = math.exp(rng.uniform(math.log(t_lo), 0.0))
-            out.append((t, x, None))
+        for x, a, u in zip(draws[:, 0].tolist(), A.tolist(), draws[:, 1].tolist()):
+            lo = math.log(max(math.exp(-min(a, 30)), 1e-9))
+            out.append((math.exp(lo + (0.0 - lo) * u), x, None))
         return out
 
     def sample_y(self, rng: np.random.Generator, t: float, x: float, node) -> float:
@@ -281,8 +337,14 @@ class TildeKernel:
         self.m = base.m
         self.alpha = base.alpha
 
-    def factor(self, t: float, x: float) -> float:
-        return math.sqrt(self.measure.ball_mass(x, t) / t**self.m)
+    def factor(self, t, x):
+        """(mu(B(x,t)) / t**m)**(1/2), elementwise over broadcast t, x."""
+        t, x = _broadcast(t, x)
+        out = np.array([
+            math.sqrt(self.measure.ball_mass(xi, ti) / ti**self.m)
+            for ti, xi in zip(t.ravel().tolist(), x.ravel().tolist())
+        ]).reshape(t.shape)
+        return out if out.ndim else float(out)
 
     def evaluate(self, t: float, x: float, y):
         return self.factor(t, x) * self.base.evaluate(t, x, y)
@@ -301,10 +363,11 @@ class StepKernel:
         self.m = m
         self.alpha = alpha
 
-    def evaluate(self, t: float, x: float, y):
-        y = np.asarray(y, dtype=float)
-        inside = np.abs(x - y) <= 2.0 * t
-        out = np.where(inside & (y >= x), t**self.alpha / t**(self.m + self.alpha), 0.0)
+    def evaluate(self, t, x, y):
+        t, x, y = _broadcast(t, x, y)
+        on = (np.abs(x - y) <= 2.0 * t) & (y >= x)
+        out = np.zeros(t.shape)
+        out[on] = _libm(math.pow, t[on], self.alpha) / _libm(math.pow, t[on], self.m + self.alpha)
         return out if out.ndim else float(out)
 
     def sample_active(self, rng, n):
@@ -317,18 +380,6 @@ class StepKernel:
         if u < 0.5:
             return x + 2.0 * t  # support edge
         return x + rng.uniform(-2.0 * t, 2.0 * t)
-
-
-def cantor_kernel(measure: CantorMeasure, alpha: float = 1.0) -> CantorKernel:
-    return CantorKernel(measure, alpha)
-
-
-def logproduct_kernel(f: LogProductFn) -> LogProductKernel:
-    return LogProductKernel(f)
-
-
-def tilde_transform(kernel, measure) -> TildeKernel:
-    return TildeKernel(kernel, measure)
 
 
 # -- theta quadrature ---------------------------------------------------------------
@@ -434,21 +485,45 @@ class HolderReport:
         return self.scale_growth >= 8.0
 
 
+def _sample_points(kernel, rng, actives, per: int):
+    """Arrays t, x, y holding each active (t, x) with `per` sample_y draws,
+    drawn in the order of the actives."""
+    n = len(actives) * per
+    t, x, y = np.empty(n), np.empty(n), np.empty(n)
+    i = 0
+    for ti, xi, node in actives:
+        for _ in range(per):
+            t[i], x[i], y[i] = ti, xi, kernel.sample_y(rng, ti, xi, node)
+            i += 1
+    return t, x, y
+
+
+def _ratios(v, t, x, y, scale, m: float, alpha: float) -> np.ndarray:
+    """v (t + |x-y|)^(m+alpha) / scale^alpha where v != 0, else 0."""
+    out = np.zeros(v.shape)
+    nz = v != 0.0
+    out[nz] = (v[nz] * _libm(math.pow, t[nz] + np.abs(x[nz] - y[nz]), m + alpha)
+               / _libm(math.pow, scale[nz], alpha))
+    return out
+
+
+def _worst(ratios: np.ndarray, *point):
+    """The first largest ratio and its point, as a strict > scan from 0 finds
+    them; 0 and the zero point when no ratio is positive."""
+    if not (ratios > 0.0).any():
+        return 0.0, (0.0,) * len(point)
+    k = int(np.argmax(ratios))
+    return float(ratios[k]), tuple(float(c[k]) for c in point)
+
+
 def check_size_condition(kernel, n_samples: int, seed: int) -> ConditionReport:
     """Worst |s_t(x,y)| (t + |x-y|)^(m+alpha) / t^alpha over stratified samples."""
     rng = derive_rng(seed, "size-condition")
-    m, alpha = kernel.m, kernel.alpha
-    worst, witness = 0.0, (0.0, 0.0, 0.0)
     actives = kernel.sample_active(rng, n_samples)
-    for t, x, node in actives:
-        for _ in range(3):
-            y = kernel.sample_y(rng, t, x, node)
-            val = abs(float(kernel.evaluate(t, x, y)))
-            if val == 0.0:
-                continue
-            ratio = val * (t + abs(x - y)) ** (m + alpha) / t**alpha
-            if ratio > worst:
-                worst, witness = ratio, (t, x, y)
+    t, x, y = _sample_points(kernel, rng, actives, 3)
+    vals = np.abs(np.broadcast_to(kernel.evaluate(t, x, y), t.shape))
+    ratios = _ratios(vals, t, x, y, t, kernel.m, kernel.alpha)
+    worst, witness = _worst(ratios, t, x, y)
     return ConditionReport(worst_ratio=worst, witness=witness, n_samples=len(actives) * 3)
 
 
@@ -460,39 +535,32 @@ def check_holder_condition(kernel, n_samples: int, seed: int, n_scales: int = 4)
     separation shrinks.
     """
     rng = derive_rng(seed, "holder-condition")
-    m, alpha = kernel.m, kernel.alpha
-    worst, witness = 0.0, (0.0, 0.0, 0.0, 0.0)
-    per_scale = [0.0] * n_scales
-    per_anchor = [0.0] * n_scales
     scales = [0.4 * 10.0**-j for j in range(n_scales)]
     actives = kernel.sample_active(rng, max(1, n_samples // n_scales))
-    for t, x, node in actives:
-        # One sampled center per active; reused across scales so per-scale
-        # worst ratios are comparable and growth is detectable.
-        y0 = kernel.sample_y(rng, t, x, node)
-        for j, frac in enumerate(scales):
-            delta = t * frac  # < t/2 by construction
-            # Anchored pairs keep the evaluation point fixed; the moving pairs
-            # straddle the sampled point and x, where x-anchored kernel
-            # features (steps, plateau edges) live.
-            anchored = ((y0, y0 + delta), (y0, y0 - delta), (x, x - delta))
-            moving = ((y0 + delta / 2, y0 - delta / 2), (x + delta / 2, x - delta / 2))
-            for is_anchored, group in ((True, anchored), (False, moving)):
-                for y, z in group:
-                    dv = abs(float(kernel.evaluate(t, x, y)) - float(kernel.evaluate(t, x, z)))
-                    if dv == 0.0:
-                        continue
-                    ratio = dv * (t + abs(x - y)) ** (m + alpha) / delta**alpha
-                    if ratio > per_scale[j]:
-                        per_scale[j] = ratio
-                    if is_anchored and ratio > per_anchor[j]:
-                        per_anchor[j] = ratio
-                    if ratio > worst:
-                        worst, witness = ratio, (t, x, y, z)
+    # One sampled center y0 per active; reused across scales so per-scale
+    # worst ratios are comparable and growth is detectable.
+    t, x, y0 = (a[:, None, None] for a in _sample_points(kernel, rng, actives, 1))
+    delta = t * np.array(scales)[None, :, None]  # < t/2 by construction
+    half = delta / 2
+    # Per (active, scale), five pairs in this order: three anchored pairs keep
+    # the evaluation point fixed; two moving pairs straddle the sampled point
+    # and x, where x-anchored kernel features (steps, plateau edges) live.
+    y = np.concatenate(np.broadcast_arrays(y0, y0, x, y0 + half, x + half), axis=2)
+    z = np.concatenate(
+        np.broadcast_arrays(y0 + delta, y0 - delta, x - delta, y0 - half, x - half), axis=2
+    )
+    t, x, y, z, delta = (a.ravel() for a in np.broadcast_arrays(t, x, y, z, delta))
+    dv = np.abs(np.broadcast_to(kernel.evaluate(t, x, y), t.shape)
+                - np.broadcast_to(kernel.evaluate(t, x, z), t.shape))
+    ratios = _ratios(dv, t, x, y, delta, kernel.m, kernel.alpha)
+    by_scale = ratios.reshape(len(actives), n_scales, 5)
+    per_scale = by_scale.max(axis=(0, 2), initial=0.0)
+    per_anchor = by_scale[:, :, :3].max(axis=(0, 2), initial=0.0)
+    worst, witness = _worst(ratios, t, x, y, z)
     return HolderReport(
         worst_ratio=worst,
         witness=witness,
-        per_scale=[(s, r) for s, r in zip(scales, per_scale)],
-        per_scale_anchored=[(s, r) for s, r in zip(scales, per_anchor)],
+        per_scale=[(s, float(r)) for s, r in zip(scales, per_scale)],
+        per_scale_anchored=[(s, float(r)) for s, r in zip(scales, per_anchor)],
         n_samples=len(actives) * n_scales * 5,
     )

@@ -165,6 +165,35 @@ class CantorMeasure:
             CantorParams(self.m, self.params.C, d, self.params.start_gen + n)
         )
 
+    def descend(self, x, max_gen: int):
+        """Walk every point of x down its node chain, one generation at a time.
+
+        Yields (g, off, length, digit, alive) for g = 0 .. min(max_gen, depth):
+        arrays over x of the offset and length of the generation-g node that
+        holds each point, the child index it took at generation g (0 for the
+        root), and whether it is still on the tree.  A point takes the first
+        child with c_off <= x <= c_off + c_len, the rule of the one-point
+        walks, and is dead from the first generation where no child holds it
+        (a gap); the values of dead points are meaningless.
+        """
+        x = np.asarray(x, dtype=float)
+        off, length = np.zeros(x.shape), np.ones(x.shape)
+        digit = np.zeros(x.shape, dtype=np.int64)
+        alive = np.ones(x.shape, dtype=bool)
+        yield 0, off, length, digit, alive
+        for g in range(1, min(max_gen, self.depth) + 1):
+            geo = self.geometry[g]
+            found = np.zeros(x.shape, dtype=bool)
+            n_off, n_len, digit = off.copy(), length.copy(), np.zeros(x.shape, dtype=np.int64)
+            for j in range(4):
+                coff = off + geo.child_offsets[j] * length
+                clen = geo.child_lengths[j] * length
+                hit = ~found & (coff <= x) & (x <= coff + clen)
+                n_off[hit], n_len[hit], digit[hit] = coff[hit], clen[hit], j
+                found |= hit
+            off, length, alive = n_off, n_len, alive & found
+            yield g, off, length, digit, alive
+
     # -- mass queries --------------------------------------------------------
 
     def interval_mass(self, a: float, b: float) -> float:

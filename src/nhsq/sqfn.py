@@ -15,8 +15,9 @@ enumeration at shallow depth (OracleMismatch if they disagree).
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
 (y, t) in its strip/band region (the strip sits 2 L_I from the node ends
 while alpha t <= 2 L_I), so the template quadrature with balls clipped to
-[0,1] is exact; wider apertures would need cross-node terms and are not
-supported by the collapsed path.
+[0,1] is exact; wider apertures would need cross-node terms, so the
+collapsed series, its enumeration oracle and the L2 operator ratio refuse
+alpha > 2 with InvalidParams.
 """
 
 from __future__ import annotations
@@ -94,6 +95,17 @@ class ConeSpec:
             raise InvalidParams(f"aperture must be >= 1, got {self.alpha}")
 
 
+def _check_collapse_aperture(cone: ConeSpec) -> None:
+    """The template collapse assumes balls B(y, alpha t) stay in the node,
+    which holds for alpha <= 2 only."""
+    cone.validate()
+    if cone.alpha > 2.0:
+        raise InvalidParams(
+            f"the collapsed norm series needs aperture <= 2, got {cone.alpha}; "
+            "wider balls leave the node and the collapse misses their mass"
+        )
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     t_steps_per_band: int = 32
@@ -166,9 +178,15 @@ class LeafFunction:
             idx = idx * 4 + j
         return idx
 
-    def __call__(self, x: float) -> float:
-        idx = self.leaf_index(x)
-        return 0.0 if idx is None else float(self.values[idx])
+    def __call__(self, x):
+        """f at x, elementwise for arrays and 0 in gaps; the leaf of each
+        point is the one leaf_index finds, looked up for all points at once."""
+        x = np.asarray(x, dtype=float)
+        idx = np.zeros(x.shape, dtype=np.int64)
+        for _, _, _, digit, alive in self.measure.descend(x, self.depth):
+            idx = idx * 4 + digit
+        out = np.where(alive, self.values[idx], 0.0)
+        return out if out.ndim else float(out)
 
     def l1_norm(self) -> float:
         _, _, masses = self.measure.leaf_table(self.depth)
@@ -294,7 +312,7 @@ def conical_norm_series(
     context: Optional[CantorSquareContext] = None,
 ) -> NormSeries:
     """||S_alpha(1)||^2 per-generation series via the template collapse."""
-    cone.validate()
+    _check_collapse_aperture(cone)
     ctx = context if context is not None else CantorSquareContext(measure, quad)
     terms = np.zeros(N + 1)
     errs = np.zeros(N + 1)
@@ -327,7 +345,7 @@ def direct_norm_series(
     Uses absolute coordinates and global ball masses; no template collapse.
     Intended for shallow N (cost 4**N nodes at generation N).
     """
-    cone.validate()
+    _check_collapse_aperture(cone)
     if N > 6:
         raise InvalidParams("direct enumeration is intended for N <= 6")
     if measure.depth < N + 3:
@@ -412,14 +430,12 @@ def _chain(measure: CantorMeasure, x: float, max_gen: int):
 
 
 def _node_coefficient(measure, f, off, length, mass, gen, depth) -> float:
-    """c_J(f) = integral of phi_J f dmu / len(J)^m by node-local quadrature."""
+    """c_J(f) = integral of phi_J f dmu / len(J)^m by node-local quadrature;
+    f is None (f = 1) or a LeafFunction, read at all atoms at once."""
     mids, _, weights = node_atoms(measure, off, length, mass, gen, depth)
     center = off + length / 2.0
     phis = bump((mids - center) / length)
-    if f is None:
-        fv = 1.0
-    else:
-        fv = np.array([f(v) for v in mids])
+    fv = 1.0 if f is None else f(mids)
     return float(np.sum(weights * phis * fv)) / length**measure.m
 
 
@@ -619,7 +635,7 @@ def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
     below the leaf depth, c_J = f_leaf * beta(n) exactly, so those terms
     reduce to g(n, alpha) ||f||^2.
     """
-    cone.validate()
+    _check_collapse_aperture(cone)
     ctx = context if context is not None else CantorSquareContext(measure, quad)
     N = quad.trunc_generation
     best = 0.0

@@ -143,6 +143,19 @@ def test_cli_usage_errors(tmp_path):
         proc = _run_cli(args)
         assert proc.returncode == 2
         assert proc.stderr == "error: config key 'N' must be an integer, got \"40\"\n"
+    proc = _run_cli(["run", "aperture", "--alpha", "x", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --alpha must be comma-separated numbers, got 'x'\n"
+
+
+def test_cli_refuses_wide_aperture(tmp_path):
+    # The collapsed series holds for alpha <= 2 only; 3.0 is refused, not answered.
+    proc = _run_cli(["run", "aperture", "--alpha", "1.0,3.0", "--depth", "12",
+                     "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the collapsed norm series needs aperture <= 2")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "aperture" / "report.json").exists()
 
 
 def test_cli_failure_exit_code(tmp_path, monkeypatch):

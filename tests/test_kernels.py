@@ -1,26 +1,31 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nhsq.errors import WrongProfile
 from nhsq.kernels import (
     PHI_V_LIPSCHITZ,
     PHI_V_TOTAL,
+    CantorKernel,
+    ConditionReport,
+    HolderReport,
+    LogProductKernel,
     StepKernel,
+    TildeKernel,
     bump,
     bump_lipschitz,
-    cantor_kernel,
     check_holder_condition,
     check_size_condition,
     eval_theta,
-    logproduct_kernel,
     node_atoms,
     phi_v,
     phi_v_antiderivative,
-    tilde_transform,
 )
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorParams, LebesgueInterval, build_cantor
+from nhsq.rng import derive_rng
 from nhsq.sqfn import QuadratureConfig
 
 M, C = 0.4, 16.0
@@ -33,12 +38,12 @@ def measure():
 
 @pytest.fixture(scope="module")
 def kernel(measure):
-    return cantor_kernel(measure)
+    return CantorKernel(measure)
 
 
 @pytest.fixture(scope="module")
 def vkernel():
-    return logproduct_kernel(build_logproduct("demo", 3))
+    return LogProductKernel(build_logproduct("demo", 3))
 
 
 def quad(depth=6):
@@ -155,7 +160,7 @@ def test_eval_theta_logproduct_closed_form(vkernel):
 
 
 def test_tilde_transform(measure, kernel):
-    tk = tilde_transform(kernel, measure)
+    tk = TildeKernel(kernel, measure)
     assert tk.m == kernel.m and tk.alpha == kernel.alpha
     geo = measure.geometry[1]
     x = geo.child_offsets[1] + geo.child_lengths[1] / 2
@@ -172,7 +177,7 @@ def test_tilde_factor_bound_deeper(measure, kernel):
     for g in (1, 2, 3):
         starts, lens, masses = measure.leaf_table(g)
         geo = measure.geometry[g + 1]
-        tk = tilde_transform(kernel, measure)
+        tk = TildeKernel(kernel, measure)
         off, length = starts[0], lens[0]
         x = off + (geo.child_offsets[1] + geo.child_lengths[1] / 2) * length
         for t in (geo.L * length / 2, geo.L * length):
@@ -221,3 +226,225 @@ def test_node_atoms_total_mass(measure):
     # Atoms below truncation split uniformly.
     mids2, _, weights2 = node_atoms(measure, 0.0, 1.0, 1.0, 0, 10)
     assert weights2.sum() == pytest.approx(1.0, rel=1e-11)
+
+
+# -- batch evaluation against the one-point oracles ---------------------------------
+
+
+def _point_value(kernel, t, x, y):
+    """s_t(x, y) at one point from locate, exponent and math, no batch code
+    (a duck-typed kernel answers through its own evaluate)."""
+    if isinstance(kernel, CantorKernel):
+        act = kernel.locate(x, t)
+        if act is None:
+            return 0.0
+        return bump((y - (act.offset + act.length / 2.0)) / act.length) / act.length**kernel.m
+    if isinstance(kernel, LogProductKernel):
+        if not (0.0 <= x <= 1.0 and 0.0 < t <= 1.0):
+            return 0.0
+        if math.log(t) < -kernel.f.exponent(Fraction(x)):
+            return 0.0
+        z = abs((x - y) / t)
+        u = min(max(z - 1.0, 0.0), 1.0)
+        return (1.0 - 3.0 * u**2 + 2.0 * u**3 if z <= 2.0 else 0.0) / t
+    if not isinstance(kernel, StepKernel):
+        return float(kernel.evaluate(t, x, y))
+    if abs(x - y) <= 2.0 * t and y >= x:
+        return t**kernel.alpha / t**(kernel.m + kernel.alpha)
+    return 0.0
+
+
+def _assert_batch_matches_points(kernel, ts, xs, ys):
+    got = kernel.evaluate(np.array(ts), np.array(xs), np.array(ys))
+    want = np.array([_point_value(kernel, t, x, y) for t, x, y in zip(ts, xs, ys)])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for t, x, y, w in list(zip(ts, xs, ys, want))[::97]:
+        one = kernel.evaluate(t, x, y)
+        assert type(one) is float and one == w
+
+
+def _around(v):
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+def test_cantor_evaluate_batch_matches_locate(measure, kernel):
+    rng = np.random.default_rng(5)
+    ts, xs, ys = [], [], []
+    # Strip edges and band edges of every node down to generation 3, with
+    # their neighbouring doubles, and y at the bump's support edges.
+    for g in range(4):
+        starts, lens, _ = measure.leaf_table(g)
+        geo = measure.geometry[g + 1]
+        for off, length in zip(starts[::3], lens[::3]):
+            off, length = float(off), float(length)
+            L_abs = geo.L * length
+            for j in (1, 2):
+                lo = off + geo.child_offsets[j] * length
+                hi = off + (geo.child_offsets[j] + geo.child_lengths[j]) * length
+                for x in _around(lo) + _around(hi) + (rng.uniform(lo, hi),):
+                    for t in _around(L_abs / 2.0) + _around(L_abs):
+                        for y in (off, off + length, off + length / 2.0,
+                                  rng.uniform(off, off + length)):
+                            ts.append(t), xs.append(x), ys.append(y)
+    # Random points, gap points and points outside [0, 1] or with t <= 0.
+    for x in list(rng.uniform(0.0, 1.0, 300)) + [0.5, 0.25, -0.1, 1.1, 0.0, 1.0]:
+        for t in (math.exp(rng.uniform(math.log(1e-7), 0.0)), 0.0, -1.0, 2.0):
+            ts.append(t), xs.append(float(x)), ys.append(float(x) + rng.normal(0.0, t * t))
+    # Every node down to generation 6 at its band, so that len(I)**m meets
+    # many distinct lengths; gap points at the bands of every generation.
+    gaps = []
+    for g in range(7):
+        starts, lens, _ = measure.leaf_table(g)
+        geo = measure.geometry[g + 1]
+        ends = starts + lens
+        gaps += list((ends[:-1] + starts[1:]) / 2.0)[:40]
+        for off, length in zip(starts.tolist(), lens.tolist()):
+            x = off + (geo.child_offsets[1] + geo.child_lengths[1] / 2.0) * length
+            ts.append(0.75 * geo.L * length), xs.append(x), ys.append(off + length / 2.0)
+    bands = sorted({0.75 * measure.geometry[g + 1].L * float(length)
+                    for g in range(8) for length in measure.leaf_table(g)[1]})
+    for x in gaps:
+        for t in bands:
+            ts.append(t), xs.append(float(x)), ys.append(float(x))
+    _assert_batch_matches_points(kernel, ts, xs, ys)
+    # The active samples of the size checker, with their sampled y.
+    rng = derive_rng(3, "batch-test")
+    for t, x, node in kernel.sample_active(rng, 600):
+        y = kernel.sample_y(rng, t, x, node)
+        ts.append(t), xs.append(x), ys.append(y)
+    _assert_batch_matches_points(kernel, ts, xs, ys)
+    assert np.count_nonzero(kernel.evaluate(np.array(ts), np.array(xs), np.array(ys))) > 500
+
+
+def test_logproduct_evaluate_batch_matches_exponent(vkernel):
+    f = vkernel.f
+    rng = np.random.default_rng(8)
+    bps = f.breakpoints()[::25] / f.lattice
+    xs0 = [v for b in bps for v in _around(float(b)) if 0.0 <= v <= 1.0]
+    xs0 += list(rng.uniform(0.0, 1.0, 200)) + [-0.25, 1.25]
+    ts, xs, ys = [], [], []
+    for x in xs0:
+        x = float(x)
+        A = f.exponent(Fraction(x)) if 0.0 <= x <= 1.0 else 0
+        near = [math.exp(-A) * (1.0 + k * 2.0**-52) for k in range(-8, 9)]
+        for t in near + [1.0, math.nextafter(1.0, 2.0), rng.uniform(0.0, 1.0), 0.0]:
+            for y in (x, x + 2.0 * t, x - t, x + 1.5 * t, x + rng.uniform(-2.5, 2.5) * t):
+                ts.append(t), xs.append(x), ys.append(y)
+    _assert_batch_matches_points(vkernel, ts, xs, ys)
+    on = [0.0 <= x <= 1.0 and 0.0 < t <= 1.0 and math.log(t) >= -f.exponent(Fraction(x))
+          for t, x in zip(ts, xs)]
+    assert np.array_equal(vkernel.active(np.array(xs), np.array(ts)), on)
+    assert 0 < sum(on) < len(on)
+
+
+def test_step_evaluate_batch_matches_points():
+    rng = np.random.default_rng(9)
+    step = StepKernel(m=M)
+    ts = list(np.exp(rng.uniform(math.log(0.05), 0.0, 3000)))
+    xs = list(rng.random(3000))
+    ys = [x + rng.choice([0.0, 2.0 * t, rng.uniform(-2.0 * t, 2.0 * t)]) for t, x in zip(ts, xs)]
+    _assert_batch_matches_points(step, ts, xs, ys)
+
+
+def test_logproduct_sample_active_matches_per_point_draws(vkernel):
+    for seed in (1, 7, 20250808):
+        got = vkernel.sample_active(np.random.default_rng(seed), 2000)
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(2000):
+            x = rng.random()
+            A = vkernel.f.exponent(Fraction(x))
+            t_lo = max(math.exp(-min(A, 30)), 1e-9)
+            want.append((math.exp(rng.uniform(math.log(t_lo), 0.0)), x, None))
+        assert got == want
+
+
+def test_logproduct_kernel_refuses_paper_profile():
+    with pytest.raises(WrongProfile):
+        LogProductKernel(build_logproduct("paper", 2))
+
+
+def _size_loop(kernel, n_samples, seed):
+    """check_size_condition as a per-point loop over _point_value."""
+    rng = derive_rng(seed, "size-condition")
+    m, alpha = kernel.m, kernel.alpha
+    worst, witness = 0.0, (0.0, 0.0, 0.0)
+    actives = kernel.sample_active(rng, n_samples)
+    for t, x, node in actives:
+        for _ in range(3):
+            y = kernel.sample_y(rng, t, x, node)
+            val = abs(_point_value(kernel, t, x, y))
+            if val == 0.0:
+                continue
+            ratio = val * (t + abs(x - y)) ** (m + alpha) / t**alpha
+            if ratio > worst:
+                worst, witness = ratio, (t, x, y)
+    return ConditionReport(worst_ratio=worst, witness=witness, n_samples=len(actives) * 3)
+
+
+def _holder_loop(kernel, n_samples, seed, n_scales=4):
+    """check_holder_condition as a per-point loop over _point_value."""
+    rng = derive_rng(seed, "holder-condition")
+    m, alpha = kernel.m, kernel.alpha
+    worst, witness = 0.0, (0.0, 0.0, 0.0, 0.0)
+    per_scale = [0.0] * n_scales
+    per_anchor = [0.0] * n_scales
+    scales = [0.4 * 10.0**-j for j in range(n_scales)]
+    actives = kernel.sample_active(rng, max(1, n_samples // n_scales))
+    for t, x, node in actives:
+        y0 = kernel.sample_y(rng, t, x, node)
+        for j, frac in enumerate(scales):
+            delta = t * frac
+            anchored = ((y0, y0 + delta), (y0, y0 - delta), (x, x - delta))
+            moving = ((y0 + delta / 2, y0 - delta / 2), (x + delta / 2, x - delta / 2))
+            for is_anchored, group in ((True, anchored), (False, moving)):
+                for y, z in group:
+                    dv = abs(_point_value(kernel, t, x, y) - _point_value(kernel, t, x, z))
+                    if dv == 0.0:
+                        continue
+                    ratio = dv * (t + abs(x - y)) ** (m + alpha) / delta**alpha
+                    per_scale[j] = max(per_scale[j], ratio)
+                    if is_anchored:
+                        per_anchor[j] = max(per_anchor[j], ratio)
+                    if ratio > worst:
+                        worst, witness = ratio, (t, x, y, z)
+    return HolderReport(
+        worst_ratio=worst,
+        witness=witness,
+        per_scale=list(zip(scales, per_scale)),
+        per_scale_anchored=list(zip(scales, per_anchor)),
+        n_samples=len(actives) * n_scales * 5,
+    )
+
+
+class _LeftStep:
+    """1 for y < x, else 0: only the anchored pair (x, x - delta) and the
+    moving pair around x see its jump, since every sampled y is far from x."""
+
+    m, alpha = 0.4, 1.0
+
+    @staticmethod
+    def evaluate(t, x, y):
+        return np.where(np.asarray(y) < x, 1.0, 0.0)
+
+    @staticmethod
+    def sample_active(rng, n):
+        return [(float(t), 0.5, None) for t in rng.uniform(0.01, 0.1, n)]
+
+    @staticmethod
+    def sample_y(rng, t, x, node):
+        return -3.0 - rng.random()
+
+
+@pytest.mark.parametrize("name", ["cantor", "logproduct", "step", "left-step"])
+def test_checkers_match_per_point_loop(name, kernel, vkernel):
+    k = {"cantor": kernel, "logproduct": vkernel, "step": StepKernel(m=M),
+         "left-step": _LeftStep()}[name]
+    for seed in (1, 7, 20250808):
+        size = check_size_condition(k, 400, seed)
+        assert repr(size) == repr(_size_loop(k, 400, seed))
+        assert size.worst_ratio > 0
+        hold = check_holder_condition(k, 400, seed)
+        assert repr(hold) == repr(_holder_loop(k, 400, seed))
+        assert hold.worst_ratio > 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhsq.errors import EmptyCubeList, InvalidParams, OracleMismatch
-from nhsq.kernels import cantor_kernel, logproduct_kernel
+from nhsq.kernels import CantorKernel, LogProductKernel
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorParams, LebesgueInterval, build_cantor
 from nhsq.sqfn import (
@@ -15,6 +15,7 @@ from nhsq.sqfn import (
     ci_profile,
     conical_norm_series,
     conical_value,
+    direct_norm_series,
     l2_operator_ratio,
     snorm_by_tilde_route,
     snorm_by_x_integration,
@@ -37,7 +38,7 @@ def measure():
 
 @pytest.fixture(scope="module")
 def kernel(measure):
-    return cantor_kernel(measure)
+    return CantorKernel(measure)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,22 @@ def test_collapse_against_enumeration(measure, quad):
     for alpha in (1.0, 1.5, 2.0):
         worst = validate_collapse(measure, ConeSpec(alpha, M), 3, quad, tol=0.01)
         assert worst <= 0.01
+
+
+def test_collapse_refuses_wide_aperture(measure, quad, ctx):
+    # Beyond alpha = 2 the balls leave the node; the collapse would miss
+    # that mass, so every collapsed route refuses instead of answering.
+    wide = ConeSpec(2.5, M)
+    with pytest.raises(InvalidParams):
+        conical_norm_series(measure, wide, 4, quad, context=ctx)
+    with pytest.raises(InvalidParams):
+        direct_norm_series(measure, wide, 2, quad)
+    with pytest.raises(InvalidParams):
+        validate_collapse(measure, wide, 2, quad)
+    with pytest.raises(InvalidParams):
+        l2_operator_ratio(measure, [LeafFunction.constant(measure, 2)], wide, quad, context=ctx)
+    # The pointwise value sums over x's own chain and still accepts it.
+    assert conical_value(CantorKernel(measure), measure, None, 0.3, wide, quad) >= 0.0
 
 
 def test_collapse_mismatch_raises(measure, quad):
@@ -196,7 +213,7 @@ def test_vertical_value(measure, kernel, quad):
 def test_vertical_value_logproduct_lower_bound(quad):
     # V1(x)^2 >= A(x): the t window [e^-A, 1] contributes at least dt/t.
     f = build_logproduct("demo", 3)
-    kv = logproduct_kernel(f)
+    kv = LogProductKernel(f)
     from fractions import Fraction
 
     x = 0.01  # in E_1 only: A = 1
@@ -263,7 +280,7 @@ def test_l2_ratio_consistency(measure, quad, ctx):
 
 
 def test_testing_functional_cantor(measure, quad, ctx):
-    kernel = cantor_kernel(measure)
+    kernel = CantorKernel(measure)
     with pytest.raises(EmptyCubeList):
         sq_testing_functional(kernel, measure, None, [], quad)
     cubes = [(0.0, 1.0)]
@@ -285,7 +302,7 @@ def test_logproduct_box_vs_ci_profile(quad):
     # independent routes to C_I.
     from fractions import Fraction
 
-    kv = logproduct_kernel(build_logproduct("demo", 3))
+    kv = LogProductKernel(build_logproduct("demo", 3))
     prof = ci_profile(kv, 4, quad)
     slow_root = _logproduct_box_integral(kv, Fraction(0), Fraction(1), quad)
     assert prof["per_depth"][0] == pytest.approx(slow_root, rel=2e-3)
@@ -296,11 +313,31 @@ def test_logproduct_box_vs_ci_profile(quad):
 
 
 def test_testing_functional_logproduct(quad):
-    kv = logproduct_kernel(build_logproduct("demo", 2))
+    kv = LogProductKernel(build_logproduct("demo", 2))
     lb = LebesgueInterval(0, 1)
     res = sq_testing_functional(kv, lb, None, [(0.0, 1.0), (0.25, 0.5)], quad)
     assert all(c.box_integral >= 0 for c in res.per_cube)
     assert res.sup_per_length < 10
+
+
+def test_leaf_function_batch_matches_leaf_index(measure):
+    rng = np.random.default_rng(4)
+    for depth in (0, 1, 3):
+        f = LeafFunction(measure, depth, np.arange(1.0, 4**depth + 1))
+        starts, lens, _ = measure.leaf_table(depth)
+        ends = starts + lens
+        # Leaf endpoints and their neighbouring doubles, gap midpoints
+        # between consecutive leaves, random points and points outside [0,1].
+        pts = [v for e in np.concatenate([starts, ends])
+               for v in (math.nextafter(e, -1.0), float(e), math.nextafter(e, 2.0))]
+        pts += list((ends[:-1] + starts[1:]) / 2.0)
+        pts += list(rng.uniform(-0.1, 1.1, 500)) + [-1.0, 0.5, 2.0]
+        want = [0.0 if f.leaf_index(x) is None else f.values[f.leaf_index(x)] for x in pts]
+        got = f(np.array(pts))
+        assert np.array_equal(got, want)
+        assert all(type(f(x)) is float and f(x) == w for x, w in zip(pts[::37], want[::37]))
+        if depth:
+            assert 0.0 in want and len(set(want)) > 4**depth // 2
 
 
 def test_weak11(measure, kernel, quad):
