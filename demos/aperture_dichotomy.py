@@ -13,18 +13,18 @@ a divergent harmonic series.
 import numpy as np
 
 from nhsq import (
+    CantorMeasure,
     CantorParams,
     CantorSquareContext,
     ConeSpec,
     QuadratureConfig,
-    build_cantor,
     conical_norm_series,
     validate_collapse,
 )
 
 M, C, N = 0.4, 16.0, 40
 
-measure = build_cantor(CantorParams(m=M, C=C, depth=N + 2))
+measure = CantorMeasure(CantorParams(m=M, C=C, depth=N + 2))
 quad = QuadratureConfig(t_steps_per_band=32, y_resolution_depth=6,
                         rel_tol=1e-3, trunc_generation=N)
 ctx = CantorSquareContext(measure, quad)
@@ -61,7 +61,7 @@ for n0 in (8, 16):
     print(f"aperture-2 doubling increment, N={n0:>2}: fitted c = {c_fit:.4f}")
 
 worst = max(
-    validate_collapse(build_cantor(CantorParams(m=M, C=C, depth=9)),
+    validate_collapse(CantorMeasure(CantorParams(m=M, C=C, depth=9)),
                       ConeSpec(a, M), 3, QuadratureConfig(32, 6, 1e-3, 3))
     for a in (1.0, 1.5, 2.0)
 )

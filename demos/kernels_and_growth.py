@@ -11,11 +11,11 @@ a factor 10 per separation decade.
 
 from nhsq import (
     CantorKernel,
+    CantorMeasure,
     CantorParams,
     LogProductKernel,
     StepKernel,
     TildeKernel,
-    build_cantor,
     build_logproduct,
     check_holder_condition,
     check_size_condition,
@@ -23,7 +23,7 @@ from nhsq import (
 )
 from nhsq.measures import LebesgueInterval
 
-measure = build_cantor(CantorParams(m=0.4, C=16.0, depth=10))
+measure = CantorMeasure(CantorParams(m=0.4, C=16.0, depth=10))
 kc = CantorKernel(measure)
 kv = LogProductKernel(build_logproduct("demo", 3))
 

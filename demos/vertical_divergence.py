@@ -10,18 +10,18 @@ divergence transfers.
 """
 
 from nhsq import (
+    CantorMeasure,
     CantorParams,
     CantorSquareContext,
     ConeSpec,
     QuadratureConfig,
-    build_cantor,
     conical_norm_series,
     vertical_norm_series,
 )
 
 M, C, N = 0.4, 16.0, 40
 
-measure = build_cantor(CantorParams(m=M, C=C, depth=N + 2))
+measure = CantorMeasure(CantorParams(m=M, C=C, depth=N + 2))
 quad = QuadratureConfig(32, 6, 1e-3, N)
 ctx = CantorSquareContext(measure, quad)
 

@@ -39,7 +39,6 @@ from .logproduct import (
     eval_f,
     log_moment,
     lp_divergence_witness,
-    overlap,
 )
 from .measures import (
     CantorMeasure,
@@ -47,10 +46,7 @@ from .measures import (
     LebesgueInterval,
     NodeGeometry,
     PointMasses,
-    build_cantor,
     growth_constant,
-    node_geometry,
-    template_measure,
 )
 from .sqfn import (
     CantorSquareContext,

@@ -41,7 +41,7 @@ from .logproduct import (
     log_moments,
     lp_divergence_witness,
 )
-from .measures import CantorParams, LebesgueInterval, build_cantor, growth_constant
+from .measures import CantorMeasure, CantorParams, LebesgueInterval, growth_constant
 from .reports import ExperimentReport, Verdict
 from .rng import derive_rng, derive_seed
 from .sqfn import (
@@ -86,7 +86,7 @@ class ExperimentConfig:
 
     def measure(self, min_depth: int = 0):
         depth = self.depth if self.depth > 0 else max(self.N + 2, min_depth)
-        return build_cantor(CantorParams(m=self.m, C=self.C, depth=depth))
+        return CantorMeasure(CantorParams(m=self.m, C=self.C, depth=depth))
 
     def echo(self) -> dict:
         # Output routing (out_dir, svg) stays out of the payload so reports
@@ -177,7 +177,7 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         )
 
     worst = 0.0
-    oracle_measure = build_cantor(CantorParams(m=cfg.m, C=cfg.C, depth=9))
+    oracle_measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=9))
     for alpha in cfg.alphas:
         worst = max(
             worst,
@@ -225,7 +225,7 @@ def _exp_l2_bound(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _exp_growth(cfg: ExperimentConfig, report: ExperimentReport) -> None:
-    measure = build_cantor(CantorParams(m=cfg.m, C=cfg.C, depth=7))
+    measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=7))
     est = growth_constant(measure, cfg.m, 100_000, derive_seed(cfg.seed, "growth"))
     report.metrics["growth_max_ratio"] = est.max_ratio
     report.metrics["growth_witness"] = list(est.witness)
@@ -238,7 +238,7 @@ def _exp_growth(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _exp_kernel_conditions(cfg: ExperimentConfig, report: ExperimentReport) -> None:
-    measure = build_cantor(CantorParams(m=cfg.m, C=cfg.C, depth=10))
+    measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=10))
     kc = CantorKernel(measure)
     kv = LogProductKernel(build_logproduct("demo", 3))
     n = 10_000
@@ -329,7 +329,7 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
                           f"growth across N {growth:.2%} <= 5%")
     )
 
-    measure = build_cantor(CantorParams(m=cfg.m, C=cfg.C, depth=14))
+    measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=14))
     kc = CantorKernel(measure)
     cubes = []
     for g in range(7):

@@ -54,6 +54,7 @@ __all__ = [
     "StepKernel",
     "eval_theta",
     "node_atoms",
+    "strip_atoms",
     "check_size_condition",
     "check_holder_condition",
     "ConditionReport",
@@ -199,7 +200,7 @@ class CantorKernel:
         meas = self.measure
         out = np.zeros(t.shape)
         pending = (0.0 <= x) & (x <= 1.0) & (t > 0.0)
-        for g, off, length, _, alive in meas.descend(x, meas.depth - 1):
+        for g, off, length, _, _, alive in meas.descend(x, meas.depth - 1):
             geo = meas.geometry[g + 1]
             L_abs = geo.L * length
             pending &= alive & ~(t > L_abs)
@@ -410,6 +411,19 @@ def node_atoms(measure: CantorMeasure, off: float, length: float, mass: float,
         mas = (mas[:, None] * q[None, :]).ravel()
         lens = (lens[:, None] * l[None, :]).ravel()
     return offs + lens / 2.0, lens, mas
+
+
+def strip_atoms(measure: CantorMeasure, off: float, length: float, mass: float,
+                gen: int, extra: int):
+    """(midpoints, weights) of the measure on the two middle children (the
+    strip) of a generation-gen node, each expanded by node_atoms."""
+    geo = measure.geometry[gen + 1]
+    parts = [
+        node_atoms(measure, off + geo.child_offsets[j] * length, geo.child_lengths[j] * length,
+                   mass * geo.child_masses[j], gen + 1, extra)
+        for j in (1, 2)
+    ]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts])
 
 
 def eval_theta(kernel, measure, f: Optional[Callable], t: float, x: float, quad) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "LogProductFn",
     "build_logproduct",
     "eval_f",
-    "overlap",
     "carleson_log_bound",
     "lp_divergence_witness",
     "demo_carleson_quadrature",
@@ -237,10 +236,6 @@ def eval_f(f: LogProductFn, t: Rational) -> tuple[int, float]:
     except OverflowError:
         val = 0.0
     return a, val
-
-
-def overlap(family: SpacedSetFamily, a: Rational, b: Rational) -> tuple[Fraction, int]:
-    return family.overlap(a, b)
 
 
 def build_logproduct(profile: str, N: int) -> LogProductFn:

@@ -40,9 +40,6 @@ __all__ = [
     "LebesgueInterval",
     "PointMasses",
     "GrowthEstimate",
-    "build_cantor",
-    "template_measure",
-    "node_geometry",
     "growth_constant",
 ]
 
@@ -168,31 +165,36 @@ class CantorMeasure:
     def descend(self, x, max_gen: int):
         """Walk every point of x down its node chain, one generation at a time.
 
-        Yields (g, off, length, digit, alive) for g = 0 .. min(max_gen, depth):
-        arrays over x of the offset and length of the generation-g node that
-        holds each point, the child index it took at generation g (0 for the
-        root), and whether it is still on the tree.  A point takes the first
-        child with c_off <= x <= c_off + c_len, the rule of the one-point
-        walks, and is dead from the first generation where no child holds it
-        (a gap); the values of dead points are meaningless.
+        Yields (g, off, length, mass, idx, alive) for g = 0 .. min(max_gen,
+        depth), nothing when max_gen < 0: arrays over x of the offset, length
+        and mass of the generation-g node that holds each point, its base-4
+        path idx (the leaf_table order; int64 up to generation 31, beyond
+        that Python ints in an object array, which never wrap), and whether
+        the point is still on the tree.  A point takes the first child with
+        c_off <= x <= c_off + c_len, the rule of the one-point walks, and is
+        dead from the first generation where no child holds it (a gap); the
+        values of dead points are meaningless.  A mass is the parent mass
+        times the child fraction, as in leaf_table, so the two agree bit for
+        bit.
         """
         x = np.asarray(x, dtype=float)
-        off, length = np.zeros(x.shape), np.ones(x.shape)
-        digit = np.zeros(x.shape, dtype=np.int64)
+        off, length, mass = np.zeros(x.shape), np.ones(x.shape), np.ones(x.shape)
+        idx = np.zeros(x.shape, dtype=np.int64 if min(max_gen, self.depth) <= 31 else object)
         alive = np.ones(x.shape, dtype=bool)
-        yield 0, off, length, digit, alive
-        for g in range(1, min(max_gen, self.depth) + 1):
-            geo = self.geometry[g]
-            found = np.zeros(x.shape, dtype=bool)
-            n_off, n_len, digit = off.copy(), length.copy(), np.zeros(x.shape, dtype=np.int64)
-            for j in range(4):
-                coff = off + geo.child_offsets[j] * length
-                clen = geo.child_lengths[j] * length
-                hit = ~found & (coff <= x) & (x <= coff + clen)
-                n_off[hit], n_len[hit], digit[hit] = coff[hit], clen[hit], j
-                found |= hit
-            off, length, alive = n_off, n_len, alive & found
-            yield g, off, length, digit, alive
+        for g in range(min(max_gen, self.depth) + 1):
+            if g:
+                geo = self.geometry[g]
+                found = np.zeros(x.shape, dtype=bool)
+                n_off, n_len, digit = off.copy(), length.copy(), np.zeros(x.shape, dtype=np.int64)
+                for j in range(4):
+                    coff = off + geo.child_offsets[j] * length
+                    clen = geo.child_lengths[j] * length
+                    hit = ~found & (coff <= x) & (x <= coff + clen)
+                    n_off[hit], n_len[hit], digit[hit] = coff[hit], clen[hit], j
+                    found |= hit
+                off, length, alive = n_off, n_len, alive & found
+                mass, idx = mass * np.asarray(geo.child_masses)[digit], idx * 4 + digit
+            yield g, off, length, mass, idx, alive
 
     # -- mass queries --------------------------------------------------------
 
@@ -355,21 +357,6 @@ class PointMasses:
 
 
 # -- module-level operations ---------------------------------------------------
-
-
-def build_cantor(params: CantorParams) -> CantorMeasure:
-    """Construct the measure; fails on parameter or separation violations."""
-    return CantorMeasure(params)
-
-
-def template_measure(params: CantorParams) -> CantorMeasure:
-    """Unit-mass template whose local generation-k split uses index start_gen + k."""
-    return CantorMeasure(params)
-
-
-def node_geometry(measure: CantorMeasure, generation: int) -> NodeGeometry:
-    """Normalized geometry of the split that creates local generation `generation`."""
-    return measure.split_geometry(generation)
 
 
 @dataclass

@@ -18,6 +18,13 @@ while alpha t <= 2 L_I), so the template quadrature with balls clipped to
 [0,1] is exact; wider apertures would need cross-node terms, so the
 collapsed series, its enumeration oracle and the L2 operator ratio refuse
 alpha > 2 with InvalidParams.
+
+The pointwise values S_alpha f(x) (conical_value) and V f(x)
+(vertical_value) take a scalar or an x-array: all points walk the tree
+together, one generation at a time (CantorMeasure.descend), and each node's
+coefficient and strip atoms are computed once for the points it holds.
+conical_value sums over the nodes that contain x, which is exhaustive only
+while alpha t <= 2 L_I, so it refuses alpha > 2 as well.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
@@ -41,6 +49,7 @@ from .kernels import (
     bump,
     node_atoms,
     phi_v_antiderivative,
+    strip_atoms,
 )
 from .logproduct import _segments
 from .measures import CantorMeasure
@@ -156,6 +165,10 @@ class LeafFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if not 0 <= self.depth <= self.measure.depth:
+            raise InvalidParams(
+                f"leaf depth {self.depth} must lie in 0..{self.measure.depth}, the measure's depth"
+            )
         if self.values.shape != (4**self.depth,):
             raise InvalidParams(f"need 4**{self.depth} leaf values")
 
@@ -181,10 +194,7 @@ class LeafFunction:
     def __call__(self, x):
         """f at x, elementwise for arrays and 0 in gaps; the leaf of each
         point is the one leaf_index finds, looked up for all points at once."""
-        x = np.asarray(x, dtype=float)
-        idx = np.zeros(x.shape, dtype=np.int64)
-        for _, _, _, digit, alive in self.measure.descend(x, self.depth):
-            idx = idx * 4 + digit
+        *_, (_, _, _, _, idx, alive) = self.measure.descend(x, self.depth)
         out = np.where(alive, self.values[idx], 0.0)
         return out if out.ndim else float(out)
 
@@ -203,10 +213,11 @@ class LeafFunction:
     @staticmethod
     def spike(measure: CantorMeasure, depth: int, leaf: int) -> "LeafFunction":
         """Indicator of one leaf normalized to unit L1(mu) mass."""
-        _, _, masses = measure.leaf_table(depth)
-        vals = np.zeros(4**depth)
-        vals[leaf] = 1.0 / masses[leaf]
-        return LeafFunction(measure, depth, vals)
+        f = LeafFunction.constant(measure, depth, 0.0)
+        if not 0 <= leaf < 4**depth:
+            raise InvalidParams(f"leaf {leaf} must lie in 0..{4**depth - 1}")
+        f.values[leaf] = 1.0 / measure.leaf_table(depth)[2][leaf]
+        return f
 
 
 # -- template machinery -------------------------------------------------------------
@@ -250,22 +261,6 @@ class CantorSquareContext:
             self._beta[n] = float(np.sum(masses * np.sin(np.pi * mids) ** 2))
         return self._beta[n]
 
-    def strip_atoms(self, n: int, extra: Optional[int] = None):
-        """(midpoints, weights) of the template measure restricted to the
-        two middle children."""
-        tpl = self._template(n)
-        geo = tpl.geometry[1]
-        if extra is None:
-            extra = min(max(self.quad.y_resolution_depth - 3, 1), tpl.depth - 1)
-        mids, weights = [], []
-        for j in (1, 2):
-            m_, _, w_ = node_atoms(
-                tpl, geo.child_offsets[j], geo.child_lengths[j], geo.child_masses[j], 1, extra
-            )
-            mids.append(m_)
-            weights.append(w_)
-        return np.concatenate(mids), np.concatenate(weights)
-
     def band_weight(self, n: int, alpha: float, y_depth: Optional[int] = None) -> float:
         """Normalized integral over strip x [L/2, L] of nu(B(u, alpha s))/s^m ds/s.
 
@@ -276,9 +271,9 @@ class CantorSquareContext:
         key = (n, alpha, y_depth)
         if key not in self._weight:
             tpl = self._template(n)
-            geo = tpl.geometry[1]
-            Lhat = geo.L
-            u_mids, u_w = self.strip_atoms(n, extra=min(max(y_depth - 3, 1), tpl.depth - 1))
+            Lhat = tpl.geometry[1].L
+            extra = min(max(y_depth - 3, 1), tpl.depth - 1)
+            u_mids, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, extra)
             starts, lens, y_w = tpl.leaf_table(min(y_depth, tpl.depth))
             y_mids = starts + lens / 2.0
             m = self.measure.m
@@ -362,20 +357,7 @@ def direct_norm_series(
             a_m, _, a_w = node_atoms(measure, off, length, mass, n, y_extra + 1)
             center = off + length / 2.0
             theta = float(np.sum(a_w * bump((a_m - center) / length))) / length**m
-            s_mids, s_w = [], []
-            for j in (1, 2):
-                mj, _, wj = node_atoms(
-                    measure,
-                    off + geo.child_offsets[j] * length,
-                    geo.child_lengths[j] * length,
-                    mass * geo.child_masses[j],
-                    n + 1,
-                    max(y_extra - 2, 1),
-                )
-                s_mids.append(mj)
-                s_w.append(wj)
-            s_mids = np.concatenate(s_mids)
-            s_w = np.concatenate(s_w)
+            s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
             # Balls stay inside the node for alpha <= 2, so node atoms suffice.
             tails = _band_tail_weight(
                 np.abs(s_mids[:, None] - a_m[None, :]), L_abs / 2.0, L_abs, cone.alpha, m
@@ -403,32 +385,6 @@ def validate_collapse(
 # -- pointwise values ------------------------------------------------------------
 
 
-def _chain(measure: CantorMeasure, x: float, max_gen: int):
-    """Nodes of x's containment chain: (gen, offset, length, mass, child_index)."""
-    out = []
-    off, length, mass = 0.0, 1.0, 1.0
-    idx = 0
-    out.append((0, off, length, mass, idx))
-    for g in range(1, max_gen + 1):
-        if g > measure.depth:
-            break
-        geo = measure.geometry[g]
-        hit = None
-        for j in range(4):
-            coff = off + geo.child_offsets[j] * length
-            clen = geo.child_lengths[j] * length
-            if coff <= x <= coff + clen:
-                hit = (j, coff, clen)
-                break
-        if hit is None:
-            break
-        j, off, length = hit
-        mass *= geo.child_masses[j]
-        idx = idx * 4 + j
-        out.append((g, off, length, mass, idx))
-    return out
-
-
 def _node_coefficient(measure, f, off, length, mass, gen, depth) -> float:
     """c_J(f) = integral of phi_J f dmu / len(J)^m by node-local quadrature;
     f is None (f = 1) or a LeafFunction, read at all atoms at once."""
@@ -439,129 +395,93 @@ def _node_coefficient(measure, f, off, length, mass, gen, depth) -> float:
     return float(np.sum(weights * phis * fv)) / length**measure.m
 
 
-class _CoeffCache:
-    """Per-node c_J(f) values, memoized; prunes zero-support nodes exactly
-    when f is a leaf vector (the bump is supported inside the node)."""
-
-    def __init__(self, measure: CantorMeasure, f, atom_depth: int):
-        self.measure = measure
-        self.f = f
-        self.atom_depth = atom_depth
-        self.cache: dict[tuple[int, int], float] = {}
-        self.strip_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.nonzero = (
-            np.flatnonzero(f.values) if isinstance(f, LeafFunction) else None
-        )
-
-    def strip_atoms(self, gen: int, node_idx: int, off: float, length: float, mass: float):
-        """Atoms of the measure on the node's two middle children."""
-        key = (gen, node_idx)
-        if key not in self.strip_cache:
-            geo = self.measure.geometry[gen + 1]
-            extra = min(3, max(self.measure.depth - gen - 1, 0))
-            mids, weights = [], []
-            for j in (1, 2):
-                mj, _, wj = node_atoms(
-                    self.measure,
-                    off + geo.child_offsets[j] * length,
-                    geo.child_lengths[j] * length,
-                    mass * geo.child_masses[j],
-                    gen + 1,
-                    extra,
-                )
-                mids.append(mj)
-                weights.append(wj)
-            self.strip_cache[key] = (np.concatenate(mids), np.concatenate(weights))
-        return self.strip_cache[key]
-
-    def value(self, gen: int, node_idx: int, off: float, length: float, mass: float) -> float:
-        key = (gen, node_idx)
-        if key in self.cache:
-            return self.cache[key]
-        f = self.f
-        c = None
-        if isinstance(f, LeafFunction):
-            if gen <= f.depth:
-                span = 4 ** (f.depth - gen)
-                lo = node_idx * span
-                i = int(np.searchsorted(self.nonzero, lo))
-                if i >= len(self.nonzero) or self.nonzero[i] >= lo + span:
-                    c = 0.0
-            else:
-                # Node below leaf resolution: f is constant there.
-                leaf = node_idx // 4 ** (gen - f.depth)
-                fl = float(f.values[leaf])
-                if fl == 0.0:
-                    c = 0.0
-                else:
-                    c = fl * _node_coefficient(
-                        self.measure, None, off, length, mass, gen, self.atom_depth
-                    )
-        if c is None:
-            c = _node_coefficient(self.measure, f, off, length, mass, gen, self.atom_depth)
-        self.cache[key] = c
-        return c
+def _pruned_coefficient(measure, f, nonzero, gen, node_idx, off, length, mass, depth) -> float:
+    """c_J(f) for f None (f = 1) or a LeafFunction with nonzero =
+    flatnonzero(f.values): exactly 0 on a node where f vanishes (the bump is
+    supported inside the node), and f's leaf value times c_J(1) on a node
+    below leaf resolution, where f is constant."""
+    if f is not None:
+        if gen > f.depth:
+            fl = float(f.values[node_idx // 4 ** (gen - f.depth)])
+            if fl == 0.0:
+                return 0.0
+            return fl * _node_coefficient(measure, None, off, length, mass, gen, depth)
+        span = 4 ** (f.depth - gen)
+        i = int(np.searchsorted(nonzero, node_idx * span))
+        if i >= len(nonzero) or nonzero[i] >= (node_idx + 1) * span:
+            return 0.0
+    return _node_coefficient(measure, f, off, length, mass, gen, depth)
 
 
-def _cone_weight(measure, strip_mids, strip_w, t_lo, t_hi, x, alpha, m) -> float:
-    """integral over the band of mu(strip ∩ B(x, alpha t)) dt / t^(m+1).
+def _nodes(idx, alive, off, length, mass):
+    """Each distinct node that holds a point where alive is set, in node
+    order: (node index, positions of its points, offset, length, mass)."""
+    live = np.flatnonzero(alive)
+    live = live[np.argsort(idx[live], kind="stable")]
+    nodes, first = np.unique(idx[live], return_index=True)
+    for node, pts in zip(nodes.tolist(), np.split(live, first[1:])):
+        i = pts[0]
+        yield node, pts, float(off[i]), float(length[i]), float(mass[i])
 
-    Exact in t: each strip atom y contributes the band tail weight at
-    distance |x - y|.
-    """
-    tails = _band_tail_weight(np.abs(x - strip_mids), t_lo, t_hi, alpha, m)
-    return float(np.sum(strip_w * tails))
 
-
-def conical_value(kernel, measure, f, x: float, cone: ConeSpec, quad: QuadratureConfig,
-                  coeffs: Optional[_CoeffCache] = None) -> float:
+def conical_value(kernel, measure, f, x, cone: ConeSpec, quad: QuadratureConfig):
     """S_alpha f(x) over the kernel's active bands up to the truncation generation.
 
-    For apertures <= 2 only nodes containing x contribute (strips of other
-    nodes are at distance >= 2 L from x), so the chain walk is exhaustive.
+    x is a scalar (float result) or an array.  All points walk the tree
+    together (CantorMeasure.descend); each node's coefficient and strip
+    atoms are computed once for the points it holds.  For apertures <= 2
+    only nodes containing x contribute (strips of other nodes are at
+    distance >= 2 L from x), so the walk is exhaustive; wider apertures are
+    refused with InvalidParams.
     """
-    cone.validate()
+    _check_collapse_aperture(cone)
     if not isinstance(kernel, CantorKernel):
         raise InvalidParams("conical_value is defined for the Cantor kernel")
-    total = 0.0
+    x = np.asarray(x, dtype=float)
+    xs = x.ravel()
+    total = np.zeros(xs.shape)
     depth = min(quad.y_resolution_depth, 6)
-    if coeffs is None:
-        coeffs = _CoeffCache(measure, f, depth)
-    for g, off, length, mass, idx in _chain(measure, x, quad.trunc_generation):
-        if g + 1 > measure.depth:
-            break
-        c = coeffs.value(g, idx, off, length, mass)
-        if c == 0.0:
-            continue
-        geo = measure.geometry[g + 1]
-        L_abs = geo.L * length
-        mids, weights = coeffs.strip_atoms(g, idx, off, length, mass)
-        w = _cone_weight(measure, mids, weights, L_abs / 2.0, L_abs, x, cone.alpha, measure.m)
-        total += c * c * w
-    return math.sqrt(total)
-
-
-def vertical_value(kernel, measure, f, x: float, quad: QuadratureConfig) -> float:
-    """V f(x): the t-only square integral at the point x."""
-    if isinstance(kernel, CantorKernel):
-        total = 0.0
-        depth = min(quad.y_resolution_depth, 6)
-        for g, off, length, mass, _ in _chain(measure, x, quad.trunc_generation):
-            if g + 1 > measure.depth:
-                break
-            geo = measure.geometry[g + 1]
-            in_strip = False
-            for j in (1, 2):
-                lo = off + geo.child_offsets[j] * length
-                hi = lo + geo.child_lengths[j] * length
-                if lo <= x <= hi:
-                    in_strip = True
-                    break
-            if not in_strip:
+    nonzero = np.flatnonzero(f.values) if isinstance(f, LeafFunction) else None
+    walk = measure.descend(xs, min(quad.trunc_generation, measure.depth - 1))
+    for g, off, length, mass, idx, alive in walk:
+        for node, pts, o, ln, ms in _nodes(idx, alive, off, length, mass):
+            c = _pruned_coefficient(measure, f, nonzero, g, node, o, ln, ms, depth)
+            if c == 0.0:
                 continue
-            c = _node_coefficient(measure, f, off, length, mass, g, depth)
-            total += c * c * LN2
-        return math.sqrt(total)
+            L_abs = measure.geometry[g + 1].L * ln
+            mids, weights = strip_atoms(measure, o, ln, ms, g, min(3, measure.depth - g - 1))
+            tails = _band_tail_weight(
+                np.abs(xs[pts, None] - mids[None, :]), L_abs / 2.0, L_abs, cone.alpha, measure.m
+            )
+            # Row sums, not tails @ weights: BLAS would add in another order.
+            total[pts] += c * c * (weights * tails).sum(axis=1)
+    out = np.sqrt(total).reshape(x.shape)
+    return out if out.ndim else float(out)
+
+
+def vertical_value(kernel, measure, f, x, quad: QuadratureConfig):
+    """V f(x): the t-only square integral at the point x.
+
+    For the Cantor kernel x is a scalar (float result) or an array, walked
+    down the tree together; for the log-product kernel x is a scalar.
+    """
+    if isinstance(kernel, CantorKernel):
+        x = np.asarray(x, dtype=float)
+        xs = x.ravel()
+        total = np.zeros(xs.shape)
+        depth = min(quad.y_resolution_depth, 6)
+        walk = measure.descend(xs, min(quad.trunc_generation + 1, measure.depth))
+        for (g, off, length, mass, idx, _), (_, _, _, _, child, alive) in pairwise(walk):
+            # x lies in the strip of its generation-g node when it went on to
+            # child 1 or 2 (the outer gaps are nonempty); where a node is
+            # shorter than the float spacing at x, the first match decides.
+            digit = child % 4
+            strip = alive & ((digit == 1) | (digit == 2))
+            for _, pts, o, ln, ms in _nodes(idx, strip, off, length, mass):
+                c = _node_coefficient(measure, f, o, ln, ms, g, depth)
+                total[pts] += c * c * LN2
+        out = np.sqrt(total).reshape(x.shape)
+        return out if out.ndim else float(out)
     if isinstance(kernel, LogProductKernel):
         if not (0.0 < x < 1.0):
             return 0.0
@@ -905,10 +825,7 @@ def weak11_functional(kernel, measure, f: LeafFunction, lambda_grid, quad: Quadr
         return Weak11Result(0.0, 0.0, 0.0, [(float(l), 0.0) for l in lambda_grid])
     starts, lens, masses = measure.leaf_table(f.depth)
     mids = starts + lens / 2.0
-    cache = _CoeffCache(measure, f, min(quad.y_resolution_depth, 6))
-    values = np.array(
-        [conical_value(kernel, measure, f, x, cone, quad, coeffs=cache) for x in mids]
-    )
+    values = conical_value(kernel, measure, f, mids, cone, quad)
     per_lambda = []
     sup_value, witness = 0.0, 0.0
     for lam in lambda_grid:
@@ -936,11 +853,8 @@ def snorm_by_x_integration(measure: CantorMeasure, f, cone: ConeSpec,
     x_depth = max(x_depth, quad.trunc_generation + 1)
     starts, lens, masses = measure.leaf_table(x_depth)
     mids = starts + lens / 2.0
-    cache = _CoeffCache(measure, f, min(quad.y_resolution_depth, 6))
-    vals = np.array(
-        [conical_value(kernel, measure, f, x, cone, quad, coeffs=cache) ** 2 for x in mids]
-    )
-    return float(np.sum(vals * masses))
+    vals = conical_value(kernel, measure, f, mids, cone, quad)
+    return float(np.sum(vals**2 * masses))
 
 
 def snorm_by_tilde_route(measure: CantorMeasure, f, quad: QuadratureConfig,
@@ -957,44 +871,19 @@ def snorm_by_tilde_route(measure: CantorMeasure, f, quad: QuadratureConfig,
     total = 0.0
     m = measure.m
     depth = min(quad.y_resolution_depth, 6)
-
-    def rec(g, off, length, mass):
-        nonlocal total
-        if g > N or g + 1 > measure.depth:
-            return
-        geo = measure.geometry[g + 1]
-        L_abs = geo.L * length
-        c = _node_coefficient(measure, f, off, length, mass, g, depth)
-        if c != 0.0:
-            extra = min(x_depth, measure.depth - g - 1)
-            amids, aw = [], []
-            for j in (1, 2):
-                mj, _, wj = node_atoms(
-                    measure,
-                    off + geo.child_offsets[j] * length,
-                    geo.child_lengths[j] * length,
-                    mass * geo.child_masses[j],
-                    g + 1,
-                    extra,
-                )
-                amids.append(mj)
-                aw.append(wj)
-            amids = np.concatenate(amids)
-            aw = np.concatenate(aw)
+    for g in range(min(N, measure.depth - 1) + 1):
+        L = measure.geometry[g + 1].L
+        extra = min(x_depth, measure.depth - g - 1)
+        for off, length, mass in zip(*measure.leaf_table(g)):
+            c = _node_coefficient(measure, f, off, length, mass, g, depth)
+            if c == 0.0:
+                continue
+            amids, aw = strip_atoms(measure, off, length, mass, g, extra)
             # Full ball mass around each strip atom: balls stay inside the
             # node, so the node's own atoms carry all the mass.
             ymids, _, yw = node_atoms(measure, off, length, mass, g, extra + 1)
             tails = _band_tail_weight(
-                np.abs(amids[:, None] - ymids[None, :]), L_abs / 2.0, L_abs, 1.0, m
+                np.abs(amids[:, None] - ymids[None, :]), L * length / 2.0, L * length, 1.0, m
             )
             total += c * c * float(aw @ tails @ yw)
-        for j in range(4):
-            rec(
-                g + 1,
-                off + geo.child_offsets[j] * length,
-                geo.child_lengths[j] * length,
-                mass * geo.child_masses[j],
-            )
-
-    rec(0, 0.0, 1.0, 1.0)
     return total

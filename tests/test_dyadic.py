@@ -22,7 +22,7 @@ from nhsq.errors import (
     DivisionByNearZeroAverage,
     InvalidParams,
 )
-from nhsq.measures import CantorParams, LebesgueInterval, build_cantor
+from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval
 
 M = 0.4
 
@@ -269,7 +269,7 @@ def test_martingale_near_zero_average_detected(grid, lebesgue):
 
 
 def test_martingale_on_cantor_measure(grid):
-    mu = build_cantor(CantorParams(m=M, C=16.0, depth=8))
+    mu = CantorMeasure(CantorParams(m=M, C=16.0, depth=8))
     ones = lambda cube: np.ones(256)
     forest = build_stopping(mu, ones, Cube(0, 0), 0.5, 8, grid)
     rng = np.random.default_rng(12)

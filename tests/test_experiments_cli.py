@@ -146,6 +146,13 @@ def test_cli_usage_errors(tmp_path):
     proc = _run_cli(["run", "aperture", "--alpha", "x", "--out", str(tmp_path)])
     assert proc.returncode == 2
     assert proc.stderr == "error: --alpha must be comma-separated numbers, got 'x'\n"
+    # A measure shallower than the experiments' depth-5 leaf functions.
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text('{"depth": 4}')
+    for name in ("weak11", "l2-bound"):
+        proc = _run_cli(["run", name, "--config", str(shallow), "--out", str(tmp_path)])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: leaf depth 5 must lie in 0..4, the measure's depth\n"
 
 
 def test_cli_refuses_wide_aperture(tmp_path):

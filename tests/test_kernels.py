@@ -24,7 +24,7 @@ from nhsq.kernels import (
     phi_v_antiderivative,
 )
 from nhsq.logproduct import build_logproduct
-from nhsq.measures import CantorParams, LebesgueInterval, build_cantor
+from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval
 from nhsq.rng import derive_rng
 from nhsq.sqfn import QuadratureConfig
 
@@ -33,7 +33,7 @@ M, C = 0.4, 16.0
 
 @pytest.fixture(scope="module")
 def measure():
-    return build_cantor(CantorParams(m=M, C=C, depth=8))
+    return CantorMeasure(CantorParams(m=M, C=C, depth=8))
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,6 @@ from nhsq.logproduct import (
     log_moment,
     log_moments,
     lp_divergence_witness,
-    overlap,
 )
 
 
@@ -116,10 +115,10 @@ def test_eval_matches_brute_force_demo(demo):
 
 def test_overlap_exact_values(demo):
     F1 = demo.factors[0]
-    total, count = overlap(F1, 0, 1)
+    total, count = F1.overlap(0, 1)
     assert total == F1.total_measure
     assert count == 1 << F1.k_exp
-    piece, count1 = overlap(F1, 0, F1.piece_length)
+    piece, count1 = F1.overlap(0, F1.piece_length)
     assert piece == F1.piece_length and count1 == 1
 
 
@@ -143,7 +142,7 @@ def test_overlap_matches_brute_force(demo):
             if seg > 0:
                 brute += seg
                 met += 1
-        total, count = overlap(F, a, b)
+        total, count = F.overlap(a, b)
         assert total == brute
         assert count >= met  # boundary touches may add measure-zero pieces
 
@@ -156,16 +155,16 @@ def test_overlap_spacing_bound(d, kk):
     a, b = Fraction(k, 2**d), Fraction(k + 1, 2**d)
     for F in demo.factors:
         if F.k_exp >= d + 1:
-            piece, _ = overlap(F, a, b)
+            piece, _ = F.overlap(a, b)
             assert piece <= 2 * F.total_measure * (b - a)
 
 
 def test_overlap_additivity(demo):
     F = demo.factors[2]
     a, m, b = Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)
-    left, _ = overlap(F, a, m)
-    right, _ = overlap(F, m, b)
-    whole, _ = overlap(F, a, b)
+    left, _ = F.overlap(a, m)
+    right, _ = F.overlap(m, b)
+    whole, _ = F.overlap(a, b)
     assert left + right == whole
 
 
@@ -233,7 +232,7 @@ def test_demo_quadrature_scales_with_overlap(demo):
     for half in (Fraction(1, 32), Fraction(1, 64)):
         a, b = max(lo - half, Fraction(0)), min(lo + half, Fraction(1))
         v = demo_carleson_quadrature(demo, a, b)
-        budget = sum(float(F.a_n * overlap(F, a, b)[0]) for F in demo.factors)
+        budget = sum(float(F.a_n * F.overlap(a, b)[0]) for F in demo.factors)
         assert v <= budget + 1e-12
 
 
@@ -324,8 +323,8 @@ def test_overlap_measure_and_bound_match_counted_overlap(paper):
         k = int(rng.integers(0, 2**d))
         a, b = Fraction(k, 2**d), Fraction(k + 1, 2**d)
         for F in paper.factors:
-            assert F.overlap_measure(a, b) == overlap(F, a, b)[0]
+            assert F.overlap_measure(a, b) == F.overlap(a, b)[0]
         cb = carleson_log_bound(paper, a, b)
-        counted = sum((F.a_n * overlap(F, a, b)[0] for F in paper.factors if F.n > cb.cutoff),
+        counted = sum((F.a_n * F.overlap(a, b)[0] for F in paper.factors if F.n > cb.cutoff),
                       Fraction(0))
         assert cb.bound == counted

@@ -12,31 +12,30 @@ from nhsq.errors import (
     ReversedInterval,
 )
 from nhsq.measures import (
+    CantorMeasure,
     CantorParams,
     LebesgueInterval,
     PointMasses,
-    build_cantor,
     growth_constant,
-    node_geometry,
-    template_measure,
 )
+from nhsq.sqfn import LeafFunction
 
 M, C = 0.4, 16.0
 
 
 @pytest.fixture(scope="module")
 def measure():
-    return build_cantor(CantorParams(m=M, C=C, depth=8))
+    return CantorMeasure(CantorParams(m=M, C=C, depth=8))
 
 
 def test_build_single_node_depth_zero():
-    mu = build_cantor(CantorParams(m=M, C=C, depth=0))
+    mu = CantorMeasure(CantorParams(m=M, C=C, depth=0))
     assert mu.interval_mass(0.0, 1.0) == 1.0
     assert mu.depth == 0
 
 
 def test_generation_one_masses_and_lengths(measure):
-    geo = node_geometry(measure, 1)
+    geo = measure.split_geometry(1)
     assert geo.child_masses[1] == pytest.approx(1 / 16, abs=0)
     assert geo.child_masses[2] == pytest.approx(1 / 16, abs=0)
     # l = mu^(1/m) with mu = 1/16 and 1/m = 2.5 is an exact power of two
@@ -46,7 +45,7 @@ def test_generation_one_masses_and_lengths(measure):
 
 
 def test_generation_one_middle_gap(measure):
-    geo = node_geometry(measure, 1)
+    geo = measure.split_geometry(1)
     expected = 1.0 - 4.0 * (7 / 16) ** 2.5 - 2.0 * 2.0**-10
     assert geo.middle_gap == pytest.approx(expected, rel=1e-12)
     assert geo.middle_gap > 0
@@ -54,7 +53,7 @@ def test_generation_one_middle_gap(measure):
 
 def test_outer_child_mass_rule(measure):
     for gen in range(1, measure.depth + 1):
-        geo = node_geometry(measure, gen)
+        geo = measure.split_geometry(gen)
         assert geo.child_masses[0] == pytest.approx(
             (1 - 2 / (C * gen)) / 2, rel=1e-14
         )
@@ -62,7 +61,7 @@ def test_outer_child_mass_rule(measure):
 
 
 def test_child_placement(measure):
-    geo = node_geometry(measure, 1)
+    geo = measure.split_geometry(1)
     assert geo.child_offsets[0] == 0.0
     assert geo.child_offsets[3] + geo.child_lengths[3] == pytest.approx(1.0, abs=1e-15)
     assert geo.child_offsets[1] == pytest.approx(2 * geo.L, rel=1e-15)
@@ -73,11 +72,11 @@ def test_child_placement(measure):
 
 def test_invalid_params():
     with pytest.raises(InvalidParams):
-        build_cantor(CantorParams(m=0.6, C=16.0, depth=2))
+        CantorMeasure(CantorParams(m=0.6, C=16.0, depth=2))
     with pytest.raises(InvalidParams):
-        build_cantor(CantorParams(m=0.4, C=3.0, depth=2))
+        CantorMeasure(CantorParams(m=0.4, C=3.0, depth=2))
     with pytest.raises(OutOfRange):
-        node_geometry(build_cantor(CantorParams(m=M, C=C, depth=2)), 3)
+        CantorMeasure(CantorParams(m=M, C=C, depth=2)).split_geometry(3)
 
 
 def test_geometry_infeasible():
@@ -88,7 +87,7 @@ def test_geometry_infeasible():
     with pytest.raises(GeometryInfeasible):
         _split_geometry(1, 0.9, 4.0)
     # And every valid generation is feasible.
-    mu = build_cantor(CantorParams(m=0.49, C=4.0, depth=20))
+    mu = CantorMeasure(CantorParams(m=0.49, C=4.0, depth=20))
     assert all(mu.geometry[k].middle_gap > 0 for k in mu.geometry)
 
 
@@ -96,7 +95,7 @@ def test_interval_mass_whole_and_gap(measure):
     assert measure.interval_mass(0.0, 1.0) == 1.0
     # generation-1 layout puts the central gap around [0.254, 0.746]
     assert measure.interval_mass(0.49, 0.51) == 0.0
-    geo = node_geometry(measure, 1)
+    geo = measure.split_geometry(1)
     assert measure.interval_mass(0.0, geo.L) == pytest.approx(7 / 16, rel=1e-14)
 
 
@@ -142,7 +141,7 @@ def test_point_masses():
 @given(c=st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=200, deadline=None)
 def test_additivity(c):
-    mu = build_cantor(CantorParams(m=M, C=C, depth=6))
+    mu = CantorMeasure(CantorParams(m=M, C=C, depth=6))
     left = mu.interval_mass(0.0, c)
     right = mu.interval_mass(c, 1.0)
     assert left + right == pytest.approx(1.0, rel=1e-12)
@@ -155,7 +154,7 @@ def test_additivity(c):
 )
 @settings(max_examples=200, deadline=None)
 def test_additivity_general(a, b, c):
-    mu = build_cantor(CantorParams(m=M, C=C, depth=5))
+    mu = CantorMeasure(CantorParams(m=M, C=C, depth=5))
     lo, mid, hi = sorted((a, b, c))
     total = mu.interval_mass(lo, hi)
     split = mu.interval_mass(lo, mid) + mu.interval_mass(mid, hi)
@@ -171,7 +170,7 @@ def test_mass_length_law(measure):
 def test_separation_gaps(measure):
     # Outer gaps have width exactly L; the middle gap is positive.
     for gen in range(1, measure.depth + 1):
-        geo = node_geometry(measure, gen)
+        geo = measure.split_geometry(gen)
         gap01 = geo.child_offsets[1] - geo.child_lengths[0]
         gap23 = geo.child_offsets[3] - (geo.child_offsets[2] + geo.child_lengths[2])
         assert gap01 == pytest.approx(geo.L, rel=1e-12)
@@ -180,10 +179,10 @@ def test_separation_gaps(measure):
 
 
 def test_template_basic():
-    tpl = template_measure(CantorParams(m=M, C=C, depth=3, start_gen=5))
+    tpl = CantorMeasure(CantorParams(m=M, C=C, depth=3, start_gen=5))
     assert tpl.split_geometry(1).child_masses[1] == pytest.approx(1 / (C * 6), rel=1e-14)
-    root = template_measure(CantorParams(m=M, C=C, depth=3, start_gen=0))
-    full = build_cantor(CantorParams(m=M, C=C, depth=3))
+    root = CantorMeasure(CantorParams(m=M, C=C, depth=3, start_gen=0))
+    full = CantorMeasure(CantorParams(m=M, C=C, depth=3))
     assert root.split_geometry(1).child_masses == full.split_geometry(1).child_masses
 
 
@@ -204,8 +203,38 @@ def test_template_matches_full_tree_descent(measure):
             assert np.allclose(rel_off, t_starts, rtol=1e-9, atol=1e-12)
 
 
+def test_descend_nodes_match_leaf_table(measure):
+    # Offsets, lengths, masses and base-4 indices of the nodes descend
+    # reaches equal leaf_table's entries bit for bit, and a point is alive
+    # exactly when the one-point walk finds a node for it.
+    rng = np.random.default_rng(5)
+    starts, lens, _ = measure.leaf_table(4)
+    deep_starts, deep_lens, _ = measure.leaf_table(8)
+    pick = rng.choice(4**8, size=200, replace=False)
+    edges = np.concatenate([starts, starts + lens, deep_starts[pick],
+                            deep_starts[pick] + deep_lens[pick]])
+    pts = np.concatenate([
+        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+        (starts[1:] + starts[:-1] + lens[:-1]) / 2.0,  # gap midpoints
+        rng.uniform(-0.1, 1.1, 1000), [-1.0, 0.0, 1.0, 2.0],
+    ])
+    gens = []
+    for g, off, length, mass, idx, alive in measure.descend(pts, 8):
+        gens.append(g)
+        walk = LeafFunction(measure, g, np.zeros(4**g)).leaf_index
+        want = [walk(x) for x in pts.tolist()]
+        assert [int(i) if a else None for i, a in zip(idx, alive)] == want
+        t_starts, t_lens, t_masses = measure.leaf_table(g)
+        k = idx[alive]
+        assert np.array_equal(off[alive], t_starts[k])
+        assert np.array_equal(length[alive], t_lens[k])
+        assert np.array_equal(mass[alive], t_masses[k])
+    assert gens == list(range(9))
+    assert list(measure.descend(pts, -1)) == []
+
+
 def test_growth_constants():
-    mu = build_cantor(CantorParams(m=M, C=C, depth=7))
+    mu = CantorMeasure(CantorParams(m=M, C=C, depth=7))
     est = growth_constant(mu, M, 10_000, seed=123)
     assert est.max_ratio <= 4.0
     est2 = growth_constant(mu, M, 10_000, seed=123)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nhsq.errors import EmptyCubeList, InvalidParams, OracleMismatch
-from nhsq.kernels import CantorKernel, LogProductKernel
+from nhsq.kernels import CantorKernel, LogProductKernel, strip_atoms
 from nhsq.logproduct import build_logproduct
-from nhsq.measures import CantorParams, LebesgueInterval, build_cantor
+from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval
 from nhsq.sqfn import (
     CantorSquareContext,
     ConeSpec,
@@ -23,7 +23,10 @@ from nhsq.sqfn import (
     vertical_norm_series,
     vertical_value,
     weak11_functional,
+    _band_tail_weight,
     _logproduct_box_integral,
+    _node_coefficient,
+    _pruned_coefficient,
 )
 from nhsq.sqfn import testing_functional as sq_testing_functional
 
@@ -33,7 +36,7 @@ LN2 = math.log(2.0)
 
 @pytest.fixture(scope="module")
 def measure():
-    return build_cantor(CantorParams(m=M, C=C, depth=12))
+    return CantorMeasure(CantorParams(m=M, C=C, depth=12))
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +112,10 @@ def test_collapse_refuses_wide_aperture(measure, quad, ctx):
         validate_collapse(measure, wide, 2, quad)
     with pytest.raises(InvalidParams):
         l2_operator_ratio(measure, [LeafFunction.constant(measure, 2)], wide, quad, context=ctx)
-    # The pointwise value sums over x's own chain and still accepts it.
-    assert conical_value(CantorKernel(measure), measure, None, 0.3, wide, quad) >= 0.0
+    # The pointwise value sums over the nodes containing x, which misses the
+    # strips of neighbouring nodes beyond alpha = 2, so it refuses too.
+    with pytest.raises(InvalidParams):
+        conical_value(CantorKernel(measure), measure, None, 0.3, wide, quad)
 
 
 def test_collapse_mismatch_raises(measure, quad):
@@ -210,6 +215,113 @@ def test_vertical_value(measure, kernel, quad):
     assert vertical_value(kernel, measure, f0, x_strip, quad) == 0.0
 
 
+def _chain_walk(measure, f, x, alphas, quad, memo):
+    """([S_alpha f(x) for alpha in alphas], V f(x)) by one-point walks down
+    x's node chain; memo holds the node coefficients across points."""
+    depth = min(quad.y_resolution_depth, 6)
+    nonzero = None if f is None else np.flatnonzero(f.values)
+    s2, v2 = [0.0] * len(alphas), 0.0
+    off, length, mass, idx = 0.0, 1.0, 1.0, 0
+    for g in range(min(quad.trunc_generation, measure.depth - 1) + 1):
+        geo = measure.geometry[g + 1]
+        if ("S", g, idx) not in memo:
+            memo["S", g, idx] = _pruned_coefficient(
+                measure, f, nonzero, g, idx, off, length, mass, depth
+            )
+        c = memo["S", g, idx]
+        if c != 0.0:
+            L_abs = geo.L * length
+            mids, w = strip_atoms(measure, off, length, mass, g, min(3, measure.depth - g - 1))
+            for k, alpha in enumerate(alphas):
+                tails = _band_tail_weight(np.abs(x - mids), L_abs / 2.0, L_abs, alpha, M)
+                s2[k] += c * c * float(np.sum(w * tails))
+        for j in range(4):
+            coff = off + geo.child_offsets[j] * length
+            clen = geo.child_lengths[j] * length
+            if coff <= x <= coff + clen:
+                break
+        else:
+            break
+        if j in (1, 2):  # x lies in the node's strip
+            if ("V", g, idx) not in memo:
+                memo["V", g, idx] = _node_coefficient(measure, f, off, length, mass, g, depth)
+            cv = memo["V", g, idx]
+            v2 += cv * cv * LN2
+        off, length, mass, idx = coff, clen, mass * geo.child_masses[j], idx * 4 + j
+    return [math.sqrt(v) for v in s2], math.sqrt(v2)
+
+
+def test_values_on_arrays_match_chain_walk(measure, kernel, quad):
+    # The array walks give every point exactly the value of its own
+    # one-point chain walk, for f = 1, a spike and random signs.
+    rng = np.random.default_rng(17)
+    starts, lens, _ = measure.leaf_table(4)
+    edges = np.concatenate([starts[::7], (starts + lens)[::7]])
+    xs = np.concatenate([
+        starts + lens / 2.0, edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+        (starts[1::5] + starts[:-1:5] + lens[:-1:5]) / 2.0,  # gap midpoints
+        rng.uniform(-0.05, 1.05, 40), [-1.0, -0.001, 0.0, 1.0, 1.001, 2.0],
+    ])
+    alphas = (1.0, 1.5, 2.0)
+    fs = [None, LeafFunction.spike(measure, 4, 7),
+          LeafFunction(measure, 3, rng.choice([-1.0, 1.0], size=64))]
+    for f in fs:
+        memo = {}
+        want = [_chain_walk(measure, f, x, alphas, quad, memo) for x in xs.tolist()]
+        v = vertical_value(kernel, measure, f, xs, quad)
+        assert np.array_equal(v, [w[1] for w in want]) and (v > 0).any()
+        for k, alpha in enumerate(alphas):
+            s = conical_value(kernel, measure, f, xs, ConeSpec(alpha, M), quad)
+            assert np.array_equal(s, [w[0][k] for w in want])
+            assert (s > 0).sum() > len(xs) // 4
+        one = conical_value(kernel, measure, f, xs[3], ConeSpec(1.0, M), quad)
+        assert type(one) is float and one == want[3][0][0]
+        grid = xs[:12].reshape(3, 4)
+        assert np.array_equal(vertical_value(kernel, measure, f, grid, quad), v[:12].reshape(3, 4))
+
+
+def test_values_past_generation_31_match_chain_walk():
+    # Base-4 node indices outgrow int64 past generation 31: the root's last
+    # child's leftmost chain shares its low 64 index bits with the root's
+    # leftmost chain from generation 33 on, and it comes first here so that
+    # a wrapped index would hand its node to the strip points behind it.
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=36))
+    kernel = CantorKernel(deep)
+    quad = QuadratureConfig(32, 6, 1e-3, 34)
+    xs, length = [deep.geometry[1].child_offsets[3], 1.0, 0.0], 1.0
+    for g in range(35):
+        geo = deep.geometry[g + 1]
+        if g in (20, 31, 32, 33, 34):  # strip midpoint of the leftmost node
+            xs.append((geo.child_offsets[1] + geo.child_lengths[1] / 2.0) * length)
+        length *= geo.child_lengths[0]
+    xs = np.array(xs)
+    for f in (None, LeafFunction.spike(deep, 3, 0)):
+        memo = {}
+        want = [_chain_walk(deep, f, x, (1.0, 2.0), quad, memo) for x in xs.tolist()]
+        for k, alpha in enumerate((1.0, 2.0)):
+            s = conical_value(kernel, deep, f, xs, ConeSpec(alpha, M), quad)
+            assert np.array_equal(s, [w[0][k] for w in want])
+            assert (s[3:] > 0).all()
+        v = vertical_value(kernel, deep, f, xs, quad)
+        assert np.array_equal(v, [w[1] for w in want])
+
+
+def test_leaf_function_refuses_depth_and_leaf_out_of_range():
+    shallow = CantorMeasure(CantorParams(m=M, C=C, depth=2))
+    with pytest.raises(InvalidParams):
+        LeafFunction(shallow, 3, np.ones(64))
+    with pytest.raises(InvalidParams):
+        LeafFunction.constant(shallow, 3)
+    with pytest.raises(InvalidParams):
+        LeafFunction.spike(shallow, 3, 0)
+    for leaf in (-1, 16):
+        with pytest.raises(InvalidParams):
+            LeafFunction.spike(shallow, 2, leaf)
+    f = LeafFunction.spike(shallow, 2, 15)
+    assert f.l1_norm() == pytest.approx(1.0, rel=1e-12)
+    assert np.flatnonzero(f.values).tolist() == [15]
+
+
 def test_vertical_value_logproduct_lower_bound(quad):
     # V1(x)^2 >= A(x): the t window [e^-A, 1] contributes at least dt/t.
     f = build_logproduct("demo", 3)
@@ -244,7 +356,7 @@ def test_bump_mass_constant_pinned(measure, quad, ctx):
     # with the pinned lower constant, across every computed generation.
     from nhsq import pinned
 
-    deep = CantorSquareContext(build_cantor(CantorParams(m=M, C=C, depth=42)), quad)
+    deep = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=42)), quad)
     betas = [deep.beta(n) for n in range(41)]
     assert min(betas) >= pinned.BUMP_MASS_LOWER
     assert max(betas) <= 1.0
