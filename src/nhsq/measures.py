@@ -19,6 +19,7 @@ and the normalized measure inside any generation-n node is the same
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,8 +63,9 @@ class CantorParams:
     def validate(self) -> None:
         if not (0.0 < self.m < 0.5):
             raise InvalidParams(f"m must be in (0, 1/2), got {self.m}")
-        if self.C < 4.0:
-            raise InvalidParams(f"C must be >= 4, got {self.C}")
+        # Written so that NaN fails the test too.
+        if not (4.0 <= self.C < math.inf):
+            raise InvalidParams(f"C must be finite and >= 4, got {self.C}")
         if self.depth < 0:
             raise InvalidParams(f"depth must be >= 0, got {self.depth}")
         if self.start_gen < 0:

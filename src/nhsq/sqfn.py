@@ -86,10 +86,27 @@ def _band_tail_weight(d, t_lo: float, t_hi: float, alpha: float, m: float):
     This is the exact t-integral of the indicator 1_{|y-u| < alpha s} against
     ds/s^(m+1); using it instead of a t grid removes the staircase error that
     the Cantor ball-mass function produces under midpoint rules.
+
+    The result is the one float buffer the function allocates: every step
+    after the division runs in place on it, and d is never written to.  The
+    values are bit-identical to np.where(lo < t_hi, (lo**-m - t_hi**-m)/m, 0)
+    with lo = max(t_lo, d/alpha), signed zeros included.
     """
     d = np.asarray(d, dtype=float)
-    lo = np.maximum(t_lo, d / alpha)
-    return np.where(lo < t_hi, (lo ** -m - t_hi ** -m) / m, 0.0)
+    lo = np.divide(d, alpha, out=np.empty_like(d))
+    np.maximum(t_lo, lo, out=lo)
+    beyond = ~(lo < t_hi)  # np.where's test, so a NaN lo also gives 0
+    lo **= -m
+    lo -= t_hi ** -m
+    lo /= m
+    lo[beyond] = 0.0
+    return lo
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j| as an (len(a), len(b)) matrix, in one buffer."""
+    d = np.subtract.outer(a, b)
+    return np.abs(d, out=d)
 
 
 @dataclass(frozen=True)
@@ -100,8 +117,9 @@ class ConeSpec:
     m: float
 
     def validate(self) -> None:
-        if self.alpha < 1.0:
-            raise InvalidParams(f"aperture must be >= 1, got {self.alpha}")
+        # Written so that NaN fails the test too.
+        if not (1.0 <= self.alpha < math.inf):
+            raise InvalidParams(f"aperture must be finite and >= 1, got {self.alpha}")
 
 
 def _check_collapse_aperture(cone: ConeSpec) -> None:
@@ -278,7 +296,7 @@ class CantorSquareContext:
             y_mids = starts + lens / 2.0
             m = self.measure.m
             tails = _band_tail_weight(
-                np.abs(u_mids[:, None] - y_mids[None, :]), Lhat / 2.0, Lhat, alpha, m
+                _distances(u_mids, y_mids), Lhat / 2.0, Lhat, alpha, m
             )
             self._weight[key] = float(u_w @ tails @ y_w)
         return self._weight[key]
@@ -360,7 +378,7 @@ def direct_norm_series(
             s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
             # Balls stay inside the node for alpha <= 2, so node atoms suffice.
             tails = _band_tail_weight(
-                np.abs(s_mids[:, None] - a_m[None, :]), L_abs / 2.0, L_abs, cone.alpha, m
+                _distances(s_mids, a_m), L_abs / 2.0, L_abs, cone.alpha, m
             )
             terms[n] += theta**2 * float(s_w @ tails @ a_w)
     return NormSeries(alpha=cone.alpha, terms=terms, err_est=np.zeros(N + 1))
@@ -451,7 +469,7 @@ def conical_value(kernel, measure, f, x, cone: ConeSpec, quad: QuadratureConfig)
             L_abs = measure.geometry[g + 1].L * ln
             mids, weights = strip_atoms(measure, o, ln, ms, g, min(3, measure.depth - g - 1))
             tails = _band_tail_weight(
-                np.abs(xs[pts, None] - mids[None, :]), L_abs / 2.0, L_abs, cone.alpha, measure.m
+                _distances(xs[pts], mids), L_abs / 2.0, L_abs, cone.alpha, measure.m
             )
             # Row sums, not tails @ weights: BLAS would add in another order.
             total[pts] += c * c * (weights * tails).sum(axis=1)
@@ -883,7 +901,7 @@ def snorm_by_tilde_route(measure: CantorMeasure, f, quad: QuadratureConfig,
             # node, so the node's own atoms carry all the mass.
             ymids, _, yw = node_atoms(measure, off, length, mass, g, extra + 1)
             tails = _band_tail_weight(
-                np.abs(amids[:, None] - ymids[None, :]), L * length / 2.0, L * length, 1.0, m
+                _distances(amids, ymids), L * length / 2.0, L * length, 1.0, m
             )
             total += c * c * float(aw @ tails @ yw)
     return total

@@ -153,6 +153,17 @@ def test_cli_usage_errors(tmp_path):
         proc = _run_cli(["run", name, "--config", str(shallow), "--out", str(tmp_path)])
         assert proc.returncode == 2
         assert proc.stderr == "error: leaf depth 5 must lie in 0..4, the measure's depth\n"
+    # Non-finite parameters are refused, not run: NaN fails every comparison,
+    # and an infinite C leaves the middle children without mass.
+    proc = _run_cli(["run", "aperture", "--alpha", "nan", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: aperture must be finite and >= 1, got nan\n"
+    for name, raw, shown in (("vertical", "NaN", "nan"), ("growth", "Infinity", "inf")):
+        cfg = tmp_path / f"C_{shown}.json"
+        cfg.write_text('{"C": %s}' % raw)
+        proc = _run_cli(["run", name, "--config", str(cfg), "--out", str(tmp_path)])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: C must be finite and >= 4, got {shown}\n"
 
 
 def test_cli_refuses_wide_aperture(tmp_path):

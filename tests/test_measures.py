@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,9 @@ def test_invalid_params():
         CantorMeasure(CantorParams(m=0.6, C=16.0, depth=2))
     with pytest.raises(InvalidParams):
         CantorMeasure(CantorParams(m=0.4, C=3.0, depth=2))
+    for bad_C in (math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            CantorMeasure(CantorParams(m=0.4, C=bad_C, depth=2))
     with pytest.raises(OutOfRange):
         CantorMeasure(CantorParams(m=M, C=C, depth=2)).split_geometry(3)
 

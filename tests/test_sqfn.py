@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhsq.errors import EmptyCubeList, InvalidParams, OracleMismatch
-from nhsq.kernels import CantorKernel, LogProductKernel, strip_atoms
+from nhsq.kernels import CantorKernel, LogProductKernel, bump, node_atoms, strip_atoms
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval
 from nhsq.sqfn import (
@@ -62,6 +62,9 @@ def test_quadrature_config_validation():
         QuadratureConfig(t_steps_per_band=0).validate()
     with pytest.raises(InvalidParams):
         ConeSpec(alpha=0.5, m=M).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            ConeSpec(alpha=bad, m=M).validate()
 
 
 def test_series_shapes_and_monotone(measure, quad, ctx):
@@ -121,6 +124,108 @@ def test_collapse_refuses_wide_aperture(measure, quad, ctx):
 def test_collapse_mismatch_raises(measure, quad):
     with pytest.raises(OracleMismatch):
         validate_collapse(measure, ConeSpec(1.0, M), 3, quad, tol=1e-12)
+
+
+def _where_tail_weight(d, t_lo, t_hi, alpha, m):
+    """The band tail weight as first written, one temporary per operation."""
+    d = np.asarray(d, dtype=float)
+    lo = np.maximum(t_lo, d / alpha)
+    return np.where(lo < t_hi, (lo ** -m - t_hi ** -m) / m, 0.0)
+
+
+def _same_bits(a, b):
+    return (type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def test_band_tail_weight_matches_where_formula(measure, quad):
+    cases = []
+    for n in (0, 3, 7):
+        tpl = measure.template(n, depth=min(quad.y_resolution_depth + 2, 9))
+        Lhat = tpl.geometry[1].L
+        u_mids, _ = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, 3)
+        starts, lens, _ = tpl.leaf_table(6)
+        d = np.abs(u_mids[:, None] - (starts + lens / 2.0)[None, :])
+        cases += [(d, Lhat / 2.0, Lhat), (d.T, Lhat / 2.0, Lhat)]
+    rng = np.random.default_rng(5)
+    cases.append((rng.random((40, 70)) * 0.8, 0.1, 0.2))
+    for alpha in (1.0, 1.5, 2.0):
+        t_lo, t_hi = 0.1, 0.2
+        edges = np.array([alpha * t_lo, alpha * t_hi])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        points = (near, near.reshape(2, 3), 0.0, -0.0, float(near[1]), np.zeros(3),
+                  np.array([np.nan, 1.0]))
+        for d, lo, hi in cases + [(d, t_lo, t_hi) for d in points]:
+            for m in (M, 0.25):
+                before = np.array(d, copy=True)
+                got = _band_tail_weight(d, lo, hi, alpha, m)
+                assert _same_bits(got, _where_tail_weight(d, lo, hi, alpha, m))
+                assert _same_bits(np.asarray(d), before)  # d is never written to
+
+
+def test_band_weights_match_dense_reference(measure, quad, ctx):
+    # band_weight and the direct enumeration equal the dense |u - y| matrix
+    # through the first-written tail weight, bit for bit.
+    m = measure.m
+    for n, alpha, y_depth in ((0, 1.0, 6), (2, 1.5, 5), (5, 2.0, 6), (9, 1.0, 4)):
+        tpl = measure.template(n, depth=min(quad.y_resolution_depth + 2, 9))
+        Lhat = tpl.geometry[1].L
+        u_mids, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, min(max(y_depth - 3, 1), tpl.depth - 1))
+        starts, lens, y_w = tpl.leaf_table(min(y_depth, tpl.depth))
+        y_mids = starts + lens / 2.0
+        ref_tails = _where_tail_weight(np.abs(u_mids[:, None] - y_mids[None, :]),
+                                       Lhat / 2.0, Lhat, alpha, m)
+        assert ctx.band_weight(n, alpha, y_depth) == float(u_w @ ref_tails @ y_w)
+    N = 3
+    y_extra = min(quad.y_resolution_depth, measure.depth - N, 5)
+    for alpha in (1.0, 2.0):
+        ref = np.zeros(N + 1)
+        for n in range(N + 1):
+            geo = measure.geometry[n + 1]
+            for off, length, mass in zip(*measure.leaf_table(n)):
+                L_abs = geo.L * length
+                a_m, _, a_w = node_atoms(measure, off, length, mass, n, y_extra + 1)
+                center = off + length / 2.0
+                theta = float(np.sum(a_w * bump((a_m - center) / length))) / length**m
+                s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
+                ref_tails = _where_tail_weight(np.abs(s_mids[:, None] - a_m[None, :]),
+                                               L_abs / 2.0, L_abs, alpha, m)
+                ref[n] += theta**2 * float(s_w @ ref_tails @ a_w)
+        direct = direct_norm_series(measure, ConeSpec(alpha, M), N, quad)
+        assert direct.terms.tobytes() == ref.tobytes()
+
+
+def test_collapse_against_ball_mass_oracle():
+    # Independent of the tail weight, node atoms and strip_atoms: node
+    # coefficients from the finest global leaves, strip atoms picked from a
+    # global leaf table by child digit, and global ball masses from the CDF
+    # (interval_mass_batch) on a midpoint log-s grid over [L/2, L].
+    measure = CantorMeasure(CantorParams(m=M, C=C, depth=9))
+    quad3 = QuadratureConfig(32, 6, 1e-3, 3)
+    N, K, levels = 3, 400, 4
+    starts, lens, fine_w = measure.leaf_table(measure.depth)
+    fine_mids = starts + lens / 2.0
+    for alpha in (1.0, 1.5, 2.0):
+        oracle = np.zeros(N + 1)
+        for n in range(N + 1):
+            D = n + 1 + levels
+            s_starts, s_lens, s_w = measure.leaf_table(D)
+            digit = (np.arange(len(s_w)) // 4 ** (D - n - 1)) % 4
+            in_strip = (digit == 1) | (digit == 2)
+            per, sub = 4 ** (measure.depth - n), 4 ** (D - n)
+            for i, (off, length, _) in enumerate(zip(*measure.leaf_table(n))):
+                fine = slice(i * per, (i + 1) * per)
+                phi = bump((fine_mids[fine] - off - length / 2.0) / length)
+                theta = float(np.sum(fine_w[fine] * phi)) / length**M
+                strip = np.flatnonzero(in_strip[i * sub:(i + 1) * sub]) + i * sub
+                u = s_starts[strip] + s_lens[strip] / 2.0
+                L_abs = measure.geometry[n + 1].L * length
+                s = np.exp(np.log(L_abs / 2.0) + (np.arange(K) + 0.5) * LN2 / K)
+                r = alpha * s[None, :]
+                balls = measure.interval_mass_batch(u[:, None] - r, u[:, None] + r)
+                oracle[n] += theta**2 * float(s_w[strip] @ (balls @ s**-M)) * LN2 / K
+        collapsed = conical_norm_series(measure, ConeSpec(alpha, M), N, quad3).terms
+        assert collapsed == pytest.approx(oracle, rel=quad3.rel_tol)
 
 
 def test_vertical_series(measure, quad, ctx):
