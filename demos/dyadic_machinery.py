@@ -61,9 +61,9 @@ print("\nmartingale differences (b-adapted):")
 rng = np.random.default_rng(9)
 f = rng.normal(size=n_leaves)
 mc = martingale_decompose(lb, forest, f, depth=8)
-print(f"  cubes carrying a difference: {len(mc.deltas)}")
-print(f"  reconstruction max error: {np.max(np.abs(mc.reconstruction() - f)):.2e}")
-worst_mean = max(abs(mc.integral(q)) for q in mc.deltas if q != root)
+print(f"  cubes carrying a difference: {len(mc.cubes)}")
+print(f"  reconstruction max error: {np.max(np.abs(mc.reconstruction()[0] - f)):.2e}")
+worst_mean = max(abs(mc.integral(q)[0]) for q in mc.cubes if q != root)
 print(f"  worst |mean| of a non-top difference: {worst_mean:.2e}")
 fsq = float(np.sum(f**2 * mc.leaf_masses))
-print(f"  energy ratio sum ||Delta_Q f||^2 / ||f||^2 = {mc.energy() / fsq:.4f}")
+print(f"  energy ratio sum ||Delta_Q f||^2 / ||f||^2 = {mc.energy()[0] / fsq:.4f}")

@@ -5,8 +5,9 @@
     nhsq list
     nhsq validate-config PATH
 
-Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 usage or config
-error.  NHSQ_OUT overrides the output directory; explicit --out wins over
+Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 usage, config or
+output error (the output directory is created before the experiment runs).
+NHSQ_OUT overrides the output directory; explicit --out wins over
 both the environment and the config file.
 """
 
@@ -82,8 +83,10 @@ def main(argv=None) -> int:
             print(f"{args.path}: ok")
             return 0
         cfg = _config_from_args(args)
-        report = run(cfg)
         out_dir = Path(cfg.out_dir) / cfg.experiment
+        # Before the run, so an unusable path costs no experiment time.
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report = run(cfg)
         paths = report.write(out_dir, svg=cfg.svg)
         for v in report.verdicts:
             status = "PASS" if v.passed else "FAIL"
@@ -96,6 +99,9 @@ def main(argv=None) -> int:
         return 0 if report.all_passed else 1
     except NhsqError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return 2
 
 

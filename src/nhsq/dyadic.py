@@ -391,25 +391,54 @@ def carleson_packing(forest: StoppingForest, measure, R: Cube) -> float:
 
 @dataclass
 class MartingaleCoeffs:
-    """Per-cube difference functions as leaf vectors over the root cube."""
+    """Martingale differences of k test functions, one row per f.
+
+    The root's n finest-scale leaves index every row.  levels[g] is a (k, n)
+    array: on the leaf slice of each cube Q of generation g below the root
+    it holds Delta_Q f, one row per f.  The cubes of one generation tile
+    the root, so one array holds all of them.  leaf_slices maps each cube
+    that carries a difference to its slice, in post-order (children before
+    their parent), which is the order `energy` adds the cubes in.
+
+    Every per-f sum runs over the whole n-leaf row with zeros off the cube,
+    so numpy groups the pairwise additions as in a sum over one full leaf
+    vector.
+    """
 
     root: Cube
-    deltas: dict[Cube, np.ndarray]
     leaf_masses: np.ndarray
+    levels: list[np.ndarray]
+    leaf_slices: dict[Cube, slice]
 
-    def reconstruction(self) -> np.ndarray:
-        out = np.zeros_like(self.leaf_masses)
-        for v in self.deltas.values():
-            out = out + v
+    @property
+    def cubes(self) -> list[Cube]:
+        return list(self.leaf_slices)
+
+    def delta(self, cube: Cube) -> np.ndarray:
+        """Delta_Q f as (k, n) leaf rows, zero off Q."""
+        level = self.levels[cube.i - self.root.i]
+        sl = self.leaf_slices[cube]
+        out = np.zeros_like(level)
+        out[:, sl] = level[:, sl]
         return out
 
-    def integral(self, cube: Cube) -> float:
-        return float(np.sum(self.deltas[cube] * self.leaf_masses))
+    def reconstruction(self) -> np.ndarray:
+        """Sum of all differences, (k, n); finest generation first."""
+        out = np.zeros_like(self.levels[0])
+        for level in reversed(self.levels):
+            out = out + level
+        return out
 
-    def energy(self) -> float:
-        return float(
-            sum(np.sum(v**2 * self.leaf_masses) for v in self.deltas.values())
-        )
+    def integral(self, cube: Cube) -> np.ndarray:
+        """Integral of Delta_Q f against mu, one value per row."""
+        return np.sum(self.delta(cube) * self.leaf_masses, axis=1)
+
+    def energy(self) -> np.ndarray:
+        """sum over Q of ||Delta_Q f||^2 in L^2(mu), one value per row."""
+        total = 0.0
+        for cube in self.leaf_slices:
+            total = total + np.sum(self.delta(cube) ** 2 * self.leaf_masses, axis=1)
+        return total
 
 
 def martingale_decompose(measure, forest: StoppingForest, f: np.ndarray,
@@ -422,61 +451,85 @@ def martingale_decompose(measure, forest: StoppingForest, f: np.ndarray,
     smallest stopping cube containing Q.  Summing Delta_Q f over all cubes
     down to `depth` reconstructs f exactly at leaf resolution, and every
     non-root difference has zero mean.
+
+    f has shape (n,) or (k, n), one row per test function over the root's
+    n finest-scale leaves; a 1-D f is the case k = 1 and gives one row.
+    Everything that does not depend on f (leaf masses, cube slices, the b
+    of each cube's stopping ancestor and its averages, with the near-zero
+    check) is computed once per call, and <f>_Q for all rows at once.  The
+    walk goes generation by generation and keeps only the projections of
+    two generations; it builds no closures, so no reference cycle keeps
+    its arrays alive after the call.
     """
     grid = forest.grid
     root = forest.root
+    s_root, n = grid.cube_units(root)
+    rows = np.asarray(f, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != n:
+        raise InvalidParams(
+            f"f must be (n,) or (k, n) with k >= 1 and one value per finest-scale "
+            f"leaf (n = {n}), got shape {np.shape(f)}"
+        )
+    if not 1 <= depth <= grid.i_max - root.i:
+        raise InvalidParams("depth must lie in 1 .. the grid's finest scale below the root")
+    k = rows.shape[0]
     masses = _leaf_masses(measure, grid, root)
+    f_mass = rows * masses
     stopping = forest.all_stopping()
-    b_family = forest.b_family
 
-    f = np.asarray(f, dtype=float)
-    _, root_len = grid.cube_units(root)
-    if f.shape != (root_len,):
-        raise InvalidParams(f"f must have one value per finest-scale leaf ({root_len})")
-    if depth > grid.i_max - root.i:
-        raise InvalidParams("depth exceeds the grid's finest scale")
-
-    def avg(vec: np.ndarray, cube: Cube) -> float:
-        sl = _leaf_slice(grid, root, cube)
-        mass = float(masses[sl].sum())
-        if mass <= 0.0:
-            return 0.0
-        return float(np.sum(vec[sl] * masses[sl])) / mass
-
-    norm_cache: dict[Cube, np.ndarray] = {}
-
-    def projection(cube: Cube, anc: Cube) -> np.ndarray:
-        """<f>_Q / <b_{Q^a}>_Q * b_{Q^a} restricted to Q (zero off Q)."""
-        if cube not in norm_cache:
-            sl = _leaf_slice(grid, root, cube)
-            out = np.zeros_like(f)
-            if float(masses[sl].sum()) > 0.0:
-                b_vec = b_family(anc)
-                bavg = avg(b_vec, cube)
-                if abs(bavg) < near_zero:
-                    raise DivisionByNearZeroAverage(
-                        f"<b_anc> = {bavg:.2e} on {cube}; stopping construction broken"
-                    )
-                out[sl] = (avg(f, cube) / bavg) * b_vec[sl]
-            norm_cache[cube] = out
-        return norm_cache[cube]
-
-    deltas: dict[Cube, np.ndarray] = {}
-
-    def rec(cube: Cube, anc: Cube) -> None:
-        if cube in stopping:
-            anc = cube
-        if cube.i - root.i >= depth:
-            return
-        own = projection(cube, anc)
-        delta = -own
-        for ch in grid.children(cube):
-            ch_anc = ch if ch in stopping else anc
-            delta = delta + projection(ch, ch_anc)
-            rec(ch, anc)
-        deltas[cube] = delta
-
-    rec(root, root)
+    generations: list[list[Cube]] = []
+    levels: list[np.ndarray] = []
+    b_row = np.empty(n)
+    for g in range(depth + 1):
+        count, ln = 1 << g, n >> g
+        # The generation tiles the root left to right, from the root's start.
+        k0 = (s_root - grid.shift_units(root.i + g)) // ln
+        cubes = [Cube(root.i + g, k0 + j) for j in range(count)]
+        generations.append(cubes)
+        # b of each cube's smallest stopping ancestor, on the cube's slice;
+        # the root is its own ancestor.
+        for j, q in enumerate(cubes):
+            if g == 0 or q in stopping:
+                sl = slice(j * ln, (j + 1) * ln)
+                b_row[sl] = forest.b_family(q)[sl]
+        mass = masses.reshape(count, ln).sum(axis=1)
+        has_mass = mass > 0.0
+        b_avg = np.divide((b_row * masses).reshape(count, ln).sum(axis=1), mass,
+                          out=np.zeros(count), where=has_mass)
+        bad = np.flatnonzero(has_mass & (np.abs(b_avg) < near_zero))
+        if bad.size:
+            raise DivisionByNearZeroAverage(
+                f"<b_anc> = {b_avg[bad[0]]:.2e} on {cubes[bad[0]]}; "
+                "stopping construction broken"
+            )
+        f_avg = np.divide(f_mass.reshape(k, count, ln).sum(axis=2), mass,
+                          out=np.zeros((k, count)), where=has_mass)
+        # A cube without mass has ratio 0, so its projection is zero.
+        ratio = np.divide(f_avg, b_avg, out=np.zeros((k, count)), where=has_mass)
+        proj = (ratio[:, :, None] * b_row.reshape(count, ln)).reshape(k, n)
+        if g == 0:
+            top = proj
+        else:
+            # Generation g-1: minus the own term, plus each child's term.
+            delta = np.negative(own)
+            delta += proj
+            # The other child's zero term of the full-width sum: -0.0 -> +0.0.
+            delta += 0.0
+            levels.append(delta)
+        own = proj
     # Top convention: the root keeps its own expectation term.
-    deltas[root] = deltas[root] + projection(root, root)
-    return MartingaleCoeffs(root=root, deltas=deltas, leaf_masses=masses)
+    levels[0] += top
+
+    # Post-order: by the last finest-generation leaf below the cube, then
+    # deeper cubes first.
+    order = sorted(
+        ((g, j) for g in range(depth) for j in range(1 << g)),
+        key=lambda gj: ((gj[1] + 1) << (depth - 1 - gj[0]), -gj[0]),
+    )
+    leaf_slices = {
+        generations[g][j]: slice(j * (n >> g), (j + 1) * (n >> g)) for g, j in order
+    }
+    return MartingaleCoeffs(root=root, leaf_masses=masses, levels=levels,
+                            leaf_slices=leaf_slices)

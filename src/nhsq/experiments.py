@@ -434,20 +434,19 @@ def _exp_stopping(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     ones = lambda cube: np.ones(n_leaves)
     forest1 = build_stopping(lb, ones, root, 0.5, 8, grid)
     rng = derive_rng(cfg.seed, "stopping-f")
+    fs = rng.normal(size=(20, n_leaves))
     recon_err = 0.0
     mean_err = 0.0
     energy_ratio = 0.0
-    for _ in range(20):
-        f = rng.normal(size=n_leaves)
-        for fr in (forest1, forest):
-            mc = martingale_decompose(lb, fr, f, depth=i_max)
-            recon_err = max(recon_err, float(np.max(np.abs(mc.reconstruction() - f))))
-            mean_err = max(
-                mean_err,
-                max(abs(mc.integral(q)) for q in mc.deltas if q != root),
-            )
-            fsq = float(np.sum(f**2 * mc.leaf_masses))
-            energy_ratio = max(energy_ratio, mc.energy() / fsq)
+    for fr in (forest1, forest):
+        mc = martingale_decompose(lb, fr, fs, depth=i_max)
+        recon_err = max(recon_err, float(np.max(np.abs(mc.reconstruction() - fs))))
+        mean_err = max(
+            mean_err,
+            max(float(np.max(np.abs(mc.integral(q)))) for q in mc.cubes if q != root),
+        )
+        fsq = np.sum(fs**2 * mc.leaf_masses, axis=1)
+        energy_ratio = max(energy_ratio, float(np.max(mc.energy() / fsq)))
     report.metrics["reconstruction_err"] = recon_err
     report.metrics["zero_mean_err"] = mean_err
     report.metrics["energy_ratio"] = energy_ratio

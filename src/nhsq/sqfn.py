@@ -122,10 +122,15 @@ class ConeSpec:
             raise InvalidParams(f"aperture must be finite and >= 1, got {self.alpha}")
 
 
-def _check_collapse_aperture(cone: ConeSpec) -> None:
+def _check_collapse_aperture(cone: ConeSpec, measure) -> None:
     """The template collapse assumes balls B(y, alpha t) stay in the node,
-    which holds for alpha <= 2 only."""
+    which holds for alpha <= 2 only.  The dt/t^(m+1) weight is the
+    measure's: a cone whose m differs (or is NaN) is refused, not ignored."""
     cone.validate()
+    if cone.m != measure.m:
+        raise InvalidParams(
+            f"cone exponent m = {cone.m} differs from the measure's m = {measure.m}"
+        )
     if cone.alpha > 2.0:
         raise InvalidParams(
             f"the collapsed norm series needs aperture <= 2, got {cone.alpha}; "
@@ -325,7 +330,7 @@ def conical_norm_series(
     context: Optional[CantorSquareContext] = None,
 ) -> NormSeries:
     """||S_alpha(1)||^2 per-generation series via the template collapse."""
-    _check_collapse_aperture(cone)
+    _check_collapse_aperture(cone, measure)
     ctx = context if context is not None else CantorSquareContext(measure, quad)
     terms = np.zeros(N + 1)
     errs = np.zeros(N + 1)
@@ -358,7 +363,7 @@ def direct_norm_series(
     Uses absolute coordinates and global ball masses; no template collapse.
     Intended for shallow N (cost 4**N nodes at generation N).
     """
-    _check_collapse_aperture(cone)
+    _check_collapse_aperture(cone, measure)
     if N > 6:
         raise InvalidParams("direct enumeration is intended for N <= 6")
     if measure.depth < N + 3:
@@ -452,7 +457,7 @@ def conical_value(kernel, measure, f, x, cone: ConeSpec, quad: QuadratureConfig)
     distance >= 2 L from x), so the walk is exhaustive; wider apertures are
     refused with InvalidParams.
     """
-    _check_collapse_aperture(cone)
+    _check_collapse_aperture(cone, measure)
     if not isinstance(kernel, CantorKernel):
         raise InvalidParams("conical_value is defined for the Cantor kernel")
     x = np.asarray(x, dtype=float)
@@ -573,7 +578,7 @@ def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
     below the leaf depth, c_J = f_leaf * beta(n) exactly, so those terms
     reduce to g(n, alpha) ||f||^2.
     """
-    _check_collapse_aperture(cone)
+    _check_collapse_aperture(cone, measure)
     ctx = context if context is not None else CantorSquareContext(measure, quad)
     N = quad.trunc_generation
     best = 0.0

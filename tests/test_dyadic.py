@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from nhsq.dyadic import (
     GoodnessParams,
     ShiftedGrid,
     StoppingForest,
+    _leaf_masses,
+    _leaf_slice,
     build_stopping,
     carleson_packing,
     classify_good,
@@ -224,12 +227,12 @@ def test_martingale_reconstruction_and_energy(grid, lebesgue):
     f = rng.normal(size=256)
     mc = martingale_decompose(lebesgue, forest, f, depth=8)
     assert np.max(np.abs(mc.reconstruction() - f)) <= 1e-10
-    for q in mc.deltas:
+    for q in mc.cubes:
         if q != Cube(0, 0):
-            assert abs(mc.integral(q)) <= 1e-12
+            assert abs(mc.integral(q)[0]) <= 1e-12
     fsq = float(np.sum(f**2 * mc.leaf_masses))
     # b == 1 differences are orthogonal projections: energy equals ||f||^2.
-    assert mc.energy() == pytest.approx(fsq, rel=1e-12)
+    assert mc.energy()[0] == pytest.approx(fsq, rel=1e-12)
 
 
 def test_martingale_b_constant_gives_zero_differences(grid, lebesgue):
@@ -238,10 +241,10 @@ def test_martingale_b_constant_gives_zero_differences(grid, lebesgue):
     mc = martingale_decompose(lebesgue, forest, np.ones(256), depth=8)
     # f = b = 1: all normalized averages coincide, every Delta_Q with
     # Q != Q0 vanishes.
-    for q, v in mc.deltas.items():
+    for q in mc.cubes:
         if q != Cube(0, 0):
-            assert np.max(np.abs(v)) <= 1e-14
-    assert np.max(np.abs(mc.deltas[Cube(0, 0)] - 1.0)) <= 1e-14
+            assert np.max(np.abs(mc.delta(q))) <= 1e-14
+    assert np.max(np.abs(mc.delta(Cube(0, 0)) - 1.0)) <= 1e-14
 
 
 def test_martingale_flip_forest(grid, lebesgue):
@@ -250,9 +253,9 @@ def test_martingale_flip_forest(grid, lebesgue):
     f = rng.normal(size=256)
     mc = martingale_decompose(lebesgue, forest, f, depth=8)
     assert np.max(np.abs(mc.reconstruction() - f)) <= 1e-10
-    for q in mc.deltas:
+    for q in mc.cubes:
         if q != Cube(0, 0):
-            assert abs(mc.integral(q)) <= 1e-12
+            assert abs(mc.integral(q)[0]) <= 1e-12
 
 
 def test_martingale_near_zero_average_detected(grid, lebesgue):
@@ -264,8 +267,20 @@ def test_martingale_near_zero_average_detected(grid, lebesgue):
         return v
 
     forest = build_stopping(lebesgue, degenerate_b, Cube(0, 0), 0.01, 8, grid)
-    with pytest.raises(DivisionByNearZeroAverage):
-        martingale_decompose(lebesgue, forest, np.ones(256), depth=8)
+    for f in (np.ones(256), np.ones((3, 256))):
+        with pytest.raises(DivisionByNearZeroAverage):
+            martingale_decompose(lebesgue, forest, f, depth=8)
+
+
+def test_martingale_refuses_bad_shapes(grid, lebesgue):
+    forest = build_stopping(lebesgue, lambda cube: np.ones(256), Cube(0, 0), 0.5, 8, grid)
+    for f in (np.zeros(255), np.zeros((3, 255)), np.zeros((2, 3, 256)),
+              np.zeros((0, 256)), np.float64(1.0)):
+        with pytest.raises(InvalidParams):
+            martingale_decompose(lebesgue, forest, f, depth=8)
+    for depth in (0, 9):
+        with pytest.raises(InvalidParams):
+            martingale_decompose(lebesgue, forest, np.zeros(256), depth=depth)
 
 
 def test_martingale_on_cantor_measure(grid):
@@ -275,10 +290,148 @@ def test_martingale_on_cantor_measure(grid):
     rng = np.random.default_rng(12)
     f = rng.normal(size=256)
     mc = martingale_decompose(mu, forest, f, depth=8)
-    rec = mc.reconstruction()
+    rec = mc.reconstruction()[0]
     # Agreement holds mu-almost everywhere: only leaves with mass matter.
     sel = mc.leaf_masses > 0
     assert np.max(np.abs((rec - f)[sel])) <= 1e-10
+
+
+def _reference_decompose(measure, forest, f, depth, near_zero=1e-9):
+    """The one-vector recursive decomposition as first written; returns the
+    per-cube full-width deltas in its insertion order and the leaf masses."""
+    grid = forest.grid
+    root = forest.root
+    masses = _leaf_masses(measure, grid, root)
+    stopping = forest.all_stopping()
+    b_family = forest.b_family
+    f = np.asarray(f, dtype=float)
+
+    def avg(vec, cube):
+        sl = _leaf_slice(grid, root, cube)
+        mass = float(masses[sl].sum())
+        if mass <= 0.0:
+            return 0.0
+        return float(np.sum(vec[sl] * masses[sl])) / mass
+
+    norm_cache = {}
+
+    def projection(cube, anc):
+        if cube not in norm_cache:
+            sl = _leaf_slice(grid, root, cube)
+            out = np.zeros_like(f)
+            if float(masses[sl].sum()) > 0.0:
+                b_vec = b_family(anc)
+                bavg = avg(b_vec, cube)
+                if abs(bavg) < near_zero:
+                    raise DivisionByNearZeroAverage(f"<b_anc> = {bavg:.2e} on {cube}")
+                out[sl] = (avg(f, cube) / bavg) * b_vec[sl]
+            norm_cache[cube] = out
+        return norm_cache[cube]
+
+    deltas = {}
+
+    def rec(cube, anc):
+        if cube in stopping:
+            anc = cube
+        if cube.i - root.i >= depth:
+            return
+        own = projection(cube, anc)
+        delta = -own
+        for ch in grid.children(cube):
+            ch_anc = ch if ch in stopping else anc
+            delta = delta + projection(ch, ch_anc)
+            rec(ch, anc)
+        deltas[cube] = delta
+
+    rec(root, root)
+    deltas[root] = deltas[root] + projection(root, root)
+    return deltas, masses
+
+
+def _martingale_forests():
+    grid = ShiftedGrid(0, 8, (0,) * 8)
+    lebesgue = LebesgueInterval(0.0, 1.0)
+    mu = CantorMeasure(CantorParams(m=M, C=16.0, depth=8))
+    ones = lambda cube: np.ones(256)
+    root = Cube(0, 0)
+    return {
+        "b1": (lebesgue, build_stopping(lebesgue, ones, root, 0.5, 8, grid)),
+        "flip": (lebesgue, build_stopping(lebesgue, _flip_b(grid, 256), root, 0.25, 8, grid)),
+        # Zero-mass leaves and cubes: their projections are zero, +0.0 also
+        # where b is negative.
+        "cantor": (mu, build_stopping(mu, ones, root, 0.5, 8, grid)),
+        "cantor-neg": (mu, build_stopping(mu, lambda cube: -np.ones(256), root, 0.5, 8, grid)),
+    }
+
+
+@pytest.mark.parametrize("name", ["b1", "flip", "cantor", "cantor-neg"])
+def test_martingale_batch_matches_per_vector_reference(name):
+    measure, forest = _martingale_forests()[name]
+    rng = np.random.default_rng(20)
+    rows = rng.normal(size=(20, 256))
+    rows[1] = 0.0  # zero averages everywhere: signed zeros in every term
+    rows[2] = 0.0
+    rows[2, 37] = 16.0  # one leaf: averages vanish off its ancestors
+    refs = [_reference_decompose(measure, forest, row, 8) for row in rows]
+    for f in (rows[0], rows[:1], rows[:3], rows):
+        mc = martingale_decompose(measure, forest, f, depth=8)
+        k = 1 if f.ndim == 1 else f.shape[0]
+        assert mc.reconstruction().shape == (k, 256)
+        for r, (deltas, masses) in enumerate(refs[:k]):
+            assert repr(mc.leaf_masses.tolist()) == repr(masses.tolist())
+            assert mc.cubes == list(deltas)
+            for q, v in deltas.items():
+                assert repr(mc.delta(q)[r].tolist()) == repr(v.tolist())
+                integral = float(np.sum(v * masses))
+                assert repr(float(mc.integral(q)[r])) == repr(integral)
+            recon = np.zeros_like(masses)
+            for v in deltas.values():
+                recon = recon + v
+            assert repr(mc.reconstruction()[r].tolist()) == repr(recon.tolist())
+            energy = float(sum(np.sum(v**2 * masses) for v in deltas.values()))
+            assert repr(float(mc.energy()[r])) == repr(energy)
+
+
+def test_martingale_builds_no_reference_cycles(grid, lebesgue):
+    forest = build_stopping(lebesgue, _flip_b(grid, 256), Cube(0, 0), 0.25, 8, grid)
+    f = np.random.default_rng(13).normal(size=(4, 256))
+    gc.collect()
+    gc.disable()
+    try:
+        mc = martingale_decompose(lebesgue, forest, f, depth=8)
+        mc.energy()
+        del mc
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("b_kind", ["ones", "flip"])
+def test_martingale_exact_energy_norm(b_kind, lebesgue):
+    # Delta: f -> (Delta_Q f)_Q is linear, so the sup of sum ||Delta_Q f||^2
+    # over ||f|| = 1 in L^2(mu) is its largest squared singular value.  The
+    # L^2(mu)-orthonormal leaf vectors e_j / sqrt(mu_j) are decomposed in one
+    # batch; a generation's cubes are disjoint, so each level array is one
+    # block of the matrix.
+    n = 64
+    grid6 = ShiftedGrid(0, 6, (0,) * 6)
+    b_family = (lambda cube: np.ones(n)) if b_kind == "ones" else _flip_b(grid6, n)
+    c = 0.5 if b_kind == "ones" else 0.25
+    forest = build_stopping(lebesgue, b_family, Cube(0, 0), c, 6, grid6)
+    masses = _leaf_masses(lebesgue, grid6, Cube(0, 0))
+    mc = martingale_decompose(lebesgue, forest, np.diag(masses**-0.5), depth=6)
+    blocks = np.concatenate([level * np.sqrt(masses) for level in mc.levels], axis=1)
+    sigma2 = float(np.linalg.eigvalsh(blocks @ blocks.T)[-1])
+    rows = np.random.default_rng(21).normal(size=(20, n))
+    sampled = martingale_decompose(lebesgue, forest, rows, depth=6).energy() / np.sum(
+        rows**2 * masses, axis=1
+    )
+    assert np.all(sampled <= sigma2 * (1.0 + 1e-12))
+    if b_kind == "ones":
+        # b = 1: the differences are orthogonal projections.
+        assert sigma2 == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert len(forest.layers) > 1
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -164,6 +165,29 @@ def test_cli_usage_errors(tmp_path):
         proc = _run_cli(["run", name, "--config", str(cfg), "--out", str(tmp_path)])
         assert proc.returncode == 2
         assert proc.stderr == f"error: C must be finite and >= 4, got {shown}\n"
+    # An output directory under a regular file is refused before the run,
+    # from --out and from NHSQ_OUT alike.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for args, env in ((["--out", str(blocker / "sub")], None), ([], {"NHSQ_OUT": str(blocker)})):
+        proc = _run_cli(["run", "growth", *args], env_extra=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot write output: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("seed", [20250808, 1, 2, 3])
+def test_stopping_report_matches_benchmark_reference(seed, tmp_path):
+    # The batched martingale decomposition keeps every digit: report.json and
+    # series.csv equal the benchmark's recorded reference bytes, including
+    # the failing energy verdict at seeds 1 and 3.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(reference.read_text())[str(seed)]["stopping"]
+    report = run(ExperimentConfig(experiment="stopping", seed=seed))
+    for path in report.write(tmp_path):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"][path.name]
+    assert report.all_passed == (ref["exit"] == 0)
 
 
 def test_cli_refuses_wide_aperture(tmp_path):

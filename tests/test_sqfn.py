@@ -67,6 +67,25 @@ def test_quadrature_config_validation():
             ConeSpec(alpha=bad, m=M).validate()
 
 
+def test_cone_exponent_must_match_measure(measure, kernel, quad, ctx):
+    # The dt/t^(m+1) weight is the measure's; a cone carrying another m, or
+    # NaN, is refused rather than answered with the measure's m = 0.4.
+    fone = LeafFunction.constant(measure, 5, 1.0)
+    quad3 = QuadratureConfig(32, 6, 1e-3, 3)
+    for m in (0.1, math.nan):
+        cone = ConeSpec(1.0, m)
+        routes = (
+            lambda: conical_norm_series(measure, cone, 10, quad, context=ctx),
+            lambda: direct_norm_series(measure, cone, 3, quad3),
+            lambda: conical_value(kernel, measure, None, 0.3, cone, quad),
+            lambda: l2_operator_ratio(measure, [fone], cone, quad, context=ctx),
+            lambda: snorm_by_x_integration(measure, None, cone, quad3),
+        )
+        for route in routes:
+            with pytest.raises(InvalidParams, match="differs from the measure's m"):
+                route()
+
+
 def test_series_shapes_and_monotone(measure, quad, ctx):
     s1 = conical_norm_series(measure, ConeSpec(1.0, M), 10, quad, context=ctx)
     assert len(s1.terms) == 11
