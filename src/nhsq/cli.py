@@ -95,6 +95,8 @@ def main(argv=None) -> int:
             print(f"  {key} = {val}")
         for p in paths:
             print(f"wrote {p}")
+        for key, val in sorted(report.counters.items()):
+            print(f"counter: {key} = {val}")
         print(f"runtime: {report.runtime_seconds:.2f}s")
         return 0 if report.all_passed else 1
     except NhsqError as e:

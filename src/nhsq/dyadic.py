@@ -260,6 +260,15 @@ class StoppingForest:
     packing_fraction: dict[Cube, float]  # spawning cube -> mu(next layer)/mu(cube)
     b_family: Callable[[Cube], np.ndarray] = field(repr=False, default=None)
     _stopping: Optional[set[Cube]] = field(default=None, repr=False)
+    # The measure build_stopping ran on and its (read-only) root leaf masses.
+    measure: object = field(default=None, repr=False)
+    leaf_masses: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def masses(self, measure) -> np.ndarray:
+        """measure's masses of the root's finest-scale leaves, computed once."""
+        if self.leaf_masses is None or measure is not self.measure:
+            return _leaf_masses(measure, self.grid, self.root)
+        return self.leaf_masses
 
     def all_stopping(self) -> set[Cube]:
         if self._stopping is None:
@@ -268,16 +277,6 @@ class StoppingForest:
 
     def max_packing_fraction(self) -> float:
         return max(self.packing_fraction.values(), default=0.0)
-
-    def smallest_ancestor(self, cube: Cube) -> Cube:
-        """The smallest stopping cube containing `cube` (itself if stopping)."""
-        stopping = self.all_stopping()
-        q = cube
-        while q not in stopping:
-            if q.i <= self.root.i:
-                raise InvalidParams(f"{cube} is not inside the stopping root")
-            q = self.grid.parent(q)
-        return q
 
 
 def _leaf_slice(grid: ShiftedGrid, root: Cube, cube: Cube) -> slice:
@@ -289,11 +288,12 @@ def _leaf_slice(grid: ShiftedGrid, root: Cube, cube: Cube) -> slice:
 
 def _leaf_masses(measure, grid: ShiftedGrid, root: Cube) -> np.ndarray:
     s_root, ln = grid.cube_units(root)
-    unit = 0.5**grid.i_max
-    edges = (s_root + np.arange(ln + 1)) * unit
-    return np.array(
-        [measure.interval_mass(edges[i], edges[i + 1]) for i in range(ln)]
-    )
+    edges = (s_root + np.arange(ln + 1)) * 0.5**grid.i_max
+    return np.array([measure.interval_mass(a, b) for a, b in zip(edges[:-1], edges[1:])])
+
+
+def _cube_mass(masses: np.ndarray, grid: ShiftedGrid, root: Cube, cube: Cube) -> float:
+    return float(masses[_leaf_slice(grid, root, cube)].sum())
 
 
 def build_stopping(measure, b_family: Callable[[Cube], np.ndarray], root: Cube,
@@ -308,6 +308,7 @@ def build_stopping(measure, b_family: Callable[[Cube], np.ndarray], root: Cube,
     if c <= 0:
         raise InvalidParams("threshold c must be positive")
     masses = _leaf_masses(measure, grid, root)
+    masses.flags.writeable = False  # shared with the forest's users
     root_mass = float(masses.sum())
     if root_mass <= 0:
         raise InvalidParams("root cube carries no mass")
@@ -318,10 +319,6 @@ def build_stopping(measure, b_family: Callable[[Cube], np.ndarray], root: Cube,
         if mass <= 0.0:
             return None
         return float(np.sum(b_vec[sl] * masses[sl])) / mass
-
-    def cube_mass(cube: Cube) -> float:
-        sl = _leaf_slice(grid, root, cube)
-        return float(masses[sl].sum())
 
     b_root = b_family(root)
     a0 = avg(b_root, root)
@@ -339,23 +336,22 @@ def build_stopping(measure, b_family: Callable[[Cube], np.ndarray], root: Cube,
         for S in current:
             b_vec = b_family(S)
             found: list[Cube] = []
-
-            def descend(q: Cube) -> None:
-                if q.i >= grid.i_max:
-                    return
-                for ch in grid.children(q):
-                    a = avg(b_vec, ch)
-                    if a is None:
-                        continue
-                    if abs(a) < c:
-                        found.append(ch)  # maximal: do not descend further
-                    else:
-                        descend(ch)
-
-            descend(S)
+            # Depth first, children left to right: the stack holds the cubes
+            # still to test, the next one on top.
+            stack = list(reversed(grid.children(S))) if S.i < grid.i_max else []
+            while stack:
+                q = stack.pop()
+                a = avg(b_vec, q)
+                if a is None:
+                    continue
+                if abs(a) < c:
+                    found.append(q)  # maximal: do not descend further
+                elif q.i < grid.i_max:
+                    stack.extend(reversed(grid.children(q)))
             for q in found:
                 stop_parent[q] = S
-            packing[S] = sum(cube_mass(q) for q in found) / cube_mass(S)
+            packing[S] = (sum(_cube_mass(masses, grid, root, q) for q in found)
+                          / _cube_mass(masses, grid, root, S))
             nxt.extend(found)
         if not nxt:
             break
@@ -364,28 +360,23 @@ def build_stopping(measure, b_family: Callable[[Cube], np.ndarray], root: Cube,
     return StoppingForest(
         grid=grid, root=root, threshold=c, layers=layers,
         stop_parent=stop_parent, packing_fraction=packing, b_family=b_family,
+        measure=measure, leaf_masses=masses,
     )
 
 
 def carleson_packing(forest: StoppingForest, measure, R: Cube) -> float:
     """sum of mu(S) over stopping S inside R, divided by mu(R)."""
-    grid = forest.grid
-    masses = _leaf_masses(measure, grid, forest.root)
-
-    def cube_mass(cube: Cube) -> float:
-        sl = _leaf_slice(grid, forest.root, cube)
-        return float(masses[sl].sum())
-
-    mR = cube_mass(R) if grid.contains(forest.root, R) else measure.interval_mass(
-        *grid.cube_interval(R)
-    )
+    grid, root = forest.grid, forest.root
+    masses = forest.masses(measure)
+    inside = grid.contains(root, R)
+    mR = _cube_mass(masses, grid, root, R) if inside else measure.interval_mass(*grid.cube_interval(R))
     if mR <= 0:
         return 0.0
     total = 0.0
     for layer in forest.layers:
         for S in layer:
             if grid.contains(R, S):
-                total += cube_mass(S)
+                total += _cube_mass(masses, grid, root, S)
     return total / mR
 
 
@@ -454,9 +445,10 @@ def martingale_decompose(measure, forest: StoppingForest, f: np.ndarray,
 
     f has shape (n,) or (k, n), one row per test function over the root's
     n finest-scale leaves; a 1-D f is the case k = 1 and gives one row.
-    Everything that does not depend on f (leaf masses, cube slices, the b
-    of each cube's stopping ancestor and its averages, with the near-zero
-    check) is computed once per call, and <f>_Q for all rows at once.  The
+    The leaf masses come from the forest (StoppingForest.masses).
+    Everything else that does not depend on f (cube slices, the b of each
+    cube's stopping ancestor and its averages, with the near-zero check) is
+    computed once per call, and <f>_Q for all rows at once.  The
     walk goes generation by generation and keeps only the projections of
     two generations; it builds no closures, so no reference cycle keeps
     its arrays alive after the call.
@@ -475,7 +467,7 @@ def martingale_decompose(measure, forest: StoppingForest, f: np.ndarray,
     if not 1 <= depth <= grid.i_max - root.i:
         raise InvalidParams("depth must lie in 1 .. the grid's finest scale below the root")
     k = rows.shape[0]
-    masses = _leaf_masses(measure, grid, root)
+    masses = forest.masses(measure)
     f_mass = rows * masses
     stopping = forest.all_stopping()
 

@@ -337,6 +337,7 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         cubes.extend((float(a), float(a + b)) for a, b in zip(s, l))
     res = testing_functional(kc, measure, None, cubes, quad)
     report.metrics["tb_cantor_sup"] = res.sup_ratio
+    report.counters["tb_degenerate_cubes"] = res.degenerate
     report.verdicts.append(
         Verdict("8.cantor-pin", res.sup_ratio <= pinned.TB_CANTOR_SUP,
                 f"Cantor-kernel testing sup {res.sup_ratio:.4e} (recorded; grows ~log N)")

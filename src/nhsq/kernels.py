@@ -103,12 +103,15 @@ def phi_v(z):
 
 
 def _phi_v_half_integral(z):
-    """integral of phi_v over [0, z] for z >= 0 (phi_v is even)."""
+    """integral of phi_v over [0, z] for z >= 0 (phi_v is even): min(z, 1)
+    plus the ramp u - u^3 + u^4/2 at u = z - 1 on 1 < z < 2, and 1/2 past it."""
     z = np.asarray(z, dtype=float)
-    core = np.minimum(z, 1.0)
-    u = np.clip(z - 1.0, 0.0, 1.0)
-    ramp = u - u**3 + u**4 / 2.0
-    return core + ramp
+    out = np.minimum(z, 1.0, out=np.empty_like(z))  # an array also for 0-d z
+    out[z >= 2.0] = 1.5
+    on = (z > 1.0) & (z < 2.0)
+    u = z[on] - 1.0
+    out[on] += u - u**3 + u**4 / 2.0
+    return out
 
 
 def phi_v_antiderivative(z):

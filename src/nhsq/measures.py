@@ -409,10 +409,10 @@ def growth_constant(measure, m: float, n_samples: int, seed: int) -> GrowthEstim
     keep = lens > 0.0
     starts, ends, lens = starts[keep], ends[keep], lens[keep]
 
-    if isinstance(measure, CantorMeasure) and measure.depth > 10:
-        # CDF tables are only exact at full depth; fall back to tree descent.
-        masses = np.array([measure.interval_mass(s, e) for s, e in zip(starts, ends)])
-    elif hasattr(measure, "interval_mass_batch"):
+    # CDF tables are only exact at full depth; deeper Cantor measures descend the tree.
+    if hasattr(measure, "interval_mass_batch") and not (
+        isinstance(measure, CantorMeasure) and measure.depth > 10
+    ):
         masses = measure.interval_mass_batch(starts, ends)
     else:
         masses = np.array([measure.interval_mass(s, e) for s, e in zip(starts, ends)])

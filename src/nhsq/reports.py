@@ -40,6 +40,7 @@ class ExperimentReport:
     series_rows: list = field(default_factory=list)  # (n, alpha, g_n, partial, err)
     verdicts: list = field(default_factory=list)
     runtime_seconds: float = 0.0  # reported on stdout only, never serialized
+    counters: dict = field(default_factory=dict)  # stdout only, never serialized
 
     @property
     def all_passed(self) -> bool:

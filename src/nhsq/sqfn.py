@@ -52,7 +52,7 @@ from .kernels import (
     strip_atoms,
 )
 from .logproduct import _segments
-from .measures import CantorMeasure
+from .measures import CantorMeasure, _split_geometry
 
 __all__ = [
     "ConeSpec",
@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+CI_BLOCK_ROWS = 8192  # boundary-zone rows per ci_profile block (2 MB per temporary)
 
 
 def _band_tail_weight(d, t_lo: float, t_hi: float, alpha: float, m: float):
@@ -314,9 +315,10 @@ class CantorSquareContext:
         return b2 * w, b2 * abs(w - w_coarse)
 
     def strip_fraction(self, n: int) -> float:
-        """Mass fraction of the middle children of a generation-n node."""
-        from .measures import _split_geometry
-
+        """Mass fraction of the middle children of a generation-n node
+        (from the geometry table, or built past the measure's depth)."""
+        if n + 1 <= self.measure.depth:
+            return self.measure.geometry[n + 1].strip_mass
         idx = self.measure.params.start_gen + n + 1
         return _split_geometry(idx, self.measure.m, self.measure.params.C).strip_mass
 
@@ -628,6 +630,7 @@ class CubeTestingValue:
 @dataclass
 class TestingResult:
     per_cube: list[CubeTestingValue]
+    degenerate: int = 0  # cubes with a + len == a in floats: box integral 0
 
     @property
     def sup_ratio(self) -> float:
@@ -638,22 +641,23 @@ class TestingResult:
         return max((c.per_length for c in self.per_cube), default=0.0)
 
 
-def _cantor_box_integral(measure: CantorMeasure, ctx: CantorSquareContext,
-                         b_scale: float, a: float, b: float, N: int) -> float:
+def _cantor_box_integral(measure: CantorMeasure, tables: tuple[np.ndarray, np.ndarray],
+                         b_scale: float, a: float, b: float) -> float:
     """Box integral of |theta_t (b_scale * 1)|^2 over [a,b] x (0, b-a).
 
     theta is constant beta(n) on each strip/band region, so the box integral
     is a sum over generations of beta^2 * (strip mass inside [a,b]) * (log
     measure of the band clipped to t < len(R)).  Bands of nodes inside R fit
     entirely (L_J <= 0.2 len(J) <= 0.2 len(R)); only partial boundary nodes
-    need clipping.
+    need clipping.  tables holds the strip fractions and beta^2 of
+    generations 0..N, N <= measure.depth - 1.
     """
     ell = b - a
     if ell <= 0:
         return 0.0
-    N = min(N, measure.depth - 1)
+    strip_frac, beta_sq = tables
+    N = len(strip_frac) - 1
     totals = np.zeros(N + 1)
-    strip_frac = np.array([ctx.strip_fraction(n) for n in range(N + 1)])
 
     def rec(g: int, off: float, length: float, mass: float) -> None:
         if off >= b or off + length <= a or g > N:
@@ -689,8 +693,7 @@ def _cantor_box_integral(measure: CantorMeasure, ctx: CantorSquareContext,
             )
 
     rec(0, 0.0, 1.0, 1.0)
-    betas = np.array([ctx.beta(n) for n in range(N + 1)])
-    return float(b_scale**2 * np.sum(betas**2 * totals))
+    return float(b_scale**2 * np.sum(beta_sq * totals))
 
 
 def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
@@ -732,14 +735,18 @@ def testing_functional(kernel, measure, b, cubes, quad: QuadratureConfig,
     else:
         raise InvalidParams("testing_functional supports b None (=1) or scalar")
     per_cube = []
+    degenerate = sum(1 for (ca, cb) in cubes if not cb > ca)
     if isinstance(kernel, CantorKernel):
         ctx = context if context is not None else CantorSquareContext(measure, quad)
+        gens = range(min(quad.trunc_generation, measure.depth - 1) + 1)
+        tables = (np.array([ctx.strip_fraction(n) for n in gens]),
+                  np.array([ctx.beta(n) for n in gens]) ** 2)
         for (ca, cb) in cubes:
-            box = _cantor_box_integral(measure, ctx, b_scale, ca, cb, quad.trunc_generation)
+            box = _cantor_box_integral(measure, tables, b_scale, ca, cb)
             mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
             m3 = measure.interval_mass(mid - 3 * half, mid + 3 * half)
             per_cube.append(CubeTestingValue((ca, cb), box, m3, cb - ca))
-        return TestingResult(per_cube)
+        return TestingResult(per_cube, degenerate)
     if isinstance(kernel, LogProductKernel):
         for (ca, cb) in cubes:
             fa, fb = Fraction(ca), Fraction(cb)
@@ -747,7 +754,7 @@ def testing_functional(kernel, measure, b, cubes, quad: QuadratureConfig,
             mid, half = float(fa + fb) / 2.0, float(fb - fa) / 2.0
             m3 = measure.interval_mass(mid - 3 * half, mid + 3 * half)
             per_cube.append(CubeTestingValue((float(fa), float(fb)), box, m3, float(fb - fa)))
-        return TestingResult(per_cube)
+        return TestingResult(per_cube, degenerate)
     raise InvalidParams("testing_functional supports the Cantor and log-product kernels")
 
 
@@ -796,19 +803,22 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
         lnL = math.log(ell)
         # Saturated part: 9 * (length of [max(-A, min(ln sat, lnL)) .. ] below lnL).
         upper = np.minimum(ln_sat, lnL)
-        closed = 9.0 * np.maximum(0.0, upper + A)
-        inner = closed
+        inner = 9.0 * np.maximum(0.0, upper + A)
         lo = np.maximum(ln_sat, -A)
         mask = lo < lnL
         if mask.any():
-            span = lnL - lo[mask]
+            rows = np.flatnonzero(mask)
+            numeric = np.empty(rows.size)
             u = (np.arange(steps) + 0.5) / steps
-            lnT = lo[mask, None] + span[:, None] * u[None, :]
-            t = np.exp(lnT)
-            x = mids[mask, None]
-            theta = phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
-            numeric = span * np.mean(theta**2, axis=1)
-            inner = closed.copy()
+            # Row blocks bound the (rows x steps) temporaries; each row's
+            # mean is reduced on its own, so blocking moves no digit.
+            for i in range(0, rows.size, CI_BLOCK_ROWS):
+                blk = rows[i:i + CI_BLOCK_ROWS]
+                span = lnL - lo[blk]
+                t = np.exp(lo[blk, None] + span[:, None] * u[None, :])
+                x = mids[blk, None]
+                theta = phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
+                numeric[i:i + blk.size] = span * np.mean(theta**2, axis=1)
             inner[mask] += numeric
         cube = np.floor(mids / ell).astype(int)
         boxes = np.bincount(cube, weights=widths * inner, minlength=2**d)

@@ -111,6 +111,15 @@ def test_criterion_8_testing_condition(reports):
     _record("8", ok, v.detail)
 
 
+def test_criterion_8_degenerate_cubes_counted(reports):
+    # 1,632 of the 5,461 Cantor cubes (generations 5 and 6) have a + len == a
+    # in floats and a zero box integral; the count goes to stdout only.
+    rep = reports["tb-testing"]
+    n = rep.counters.get("tb_degenerate_cubes")
+    assert b"degenerate" not in rep.to_json_bytes()
+    _record("8.degenerate", n == 1632, f"{n} degenerate cubes (expected 1632)")
+
+
 def test_criterion_9_moment_blowup(reports):
     rep = reports["logproduct"]
     v = _verdict(rep, "9")

@@ -197,6 +197,64 @@ def test_stopping_flip_fixture_hand_computed(grid, lebesgue):
     assert 0 < tau < 1
 
 
+def _recursive_maximal_cubes(grid, masses, b_vec, S, c):
+    # The maximal cubes below S with |<b_vec>| < c, children left to right.
+    found = []
+    for ch in grid.children(S) if S.i < grid.i_max else ():
+        sl = _leaf_slice(grid, Cube(0, 0), ch)
+        mass = float(masses[sl].sum())
+        if mass <= 0.0:
+            continue
+        if abs(float(np.sum(b_vec[sl] * masses[sl])) / mass) < c:
+            found.append(ch)
+        else:
+            found += _recursive_maximal_cubes(grid, masses, b_vec, ch, c)
+    return found
+
+
+def test_stopping_layers_match_recursive_search(grid, lebesgue):
+    mu = CantorMeasure(CantorParams(m=M, C=16.0, depth=8))
+
+    def tilt_b(cube):
+        # 1 on the left half of the cube, -0.2 on the right half.
+        s, ln = grid.cube_units(cube)
+        v = np.ones(256)
+        v[s + ln // 2:s + ln] = -0.2
+        return v
+
+    for measure, b_family, c in ((lebesgue, _flip_b(grid, 256), 0.25),
+                                 (mu, tilt_b, 0.25),
+                                 (lebesgue, lambda cube: np.ones(256), 0.5)):
+        forest = build_stopping(measure, b_family, Cube(0, 0), c, 8, grid)
+        masses = _leaf_masses(measure, grid, Cube(0, 0))
+        layers = [[Cube(0, 0)]]
+        while True:
+            nxt = [q for S in layers[-1]
+                   for q in _recursive_maximal_cubes(grid, masses, b_family(S), S, c)]
+            if not nxt or len(layers) > 8:
+                break
+            layers.append(nxt)
+        assert forest.layers == layers
+        assert np.array_equal(forest.leaf_masses, masses)
+
+
+def test_leaf_masses_computed_once_per_forest(grid, lebesgue, monkeypatch):
+    import nhsq.dyadic as dyadic
+
+    calls = []
+    real = dyadic._leaf_masses
+    monkeypatch.setattr(dyadic, "_leaf_masses", lambda *a: calls.append(a) or real(*a))
+    forest = build_stopping(lebesgue, _flip_b(grid, 256), Cube(0, 0), 0.25, 8, grid)
+    carleson_packing(forest, lebesgue, Cube(0, 0))
+    martingale_decompose(lebesgue, forest, np.ones(256), depth=8)
+    assert len(calls) == 1
+    assert not forest.leaf_masses.flags.writeable
+    # Another measure gets its own masses, not the forest's.
+    other = LebesgueInterval(0.0, 0.5)
+    assert carleson_packing(forest, other, Cube(1, 0)) > 0.0
+    assert len(calls) == 2
+
+
 def test_packing_bound(grid, lebesgue):
     forest = build_stopping(lebesgue, _flip_b(grid, 256), Cube(0, 0), 0.25, 8, grid)
     tau = forest.max_packing_fraction()

@@ -209,6 +209,22 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_cli_prints_counters_not_serialized(tmp_path, monkeypatch, capsys):
+    import nhsq.cli as cli
+
+    def fake_run(cfg):
+        report = ExperimentReport(name=cfg.experiment, config={})
+        report.counters["things"] = 3
+        return report
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    assert cli_main(["run", "growth", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["counter: things = 3", lines[-1]]
+    assert lines[-1].startswith("runtime: ")
+    assert b"things" not in (tmp_path / "growth" / "report.json").read_bytes()
+
+
 def test_cli_svg_flag(tmp_path):
     proc = _run_cli(
         ["run", "aperture", "--depth", "6", "--alpha", "1.0,2.0", "--svg",

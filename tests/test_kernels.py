@@ -81,6 +81,32 @@ def test_phi_v_profile():
     assert num == pytest.approx(PHI_V_TOTAL, rel=1e-8)
 
 
+def _phi_v_antiderivative_clip(z):
+    # The full-array clip formula: the ramp is evaluated on every element,
+    # giving exactly 0.0 where |z| <= 1 and 1/2 where |z| >= 2.
+    z = np.asarray(z, dtype=float)
+    a = np.abs(z)
+    u = np.clip(a - 1.0, 0.0, 1.0)
+    out = 1.5 + np.sign(z) * (np.minimum(a, 1.0) + (u - u**3 + u**4 / 2.0))
+    return out if out.ndim else float(out)
+
+
+def test_phi_v_antiderivative_matches_clip_formula_bitwise():
+    edges = np.array([0.0, 1.0, 2.0, -0.0, -1.0, -2.0])
+    z = np.concatenate([
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        np.random.default_rng(7).uniform(-3.0, 3.0, 20001),
+        [np.inf, -np.inf, np.nan],
+    ])
+    for arg in (z, z.reshape(-1, 3)):
+        got, want = phi_v_antiderivative(arg), _phi_v_antiderivative_clip(arg)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for v in (0.0, -0.0, 1.0, -1.5, 2.5, math.inf, math.nan):
+        got, want = phi_v_antiderivative(v), _phi_v_antiderivative_clip(v)
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
 def test_cantor_kernel_values(measure, kernel):
     geo = measure.geometry[1]
     L = geo.L

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from nhsq import sqfn
 from nhsq.errors import EmptyCubeList, InvalidParams, OracleMismatch
 from nhsq.kernels import CantorKernel, LogProductKernel, bump, node_atoms, strip_atoms
 from nhsq.logproduct import build_logproduct
-from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval
+from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
 from nhsq.sqfn import (
     CantorSquareContext,
     ConeSpec,
@@ -24,6 +25,7 @@ from nhsq.sqfn import (
     vertical_value,
     weak11_functional,
     _band_tail_weight,
+    _cantor_box_integral,
     _logproduct_box_integral,
     _node_coefficient,
     _pruned_coefficient,
@@ -531,6 +533,47 @@ def test_testing_functional_cantor(measure, quad, ctx):
     sv = vertical_norm_series(measure, 10, quad, context=ctx)
     assert res.per_cube[0].box_integral == pytest.approx(sv.total, rel=1e-9)
     assert res.sup_ratio > 0
+
+
+def test_box_integral_shared_tables_match_fresh_context(measure, quad):
+    # testing_functional builds the strip-fraction and beta tables once per
+    # call; per cube, a fresh context with strip fractions straight from
+    # _split_geometry gives the same bits.
+    kernel = CantorKernel(measure)
+    s, l, _ = measure.leaf_table(2)
+    cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
+    cubes += [(float(a), float(a + b)) for a, b in zip(s[::5], l[::5])]
+    res = sq_testing_functional(kernel, measure, 2.0, cubes, quad)
+    N = min(quad.trunc_generation, measure.depth - 1)
+    for (a, b), value in zip(cubes, res.per_cube):
+        fresh = CantorSquareContext(measure, quad)
+        strip = np.array([_split_geometry(n + 1, M, C).strip_mass for n in range(N + 1)])
+        beta_sq = np.array([fresh.beta(n) for n in range(N + 1)]) ** 2
+        assert _cantor_box_integral(measure, (strip, beta_sq), 2.0, a, b) == value.box_integral
+        assert [fresh.strip_fraction(n) for n in range(N + 1)] == strip.tolist()
+    # Beyond the measure's depth the strip fraction is built on demand.
+    shallow = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=3)), quad)
+    assert shallow.strip_fraction(5) == _split_geometry(6, M, C).strip_mass
+
+
+def test_testing_functional_counts_degenerate_cubes(measure, quad, ctx):
+    kernel = CantorKernel(measure)
+    tiny = float(measure.leaf_table(10)[1].min())
+    cubes = [(0.0, 1.0), (0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.2, 0.3)]
+    assert 0.75 + tiny / 4 == 0.75 and tiny > 0
+    res = sq_testing_functional(kernel, measure, None, cubes, quad, context=ctx)
+    assert res.degenerate == 2
+    assert [c.box_integral for c in res.per_cube[1:3]] == [0.0, 0.0]
+    full = sq_testing_functional(kernel, measure, None, [(0.0, 1.0)], quad, context=ctx)
+    assert full.degenerate == 0
+
+
+def test_ci_profile_row_blocks_move_no_digit(quad, monkeypatch):
+    kv = LogProductKernel(build_logproduct("demo", 3))
+    default = ci_profile(kv, 4, quad)
+    for rows in (1, 7):
+        monkeypatch.setattr(sqfn, "CI_BLOCK_ROWS", rows)
+        assert ci_profile(kv, 4, quad) == default
 
 
 def test_logproduct_box_vs_ci_profile(quad):
