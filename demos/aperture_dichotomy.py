@@ -35,9 +35,8 @@ print(f"bump mass constant beta(n) ranges over "
       f"{max(ctx.beta(n) for n in range(N + 1)):.4f}]")
 print()
 
-series = {}
-for alpha in (1.0, 1.5, 2.0):
-    series[alpha] = conical_norm_series(measure, ConeSpec(alpha, M), N, quad, context=ctx)
+cones = [ConeSpec(alpha, M) for alpha in (1.0, 1.5, 2.0)]
+series = {s.alpha: s for s in conical_norm_series(measure, cones, N, quad, context=ctx)}
 
 print(f"{'n':>4} {'g(n,1)*(n+1)^2':>16} {'g(n,2)*C(n+1)':>16} "
       f"{'P_n(1)':>12} {'P_n(2)':>12}")
@@ -60,10 +59,7 @@ for n0 in (8, 16):
     c_fit = (p2[2 * n0] - p2[n0]) * C / np.log(2.0)
     print(f"aperture-2 doubling increment, N={n0:>2}: fitted c = {c_fit:.4f}")
 
-worst = max(
-    validate_collapse(CantorMeasure(CantorParams(m=M, C=C, depth=9)),
-                      ConeSpec(a, M), 3, QuadratureConfig(32, 6, 1e-3, 3))
-    for a in (1.0, 1.5, 2.0)
-)
+worst = validate_collapse(CantorMeasure(CantorParams(m=M, C=C, depth=9)),
+                          cones, 3, QuadratureConfig(32, 6, 1e-3, 3))
 print(f"\ncollapsed vs brute-force 4^n enumeration (n <= 3): "
       f"worst relative difference {worst:.2e}")

@@ -144,12 +144,12 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     measure = cfg.measure()
     quad = cfg.quad()
     ctx = CantorSquareContext(measure, quad)
+    cones = [ConeSpec(alpha, cfg.m) for alpha in cfg.alphas]
     series = {}
-    for alpha in cfg.alphas:
-        s = conical_norm_series(measure, ConeSpec(alpha, cfg.m), cfg.N, quad, context=ctx)
-        series[alpha] = s
+    for s in conical_norm_series(measure, cones, cfg.N, quad, context=ctx):
+        series[s.alpha] = s
         report.add_series(s)
-        report.metrics[f"total_alpha_{alpha}"] = s.total
+        report.metrics[f"total_alpha_{s.alpha}"] = s.total
 
     if 1.0 in series and cfg.N >= 40:
         s1 = series[1.0]
@@ -176,13 +176,8 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
             Verdict("1b", ok, f"fitted c: {cs[8]:.4f} (N=8), {cs[16]:.4f} (N=16)")
         )
 
-    worst = 0.0
     oracle_measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=9))
-    for alpha in cfg.alphas:
-        worst = max(
-            worst,
-            validate_collapse(oracle_measure, ConeSpec(alpha, cfg.m), 3, cfg.quad(trunc=3)),
-        )
+    worst = validate_collapse(oracle_measure, cones, 3, cfg.quad(trunc=3))
     report.metrics["collapse_worst_rel_err"] = worst
     report.verdicts.append(Verdict("2", worst <= 0.01, f"collapse vs enumeration: {worst:.2e}"))
 
@@ -192,7 +187,7 @@ def _exp_vertical(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     quad = cfg.quad()
     ctx = CantorSquareContext(measure, quad)
     sv = vertical_norm_series(measure, cfg.N, quad, context=ctx)
-    s2 = conical_norm_series(measure, ConeSpec(2.0, cfg.m), cfg.N, quad, context=ctx)
+    [s2] = conical_norm_series(measure, [ConeSpec(2.0, cfg.m)], cfg.N, quad, context=ctx)
     report.add_series(sv)
     report.metrics["vertical_total"] = sv.total
 

@@ -12,6 +12,14 @@ generation-n template, and sum mu(I) = 1 collapses the 4**n node sum to a
 single template quadrature.  The collapse is validated against direct node
 enumeration at shallow depth (OracleMismatch if they disagree).
 
+The collapsed series, its enumeration oracle and validate_collapse take a
+sequence of cones and answer for all of them in one pass: the geometry that
+does not depend on alpha (template strip atoms, leaf table and |u - y|
+distances per (n, y resolution), or one oracle node's atoms, theta and
+distances) is built once, and the band tail weight and its matrix product
+are evaluated once per aperture on it, so every aperture's sums run in the
+same order as for a lone cone.
+
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
 (y, t) in its strip/band region (the strip sits 2 L_I from the node ends
 while alpha t <= 2 L_I), so the template quadrature with balls clipped to
@@ -139,6 +147,17 @@ def _check_collapse_aperture(cone: ConeSpec, measure) -> None:
         )
 
 
+def _collapse_alphas(cones, measure) -> list[float]:
+    """The apertures of a batch of cones, in order; every cone is checked
+    before any work starts."""
+    cones = list(cones)
+    if not cones:
+        raise InvalidParams("the collapsed norm series needs at least one cone")
+    for cone in cones:
+        _check_collapse_aperture(cone, measure)
+    return [cone.alpha for cone in cones]
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     t_steps_per_band: int = 32
@@ -251,8 +270,9 @@ class CantorSquareContext:
     """Caches per-generation template quantities for one (measure, quad) pair.
 
     beta(n): the normalized bump integral of generation-n nodes, i.e.
-    theta_t 1 on an active strip.  band_weight(n, alpha): the normalized
-    strip x band integral of mu(B(y, alpha t)) / t^m against dmu dt/t.
+    theta_t 1 on an active strip.  band_weights(n, alphas): the normalized
+    strip x band integral of mu(B(y, alpha t)) / t^m against dmu dt/t, one
+    per aperture.  Only the last template is kept: callers walk n outermost.
     """
 
     def __init__(self, measure: CantorMeasure, quad: QuadratureConfig):
@@ -261,18 +281,13 @@ class CantorSquareContext:
         self.quad = quad
         self._beta: dict[int, float] = {}
         self._weight: dict[tuple[int, float, int], float] = {}
-        self._tpl_cache: dict[int, CantorMeasure] = {}
+        self._tpl: Optional[tuple[int, CantorMeasure]] = None
 
     def _template(self, n: int) -> CantorMeasure:
-        if n not in self._tpl_cache:
+        if self._tpl is None or self._tpl[0] != n:
             depth = min(self.quad.y_resolution_depth + 2, 9)
-            self._tpl_cache[n] = self.measure.template(n, depth=depth)
-            if len(self._tpl_cache) > 4:
-                # Keep the working set small; templates are cheap to rebuild.
-                oldest = next(iter(self._tpl_cache))
-                if oldest != n:
-                    del self._tpl_cache[oldest]
-        return self._tpl_cache[n]
+            self._tpl = (n, self.measure.template(n, depth=depth))
+        return self._tpl[1]
 
     def beta(self, n: int) -> float:
         """integral of phi_I dmu / mu(I) for generation-n nodes; phi_I pulled
@@ -285,34 +300,40 @@ class CantorSquareContext:
             self._beta[n] = float(np.sum(masses * np.sin(np.pi * mids) ** 2))
         return self._beta[n]
 
-    def band_weight(self, n: int, alpha: float, y_depth: Optional[int] = None) -> float:
-        """Normalized integral over strip x [L/2, L] of nu(B(u, alpha s))/s^m ds/s.
+    def band_weights(self, n: int, alphas, y_depth: Optional[int] = None) -> list[float]:
+        """Normalized integral over strip x [L/2, L] of nu(B(u, alpha s))/s^m ds/s,
+        one per aperture in alphas.
 
         Exact in t via the band tail weight; spatial integrals by measure
-        atoms at the configured resolution (midpoint per atom).
+        atoms at the configured resolution (midpoint per atom).  The strip
+        atoms, leaf table and distances are built once for all apertures not
+        cached yet; each tails buffer is freed before the next is made.
         """
         y_depth = self.quad.y_resolution_depth if y_depth is None else y_depth
-        key = (n, alpha, y_depth)
-        if key not in self._weight:
+        missing = [a for a in dict.fromkeys(alphas) if (n, a, y_depth) not in self._weight]
+        if missing:
             tpl = self._template(n)
             Lhat = tpl.geometry[1].L
             extra = min(max(y_depth - 3, 1), tpl.depth - 1)
             u_mids, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, extra)
             starts, lens, y_w = tpl.leaf_table(min(y_depth, tpl.depth))
-            y_mids = starts + lens / 2.0
-            m = self.measure.m
-            tails = _band_tail_weight(
-                _distances(u_mids, y_mids), Lhat / 2.0, Lhat, alpha, m
-            )
-            self._weight[key] = float(u_w @ tails @ y_w)
-        return self._weight[key]
+            d = _distances(u_mids, starts + lens / 2.0)
+            for alpha in missing:
+                tails = _band_tail_weight(d, Lhat / 2.0, Lhat, alpha, self.measure.m)
+                self._weight[n, alpha, y_depth] = float(u_w @ tails @ y_w)
+                del tails
+        return [self._weight[n, a, y_depth] for a in alphas]
 
-    def g_term(self, n: int, alpha: float) -> tuple[float, float]:
-        """(g(n, alpha), error estimate) for the conical norm series."""
+    def band_weight(self, n: int, alpha: float, y_depth: Optional[int] = None) -> float:
+        """band_weights for one aperture."""
+        return self.band_weights(n, (alpha,), y_depth)[0]
+
+    def g_term(self, n: int, alphas) -> list[tuple[float, float]]:
+        """(g(n, alpha), error estimate) per aperture for the conical norm series."""
         b2 = self.beta(n) ** 2
-        w = self.band_weight(n, alpha)
-        w_coarse = self.band_weight(n, alpha, y_depth=self.quad.y_resolution_depth - 1)
-        return b2 * w, b2 * abs(w - w_coarse)
+        fine = self.band_weights(n, alphas)
+        coarse = self.band_weights(n, alphas, y_depth=self.quad.y_resolution_depth - 1)
+        return [(b2 * w, b2 * abs(w - wc)) for w, wc in zip(fine, coarse)]
 
     def strip_fraction(self, n: int) -> float:
         """Mass fraction of the middle children of a generation-n node
@@ -328,23 +349,25 @@ class CantorSquareContext:
 
 
 def conical_norm_series(
-    measure: CantorMeasure, cone: ConeSpec, N: int, quad: QuadratureConfig,
+    measure: CantorMeasure, cones, N: int, quad: QuadratureConfig,
     context: Optional[CantorSquareContext] = None,
-) -> NormSeries:
-    """||S_alpha(1)||^2 per-generation series via the template collapse."""
-    _check_collapse_aperture(cone, measure)
+) -> list[NormSeries]:
+    """||S_alpha(1)||^2 per-generation series via the template collapse, one
+    per cone, in order; generation n is done for all apertures at once."""
+    alphas = _collapse_alphas(cones, measure)
     ctx = context if context is not None else CantorSquareContext(measure, quad)
-    terms = np.zeros(N + 1)
-    errs = np.zeros(N + 1)
-    for n in range(N + 1):
-        terms[n], errs[n] = ctx.g_term(n, cone.alpha)
-    series = NormSeries(alpha=cone.alpha, terms=terms, err_est=errs)
-    if float(errs.sum()) > quad.rel_tol * max(series.total, 1e-300):
-        raise QuadratureBudgetExceeded(
-            f"series error estimate {errs.sum():.3e} exceeds rel_tol {quad.rel_tol} "
-            f"of total {series.total:.3e}; raise y_resolution_depth"
-        )
-    return series
+    g = np.array([ctx.g_term(n, alphas) for n in range(N + 1)])  # (N + 1, cones, 2)
+    out = []
+    for k, alpha in enumerate(alphas):
+        terms, errs = g[:, k, 0].copy(), g[:, k, 1].copy()
+        series = NormSeries(alpha=alpha, terms=terms, err_est=errs)
+        if float(errs.sum()) > quad.rel_tol * max(series.total, 1e-300):
+            raise QuadratureBudgetExceeded(
+                f"series error estimate {errs.sum():.3e} exceeds rel_tol {quad.rel_tol} "
+                f"of total {series.total:.3e} at alpha={alpha}; raise y_resolution_depth"
+            )
+        out.append(series)
+    return out
 
 
 def vertical_norm_series(
@@ -358,21 +381,23 @@ def vertical_norm_series(
 
 
 def direct_norm_series(
-    measure: CantorMeasure, cone: ConeSpec, N: int, quad: QuadratureConfig
-) -> NormSeries:
-    """Brute-force oracle: enumerate all 4**n nodes per generation.
+    measure: CantorMeasure, cones, N: int, quad: QuadratureConfig
+) -> list[NormSeries]:
+    """Brute-force oracle: enumerate all 4**n nodes per generation, one series
+    per cone, in order.
 
     Uses absolute coordinates and global ball masses; no template collapse.
-    Intended for shallow N (cost 4**N nodes at generation N).
+    Each node's atoms, theta and distances serve every aperture.  Intended
+    for shallow N (cost 4**N nodes at generation N).
     """
-    _check_collapse_aperture(cone, measure)
+    alphas = _collapse_alphas(cones, measure)
     if N > 6:
         raise InvalidParams("direct enumeration is intended for N <= 6")
     if measure.depth < N + 3:
         raise InvalidParams("measure too shallow for the requested oracle depth")
     m = measure.m
     y_extra = min(quad.y_resolution_depth, measure.depth - N, 5)
-    terms = np.zeros(N + 1)
+    terms = [np.zeros(N + 1) for _ in alphas]
     for n in range(N + 1):
         starts, lens, masses = measure.leaf_table(n)
         geo = measure.geometry[n + 1]
@@ -384,26 +409,31 @@ def direct_norm_series(
             theta = float(np.sum(a_w * bump((a_m - center) / length))) / length**m
             s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
             # Balls stay inside the node for alpha <= 2, so node atoms suffice.
-            tails = _band_tail_weight(
-                _distances(s_mids, a_m), L_abs / 2.0, L_abs, cone.alpha, m
-            )
-            terms[n] += theta**2 * float(s_w @ tails @ a_w)
-    return NormSeries(alpha=cone.alpha, terms=terms, err_est=np.zeros(N + 1))
+            d = _distances(s_mids, a_m)
+            for k, alpha in enumerate(alphas):
+                tails = _band_tail_weight(d, L_abs / 2.0, L_abs, alpha, m)
+                terms[k][n] += theta**2 * float(s_w @ tails @ a_w)
+                del tails
+    return [NormSeries(alpha=a, terms=t, err_est=np.zeros(N + 1)) for a, t in zip(alphas, terms)]
 
 
 def validate_collapse(
-    measure: CantorMeasure, cone: ConeSpec, N: int, quad: QuadratureConfig, tol: float = 0.01
+    measure: CantorMeasure, cones, N: int, quad: QuadratureConfig, tol: float = 0.01
 ) -> float:
-    """Max relative disagreement between collapsed and enumerated g(n, alpha)."""
-    collapsed = conical_norm_series(measure, cone, N, quad)
-    direct = direct_norm_series(measure, cone, N, quad)
-    rel = np.abs(collapsed.terms - direct.terms) / np.maximum(direct.terms, 1e-300)
-    worst = float(rel.max())
-    if worst > tol:
-        raise OracleMismatch(
-            f"collapsed vs enumerated terms disagree by {worst:.2%} (tol {tol:.0%}) "
-            f"at alpha={cone.alpha}"
-        )
+    """Max relative disagreement between collapsed and enumerated g(n, alpha)
+    over all cones; OracleMismatch names the first aperture past tol."""
+    collapsed = conical_norm_series(measure, cones, N, quad)
+    direct = direct_norm_series(measure, cones, N, quad)
+    worst = 0.0
+    for c, d in zip(collapsed, direct):
+        rel = np.abs(c.terms - d.terms) / np.maximum(d.terms, 1e-300)
+        err = float(rel.max())
+        if err > tol:
+            raise OracleMismatch(
+                f"collapsed vs enumerated terms disagree by {err:.2%} (tol {tol:.0%}) "
+                f"at alpha={c.alpha}"
+            )
+        worst = max(worst, err)
     return worst
 
 
@@ -598,7 +628,7 @@ def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
             _, _, mn = measure.leaf_table(n)
             total += ctx.band_weight(n, cone.alpha) * float(np.sum(mn * coeffs[n] ** 2))
         for n in range(D, N + 1):
-            g, _ = ctx.g_term(n, cone.alpha)
+            [(g, _)] = ctx.g_term(n, (cone.alpha,))
             total += g * fsq
         ratio = total / fsq
         ratios.append(ratio)
@@ -659,16 +689,20 @@ def _cantor_box_integral(measure: CantorMeasure, tables: tuple[np.ndarray, np.nd
     N = len(strip_frac) - 1
     totals = np.zeros(N + 1)
 
-    def rec(g: int, off: float, length: float, mass: float) -> None:
+    # Depth-first, children popped in digit order (pushed last digit first):
+    # this order fixes the summation order of every totals[n] +=.
+    stack = [(0, 0.0, 1.0, 1.0)]
+    while stack:
+        g, off, length, mass = stack.pop()
         if off >= b or off + length <= a or g > N:
-            return
+            continue
         if a <= off and off + length <= b:
             # Bulk: every deeper generation of this subtree contributes fully.
             for n in range(g, N + 1):
                 totals[n] += mass * strip_frac[n] * LN2
-            return
+            continue
         if g + 1 > measure.depth:
-            return
+            continue
         geo = measure.geometry[g + 1]
         L_abs = geo.L * length
         t_hi, t_lo = min(L_abs, ell), L_abs / 2.0
@@ -684,15 +718,14 @@ def _cantor_box_integral(measure: CantorMeasure, tables: tuple[np.ndarray, np.nd
                         mass * geo.child_masses[j], ca, cb,
                     )
             totals[g] += sm * math.log(t_hi / t_lo)
-        for j in range(4):
-            rec(
+        for j in (3, 2, 1, 0):
+            stack.append((
                 g + 1,
                 off + geo.child_offsets[j] * length,
                 geo.child_lengths[j] * length,
                 mass * geo.child_masses[j],
-            )
+            ))
 
-    rec(0, 0.0, 1.0, 1.0)
     return float(b_scale**2 * np.sum(beta_sq * totals))
 
 

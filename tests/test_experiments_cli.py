@@ -177,17 +177,32 @@ def test_cli_usage_errors(tmp_path):
         assert len(proc.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("seed", [20250808, 1, 2, 3])
-def test_stopping_report_matches_benchmark_reference(seed, tmp_path):
-    # The batched martingale decomposition keeps every digit: report.json and
-    # series.csv equal the benchmark's recorded reference bytes, including
-    # the failing energy verdict at seeds 1 and 3.
+def _assert_reference_bytes(experiment, seed, tmp_path):
+    """report.json and series.csv equal the benchmark's recorded reference
+    bytes, and the run passes exactly when the reference run did."""
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    ref = json.loads(reference.read_text())[str(seed)]["stopping"]
-    report = run(ExperimentConfig(experiment="stopping", seed=seed))
+    ref = json.loads(reference.read_text())[str(seed)][experiment]
+    report = run(ExperimentConfig(experiment=experiment, seed=seed))
     for path in report.write(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"][path.name]
     assert report.all_passed == (ref["exit"] == 0)
+
+
+@pytest.mark.parametrize("seed", [20250808, 1, 2, 3])
+def test_stopping_report_matches_benchmark_reference(seed, tmp_path):
+    # The batched martingale decomposition keeps every digit, including the
+    # failing energy verdict at seeds 1 and 3.
+    _assert_reference_bytes("stopping", seed, tmp_path)
+
+
+@pytest.mark.parametrize("experiment, seed", [
+    ("aperture", 20250808),  # aperture and vertical ignore the seed
+    ("vertical", 20250808),
+    *(("l2-bound", seed) for seed in (20250808, 1, 2, 3)),
+])
+def test_collapse_reports_match_benchmark_reference(experiment, seed, tmp_path):
+    # The aperture-batched collapse series and oracle keep every digit.
+    _assert_reference_bytes(experiment, seed, tmp_path)
 
 
 def test_cli_refuses_wide_aperture(tmp_path):
@@ -196,6 +211,19 @@ def test_cli_refuses_wide_aperture(tmp_path):
                      "--out", str(tmp_path)])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: the collapsed norm series needs aperture <= 2")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "aperture" / "report.json").exists()
+
+
+def test_cli_budget_error_names_aperture(tmp_path):
+    # A spent quadrature budget is a one-line error naming the aperture.
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps({"rel_tol": 1e-9}))
+    proc = _run_cli(["run", "aperture", "--config", str(cfg), "--alpha", "1.5,2.0",
+                     "--depth", "12", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: series error estimate")
+    assert "at alpha=1.5; raise y_resolution_depth" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "aperture" / "report.json").exists()
 

@@ -1,10 +1,17 @@
+import gc
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nhsq import sqfn
-from nhsq.errors import EmptyCubeList, InvalidParams, OracleMismatch
+from nhsq.errors import (
+    EmptyCubeList,
+    InvalidParams,
+    OracleMismatch,
+    QuadratureBudgetExceeded,
+)
 from nhsq.kernels import CantorKernel, LogProductKernel, bump, node_atoms, strip_atoms
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
@@ -77,8 +84,8 @@ def test_cone_exponent_must_match_measure(measure, kernel, quad, ctx):
     for m in (0.1, math.nan):
         cone = ConeSpec(1.0, m)
         routes = (
-            lambda: conical_norm_series(measure, cone, 10, quad, context=ctx),
-            lambda: direct_norm_series(measure, cone, 3, quad3),
+            lambda: conical_norm_series(measure, [cone], 10, quad, context=ctx),
+            lambda: direct_norm_series(measure, [cone], 3, quad3),
             lambda: conical_value(kernel, measure, None, 0.3, cone, quad),
             lambda: l2_operator_ratio(measure, [fone], cone, quad, context=ctx),
             lambda: snorm_by_x_integration(measure, None, cone, quad3),
@@ -89,7 +96,7 @@ def test_cone_exponent_must_match_measure(measure, kernel, quad, ctx):
 
 
 def test_series_shapes_and_monotone(measure, quad, ctx):
-    s1 = conical_norm_series(measure, ConeSpec(1.0, M), 10, quad, context=ctx)
+    [s1] = conical_norm_series(measure, [ConeSpec(1.0, M)], 10, quad, context=ctx)
     assert len(s1.terms) == 11
     assert np.all(s1.terms >= 0)
     assert np.all(np.diff(s1.partial_sums) >= 0)
@@ -99,8 +106,9 @@ def test_series_shapes_and_monotone(measure, quad, ctx):
 
 
 def test_aperture_dichotomy_shape(measure, quad, ctx):
-    s1 = conical_norm_series(measure, ConeSpec(1.0, M), 10, quad, context=ctx)
-    s2 = conical_norm_series(measure, ConeSpec(2.0, M), 10, quad, context=ctx)
+    s1, s2 = conical_norm_series(
+        measure, [ConeSpec(1.0, M), ConeSpec(2.0, M)], 10, quad, context=ctx
+    )
     # alpha = 1 terms decay quadratically; alpha = 2 terms only harmonically.
     k1 = [s1.terms[n] * (n + 1) ** 2 for n in range(11)]
     k2 = [s2.terms[n] * C * (n + 1) for n in range(11)]
@@ -110,17 +118,15 @@ def test_aperture_dichotomy_shape(measure, quad, ctx):
 
 
 def test_aperture_monotone_in_alpha(measure, quad, ctx):
-    series = {
-        a: conical_norm_series(measure, ConeSpec(a, M), 8, quad, context=ctx).terms
-        for a in (1.0, 1.5, 2.0)
-    }
+    cones = [ConeSpec(a, M) for a in (1.0, 1.5, 2.0)]
+    series = {s.alpha: s.terms for s in conical_norm_series(measure, cones, 8, quad, context=ctx)}
     assert np.all(series[1.0] <= series[1.5] + 1e-18)
     assert np.all(series[1.5] <= series[2.0] + 1e-18)
 
 
 def test_collapse_against_enumeration(measure, quad):
     for alpha in (1.0, 1.5, 2.0):
-        worst = validate_collapse(measure, ConeSpec(alpha, M), 3, quad, tol=0.01)
+        worst = validate_collapse(measure, [ConeSpec(alpha, M)], 3, quad, tol=0.01)
         assert worst <= 0.01
 
 
@@ -129,11 +135,11 @@ def test_collapse_refuses_wide_aperture(measure, quad, ctx):
     # that mass, so every collapsed route refuses instead of answering.
     wide = ConeSpec(2.5, M)
     with pytest.raises(InvalidParams):
-        conical_norm_series(measure, wide, 4, quad, context=ctx)
+        conical_norm_series(measure, [wide], 4, quad, context=ctx)
     with pytest.raises(InvalidParams):
-        direct_norm_series(measure, wide, 2, quad)
+        direct_norm_series(measure, [wide], 2, quad)
     with pytest.raises(InvalidParams):
-        validate_collapse(measure, wide, 2, quad)
+        validate_collapse(measure, [wide], 2, quad)
     with pytest.raises(InvalidParams):
         l2_operator_ratio(measure, [LeafFunction.constant(measure, 2)], wide, quad, context=ctx)
     # The pointwise value sums over the nodes containing x, which misses the
@@ -144,7 +150,7 @@ def test_collapse_refuses_wide_aperture(measure, quad, ctx):
 
 def test_collapse_mismatch_raises(measure, quad):
     with pytest.raises(OracleMismatch):
-        validate_collapse(measure, ConeSpec(1.0, M), 3, quad, tol=1e-12)
+        validate_collapse(measure, [ConeSpec(1.0, M)], 3, quad, tol=1e-12)
 
 
 def _where_tail_weight(d, t_lo, t_hi, alpha, m):
@@ -184,36 +190,174 @@ def test_band_tail_weight_matches_where_formula(measure, quad):
                 assert _same_bits(np.asarray(d), before)  # d is never written to
 
 
-def test_band_weights_match_dense_reference(measure, quad, ctx):
-    # band_weight and the direct enumeration equal the dense |u - y| matrix
-    # through the first-written tail weight, bit for bit.
+def _one_aperture_direct(measure, alpha, N, quad):
+    """The enumeration oracle for one cone as first written: node atoms,
+    theta, strip atoms and the dense |u - y| matrix rebuilt per aperture,
+    through the first-written tail weight."""
     m = measure.m
-    for n, alpha, y_depth in ((0, 1.0, 6), (2, 1.5, 5), (5, 2.0, 6), (9, 1.0, 4)):
-        tpl = measure.template(n, depth=min(quad.y_resolution_depth + 2, 9))
-        Lhat = tpl.geometry[1].L
-        u_mids, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, min(max(y_depth - 3, 1), tpl.depth - 1))
-        starts, lens, y_w = tpl.leaf_table(min(y_depth, tpl.depth))
-        y_mids = starts + lens / 2.0
-        ref_tails = _where_tail_weight(np.abs(u_mids[:, None] - y_mids[None, :]),
-                                       Lhat / 2.0, Lhat, alpha, m)
-        assert ctx.band_weight(n, alpha, y_depth) == float(u_w @ ref_tails @ y_w)
-    N = 3
     y_extra = min(quad.y_resolution_depth, measure.depth - N, 5)
-    for alpha in (1.0, 2.0):
-        ref = np.zeros(N + 1)
-        for n in range(N + 1):
-            geo = measure.geometry[n + 1]
-            for off, length, mass in zip(*measure.leaf_table(n)):
-                L_abs = geo.L * length
-                a_m, _, a_w = node_atoms(measure, off, length, mass, n, y_extra + 1)
-                center = off + length / 2.0
-                theta = float(np.sum(a_w * bump((a_m - center) / length))) / length**m
-                s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
-                ref_tails = _where_tail_weight(np.abs(s_mids[:, None] - a_m[None, :]),
-                                               L_abs / 2.0, L_abs, alpha, m)
-                ref[n] += theta**2 * float(s_w @ ref_tails @ a_w)
-        direct = direct_norm_series(measure, ConeSpec(alpha, M), N, quad)
-        assert direct.terms.tobytes() == ref.tobytes()
+    ref = np.zeros(N + 1)
+    for n in range(N + 1):
+        geo = measure.geometry[n + 1]
+        for off, length, mass in zip(*measure.leaf_table(n)):
+            L_abs = geo.L * length
+            a_m, _, a_w = node_atoms(measure, off, length, mass, n, y_extra + 1)
+            center = off + length / 2.0
+            theta = float(np.sum(a_w * bump((a_m - center) / length))) / length**m
+            s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
+            ref_tails = _where_tail_weight(np.abs(s_mids[:, None] - a_m[None, :]),
+                                           L_abs / 2.0, L_abs, alpha, m)
+            ref[n] += theta**2 * float(s_w @ ref_tails @ a_w)
+    return ref
+
+
+def _one_aperture_band_weight(measure, quad, n, alpha, y_depth):
+    """A template band weight for one aperture, from a fresh template and
+    the dense |u - y| matrix through the first-written tail weight."""
+    tpl = measure.template(n, depth=min(quad.y_resolution_depth + 2, 9))
+    Lhat = tpl.geometry[1].L
+    u_mids, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, min(max(y_depth - 3, 1), tpl.depth - 1))
+    starts, lens, y_w = tpl.leaf_table(min(y_depth, tpl.depth))
+    y_mids = starts + lens / 2.0
+    ref_tails = _where_tail_weight(np.abs(u_mids[:, None] - y_mids[None, :]),
+                                   Lhat / 2.0, Lhat, alpha, measure.m)
+    return float(u_w @ ref_tails @ y_w)
+
+
+def test_band_weights_match_dense_reference(measure, quad, monkeypatch):
+    # band_weights and the direct enumeration equal the dense |u - y| matrix
+    # through the first-written tail weight, bit for bit, for every aperture
+    # of a batch.  All apertures share one distance matrix, so the tail
+    # weight must never write to it.
+    alphas = (1.0, 1.5, 2.0)
+    intact = []
+
+    def checked_tail_weight(d, *args):
+        before = np.array(d, copy=True)
+        out = _band_tail_weight(d, *args)
+        intact.append(_same_bits(d, before))
+        return out
+
+    monkeypatch.setattr(sqfn, "_band_tail_weight", checked_tail_weight)
+    fresh = CantorSquareContext(measure, quad)
+    for n, y_depth in ((0, 6), (2, 5), (5, 6), (9, 4)):
+        refs = [_one_aperture_band_weight(measure, quad, n, a, y_depth) for a in alphas]
+        assert fresh.band_weights(n, alphas, y_depth) == refs
+        for alpha, ref in zip(alphas, refs):
+            assert fresh.band_weight(n, alpha, y_depth) == ref
+    N = 3
+    direct = direct_norm_series(measure, [ConeSpec(a, M) for a in (1.0, 2.0)], N, quad)
+    for alpha, series in zip((1.0, 2.0), direct):
+        ref = _one_aperture_direct(measure, alpha, N, quad)
+        assert series.terms.tobytes() == ref.tobytes()
+    assert len(intact) == 4 * len(alphas) + 85 * 2 and all(intact)
+
+
+def _one_aperture_series(measure, alpha, N, quad):
+    """The collapsed series for one cone as first written: aperture outer,
+    and a fresh template, strip atoms, leaf table and distances for every
+    band weight."""
+    terms, errs = np.zeros(N + 1), np.zeros(N + 1)
+    for n in range(N + 1):
+        tpl = measure.template(n, depth=min(quad.y_resolution_depth + 2, 9))
+        starts, lens, masses = tpl.leaf_table(min(quad.y_resolution_depth + 1, tpl.depth))
+        b2 = float(np.sum(masses * np.sin(np.pi * (starts + lens / 2.0)) ** 2)) ** 2
+        w, w_coarse = (_one_aperture_band_weight(measure, quad, n, alpha, y)
+                       for y in (quad.y_resolution_depth, quad.y_resolution_depth - 1))
+        terms[n], errs[n] = b2 * w, b2 * abs(w - w_coarse)
+    return terms, errs
+
+
+@pytest.mark.parametrize("alphas", [(1.0, 1.5, 2.0), (1.5,), (2.0, 1.0, 2.0, 1.5)])
+def test_batched_series_match_one_aperture_loop(alphas, monkeypatch):
+    # Each series of a batch, duplicates included, is the one its cone gets
+    # alone, digit for digit and in input order, while the alpha-free
+    # geometry is built once: strip atoms once per (n, y resolution) and
+    # node atoms once per oracle node.
+    measure = CantorMeasure(CantorParams(m=M, C=C, depth=9))
+    quad = QuadratureConfig(32, 6, 1e-3, 6)
+    cones = [ConeSpec(a, M) for a in alphas]
+    builds = {"strip_atoms": 0, "node_atoms": 0}
+
+    def counting(name):
+        fn = getattr(sqfn, name)
+
+        def counted(*args):
+            builds[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in builds:
+        monkeypatch.setattr(sqfn, name, counting(name))
+    N, N_direct = 6, 2
+    collapsed = conical_norm_series(measure, cones, N, quad)
+    assert builds == {"strip_atoms": 2 * (N + 1), "node_atoms": 0}
+    direct = direct_norm_series(measure, cones, N_direct, quad)
+    nodes = sum(4**n for n in range(N_direct + 1))
+    assert builds == {"strip_atoms": 2 * (N + 1) + nodes, "node_atoms": nodes}
+    monkeypatch.undo()
+    assert [s.alpha for s in collapsed] == [s.alpha for s in direct] == list(alphas)
+    for alpha, series, oracle in zip(alphas, collapsed, direct):
+        terms, errs = _one_aperture_series(measure, alpha, N, quad)
+        assert list(map(repr, series.terms.tolist())) == list(map(repr, terms.tolist()))
+        assert list(map(repr, series.err_est.tolist())) == list(map(repr, errs.tolist()))
+        ref = _one_aperture_direct(measure, alpha, N_direct, quad)
+        assert list(map(repr, oracle.terms.tolist())) == list(map(repr, ref.tolist()))
+
+
+def test_batched_series_refuse_bad_cone_before_work(measure, quad, monkeypatch):
+    # A wide aperture or a foreign m anywhere in the batch is refused before
+    # any geometry or tail weight is computed for the cones before it.
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before the batch was checked")
+
+    for name in ("_band_tail_weight", "strip_atoms", "node_atoms", "bump"):
+        monkeypatch.setattr(sqfn, name, no_work)
+    quad3 = QuadratureConfig(32, 6, 1e-3, 3)
+    good = [ConeSpec(1.0, M), ConeSpec(2.0, M)]
+    for bad in (ConeSpec(2.5, M), ConeSpec(1.5, 0.1)):
+        for pos in range(len(good) + 1):
+            cones = good[:pos] + [bad] + good[pos:]
+            fresh = CantorSquareContext(measure, quad)
+            with pytest.raises(InvalidParams):
+                conical_norm_series(measure, cones, 4, quad, context=fresh)
+            assert fresh._weight == {} and fresh._beta == {}
+            with pytest.raises(InvalidParams):
+                direct_norm_series(measure, cones, 2, quad3)
+            with pytest.raises(InvalidParams):
+                validate_collapse(measure, cones, 2, quad3)
+    for route in (conical_norm_series, direct_norm_series, validate_collapse):
+        with pytest.raises(InvalidParams, match="at least one cone"):
+            route(measure, [], 2, quad3)
+
+
+def test_budget_error_names_the_failing_aperture(measure):
+    # rel_tol between the largest share of the budget and the next one fails
+    # exactly one aperture of the batch, and the message names it.
+    cones = [ConeSpec(a, M) for a in (1.0, 1.5, 2.0)]
+    loose = QuadratureConfig(32, 6, 0.1, 8)
+    share = [float(s.err_est.sum()) / s.total for s in conical_norm_series(measure, cones, 8, loose)]
+    first, second = sorted(share, reverse=True)[:2]
+    assert first > second
+    tight = QuadratureConfig(32, 6, (first + second) / 2.0, 8)
+    alpha = cones[share.index(first)].alpha
+    with pytest.raises(QuadratureBudgetExceeded, match=re.escape(f"at alpha={alpha};")):
+        conical_norm_series(measure, cones, 8, tight)
+    others = [c for c in cones if c.alpha != alpha]
+    assert len(conical_norm_series(measure, others, 8, tight)) == 2
+
+
+def test_oracle_mismatch_names_the_failing_aperture():
+    measure = CantorMeasure(CantorParams(m=M, C=C, depth=9))
+    quad3 = QuadratureConfig(32, 6, 1e-3, 3)
+    cones = [ConeSpec(a, M) for a in (1.0, 1.5, 2.0)]
+    errs = [validate_collapse(measure, [c], 2, quad3) for c in cones]
+    assert validate_collapse(measure, cones, 2, quad3) == max(errs)
+    first, second = sorted(errs, reverse=True)[:2]
+    assert first > second
+    alpha = cones[errs.index(first)].alpha
+    with pytest.raises(OracleMismatch, match=re.escape(f"at alpha={alpha}")):
+        validate_collapse(measure, cones, 2, quad3, tol=(first + second) / 2.0)
 
 
 def test_collapse_against_ball_mass_oracle():
@@ -245,7 +389,8 @@ def test_collapse_against_ball_mass_oracle():
                 r = alpha * s[None, :]
                 balls = measure.interval_mass_batch(u[:, None] - r, u[:, None] + r)
                 oracle[n] += theta**2 * float(s_w[strip] @ (balls @ s**-M)) * LN2 / K
-        collapsed = conical_norm_series(measure, ConeSpec(alpha, M), N, quad3).terms
+        [collapsed] = conical_norm_series(measure, [ConeSpec(alpha, M)], N, quad3)
+        collapsed = collapsed.terms
         assert collapsed == pytest.approx(oracle, rel=quad3.rel_tol)
 
 
@@ -255,7 +400,7 @@ def test_vertical_series(measure, quad, ctx):
     for n in range(11):
         expected = ctx.beta(n) ** 2 * ctx.strip_fraction(n) * LN2
         assert sv.terms[n] == pytest.approx(expected, rel=1e-14)
-    s2 = conical_norm_series(measure, ConeSpec(2.0, M), 10, quad, context=ctx)
+    [s2] = conical_norm_series(measure, [ConeSpec(2.0, M)], 10, quad, context=ctx)
     assert np.all(s2.terms <= 0.72 * sv.terms)
 
 
@@ -265,10 +410,10 @@ def test_quadrature_refinement_invariant(measure):
     base = QuadratureConfig(32, 6, 1e-3, 8)
     fine_t = QuadratureConfig(64, 6, 1e-3, 8)
     fine_y = QuadratureConfig(32, 7, 1e-3, 8)
-    for alpha in (1.0, 2.0):
-        t0 = conical_norm_series(measure, ConeSpec(alpha, M), 8, base).total
-        t1 = conical_norm_series(measure, ConeSpec(alpha, M), 8, fine_t).total
-        t2 = conical_norm_series(measure, ConeSpec(alpha, M), 8, fine_y).total
+    cones = [ConeSpec(1.0, M), ConeSpec(2.0, M)]
+    runs = (conical_norm_series(measure, cones, 8, q) for q in (base, fine_t, fine_y))
+    for s0, s1, s2 in zip(*runs):
+        t0, t1, t2 = s0.total, s1.total, s2.total
         assert abs(t1 - t0) < 1e-3 * t0
         assert abs(t2 - t0) < 1e-3 * t0
 
@@ -507,7 +652,7 @@ def test_l2_ratio_consistency(measure, quad, ctx):
     best, witness, ratios = l2_operator_ratio(
         measure, [fone], ConeSpec(1.0, M), quad, context=ctx
     )
-    s1 = conical_norm_series(measure, ConeSpec(1.0, M), 10, quad, context=ctx)
+    [s1] = conical_norm_series(measure, [ConeSpec(1.0, M)], 10, quad, context=ctx)
     assert best == pytest.approx(s1.total, rel=2e-3)
     assert witness is fone
     # Zero function contributes nothing.
@@ -566,6 +711,79 @@ def test_testing_functional_counts_degenerate_cubes(measure, quad, ctx):
     assert [c.box_integral for c in res.per_cube[1:3]] == [0.0, 0.0]
     full = sq_testing_functional(kernel, measure, None, [(0.0, 1.0)], quad, context=ctx)
     assert full.degenerate == 0
+
+
+def test_cantor_box_integral_builds_no_reference_cycles(measure, quad, ctx):
+    # The box integral walks the tree with an explicit stack: a testing call
+    # leaves nothing for the cycle collector.
+    kernel = CantorKernel(measure)
+    s, l, _ = measure.leaf_table(3)
+    cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
+    cubes += [(float(a), float(a + b)) for a, b in zip(s, l)]
+    sq_testing_functional(kernel, measure, None, cubes, quad, context=ctx)
+    gc.collect()
+    gc.disable()
+    try:
+        res = sq_testing_functional(kernel, measure, None, cubes, quad, context=ctx)
+        del res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _recursive_box_integral(measure, tables, b_scale, a, b):
+    """The Cantor box integral as first written, a recursive closure."""
+    ell = b - a
+    if ell <= 0:
+        return 0.0
+    strip_frac, beta_sq = tables
+    N = len(strip_frac) - 1
+    totals = np.zeros(N + 1)
+
+    def rec(g, off, length, mass):
+        if off >= b or off + length <= a or g > N:
+            return
+        if a <= off and off + length <= b:
+            for n in range(g, N + 1):
+                totals[n] += mass * strip_frac[n] * LN2
+            return
+        if g + 1 > measure.depth:
+            return
+        geo = measure.geometry[g + 1]
+        L_abs = geo.L * length
+        t_hi, t_lo = min(L_abs, ell), L_abs / 2.0
+        if t_hi > t_lo:
+            sm = 0.0
+            for j in (1, 2):
+                lo = off + geo.child_offsets[j] * length
+                hi = lo + geo.child_lengths[j] * length
+                ca, cb = max(lo, a), min(hi, b)
+                if cb > ca:
+                    sm += measure._mass_rec(g + 1, lo, geo.child_lengths[j] * length,
+                                            mass * geo.child_masses[j], ca, cb)
+            totals[g] += sm * math.log(t_hi / t_lo)
+        for j in range(4):
+            rec(g + 1, off + geo.child_offsets[j] * length, geo.child_lengths[j] * length,
+                mass * geo.child_masses[j])
+
+    rec(0, 0.0, 1.0, 1.0)
+    return float(b_scale**2 * np.sum(beta_sq * totals))
+
+
+def test_cantor_box_integral_matches_recursive_walk(measure, quad, ctx):
+    # The explicit stack visits nodes in the recursion's order, so every
+    # totals[n] += runs in the same order and each box integral keeps its bits.
+    gens = range(min(quad.trunc_generation, measure.depth - 1) + 1)
+    tables = (np.array([ctx.strip_fraction(n) for n in gens]),
+              np.array([ctx.beta(n) for n in gens]) ** 2)
+    rng = np.random.default_rng(11)
+    s, l, _ = measure.leaf_table(4)
+    cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
+    cubes += [(float(a), float(a + b)) for a, b in zip(s, l)]
+    cubes += [tuple(sorted(rng.random(2))) for _ in range(200)]
+    for a, b in cubes:
+        got = _cantor_box_integral(measure, tables, 1.5, a, b)
+        assert repr(got) == repr(_recursive_box_integral(measure, tables, 1.5, a, b))
 
 
 def test_ci_profile_row_blocks_move_no_digit(quad, monkeypatch):
