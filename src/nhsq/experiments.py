@@ -58,7 +58,7 @@ from .sqfn import (
     weak11_functional,
 )
 
-__all__ = ["ExperimentConfig", "run", "EXPERIMENTS", "list_experiments"]
+__all__ = ["ExperimentConfig", "run", "EXPERIMENTS", "ALPHA_EXPERIMENTS", "list_experiments"]
 
 
 @dataclass
@@ -472,6 +472,7 @@ EXPERIMENTS = {
     "goodness": _exp_goodness,
     "stopping": _exp_stopping,
 }
+ALPHA_EXPERIMENTS = ("aperture",)  # the experiments that read cfg.alphas
 
 
 def list_experiments() -> list[str]:

@@ -14,11 +14,12 @@ enumeration at shallow depth (OracleMismatch if they disagree).
 
 The collapsed series, its enumeration oracle and validate_collapse take a
 sequence of cones and answer for all of them in one pass: the geometry that
-does not depend on alpha (template strip atoms, leaf table and |u - y|
-distances per (n, y resolution), or one oracle node's atoms, theta and
-distances) is built once, and the band tail weight and its matrix product
-are evaluated once per aperture on it, so every aperture's sums run in the
-same order as for a lone cone.
+does not depend on alpha (template strip atoms and leaf table per (n, y
+resolution), or one oracle node's atoms and theta) is built once, and the
+band tail matrix and its matrix product are evaluated once per aperture on
+it, so every aperture's sums run in the same order as for a lone cone.  No
+dense |u - y| matrix is built: _band_tails runs the tail formula only on the
+columns where it is neither 0 nor constant.
 
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
 (y, t) in its strip/band region (the strip sits 2 L_I from the node ends
@@ -87,6 +88,7 @@ __all__ = [
 
 LN2 = math.log(2.0)
 CI_BLOCK_ROWS = 8192  # boundary-zone rows per ci_profile block (2 MB per temporary)
+TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _band_tails
 
 
 def _band_tail_weight(d, t_lo: float, t_hi: float, alpha: float, m: float):
@@ -116,6 +118,39 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a_i - b_j| as an (len(a), len(b)) matrix, in one buffer."""
     d = np.subtract.outer(a, b)
     return np.abs(d, out=d)
+
+
+def _band_tails(u, y, t_lo: float, t_hi: float, alpha: float, m: float):
+    """_band_tail_weight(_distances(u, y), ...) bit for bit, without the dense
+    |u - y| matrix; y must be non-decreasing (InvalidParams otherwise).
+
+    Per block of rows, the columns farther than alpha t_hi from every row are
+    exactly 0 and those nearer than alpha t_lo to every row are exactly the
+    tail weight at d = 0; only the columns between go through the formula,
+    whose per-element result does not depend on the array around it.  The
+    windows widen the two radii by a relative 1e-9 and an absolute 1e-12:
+    with u and y in [0, 1], the roundings in |u - y|, d / alpha and the
+    window bounds are a few ulps of numbers below 1 + alpha t_hi, far inside
+    that margin, so no column is misplaced (a wider window costs only time).
+    """
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(y).all() and (y[:-1] <= y[1:]).all()):
+        raise InvalidParams("band tails need finite u and a non-decreasing finite y")
+    out = np.zeros((len(u), len(y)))
+    band = (t_lo, t_hi, alpha, m)
+    inner = _band_tail_weight(np.zeros(1), *band)[0]
+    far = alpha * t_hi * (1 + 1e-9) + 1e-12
+    near = alpha * t_lo * (1 - 1e-9) - 1e-12
+    for i in range(0, len(u), TAIL_BLOCK_ROWS):
+        rows = slice(i, i + TAIL_BLOCK_ROWS)
+        lo, hi = u[rows].min(), u[rows].max()
+        a, e = np.searchsorted(y, (lo - far, lo + near), side="left")
+        c, b = np.searchsorted(y, (hi - near, hi + far), side="right")
+        if c < e:
+            out[rows, c:e] = inner
+        for j, k in ((a, c), (e, b)) if c < e else ((a, b),):
+            out[rows, j:k] = _band_tail_weight(_distances(u[rows], y[j:k]), *band)
+    return out
 
 
 @dataclass(frozen=True)
@@ -306,8 +341,8 @@ class CantorSquareContext:
 
         Exact in t via the band tail weight; spatial integrals by measure
         atoms at the configured resolution (midpoint per atom).  The strip
-        atoms, leaf table and distances are built once for all apertures not
-        cached yet; each tails buffer is freed before the next is made.
+        atoms and leaf table are built once for all apertures not cached yet;
+        each windowed tails matrix (_band_tails) is freed before the next.
         """
         y_depth = self.quad.y_resolution_depth if y_depth is None else y_depth
         missing = [a for a in dict.fromkeys(alphas) if (n, a, y_depth) not in self._weight]
@@ -317,9 +352,9 @@ class CantorSquareContext:
             extra = min(max(y_depth - 3, 1), tpl.depth - 1)
             u_mids, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, extra)
             starts, lens, y_w = tpl.leaf_table(min(y_depth, tpl.depth))
-            d = _distances(u_mids, starts + lens / 2.0)
+            y_mids = starts + lens / 2.0
             for alpha in missing:
-                tails = _band_tail_weight(d, Lhat / 2.0, Lhat, alpha, self.measure.m)
+                tails = _band_tails(u_mids, y_mids, Lhat / 2.0, Lhat, alpha, self.measure.m)
                 self._weight[n, alpha, y_depth] = float(u_w @ tails @ y_w)
                 del tails
         return [self._weight[n, a, y_depth] for a in alphas]
@@ -387,7 +422,8 @@ def direct_norm_series(
     per cone, in order.
 
     Uses absolute coordinates and global ball masses; no template collapse.
-    Each node's atoms, theta and distances serve every aperture.  Intended
+    Each node's atoms and theta serve every aperture; its tails matrices
+    come from _band_tails, with no dense distance matrix.  Intended
     for shallow N (cost 4**N nodes at generation N).
     """
     alphas = _collapse_alphas(cones, measure)
@@ -409,9 +445,8 @@ def direct_norm_series(
             theta = float(np.sum(a_w * bump((a_m - center) / length))) / length**m
             s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
             # Balls stay inside the node for alpha <= 2, so node atoms suffice.
-            d = _distances(s_mids, a_m)
             for k, alpha in enumerate(alphas):
-                tails = _band_tail_weight(d, L_abs / 2.0, L_abs, alpha, m)
+                tails = _band_tails(s_mids, a_m, L_abs / 2.0, L_abs, alpha, m)
                 terms[k][n] += theta**2 * float(s_w @ tails @ a_w)
                 del tails
     return [NormSeries(alpha=a, terms=t, err_est=np.zeros(N + 1)) for a, t in zip(alphas, terms)]

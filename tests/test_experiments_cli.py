@@ -147,6 +147,12 @@ def test_cli_usage_errors(tmp_path):
     proc = _run_cli(["run", "aperture", "--alpha", "x", "--out", str(tmp_path)])
     assert proc.returncode == 2
     assert proc.stderr == "error: --alpha must be comma-separated numbers, got 'x'\n"
+    # --alpha is read by the aperture experiment only; elsewhere it is
+    # refused rather than silently replaced by the experiment's own apertures.
+    for name, alpha in (("vertical", "1.5"), ("l2-bound", "2.5"), ("growth", "1.0")):
+        proc = _run_cli(["run", name, "--alpha", alpha, "--out", str(tmp_path)])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --alpha is read only by aperture, not by {name}\n"
     # A measure shallower than the experiments' depth-5 leaf functions.
     shallow = tmp_path / "shallow.json"
     shallow.write_text('{"depth": 4}')

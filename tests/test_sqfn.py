@@ -32,7 +32,9 @@ from nhsq.sqfn import (
     vertical_value,
     weak11_functional,
     _band_tail_weight,
+    _band_tails,
     _cantor_box_integral,
+    _distances,
     _logproduct_box_integral,
     _node_coefficient,
     _pruned_coefficient,
@@ -232,13 +234,21 @@ def test_band_weights_match_dense_reference(measure, quad, monkeypatch):
     alphas = (1.0, 1.5, 2.0)
     intact = []
 
+    pairs = {"dense": 0, "formula": 0}
+
     def checked_tail_weight(d, *args):
         before = np.array(d, copy=True)
         out = _band_tail_weight(d, *args)
         intact.append(_same_bits(d, before))
+        pairs["formula"] += np.size(d)
         return out
 
+    def counted_tails(u, y, *args):
+        pairs["dense"] += len(u) * len(y)
+        return _band_tails(u, y, *args)
+
     monkeypatch.setattr(sqfn, "_band_tail_weight", checked_tail_weight)
+    monkeypatch.setattr(sqfn, "_band_tails", counted_tails)
     fresh = CantorSquareContext(measure, quad)
     for n, y_depth in ((0, 6), (2, 5), (5, 6), (9, 4)):
         refs = [_one_aperture_band_weight(measure, quad, n, a, y_depth) for a in alphas]
@@ -250,7 +260,107 @@ def test_band_weights_match_dense_reference(measure, quad, monkeypatch):
     for alpha, series in zip((1.0, 2.0), direct):
         ref = _one_aperture_direct(measure, alpha, N, quad)
         assert series.terms.tobytes() == ref.tobytes()
-    assert len(intact) == 4 * len(alphas) + 85 * 2 and all(intact)
+    # The windowed tails hand the formula fewer pairs than the dense matrix.
+    assert intact and all(intact)
+    assert 0 < pairs["formula"] < pairs["dense"]
+
+
+def _tails_cases():
+    """(u, y, t_lo, t_hi, alphas) inputs of _band_tails: template and
+    oracle-node atoms as the collapse builds them, y at the window radii and
+    their float neighbours, repeated y, an empty window and empty bands."""
+    alphas = (1.0, 1.5, 2.0, 6.0, 10.0)
+    cases = []
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=42))
+    for n in (0, 3, 7, 40):
+        tpl = deep.template(n, depth=8)
+        Lhat = tpl.geometry[1].L
+        for y_depth in (5, 6):
+            u, _ = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, y_depth - 3)
+            starts, lens, _ = tpl.leaf_table(y_depth)
+            cases.append((u, starts + lens / 2.0, Lhat / 2.0, Lhat, alphas))
+    shallow = CantorMeasure(CantorParams(m=M, C=C, depth=9))
+    for off, length, mass in list(zip(*shallow.leaf_table(3)))[::9]:
+        L_abs = shallow.geometry[4].L * length
+        u, _ = strip_atoms(shallow, off, length, mass, 3, 1)
+        y = node_atoms(shallow, off, length, mass, 3, 4)[0]
+        cases.append((u, y, L_abs / 2.0, L_abs, alphas))
+    # y at u +- alpha t and up to three floats either side.  The radii are
+    # picked so that the tail weight at d = alpha * t (as rounded) is not 0
+    # at t_hi and not the inner constant at t_lo: a window without margins
+    # then misplaces some of these columns.
+    u = np.random.default_rng(9).uniform(0.0, 1.0, 100)
+    grid = np.linspace(0.005, 0.09, 1001)
+    for alpha in alphas:
+        def at(d, t_lo, t_hi):
+            return _band_tail_weight(np.array([d]), t_lo, t_hi, alpha, M)[0]
+
+        t_hi = next((t for t in grid[500:] if at(alpha * t, t / 4, t) != 0.0), 0.025)
+        t_lo = next((t for t in grid[:100] if at(alpha * t, t, t_hi) != at(0.0, t, t_hi)), 0.0125)
+        edges = (u[:, None] + alpha * np.array([-t_hi, -t_lo, t_lo, t_hi])).ravel()
+        ys, below, above = [edges], edges, edges
+        for _ in range(3):
+            below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+            ys += [below, above]
+        cases.append((u, np.sort(np.concatenate(ys)), t_lo, t_hi, (alpha,)))
+    u, y, t_lo, t_hi = u[:40], np.repeat(np.linspace(0.0, 1.0, 50), 3), 0.0125, 0.025
+    cases += [(u, y, t_lo, t_hi, alphas), (u[:1], y, t_lo, t_hi, alphas),
+              (u, y, t_hi, t_lo, alphas), (u, y, t_hi, t_hi, alphas),
+              (u[:5] * 0.1, np.linspace(0.9, 1.0, 20), t_lo, t_hi, alphas)]
+    return cases
+
+
+@pytest.mark.parametrize("rows", [32, 5, 1])
+def test_band_tails_match_dense_tail_weight(rows, monkeypatch):
+    # The windowed tails equal the dense |u - y| matrix through the tail
+    # weight bit for bit, for apertures inside and outside the collapse's
+    # alpha <= 2, whatever the block size (one row gives the tightest windows).
+    monkeypatch.setattr(sqfn, "TAIL_BLOCK_ROWS", rows)
+    for u, y, t_lo, t_hi, alphas in _tails_cases():
+        for alpha in alphas:
+            ref = _band_tail_weight(_distances(u, y), t_lo, t_hi, alpha, M)
+            got = _band_tails(u, y, t_lo, t_hi, alpha, M)
+            assert got.flags.c_contiguous and got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_tail_weight_of_a_slice_is_the_slice_of_the_tail_weight():
+    # The premise of the windows: each element's tail weight does not depend
+    # on the length of the array or on its position in it.
+    u, y, t_lo, t_hi, _ = _tails_cases()[1]
+    d = _distances(u[:24], y)
+    for alpha in (1.0, 2.0, 10.0):
+        full = _band_tail_weight(d, t_lo, t_hi, alpha, M)
+        for j, k in ((0, 1), (3, 4), (1, 18), (7, 40), (13, 1000), (1001, len(y))):
+            part = _band_tail_weight(d[:, j:k], t_lo, t_hi, alpha, M)
+            assert np.array_equal(part.view(np.int64), full[:, j:k].view(np.int64))
+            flat = _band_tail_weight(d[5, j:k].copy(), t_lo, t_hi, alpha, M)
+            assert np.array_equal(flat.view(np.int64), full[5, j:k].view(np.int64))
+
+
+def test_band_tails_refuse_unsorted_or_nonfinite_y():
+    u = np.array([0.5])
+    for y in ([0.2, 0.1], [0.1, np.nan], [0.1, np.inf]):
+        with pytest.raises(InvalidParams, match="non-decreasing"):
+            _band_tails(u, np.array(y), 0.1, 0.2, 1.0, M)
+
+
+def test_collapse_builds_non_decreasing_y():
+    # _band_tails needs a sorted y: the leaf-table mids of the templates and
+    # the node-atom mids of the oracle nodes are non-decreasing.
+    def sorted_(a):
+        return bool(np.all(a[:-1] <= a[1:]))
+
+    for depth in (9, 12, 42):
+        measure = CantorMeasure(CantorParams(m=M, C=C, depth=depth))
+        for n in range(depth - 1):
+            tpl = measure.template(n, depth=8)
+            for y_depth in (5, 6):
+                starts, lens, _ = tpl.leaf_table(y_depth)
+                assert sorted_(starts + lens / 2.0)
+        for n in range(4):
+            for off, length, mass in zip(*measure.leaf_table(n)):
+                assert sorted_(node_atoms(measure, off, length, mass, n, min(6, depth - n))[0])
 
 
 def _one_aperture_series(measure, alpha, N, quad):
