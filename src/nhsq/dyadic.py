@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,12 +61,15 @@ class ShiftedGrid:
     i_min: int
     i_max: int
     bits: tuple[int, ...]  # bits[j] is w_{i_min+1+j} in {0, 1}
+    _shifts: tuple = field(init=False, repr=False, compare=False)  # [i - i_min]: sigma_i
 
     def __post_init__(self):
         if self.i_max <= self.i_min:
             raise InvalidParams("need i_max > i_min")
         if len(self.bits) != self.i_max - self.i_min:
             raise InvalidParams("one shift bit per scale in (i_min, i_max]")
+        terms = [w << (self.i_max - j) for j, w in enumerate(self.bits, self.i_min + 1)]
+        object.__setattr__(self, "_shifts", tuple(accumulate(reversed(terms), initial=0))[::-1])
 
     def bit(self, j: int) -> int:
         """Shift bit w_j for scale j (0 outside the tracked range)."""
@@ -75,7 +79,7 @@ class ShiftedGrid:
 
     def shift_units(self, i: int) -> int:
         """sigma_i in units of 2^-i_max: sum over j > i of w_j 2^(i_max - j)."""
-        return sum(self.bit(j) << (self.i_max - j) for j in range(i + 1, self.i_max + 1))
+        return self._shifts[min(max(i, self.i_min), self.i_max) - self.i_min]
 
     def cube_units(self, cube: Cube) -> tuple[int, int]:
         """(start, length) of the cube in units of 2^-i_max; exact integers."""

@@ -311,11 +311,14 @@ def _exp_logproduct(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     quad = cfg.quad(trunc=12)
     sups = {}
+    report.counters.update(tb_ci_elements=0, tb_ci_blocks=0)
     for N in (2, 3, 4):
         kv = LogProductKernel(build_logproduct("demo", N))
         prof = ci_profile(kv, 12, quad)
         sups[N] = prof["sup"]
         report.metrics[f"ci_sup_N{N}"] = prof["sup"]
+        report.counters["tb_ci_elements"] += prof["elements"]
+        report.counters["tb_ci_blocks"] += prof["blocks"]
     growth = max(sups[3] / sups[2], sups[4] / sups[3]) - 1.0
     report.metrics["ci_sup_growth"] = growth
     ok8 = max(sups.values()) <= pinned.CI_SUP_MAX and growth <= 0.05

@@ -45,6 +45,7 @@ __all__ = [
     "bump_lipschitz",
     "phi_v",
     "phi_v_antiderivative",
+    "theta_unit",
     "PHI_V_LIPSCHITZ",
     "PHI_V_TOTAL",
     "ActiveRegion",
@@ -119,6 +120,12 @@ def phi_v_antiderivative(z):
     z = np.asarray(z, dtype=float)
     out = 1.5 + np.sign(z) * _phi_v_half_integral(np.abs(z))
     return out if out.ndim else float(out)
+
+
+def theta_unit(t, x):
+    """theta_t 1_[0,1](x) = Phi(x/t) - Phi((x-1)/t), bit for bit, for 0 <= x <= 1
+    and t > 0 only: there x/t >= 0, fl(x-1) = -fl(1-x) and sign(z) * h = +-h."""
+    return (1.5 + _phi_v_half_integral(x / t)) - (1.5 - _phi_v_half_integral((1.0 - x) / t))
 
 
 PHI_V_LIPSCHITZ = 1.5  # max of |d/du (1 - 3u^2 + 2u^3)| at u = 1/2
@@ -304,9 +311,7 @@ class LogProductKernel:
         """theta_t 1_[0,1](x) in closed form via the phi_v antiderivative."""
         if not self.active(x, t):
             return 0.0
-        return float(
-            phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
-        )
+        return float(theta_unit(t, x))
 
     def sample_active(self, rng: np.random.Generator, n: int):
         """(t, x) with x uniform and ln t uniform on [ln t_lo, 0], where

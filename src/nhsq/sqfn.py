@@ -57,8 +57,8 @@ from .kernels import (
     LogProductKernel,
     bump,
     node_atoms,
-    phi_v_antiderivative,
     strip_atoms,
+    theta_unit,
 )
 from .logproduct import _segments
 from .measures import CantorMeasure, _split_geometry
@@ -87,7 +87,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-CI_BLOCK_ROWS = 8192  # boundary-zone rows per ci_profile block (2 MB per temporary)
+CI_BLOCK_ROWS = 1024  # boundary-zone rows per ci_profile block (256 KB per temporary at 32 steps)
 TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _band_tails
 
 
@@ -604,7 +604,7 @@ def _logproduct_inner_t(kernel: LogProductKernel, x: float, A: int, t_hi: float,
         dv = span / steps
         v = log_sat + (np.arange(steps) + 0.5) * dv
         t = np.exp(v)
-        theta = phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
+        theta = theta_unit(t, x)
         total += float(np.sum(theta**2) * dv)
     return total
 
@@ -855,17 +855,20 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
     theta_t 1(x) is exactly the full phi_v mass 3 once t <= min(x,1-x)/2 and
     exactly constant in x between exponent breakpoints, so the inner integral
     is closed-form except on a geometrically thin boundary zone, which is
-    batched on a log-t grid.  Returns the sup ratio, the per-depth sups, and
-    the witness cube.
+    batched on a log-t grid in blocks of CI_BLOCK_ROWS rows, so that the
+    (rows x steps) temporaries alive at once fit in one core's L2 cache; each
+    row's mean is reduced on its own, so blocking moves no digit.  theta is the
+    sign-free theta_unit, exact because every segment midpoint lies in [0, 1].
+    Returns the sup ratio, the per-depth sups, the witness cube and, for
+    stdout, the zone's element (rows x steps) and block counts.
     """
     steps = max(24, quad.t_steps_per_band)
     bp, mids, A = _ci_segment_table(kernel.f, max_depth)
     widths = np.diff(bp)
     sat = np.maximum(np.minimum(mids, 1.0 - mids) / 2.0, 1e-300)
     ln_sat = np.log(sat)
-    per_depth = {}
-    sup = 0.0
-    witness = (0, 0)
+    per_depth, sup, witness = {}, 0.0, (0, 0)
+    elements = blocks = 0
     for d in range(0, max_depth + 1):
         ell = 0.5**d
         lnL = math.log(ell)
@@ -878,16 +881,15 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
             rows = np.flatnonzero(mask)
             numeric = np.empty(rows.size)
             u = (np.arange(steps) + 0.5) / steps
-            # Row blocks bound the (rows x steps) temporaries; each row's
-            # mean is reduced on its own, so blocking moves no digit.
             for i in range(0, rows.size, CI_BLOCK_ROWS):
                 blk = rows[i:i + CI_BLOCK_ROWS]
                 span = lnL - lo[blk]
                 t = np.exp(lo[blk, None] + span[:, None] * u[None, :])
-                x = mids[blk, None]
-                theta = phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
+                theta = theta_unit(t, mids[blk, None])
                 numeric[i:i + blk.size] = span * np.mean(theta**2, axis=1)
+                blocks += 1
             inner[mask] += numeric
+            elements += rows.size * steps
         cube = np.floor(mids / ell).astype(int)
         boxes = np.bincount(cube, weights=widths * inner, minlength=2**d)
         ratios = boxes / ell
@@ -896,7 +898,8 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
         if ratios[k] > sup:
             sup = float(ratios[k])
             witness = (d, k)
-    return {"sup": sup, "per_depth": per_depth, "witness": witness}
+    return {"sup": sup, "per_depth": per_depth, "witness": witness,
+            "elements": elements, "blocks": blocks}
 
 
 # -- weak (1,1) -------------------------------------------------------------------

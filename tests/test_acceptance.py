@@ -120,6 +120,15 @@ def test_criterion_8_degenerate_cubes_counted(reports):
     _record("8.degenerate", n == 1632, f"{n} degenerate cubes (expected 1632)")
 
 
+def test_tb_testing_ci_zone_counters_stdout_only(reports):
+    # The C_I boundary zone over N = 2, 3, 4: rows x steps elements, run in
+    # blocks of sqfn.CI_BLOCK_ROWS (1,024) rows.
+    rep = reports["tb-testing"]
+    assert rep.counters["tb_ci_elements"] == 9_394_656
+    assert rep.counters["tb_ci_blocks"] == 299
+    assert b"tb_ci" not in rep.to_json_bytes()
+
+
 def test_criterion_9_moment_blowup(reports):
     rep = reports["logproduct"]
     v = _verdict(rep, "9")

@@ -62,6 +62,16 @@ def test_shift_formula():
     assert b - a == 0.5
 
 
+def test_shift_table_matches_the_sum_over_finer_scales():
+    for i_min, i_max, seed in ((0, 4, 1), (0, 12, 2), (3, 9, 3), (5, 6, 4)):
+        g = make_grid(seed, (i_min, i_max))
+        for i in range(i_min - 2, i_max + 3):
+            want = sum(g.bit(j) << (g.i_max - j) for j in range(i + 1, g.i_max + 1))
+            assert g.shift_units(i) == want
+        twin = ShiftedGrid(i_min, i_max, g.bits)
+        assert twin == g and hash(twin) == hash(g) and "_shifts" not in repr(g)
+
+
 def test_nesting_under_shifts():
     g = make_grid(7, (0, 10))
     for i in (2, 5, 8):

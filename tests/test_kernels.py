@@ -22,6 +22,7 @@ from nhsq.kernels import (
     node_atoms,
     phi_v,
     phi_v_antiderivative,
+    theta_unit,
 )
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval
@@ -105,6 +106,50 @@ def test_phi_v_antiderivative_matches_clip_formula_bitwise():
         got, want = phi_v_antiderivative(v), _phi_v_antiderivative_clip(v)
         assert type(got) is float
         assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_theta_unit_matches_two_antiderivatives_bitwise():
+    # theta_t 1(x) = Phi(x/t) - Phi((x-1)/t) on 0 <= x <= 1, t > 0.
+    rng = np.random.default_rng(13)
+    ends = [0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+    xs = np.concatenate([ends, rng.random(300)])
+    # t down to 1e-9, and t with x/t or (1-x)/t at 1 and 2 and their neighbours.
+    ts = np.concatenate([np.geomspace(1e-9, 4.0, 80), rng.uniform(1e-9, 2.0, 20)])
+    x, t = (a.ravel() for a in np.meshgrid(xs, ts))
+    inner = xs[(xs > 1e-300) & (xs < 1.0)]  # x/2 stays a positive normal
+    hits = np.concatenate([w / c for w in (inner, 1.0 - inner) for c in (1.0, 2.0)])
+    hits = np.concatenate([hits, np.nextafter(hits, 0.0), np.nextafter(hits, 3.0)])
+    x = np.concatenate([x, np.tile(inner, 12)])
+    t = np.concatenate([t, hits])
+    assert (t > 0.0).all()
+    for z in (x / t, (1.0 - x) / t):
+        for c in (1.0, 2.0):
+            assert (z == c).any() and (z < c).any() and (z > c).any()
+    want = phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
+    for tt, xx, w in ((t, x, want), (t.reshape(-1, 4), x.reshape(-1, 4), want.reshape(-1, 4)),
+                      (t[:, None], x[:, None], want[:, None])):
+        assert np.array_equal(_bits(theta_unit(tt, xx)), _bits(w))
+    for tt, xx in zip(t[::97].tolist(), x[::97].tolist()):
+        got = theta_unit(tt, xx)
+        w = phi_v_antiderivative(xx / tt) - phi_v_antiderivative((xx - 1.0) / tt)
+        assert _bits(got) == _bits(w)
+
+
+def test_theta_one_is_the_closed_form_as_a_float():
+    vk = LogProductKernel(build_logproduct("demo", 2))
+    rng = np.random.default_rng(17)
+    for x, t in zip(rng.random(40).tolist(), np.exp(-rng.uniform(0.0, 12.0, 40)).tolist()):
+        got = vk.theta_one(t, x)
+        assert type(got) is float
+        if vk.active(x, t):
+            w = phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
+            assert _bits(got) == _bits(w)
+        else:
+            assert got == 0.0
 
 
 def test_cantor_kernel_values(measure, kernel):

@@ -12,7 +12,14 @@ from nhsq.errors import (
     OracleMismatch,
     QuadratureBudgetExceeded,
 )
-from nhsq.kernels import CantorKernel, LogProductKernel, bump, node_atoms, strip_atoms
+from nhsq.kernels import (
+    CantorKernel,
+    LogProductKernel,
+    bump,
+    node_atoms,
+    phi_v_antiderivative,
+    strip_atoms,
+)
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
 from nhsq.sqfn import (
@@ -896,12 +903,64 @@ def test_cantor_box_integral_matches_recursive_walk(measure, quad, ctx):
         assert repr(got) == repr(_recursive_box_integral(measure, tables, 1.5, a, b))
 
 
+def _ci_digits(prof):
+    return prof["sup"], prof["per_depth"], prof["witness"]
+
+
 def test_ci_profile_row_blocks_move_no_digit(quad, monkeypatch):
     kv = LogProductKernel(build_logproduct("demo", 3))
     default = ci_profile(kv, 4, quad)
-    for rows in (1, 7):
+    steps = max(24, quad.t_steps_per_band)
+    rows_total = default["elements"] // steps  # more than any one depth's rows
+    for rows in (1, 7, rows_total + 1):
         monkeypatch.setattr(sqfn, "CI_BLOCK_ROWS", rows)
-        assert ci_profile(kv, 4, quad) == default
+        prof = ci_profile(kv, 4, quad)
+        assert _ci_digits(prof) == _ci_digits(default)
+        assert prof["elements"] == default["elements"]
+        if rows == 1:
+            assert prof["blocks"] == rows_total
+    assert prof["blocks"] <= 5  # one block per depth 0..4 at most
+
+
+def _ci_profile_two_phi(kernel, max_depth, quad):
+    # ci_profile as it was before kernels.theta_unit: the boundary zone in
+    # 8,192-row blocks, theta as the difference of two Phi calls.
+    steps = max(24, quad.t_steps_per_band)
+    bp, mids, A = sqfn._ci_segment_table(kernel.f, max_depth)
+    widths = np.diff(bp)
+    ln_sat = np.log(np.maximum(np.minimum(mids, 1.0 - mids) / 2.0, 1e-300))
+    per_depth, sup, witness = {}, 0.0, (0, 0)
+    for d in range(max_depth + 1):
+        ell = 0.5**d
+        lnL = math.log(ell)
+        inner = 9.0 * np.maximum(0.0, np.minimum(ln_sat, lnL) + A)
+        lo = np.maximum(ln_sat, -A)
+        mask = lo < lnL
+        if mask.any():
+            rows = np.flatnonzero(mask)
+            numeric = np.empty(rows.size)
+            u = (np.arange(steps) + 0.5) / steps
+            for i in range(0, rows.size, 8192):
+                blk = rows[i:i + 8192]
+                span = lnL - lo[blk]
+                t = np.exp(lo[blk, None] + span[:, None] * u[None, :])
+                x = mids[blk, None]
+                theta = phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
+                numeric[i:i + blk.size] = span * np.mean(theta**2, axis=1)
+            inner[mask] += numeric
+        boxes = np.bincount(np.floor(mids / ell).astype(int), weights=widths * inner,
+                            minlength=2**d)
+        ratios = boxes / ell
+        k = int(np.argmax(ratios))
+        per_depth[d] = float(ratios[k])
+        if ratios[k] > sup:
+            sup, witness = float(ratios[k]), (d, k)
+    return sup, per_depth, witness
+
+
+def test_ci_profile_matches_two_phi_oracle(quad):
+    kv = LogProductKernel(build_logproduct("demo", 4))
+    assert _ci_digits(ci_profile(kv, 6, quad)) == _ci_profile_two_phi(kv, 6, quad)
 
 
 def test_logproduct_box_vs_ci_profile(quad):
