@@ -16,7 +16,6 @@ from nhsq import (
     CantorMeasure,
     CantorParams,
     CantorSquareContext,
-    ConeSpec,
     QuadratureConfig,
     conical_norm_series,
     validate_collapse,
@@ -35,8 +34,8 @@ print(f"bump mass constant beta(n) ranges over "
       f"{max(ctx.beta(n) for n in range(N + 1)):.4f}]")
 print()
 
-cones = [ConeSpec(alpha, M) for alpha in (1.0, 1.5, 2.0)]
-series = {s.alpha: s for s in conical_norm_series(measure, cones, N, quad, context=ctx)}
+alphas = (1.0, 1.5, 2.0)
+series = {s.alpha: s for s in conical_norm_series(measure, alphas, N, quad, context=ctx)}
 
 print(f"{'n':>4} {'g(n,1)*(n+1)^2':>16} {'g(n,2)*C(n+1)':>16} "
       f"{'P_n(1)':>12} {'P_n(2)':>12}")
@@ -60,6 +59,6 @@ for n0 in (8, 16):
     print(f"aperture-2 doubling increment, N={n0:>2}: fitted c = {c_fit:.4f}")
 
 worst = validate_collapse(CantorMeasure(CantorParams(m=M, C=C, depth=9)),
-                          cones, 3, QuadratureConfig(32, 6, 1e-3, 3))
+                          alphas, 3, QuadratureConfig(32, 6, 1e-3, 3))
 print(f"\ncollapsed vs brute-force 4^n enumeration (n <= 3): "
       f"worst relative difference {worst:.2e}")

@@ -13,7 +13,6 @@ from nhsq import (
     CantorMeasure,
     CantorParams,
     CantorSquareContext,
-    ConeSpec,
     QuadratureConfig,
     conical_norm_series,
     vertical_norm_series,
@@ -26,7 +25,7 @@ quad = QuadratureConfig(32, 6, 1e-3, N)
 ctx = CantorSquareContext(measure, quad)
 
 sv = vertical_norm_series(measure, N, quad, context=ctx)
-[s2] = conical_norm_series(measure, [ConeSpec(2.0, M)], N, quad, context=ctx)
+[s2] = conical_norm_series(measure, [2.0], N, quad, context=ctx)
 
 print(f"{'n':>4} {'g_V(n)*C(n+1)':>16} {'partial sum':>12} {'S2 term / V term':>18}")
 pv = sv.partial_sums

@@ -28,7 +28,6 @@ from .kernels import (
     TildeKernel,
     check_holder_condition,
     check_size_condition,
-    eval_theta,
 )
 from .logproduct import (
     LogProductFn,
@@ -37,7 +36,7 @@ from .logproduct import (
     carleson_log_bound,
     demo_carleson_quadrature,
     eval_f,
-    log_moment,
+    log_moments,
     lp_divergence_witness,
 )
 from .measures import (
@@ -45,12 +44,10 @@ from .measures import (
     CantorParams,
     LebesgueInterval,
     NodeGeometry,
-    PointMasses,
     growth_constant,
 )
 from .sqfn import (
     CantorSquareContext,
-    ConeSpec,
     LeafFunction,
     NormSeries,
     QuadratureConfig,

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, NhsqError
-from .experiments import ALPHA_EXPERIMENTS, EXPERIMENTS, ExperimentConfig, list_experiments, run
+from .experiments import EXPERIMENTS, FLAG_READERS, ExperimentConfig, list_experiments, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("experiment")
     p_run.add_argument("--config", default=None, help="JSON config file (flat keys)")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--depth", type=int, default=None)
+    p_run.add_argument("--depth", type=int, default=None, help="truncation generation N")
     p_run.add_argument("--alpha", default=None, help="comma-separated apertures (aperture only)")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--svg", action="store_true")
@@ -43,6 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    # A flag the experiment ignores is refused, not echoed into its report.
+    for flag, readers in FLAG_READERS.items():
+        if getattr(args, flag) is not None and args.experiment in EXPERIMENTS.keys() - readers:
+            raise ConfigError(f"--{flag} is read only by {', '.join(readers)}, "
+                              f"not by {args.experiment}")
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     cfg.experiment = args.experiment
     # Precedence: CLI flag > NHSQ_OUT > config file value.
@@ -51,9 +56,6 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.depth is not None:
         cfg.N = args.depth
     if args.alpha is not None:
-        if args.experiment in EXPERIMENTS and args.experiment not in ALPHA_EXPERIMENTS:
-            raise ConfigError(f"--alpha is read only by {', '.join(ALPHA_EXPERIMENTS)}, "
-                              f"not by {args.experiment}")
         try:
             cfg.alphas = tuple(float(a) for a in args.alpha.split(","))
         except ValueError:

@@ -46,7 +46,6 @@ from .reports import ExperimentReport, Verdict
 from .rng import derive_rng, derive_seed
 from .sqfn import (
     CantorSquareContext,
-    ConeSpec,
     LeafFunction,
     QuadratureConfig,
     ci_profile,
@@ -58,7 +57,7 @@ from .sqfn import (
     weak11_functional,
 )
 
-__all__ = ["ExperimentConfig", "run", "EXPERIMENTS", "ALPHA_EXPERIMENTS", "list_experiments"]
+__all__ = ["ExperimentConfig", "run", "EXPERIMENTS", "FLAG_READERS", "list_experiments"]
 
 
 @dataclass
@@ -75,6 +74,12 @@ class ExperimentConfig:
     seed: int = 20250808
     out_dir: str = "out"
     svg: bool = False
+
+    def __setattr__(self, name, val):
+        # Every route that sets N or depth (constructor, config file, CLI) passes here.
+        if name in ("N", "depth") and val < 0:
+            raise ConfigError(f"{name} must be >= 0, got {val}")
+        super().__setattr__(name, val)
 
     def quad(self, trunc: int | None = None) -> QuadratureConfig:
         return QuadratureConfig(
@@ -144,9 +149,8 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     measure = cfg.measure()
     quad = cfg.quad()
     ctx = CantorSquareContext(measure, quad)
-    cones = [ConeSpec(alpha, cfg.m) for alpha in cfg.alphas]
     series = {}
-    for s in conical_norm_series(measure, cones, cfg.N, quad, context=ctx):
+    for s in conical_norm_series(measure, cfg.alphas, cfg.N, quad, context=ctx):
         series[s.alpha] = s
         report.add_series(s)
         report.metrics[f"total_alpha_{s.alpha}"] = s.total
@@ -177,7 +181,7 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         )
 
     oracle_measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=9))
-    worst = validate_collapse(oracle_measure, cones, 3, cfg.quad(trunc=3))
+    worst = validate_collapse(oracle_measure, cfg.alphas, 3, cfg.quad(trunc=3))
     report.metrics["collapse_worst_rel_err"] = worst
     report.verdicts.append(Verdict("2", worst <= 0.01, f"collapse vs enumeration: {worst:.2e}"))
 
@@ -187,7 +191,7 @@ def _exp_vertical(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     quad = cfg.quad()
     ctx = CantorSquareContext(measure, quad)
     sv = vertical_norm_series(measure, cfg.N, quad, context=ctx)
-    [s2] = conical_norm_series(measure, [ConeSpec(2.0, cfg.m)], cfg.N, quad, context=ctx)
+    [s2] = conical_norm_series(measure, [2.0], cfg.N, quad, context=ctx)
     report.add_series(sv)
     report.metrics["vertical_total"] = sv.total
 
@@ -211,7 +215,7 @@ def _exp_l2_bound(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     fs = [LeafFunction.constant(measure, depth, 1.0)]
     for _ in range(20):
         fs.append(LeafFunction(measure, depth, rng.choice([-1.0, 1.0], size=4**depth)))
-    best, _, ratios = l2_operator_ratio(measure, fs, ConeSpec(1.0, cfg.m), quad, context=ctx)
+    best, _, ratios = l2_operator_ratio(measure, fs, 1.0, quad, context=ctx)
     report.metrics["l2_ratio_max"] = best
     report.metrics["l2_ratio_f1"] = ratios[0]
     report.verdicts.append(
@@ -475,7 +479,8 @@ EXPERIMENTS = {
     "goodness": _exp_goodness,
     "stopping": _exp_stopping,
 }
-ALPHA_EXPERIMENTS = ("aperture",)  # the experiments that read cfg.alphas
+# CLI flag -> the experiments that read it (--alpha sets alphas, --depth sets N).
+FLAG_READERS = {"alpha": ("aperture",), "depth": ("aperture", "vertical", "l2-bound", "weak11")}
 
 
 def list_experiments() -> list[str]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .rng import derive_rng
 
 __all__ = [
     "bump",
-    "bump_lipschitz",
     "phi_v",
     "phi_v_antiderivative",
     "theta_unit",
@@ -53,7 +52,6 @@ __all__ = [
     "LogProductKernel",
     "TildeKernel",
     "StepKernel",
-    "eval_theta",
     "node_atoms",
     "strip_atoms",
     "check_size_condition",
@@ -87,11 +85,6 @@ def bump(u):
     u = np.asarray(u, dtype=float)
     out = np.where(np.abs(u) <= 0.5, np.cos(np.pi * u) ** 2, 0.0)
     return out if out.ndim else float(out)
-
-
-def bump_lipschitz() -> float:
-    """sup |d/du cos^2(pi u)| = pi."""
-    return math.pi
 
 
 def phi_v(z):
@@ -432,42 +425,6 @@ def strip_atoms(measure: CantorMeasure, off: float, length: float, mass: float,
         for j in (1, 2)
     ]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[2] for p in parts])
-
-
-def eval_theta(kernel, measure, f: Optional[Callable], t: float, x: float, quad) -> float:
-    """theta_t f(x) = integral of s_t(x, y) f(y) against the measure.
-
-    f = None means f identically 1.  Adaptive to the kernel's support: the
-    Cantor kernel integrates over its active node by tree descent, the
-    log-product kernel over [x - 2t, x + 2t] by midpoint rule.
-    """
-    depth = getattr(quad, "y_resolution_depth", 6)
-    if isinstance(kernel, TildeKernel):
-        return kernel.factor(t, x) * eval_theta(kernel.base, measure, f, t, x, quad)
-    if isinstance(kernel, CantorKernel):
-        act = kernel.locate(x, t)
-        if act is None:
-            return 0.0
-        extra = min(depth, measure.depth - act.generation + 4)
-        mids, widths, weights = node_atoms(
-            measure, act.offset, act.length, act.mass, act.generation, extra
-        )
-        center = act.offset + act.length / 2.0
-        vals = bump((mids - center) / act.length) / act.length**kernel.m
-        fy = 1.0 if f is None else np.asarray([f(v) for v in mids])
-        return float(np.sum(weights * vals * fy))
-    # Generic path: midpoint quadrature over the kernel's y-support window.
-    lo, hi = x - 2.0 * t, x + 2.0 * t
-    if hasattr(measure, "a"):
-        lo, hi = max(lo, measure.a), min(hi, measure.b)
-    if hi <= lo:
-        return 0.0
-    n = max(64, 2**depth)
-    ys = np.linspace(lo, hi, n, endpoint=False) + (hi - lo) / (2 * n)
-    w = (hi - lo) / n
-    sv = kernel.evaluate(t, x, ys)
-    fy = 1.0 if f is None else np.asarray([f(v) for v in ys])
-    return float(np.sum(sv * fy) * w)
 
 
 # -- condition checkers ----------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "carleson_log_bound",
     "lp_divergence_witness",
     "demo_carleson_quadrature",
-    "log_moment",
     "log_moments",
     "LOG2E_HI",
     "LOG2E_LO",
@@ -382,8 +381,3 @@ def log_moments(f: LogProductFn, ps: tuple[int, ...]) -> dict[int, Fraction]:
     widths = np.diff(bp)
     levels = {int(v): int(widths[A == v].sum()) for v in np.unique(A)}
     return {p: Fraction(sum(w * v**p for v, w in levels.items()), D) for p in ps}
-
-
-def log_moment(f: LogProductFn, p: int) -> Fraction:
-    """∫_0^1 (ln 1/f)^p dt, exact (demo profile)."""
-    return log_moments(f, (p,))[p]

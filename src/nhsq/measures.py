@@ -1,4 +1,4 @@
-"""Cantor-type measure with exact mass queries, plus Lebesgue and atomic measures.
+"""Cantor-type measure with exact mass queries, plus the Lebesgue measure.
 
 The measure lives on [0,1] and is built by a four-child subdivision rule:
 a node at generation n-1 with mass mu splits into children with masses
@@ -39,7 +39,6 @@ __all__ = [
     "NodeGeometry",
     "CantorMeasure",
     "LebesgueInterval",
-    "PointMasses",
     "GrowthEstimate",
     "growth_constant",
 ]
@@ -331,31 +330,6 @@ class LebesgueInterval:
         lo = np.maximum(np.asarray(a, dtype=float), self.a)
         hi = np.minimum(np.asarray(b, dtype=float), self.b)
         return np.maximum(0.0, hi - lo)
-
-
-class PointMasses:
-    """Finite atomic measure, for spike-style inputs."""
-
-    def __init__(self, points, weights):
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        if self.points.shape != self.weights.shape:
-            raise InvalidParams("points and weights must have equal length")
-        order = np.argsort(self.points)
-        self.points = self.points[order]
-        self.weights = self.weights[order]
-        self.total_mass = float(self.weights.sum())
-
-    def interval_mass(self, a: float, b: float) -> float:
-        if b < a:
-            raise ReversedInterval(f"need a <= b, got [{a}, {b}]")
-        sel = (self.points >= a) & (self.points <= b)
-        return float(self.weights[sel].sum())
-
-    def ball_mass(self, x: float, r: float) -> float:
-        if r < 0.0:
-            raise NegativeRadius(f"radius {r} < 0")
-        return self.interval_mass(x - r, x + r)
 
 
 # -- module-level operations ---------------------------------------------------

@@ -12,14 +12,16 @@ generation-n template, and sum mu(I) = 1 collapses the 4**n node sum to a
 single template quadrature.  The collapse is validated against direct node
 enumeration at shallow depth (OracleMismatch if they disagree).
 
-The collapsed series, its enumeration oracle and validate_collapse take a
-sequence of cones and answer for all of them in one pass: the geometry that
-does not depend on alpha (template strip atoms and leaf table per (n, y
-resolution), or one oracle node's atoms and theta) is built once, and the
-band tail matrix and its matrix product are evaluated once per aperture on
-it, so every aperture's sums run in the same order as for a lone cone.  No
-dense |u - y| matrix is built: _band_tails runs the tail formula only on the
-columns where it is neither 0 nor constant.
+An aperture is a plain float alpha; the dt/t^(m+1) weight always uses the
+measure's m.  The collapsed series, its enumeration oracle and
+validate_collapse take a sequence of apertures and answer for all of them in
+one pass: the geometry that does not depend on alpha (template strip atoms
+and leaf table per (n, y resolution), or one oracle node's atoms and theta)
+is built once, and the band tail matrix and its matrix product are evaluated
+once per aperture on it, so every aperture's sums run in the same order as
+for a lone one.  No dense |u - y| matrix is built: _band_tails runs the tail
+formula only on the columns where it is neither 0 nor constant.
+weak11_functional and snorm_by_x_integration work at aperture 1.
 
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
 (y, t) in its strip/band region (the strip sits 2 L_I from the node ends
@@ -64,7 +66,6 @@ from .logproduct import _segments
 from .measures import CantorMeasure, _split_geometry
 
 __all__ = [
-    "ConeSpec",
     "QuadratureConfig",
     "NormSeries",
     "LeafFunction",
@@ -153,44 +154,27 @@ def _band_tails(u, y, t_lo: float, t_hi: float, alpha: float, m: float):
     return out
 
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """Aperture alpha >= 1 and the exponent m of the dt/t^(m+1) weight."""
-
-    alpha: float
-    m: float
-
-    def validate(self) -> None:
-        # Written so that NaN fails the test too.
-        if not (1.0 <= self.alpha < math.inf):
-            raise InvalidParams(f"aperture must be finite and >= 1, got {self.alpha}")
-
-
-def _check_collapse_aperture(cone: ConeSpec, measure) -> None:
+def _check_collapse_aperture(alpha: float) -> None:
     """The template collapse assumes balls B(y, alpha t) stay in the node,
-    which holds for alpha <= 2 only.  The dt/t^(m+1) weight is the
-    measure's: a cone whose m differs (or is NaN) is refused, not ignored."""
-    cone.validate()
-    if cone.m != measure.m:
+    which holds for 1 <= alpha <= 2 only; NaN fails the first test too."""
+    if not (1.0 <= alpha < math.inf):
+        raise InvalidParams(f"aperture must be finite and >= 1, got {alpha}")
+    if alpha > 2.0:
         raise InvalidParams(
-            f"cone exponent m = {cone.m} differs from the measure's m = {measure.m}"
-        )
-    if cone.alpha > 2.0:
-        raise InvalidParams(
-            f"the collapsed norm series needs aperture <= 2, got {cone.alpha}; "
+            f"the collapsed norm series needs aperture <= 2, got {alpha}; "
             "wider balls leave the node and the collapse misses their mass"
         )
 
 
-def _collapse_alphas(cones, measure) -> list[float]:
-    """The apertures of a batch of cones, in order; every cone is checked
+def _collapse_alphas(alphas) -> list[float]:
+    """A batch of apertures as a list, in order; every aperture is checked
     before any work starts."""
-    cones = list(cones)
-    if not cones:
+    alphas = list(alphas)
+    if not alphas:
         raise InvalidParams("the collapsed norm series needs at least one cone")
-    for cone in cones:
-        _check_collapse_aperture(cone, measure)
-    return [cone.alpha for cone in cones]
+    for alpha in alphas:
+        _check_collapse_aperture(alpha)
+    return alphas
 
 
 @dataclass(frozen=True)
@@ -384,14 +368,14 @@ class CantorSquareContext:
 
 
 def conical_norm_series(
-    measure: CantorMeasure, cones, N: int, quad: QuadratureConfig,
+    measure: CantorMeasure, alphas, N: int, quad: QuadratureConfig,
     context: Optional[CantorSquareContext] = None,
 ) -> list[NormSeries]:
     """||S_alpha(1)||^2 per-generation series via the template collapse, one
-    per cone, in order; generation n is done for all apertures at once."""
-    alphas = _collapse_alphas(cones, measure)
+    per aperture, in order; generation n is done for all apertures at once."""
+    alphas = _collapse_alphas(alphas)
     ctx = context if context is not None else CantorSquareContext(measure, quad)
-    g = np.array([ctx.g_term(n, alphas) for n in range(N + 1)])  # (N + 1, cones, 2)
+    g = np.array([ctx.g_term(n, alphas) for n in range(N + 1)])  # (N + 1, apertures, 2)
     out = []
     for k, alpha in enumerate(alphas):
         terms, errs = g[:, k, 0].copy(), g[:, k, 1].copy()
@@ -416,17 +400,17 @@ def vertical_norm_series(
 
 
 def direct_norm_series(
-    measure: CantorMeasure, cones, N: int, quad: QuadratureConfig
+    measure: CantorMeasure, alphas, N: int, quad: QuadratureConfig
 ) -> list[NormSeries]:
     """Brute-force oracle: enumerate all 4**n nodes per generation, one series
-    per cone, in order.
+    per aperture, in order.
 
     Uses absolute coordinates and global ball masses; no template collapse.
     Each node's atoms and theta serve every aperture; its tails matrices
     come from _band_tails, with no dense distance matrix.  Intended
     for shallow N (cost 4**N nodes at generation N).
     """
-    alphas = _collapse_alphas(cones, measure)
+    alphas = _collapse_alphas(alphas)
     if N > 6:
         raise InvalidParams("direct enumeration is intended for N <= 6")
     if measure.depth < N + 3:
@@ -453,12 +437,12 @@ def direct_norm_series(
 
 
 def validate_collapse(
-    measure: CantorMeasure, cones, N: int, quad: QuadratureConfig, tol: float = 0.01
+    measure: CantorMeasure, alphas, N: int, quad: QuadratureConfig, tol: float = 0.01
 ) -> float:
     """Max relative disagreement between collapsed and enumerated g(n, alpha)
-    over all cones; OracleMismatch names the first aperture past tol."""
-    collapsed = conical_norm_series(measure, cones, N, quad)
-    direct = direct_norm_series(measure, cones, N, quad)
+    over all apertures; OracleMismatch names the first aperture past tol."""
+    collapsed = conical_norm_series(measure, alphas, N, quad)
+    direct = direct_norm_series(measure, alphas, N, quad)
     worst = 0.0
     for c, d in zip(collapsed, direct):
         rel = np.abs(c.terms - d.terms) / np.maximum(d.terms, 1e-300)
@@ -514,7 +498,7 @@ def _nodes(idx, alive, off, length, mass):
         yield node, pts, float(off[i]), float(length[i]), float(mass[i])
 
 
-def conical_value(kernel, measure, f, x, cone: ConeSpec, quad: QuadratureConfig):
+def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
     """S_alpha f(x) over the kernel's active bands up to the truncation generation.
 
     x is a scalar (float result) or an array.  All points walk the tree
@@ -524,7 +508,7 @@ def conical_value(kernel, measure, f, x, cone: ConeSpec, quad: QuadratureConfig)
     distance >= 2 L from x), so the walk is exhaustive; wider apertures are
     refused with InvalidParams.
     """
-    _check_collapse_aperture(cone, measure)
+    _check_collapse_aperture(alpha)
     if not isinstance(kernel, CantorKernel):
         raise InvalidParams("conical_value is defined for the Cantor kernel")
     x = np.asarray(x, dtype=float)
@@ -541,7 +525,7 @@ def conical_value(kernel, measure, f, x, cone: ConeSpec, quad: QuadratureConfig)
             L_abs = measure.geometry[g + 1].L * ln
             mids, weights = strip_atoms(measure, o, ln, ms, g, min(3, measure.depth - g - 1))
             tails = _band_tail_weight(
-                _distances(xs[pts], mids), L_abs / 2.0, L_abs, cone.alpha, measure.m
+                _distances(xs[pts], mids), L_abs / 2.0, L_abs, alpha, measure.m
             )
             # Row sums, not tails @ weights: BLAS would add in another order.
             total[pts] += c * c * (weights * tails).sum(axis=1)
@@ -637,7 +621,7 @@ def _node_coefficient_arrays(measure: CantorMeasure, f: LeafFunction, max_gen: i
 
 
 def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
-                      cone: ConeSpec, quad: QuadratureConfig,
+                      alpha: float, quad: QuadratureConfig,
                       context: Optional[CantorSquareContext] = None):
     """max ||S f||^2 / ||f||^2 over leaf-vector samples, with the witness.
 
@@ -645,7 +629,7 @@ def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
     below the leaf depth, c_J = f_leaf * beta(n) exactly, so those terms
     reduce to g(n, alpha) ||f||^2.
     """
-    _check_collapse_aperture(cone, measure)
+    _check_collapse_aperture(alpha)
     ctx = context if context is not None else CantorSquareContext(measure, quad)
     N = quad.trunc_generation
     best = 0.0
@@ -661,9 +645,9 @@ def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
         total = 0.0
         for n in range(0, D):
             _, _, mn = measure.leaf_table(n)
-            total += ctx.band_weight(n, cone.alpha) * float(np.sum(mn * coeffs[n] ** 2))
+            total += ctx.band_weight(n, alpha) * float(np.sum(mn * coeffs[n] ** 2))
         for n in range(D, N + 1):
-            [(g, _)] = ctx.g_term(n, (cone.alpha,))
+            [(g, _)] = ctx.g_term(n, (alpha,))
             total += g * fsq
         ratio = total / fsq
         ratios.append(ratio)
@@ -913,9 +897,9 @@ class Weak11Result:
     per_lambda: list[tuple[float, float]]
 
 
-def weak11_functional(kernel, measure, f: LeafFunction, lambda_grid, quad: QuadratureConfig,
-                      cone: Optional[ConeSpec] = None) -> Weak11Result:
-    """sup over lambda of lambda * mu{S f > lambda} / ||f||_1.
+def weak11_functional(kernel, measure, f: LeafFunction, lambda_grid,
+                      quad: QuadratureConfig) -> Weak11Result:
+    """sup over lambda of lambda * mu{S f > lambda} / ||f||_1, at aperture 1.
 
     S f is evaluated at leaf resolution: one value per validation-depth leaf,
     level sets measured by summing leaf masses.  Finer level-set structure is
@@ -923,13 +907,12 @@ def weak11_functional(kernel, measure, f: LeafFunction, lambda_grid, quad: Quadr
     """
     if not isinstance(kernel, CantorKernel):
         raise InvalidParams("weak11_functional is defined for the Cantor kernel")
-    cone = cone if cone is not None else ConeSpec(alpha=1.0, m=measure.m)
     l1 = f.l1_norm()
     if l1 == 0.0:
         return Weak11Result(0.0, 0.0, 0.0, [(float(l), 0.0) for l in lambda_grid])
     starts, lens, masses = measure.leaf_table(f.depth)
     mids = starts + lens / 2.0
-    values = conical_value(kernel, measure, f, mids, cone, quad)
+    values = conical_value(kernel, measure, f, mids, 1.0, quad)
     per_lambda = []
     sup_value, witness = 0.0, 0.0
     for lam in lambda_grid:
@@ -945,9 +928,9 @@ def weak11_functional(kernel, measure, f: LeafFunction, lambda_grid, quad: Quadr
 # -- S vs tilde-V dual routes -----------------------------------------------------
 
 
-def snorm_by_x_integration(measure: CantorMeasure, f, cone: ConeSpec,
-                           quad: QuadratureConfig, x_depth: int = 4) -> float:
-    """||S f||^2 by integrating S f(x)^2 over x at leaf resolution.
+def snorm_by_x_integration(measure: CantorMeasure, f, quad: QuadratureConfig,
+                           x_depth: int = 4) -> float:
+    """||S f||^2 at aperture 1 by integrating S f(x)^2 over x at leaf resolution.
 
     x resolution must exceed the truncation generation, otherwise leaf
     midpoints sit in the middle gaps of the finest nodes and miss their
@@ -957,7 +940,7 @@ def snorm_by_x_integration(measure: CantorMeasure, f, cone: ConeSpec,
     x_depth = max(x_depth, quad.trunc_generation + 1)
     starts, lens, masses = measure.leaf_table(x_depth)
     mids = starts + lens / 2.0
-    vals = conical_value(kernel, measure, f, mids, cone, quad)
+    vals = conical_value(kernel, measure, f, mids, 1.0, quad)
     return float(np.sum(vals**2 * masses))
 
 

@@ -183,6 +183,34 @@ def test_cli_usage_errors(tmp_path):
         assert len(proc.stderr.splitlines()) == 1
 
 
+def test_cli_refuses_depth_where_ignored(tmp_path, capsys):
+    # --depth sets N, which only four experiments read; elsewhere it is
+    # refused instead of echoed unused into the report.
+    readers = "aperture, vertical, l2-bound, weak11"
+    for name in ("growth", "goodness", "tb-testing", "kernel-conditions", "logproduct",
+                 "stopping"):
+        assert cli_main(["run", name, "--depth", "3", "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --depth is read only by {readers}, not by {name}\n"
+        assert not (tmp_path / name).exists()
+
+
+def test_negative_n_or_depth_refused(tmp_path, capsys):
+    # One check in ExperimentConfig covers the constructor, config files and --depth.
+    for key, val in (("N", -2), ("depth", -5)):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got {val}$"):
+            ExperimentConfig(**{key: val})
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: val}))
+        for args in (["validate-config", str(cfg)],
+                     ["run", "weak11", "--config", str(cfg), "--out", str(tmp_path)]):
+            assert cli_main(args) == 2
+            assert capsys.readouterr() == ("", f"error: {key} must be >= 0, got {val}\n")
+    assert cli_main(["run", "aperture", "--depth", "-3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "error: N must be >= 0, got -3\n")
+    assert not (tmp_path / "weak11").exists() and not (tmp_path / "aperture").exists()
+
+
 def _assert_reference_bytes(experiment, seed, tmp_path):
     """report.json and series.csv equal the benchmark's recorded reference
     bytes, and the run passes exactly when the reference run did."""

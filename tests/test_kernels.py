@@ -15,19 +15,17 @@ from nhsq.kernels import (
     StepKernel,
     TildeKernel,
     bump,
-    bump_lipschitz,
     check_holder_condition,
     check_size_condition,
-    eval_theta,
     node_atoms,
     phi_v,
     phi_v_antiderivative,
     theta_unit,
 )
 from nhsq.logproduct import build_logproduct
-from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval
+from nhsq.measures import CantorMeasure, CantorParams
 from nhsq.rng import derive_rng
-from nhsq.sqfn import QuadratureConfig
+from nhsq.sqfn import LeafFunction, _node_coefficient
 
 M, C = 0.4, 16.0
 
@@ -47,10 +45,6 @@ def vkernel():
     return LogProductKernel(build_logproduct("demo", 3))
 
 
-def quad(depth=6):
-    return QuadratureConfig(t_steps_per_band=32, y_resolution_depth=depth, rel_tol=1e-3)
-
-
 def test_bump_profile():
     assert bump(0.0) == 1.0
     assert bump(0.5) == pytest.approx(0.0, abs=1e-15)
@@ -61,7 +55,7 @@ def test_bump_profile():
     assert bump(0.6) == 0.0
     # Lipschitz constant pi, checked against finite differences.
     diffs = np.abs(np.diff(bump(u))) / (u[1] - u[0])
-    assert diffs.max() <= bump_lipschitz() + 1e-6
+    assert diffs.max() <= math.pi + 1e-6
 
 
 def test_phi_v_profile():
@@ -208,22 +202,29 @@ def test_logproduct_kernel_values(vkernel):
     assert vkernel.evaluate(0.3, 0.01, 0.01) == 0.0
 
 
-def test_eval_theta_cantor(measure, kernel):
+def test_root_coefficient_cantor(measure, kernel):
+    # theta_t f(x) on the root's strip and band is the root's coefficient c_J(f).
     geo = measure.geometry[1]
     x = geo.child_offsets[1] + geo.child_lengths[1] / 2
+    act = kernel.locate(x, geo.L)
+    assert (act.generation, act.offset, act.length, act.mass) == (0, 0.0, 1.0, 1.0)
+    root = (0.0, 1.0, 1.0, 0)
     # f == 0 gives 0.
-    assert eval_theta(kernel, measure, lambda y: 0.0, geo.L, x, quad()) == 0.0
+    assert _node_coefficient(measure, LeafFunction.constant(measure, 3, 0.0), *root, 6) == 0.0
     # f == 1: tree-descent value, refined across two depths within 1e-6.
-    v6 = eval_theta(kernel, measure, None, geo.L, x, quad(6))
-    v8 = eval_theta(kernel, measure, None, geo.L, x, quad(8))
+    v6 = _node_coefficient(measure, None, *root, 6)
+    v8 = _node_coefficient(measure, None, *root, 8)
     assert abs(v6 - v8) < 1e-6
     assert 0.05 < v6 <= 1.0
 
 
-def test_eval_theta_logproduct_closed_form(vkernel):
-    lb = LebesgueInterval(0, 1)
+def test_theta_one_logproduct_closed_form(vkernel):
+    # Oracle: the midpoint rule with 256 points over [x - 2t, x + 2t] & [0, 1].
     for (t, x) in ((0.5, 0.5), (0.25, 0.3), (0.9, 0.1)):
-        q = eval_theta(vkernel, lb, None, t, x, quad(8))
+        lo, hi = max(x - 2.0 * t, 0.0), min(x + 2.0 * t, 1.0)
+        w = (hi - lo) / 256
+        ys = np.linspace(lo, hi, 256, endpoint=False) + w / 2
+        q = float(np.sum(vkernel.evaluate(t, x, ys)) * w)
         closed = vkernel.theta_one(t, x)
         assert q == pytest.approx(closed, rel=1e-6, abs=1e-9)
     # theta_t 1 >= 1 for interior x with f(x) <= t <= 1.

@@ -21,7 +21,6 @@ from nhsq.logproduct import (
     carleson_log_bound,
     demo_carleson_quadrature,
     eval_f,
-    log_moment,
     log_moments,
     lp_divergence_witness,
 )
@@ -240,10 +239,10 @@ def test_log_moments_exact(demo):
     mom = log_moments(demo, (1, 2, 4))
     assert mom[1] == demo.exponent_budget()
     assert mom[2] >= mom[1]  # A >= 1 wherever A > 0... A integer-valued
-    assert log_moment(demo, 4) == mom[4]
+    assert log_moments(demo, (4,))[4] == mom[4]
     # Monotone in N for each p.
     for p in (1, 2, 4):
-        vals = [log_moment(build_logproduct("demo", N), p) for N in (1, 2, 3)]
+        vals = [log_moments(build_logproduct("demo", N), (p,))[p] for N in (1, 2, 3)]
         assert vals[0] <= vals[1] <= vals[2]
 
 

@@ -16,7 +16,6 @@ from nhsq.measures import (
     CantorMeasure,
     CantorParams,
     LebesgueInterval,
-    PointMasses,
     growth_constant,
 )
 from nhsq.sqfn import LeafFunction
@@ -134,12 +133,6 @@ def test_lebesgue_ball():
     lb = LebesgueInterval(0.0, 1.0)
     assert lb.ball_mass(0.5, 0.1) == pytest.approx(0.2, rel=1e-12)
     assert lb.interval_mass(-1.0, 2.0) == 1.0
-
-
-def test_point_masses():
-    pm = PointMasses([0.2, 0.8], [1.0, 2.0])
-    assert pm.interval_mass(0.0, 0.5) == 1.0
-    assert pm.ball_mass(0.8, 0.0) == 2.0
 
 
 @given(c=st.floats(min_value=0.0, max_value=1.0))

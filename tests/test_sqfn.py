@@ -24,7 +24,6 @@ from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
 from nhsq.sqfn import (
     CantorSquareContext,
-    ConeSpec,
     LeafFunction,
     QuadratureConfig,
     ci_profile,
@@ -78,34 +77,13 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.5).validate()
     with pytest.raises(InvalidParams):
         QuadratureConfig(t_steps_per_band=0).validate()
-    with pytest.raises(InvalidParams):
-        ConeSpec(alpha=0.5, m=M).validate()
-    for bad in (math.nan, math.inf):
-        with pytest.raises(InvalidParams):
-            ConeSpec(alpha=bad, m=M).validate()
-
-
-def test_cone_exponent_must_match_measure(measure, kernel, quad, ctx):
-    # The dt/t^(m+1) weight is the measure's; a cone carrying another m, or
-    # NaN, is refused rather than answered with the measure's m = 0.4.
-    fone = LeafFunction.constant(measure, 5, 1.0)
-    quad3 = QuadratureConfig(32, 6, 1e-3, 3)
-    for m in (0.1, math.nan):
-        cone = ConeSpec(1.0, m)
-        routes = (
-            lambda: conical_norm_series(measure, [cone], 10, quad, context=ctx),
-            lambda: direct_norm_series(measure, [cone], 3, quad3),
-            lambda: conical_value(kernel, measure, None, 0.3, cone, quad),
-            lambda: l2_operator_ratio(measure, [fone], cone, quad, context=ctx),
-            lambda: snorm_by_x_integration(measure, None, cone, quad3),
-        )
-        for route in routes:
-            with pytest.raises(InvalidParams, match="differs from the measure's m"):
-                route()
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(InvalidParams, match="aperture must be finite and >= 1"):
+            sqfn._check_collapse_aperture(bad)
 
 
 def test_series_shapes_and_monotone(measure, quad, ctx):
-    [s1] = conical_norm_series(measure, [ConeSpec(1.0, M)], 10, quad, context=ctx)
+    [s1] = conical_norm_series(measure, [1.0], 10, quad, context=ctx)
     assert len(s1.terms) == 11
     assert np.all(s1.terms >= 0)
     assert np.all(np.diff(s1.partial_sums) >= 0)
@@ -116,7 +94,7 @@ def test_series_shapes_and_monotone(measure, quad, ctx):
 
 def test_aperture_dichotomy_shape(measure, quad, ctx):
     s1, s2 = conical_norm_series(
-        measure, [ConeSpec(1.0, M), ConeSpec(2.0, M)], 10, quad, context=ctx
+        measure, [1.0, 2.0], 10, quad, context=ctx
     )
     # alpha = 1 terms decay quadratically; alpha = 2 terms only harmonically.
     k1 = [s1.terms[n] * (n + 1) ** 2 for n in range(11)]
@@ -127,22 +105,22 @@ def test_aperture_dichotomy_shape(measure, quad, ctx):
 
 
 def test_aperture_monotone_in_alpha(measure, quad, ctx):
-    cones = [ConeSpec(a, M) for a in (1.0, 1.5, 2.0)]
-    series = {s.alpha: s.terms for s in conical_norm_series(measure, cones, 8, quad, context=ctx)}
+    series = conical_norm_series(measure, (1.0, 1.5, 2.0), 8, quad, context=ctx)
+    series = {s.alpha: s.terms for s in series}
     assert np.all(series[1.0] <= series[1.5] + 1e-18)
     assert np.all(series[1.5] <= series[2.0] + 1e-18)
 
 
 def test_collapse_against_enumeration(measure, quad):
     for alpha in (1.0, 1.5, 2.0):
-        worst = validate_collapse(measure, [ConeSpec(alpha, M)], 3, quad, tol=0.01)
+        worst = validate_collapse(measure, [alpha], 3, quad, tol=0.01)
         assert worst <= 0.01
 
 
 def test_collapse_refuses_wide_aperture(measure, quad, ctx):
     # Beyond alpha = 2 the balls leave the node; the collapse would miss
     # that mass, so every collapsed route refuses instead of answering.
-    wide = ConeSpec(2.5, M)
+    wide = 2.5
     with pytest.raises(InvalidParams):
         conical_norm_series(measure, [wide], 4, quad, context=ctx)
     with pytest.raises(InvalidParams):
@@ -159,7 +137,7 @@ def test_collapse_refuses_wide_aperture(measure, quad, ctx):
 
 def test_collapse_mismatch_raises(measure, quad):
     with pytest.raises(OracleMismatch):
-        validate_collapse(measure, [ConeSpec(1.0, M)], 3, quad, tol=1e-12)
+        validate_collapse(measure, [1.0], 3, quad, tol=1e-12)
 
 
 def _where_tail_weight(d, t_lo, t_hi, alpha, m):
@@ -263,7 +241,7 @@ def test_band_weights_match_dense_reference(measure, quad, monkeypatch):
         for alpha, ref in zip(alphas, refs):
             assert fresh.band_weight(n, alpha, y_depth) == ref
     N = 3
-    direct = direct_norm_series(measure, [ConeSpec(a, M) for a in (1.0, 2.0)], N, quad)
+    direct = direct_norm_series(measure, list((1.0, 2.0)), N, quad)
     for alpha, series in zip((1.0, 2.0), direct):
         ref = _one_aperture_direct(measure, alpha, N, quad)
         assert series.terms.tobytes() == ref.tobytes()
@@ -393,7 +371,6 @@ def test_batched_series_match_one_aperture_loop(alphas, monkeypatch):
     # node atoms once per oracle node.
     measure = CantorMeasure(CantorParams(m=M, C=C, depth=9))
     quad = QuadratureConfig(32, 6, 1e-3, 6)
-    cones = [ConeSpec(a, M) for a in alphas]
     builds = {"strip_atoms": 0, "node_atoms": 0}
 
     def counting(name):
@@ -407,9 +384,9 @@ def test_batched_series_match_one_aperture_loop(alphas, monkeypatch):
     for name in builds:
         monkeypatch.setattr(sqfn, name, counting(name))
     N, N_direct = 6, 2
-    collapsed = conical_norm_series(measure, cones, N, quad)
+    collapsed = conical_norm_series(measure, alphas, N, quad)
     assert builds == {"strip_atoms": 2 * (N + 1), "node_atoms": 0}
-    direct = direct_norm_series(measure, cones, N_direct, quad)
+    direct = direct_norm_series(measure, alphas, N_direct, quad)
     nodes = sum(4**n for n in range(N_direct + 1))
     assert builds == {"strip_atoms": 2 * (N + 1) + nodes, "node_atoms": nodes}
     monkeypatch.undo()
@@ -423,26 +400,26 @@ def test_batched_series_match_one_aperture_loop(alphas, monkeypatch):
 
 
 def test_batched_series_refuse_bad_cone_before_work(measure, quad, monkeypatch):
-    # A wide aperture or a foreign m anywhere in the batch is refused before
-    # any geometry or tail weight is computed for the cones before it.
+    # A wide or a NaN aperture anywhere in the batch is refused before any
+    # geometry or tail weight is computed for the apertures before it.
     def no_work(*args, **kwargs):
         raise AssertionError("computed before the batch was checked")
 
     for name in ("_band_tail_weight", "strip_atoms", "node_atoms", "bump"):
         monkeypatch.setattr(sqfn, name, no_work)
     quad3 = QuadratureConfig(32, 6, 1e-3, 3)
-    good = [ConeSpec(1.0, M), ConeSpec(2.0, M)]
-    for bad in (ConeSpec(2.5, M), ConeSpec(1.5, 0.1)):
+    good = [1.0, 2.0]
+    for bad in (2.5, math.nan):
         for pos in range(len(good) + 1):
-            cones = good[:pos] + [bad] + good[pos:]
+            alphas = good[:pos] + [bad] + good[pos:]
             fresh = CantorSquareContext(measure, quad)
             with pytest.raises(InvalidParams):
-                conical_norm_series(measure, cones, 4, quad, context=fresh)
+                conical_norm_series(measure, alphas, 4, quad, context=fresh)
             assert fresh._weight == {} and fresh._beta == {}
             with pytest.raises(InvalidParams):
-                direct_norm_series(measure, cones, 2, quad3)
+                direct_norm_series(measure, alphas, 2, quad3)
             with pytest.raises(InvalidParams):
-                validate_collapse(measure, cones, 2, quad3)
+                validate_collapse(measure, alphas, 2, quad3)
     for route in (conical_norm_series, direct_norm_series, validate_collapse):
         with pytest.raises(InvalidParams, match="at least one cone"):
             route(measure, [], 2, quad3)
@@ -451,30 +428,30 @@ def test_batched_series_refuse_bad_cone_before_work(measure, quad, monkeypatch):
 def test_budget_error_names_the_failing_aperture(measure):
     # rel_tol between the largest share of the budget and the next one fails
     # exactly one aperture of the batch, and the message names it.
-    cones = [ConeSpec(a, M) for a in (1.0, 1.5, 2.0)]
+    alphas = [1.0, 1.5, 2.0]
     loose = QuadratureConfig(32, 6, 0.1, 8)
-    share = [float(s.err_est.sum()) / s.total for s in conical_norm_series(measure, cones, 8, loose)]
+    share = [float(s.err_est.sum()) / s.total for s in conical_norm_series(measure, alphas, 8, loose)]
     first, second = sorted(share, reverse=True)[:2]
     assert first > second
     tight = QuadratureConfig(32, 6, (first + second) / 2.0, 8)
-    alpha = cones[share.index(first)].alpha
+    alpha = alphas[share.index(first)]
     with pytest.raises(QuadratureBudgetExceeded, match=re.escape(f"at alpha={alpha};")):
-        conical_norm_series(measure, cones, 8, tight)
-    others = [c for c in cones if c.alpha != alpha]
+        conical_norm_series(measure, alphas, 8, tight)
+    others = [a for a in alphas if a != alpha]
     assert len(conical_norm_series(measure, others, 8, tight)) == 2
 
 
 def test_oracle_mismatch_names_the_failing_aperture():
     measure = CantorMeasure(CantorParams(m=M, C=C, depth=9))
     quad3 = QuadratureConfig(32, 6, 1e-3, 3)
-    cones = [ConeSpec(a, M) for a in (1.0, 1.5, 2.0)]
-    errs = [validate_collapse(measure, [c], 2, quad3) for c in cones]
-    assert validate_collapse(measure, cones, 2, quad3) == max(errs)
+    alphas = [1.0, 1.5, 2.0]
+    errs = [validate_collapse(measure, [a], 2, quad3) for a in alphas]
+    assert validate_collapse(measure, alphas, 2, quad3) == max(errs)
     first, second = sorted(errs, reverse=True)[:2]
     assert first > second
-    alpha = cones[errs.index(first)].alpha
+    alpha = alphas[errs.index(first)]
     with pytest.raises(OracleMismatch, match=re.escape(f"at alpha={alpha}")):
-        validate_collapse(measure, cones, 2, quad3, tol=(first + second) / 2.0)
+        validate_collapse(measure, alphas, 2, quad3, tol=(first + second) / 2.0)
 
 
 def test_collapse_against_ball_mass_oracle():
@@ -506,7 +483,7 @@ def test_collapse_against_ball_mass_oracle():
                 r = alpha * s[None, :]
                 balls = measure.interval_mass_batch(u[:, None] - r, u[:, None] + r)
                 oracle[n] += theta**2 * float(s_w[strip] @ (balls @ s**-M)) * LN2 / K
-        [collapsed] = conical_norm_series(measure, [ConeSpec(alpha, M)], N, quad3)
+        [collapsed] = conical_norm_series(measure, [alpha], N, quad3)
         collapsed = collapsed.terms
         assert collapsed == pytest.approx(oracle, rel=quad3.rel_tol)
 
@@ -517,7 +494,7 @@ def test_vertical_series(measure, quad, ctx):
     for n in range(11):
         expected = ctx.beta(n) ** 2 * ctx.strip_fraction(n) * LN2
         assert sv.terms[n] == pytest.approx(expected, rel=1e-14)
-    [s2] = conical_norm_series(measure, [ConeSpec(2.0, M)], 10, quad, context=ctx)
+    [s2] = conical_norm_series(measure, [2.0], 10, quad, context=ctx)
     assert np.all(s2.terms <= 0.72 * sv.terms)
 
 
@@ -527,8 +504,7 @@ def test_quadrature_refinement_invariant(measure):
     base = QuadratureConfig(32, 6, 1e-3, 8)
     fine_t = QuadratureConfig(64, 6, 1e-3, 8)
     fine_y = QuadratureConfig(32, 7, 1e-3, 8)
-    cones = [ConeSpec(1.0, M), ConeSpec(2.0, M)]
-    runs = (conical_norm_series(measure, cones, 8, q) for q in (base, fine_t, fine_y))
+    runs = (conical_norm_series(measure, [1.0, 2.0], 8, q) for q in (base, fine_t, fine_y))
     for s0, s1, s2 in zip(*runs):
         t0, t1, t2 = s0.total, s1.total, s2.total
         assert abs(t1 - t0) < 1e-3 * t0
@@ -538,8 +514,8 @@ def test_quadrature_refinement_invariant(measure):
 def test_conical_value_zero_cases(measure, kernel, quad):
     # f == 0 and far-gap points give zero.
     f0 = LeafFunction.constant(measure, 3, 0.0)
-    assert conical_value(kernel, measure, f0, 0.3, ConeSpec(1.0, M), quad) == 0.0
-    assert conical_value(kernel, measure, None, 0.5, ConeSpec(1.0, M), quad) == 0.0
+    assert conical_value(kernel, measure, f0, 0.3, 1.0, quad) == 0.0
+    assert conical_value(kernel, measure, None, 0.5, 1.0, quad) == 0.0
 
 
 def test_conical_value_against_grid_oracle(measure, kernel):
@@ -554,7 +530,7 @@ def test_conical_value_against_grid_oracle(measure, kernel):
     ]
     for x in xs:
         for alpha in (1.0, 2.0):
-            val = conical_value(kernel, measure, None, x, ConeSpec(alpha, M), quad3)
+            val = conical_value(kernel, measure, None, x, alpha, quad3)
             # oracle
             total = 0.0
             off, length, mass = 0.0, 1.0, 1.0
@@ -659,10 +635,10 @@ def test_values_on_arrays_match_chain_walk(measure, kernel, quad):
         v = vertical_value(kernel, measure, f, xs, quad)
         assert np.array_equal(v, [w[1] for w in want]) and (v > 0).any()
         for k, alpha in enumerate(alphas):
-            s = conical_value(kernel, measure, f, xs, ConeSpec(alpha, M), quad)
+            s = conical_value(kernel, measure, f, xs, alpha, quad)
             assert np.array_equal(s, [w[0][k] for w in want])
             assert (s > 0).sum() > len(xs) // 4
-        one = conical_value(kernel, measure, f, xs[3], ConeSpec(1.0, M), quad)
+        one = conical_value(kernel, measure, f, xs[3], 1.0, quad)
         assert type(one) is float and one == want[3][0][0]
         grid = xs[:12].reshape(3, 4)
         assert np.array_equal(vertical_value(kernel, measure, f, grid, quad), v[:12].reshape(3, 4))
@@ -687,7 +663,7 @@ def test_values_past_generation_31_match_chain_walk():
         memo = {}
         want = [_chain_walk(deep, f, x, (1.0, 2.0), quad, memo) for x in xs.tolist()]
         for k, alpha in enumerate((1.0, 2.0)):
-            s = conical_value(kernel, deep, f, xs, ConeSpec(alpha, M), quad)
+            s = conical_value(kernel, deep, f, xs, alpha, quad)
             assert np.array_equal(s, [w[0][k] for w in want])
             assert (s[3:] > 0).all()
         v = vertical_value(kernel, deep, f, xs, quad)
@@ -725,18 +701,21 @@ def test_vertical_value_logproduct_lower_bound(quad):
 
 
 def test_s_equals_tilde_v(measure):
-    # ||S f||^2 via cone integration == ||tilde-V f||^2 via vertical route,
-    # within twice the quadrature tolerance, for f = 1 and 5 random vectors.
+    # ||S f||^2 by integrating conical_value's pointwise walk over x equals
+    # ||tilde-V f||^2 by enumerating the nodes, for f = 1 and 5 random
+    # vectors.  Both routes read c_J from _node_coefficient and add up the
+    # same band tail sums in two orders, so they agree to rounding (at most
+    # 1.9e-15 relative measured): this checks the walk, not a quadrature.
     quad4 = QuadratureConfig(32, 6, 1e-3, 4)
-    a = snorm_by_x_integration(measure, None, ConeSpec(1.0, M), quad4, x_depth=5)
+    a = snorm_by_x_integration(measure, None, quad4, x_depth=5)
     b = snorm_by_tilde_route(measure, None, quad4, x_depth=3)
-    assert abs(a - b) <= 2e-3 * max(a, b)
+    assert abs(a - b) <= 1e-12 * max(a, b)
     rng = np.random.default_rng(11)
     for _ in range(5):
         f = LeafFunction(measure, 3, rng.choice([-1.0, 1.0], size=64))
-        fa = snorm_by_x_integration(measure, f, ConeSpec(1.0, M), quad4, x_depth=5)
+        fa = snorm_by_x_integration(measure, f, quad4, x_depth=5)
         fb = snorm_by_tilde_route(measure, f, quad4, x_depth=3)
-        assert abs(fa - fb) <= 2e-3 * max(fa, fb) + 1e-18
+        assert abs(fa - fb) <= 1e-12 * max(fa, fb)
 
 
 def test_bump_mass_constant_pinned(measure, quad, ctx):
@@ -757,7 +736,7 @@ def test_pointwise_aperture_monotone(measure, kernel, quad):
     xs += list(rng.uniform(0, 1, size=6))
     for x in xs:
         vals = [
-            conical_value(kernel, measure, None, x, ConeSpec(a, M), quad)
+            conical_value(kernel, measure, None, x, a, quad)
             for a in (1.0, 1.5, 2.0)
         ]
         assert vals[0] <= vals[1] + 1e-15
@@ -767,14 +746,14 @@ def test_pointwise_aperture_monotone(measure, kernel, quad):
 def test_l2_ratio_consistency(measure, quad, ctx):
     fone = LeafFunction.constant(measure, 5, 1.0)
     best, witness, ratios = l2_operator_ratio(
-        measure, [fone], ConeSpec(1.0, M), quad, context=ctx
+        measure, [fone], 1.0, quad, context=ctx
     )
-    [s1] = conical_norm_series(measure, [ConeSpec(1.0, M)], 10, quad, context=ctx)
+    [s1] = conical_norm_series(measure, [1.0], 10, quad, context=ctx)
     assert best == pytest.approx(s1.total, rel=2e-3)
     assert witness is fone
     # Zero function contributes nothing.
     _, _, zr = l2_operator_ratio(
-        measure, [LeafFunction.constant(measure, 3, 0.0)], ConeSpec(1.0, M), quad, context=ctx
+        measure, [LeafFunction.constant(measure, 3, 0.0)], 1.0, quad, context=ctx
     )
     assert zr == [0.0]
 
