@@ -187,6 +187,8 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _exp_vertical(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+    if cfg.N < (n0 := 2):
+        raise ConfigError(f"vertical needs N >= 2 for its fit over n = 2..N, got {cfg.N}")
     measure = cfg.measure()
     quad = cfg.quad()
     ctx = CantorSquareContext(measure, quad)
@@ -195,7 +197,6 @@ def _exp_vertical(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     report.add_series(sv)
     report.metrics["vertical_total"] = sv.total
 
-    n0 = 2
     c_fit = min(float(sv.terms[n] * cfg.C * (n + 1)) for n in range(n0, cfg.N + 1))
     report.metrics["vertical_harmonic_c"] = c_fit
     dom = max(float(s2.terms[n] / sv.terms[n]) for n in range(cfg.N + 1))

@@ -2,12 +2,12 @@
 
 Each factor is e**(-a_n) on a union E_n of 2**k_exp equally spaced pieces and
 1 elsewhere, so ln(1/f(t)) is the integer A(t) = sum a_n * 1_{E_n}(t).  All
-set queries (membership, overlaps, piece counts) run in exact rational
-arithmetic on k_n's exponent; pieces are never enumerated, so k_n may be an
-astronomically large power of two.  A piece count is built as an integer only
-when a caller asks for it (`SpacedSetFamily.overlap`); for the paper profile
-that integer has up to 24 million bits, so measure-only callers use
-`SpacedSetFamily.overlap_measure`.
+set queries (membership, overlaps, piece counts, Carleson bounds) run on exact
+integer numerators over one common denominator, shifted by k_n's exponent;
+pieces are never enumerated, so k_n may be an astronomically large power of
+two.  A piece count is built only when a caller asks for it
+(`SpacedSetFamily.overlap`); for the paper profile it has up to 24 million
+bits, so measure-only callers use `SpacedSetFamily.overlap_measure`.
 
 Two parameter profiles:
 
@@ -18,10 +18,10 @@ Two parameter profiles:
   The slow exponent growth keeps every breakpoint enumerable (k_4 = 2**16),
   which the direct Carleson integrals and exact moment sweeps need.  Every
   piece endpoint lies on the lattice (1/D)Z with D = 3 * 2**30 for N = 4, so
-  the breakpoints and the moment sweep run on int64 numerators over D, while
-  `exponent` and `_segments` stay exact rational references.  The
-  fast-decaying budget makes the truncated Carleson profile stabilize within
-  a few percent by N = 2, so per-interval checks are uniform in N.
+  the breakpoints (deduplicated by one sort) and the moment sweep run on int64
+  numerators over D, while `exponent` and `_segments` stay exact rational
+  references.  The fast-decaying budget makes the truncated Carleson profile
+  stabilize within a few percent by N = 2, so per-interval checks are uniform.
 """
 
 from __future__ import annotations
@@ -96,48 +96,34 @@ class SpacedSetFamily:
         r = (p << self.k_exp) % q
         return r * self.total_measure.denominator <= q * self.total_measure.numerator
 
-    def _span(self, a: Rational, b: Rational) -> tuple[Fraction, Fraction, bool]:
-        """Validated [a, b] and whether both ends are dyadic no finer than 1/k."""
-        a = Fraction(a)
-        b = Fraction(b)
-        if not (0 <= a <= b <= 1):
-            raise OutOfDomain(f"[{a}, {b}] not inside [0,1]")
-        da, db = a.denominator, b.denominator
-        coarse = (
-            da & (da - 1) == 0
-            and db & (db - 1) == 0
-            and max(da.bit_length(), db.bit_length()) - 1 <= self.k_exp
-        )
-        return a, b, coarse
+    def _pieces_met(self, A: int, B: int, E: int) -> tuple[int, int]:
+        """First and last index of the pieces meeting [A/E, B/E] (empty if first > last)."""
+        tn, td = self.total_measure.numerator, self.total_measure.denominator
+        # Piece i meets [a,b] iff i/k <= b and i/k + |E|/k >= a.
+        i_min = -((tn * E - (A * td << self.k_exp)) // (td * E))
+        return max(0, i_min), min((1 << self.k_exp) - 1, (B << self.k_exp) // E)
 
-    def _pieces_met(self, a: Fraction, b: Fraction) -> tuple[int, int]:
-        """First and last index of the pieces meeting [a,b] (empty if first > last)."""
-        k = 1 << self.k_exp
-        # Piece i intersects [a,b] iff i/k <= b and i/k + pl >= a.
-        return max(0, _ceil((a - self.piece_length) * k)), min(k - 1, _floor(b * k))
+    def _overlap_parts(self, A: int, B: int, E: int) -> tuple[int, int]:
+        """|E ∩ [A/E, B/E]| as an unreduced (numerator, denominator) pair."""
+        tn, td = self.total_measure.numerator, self.total_measure.denominator
+        if E & (E - 1) == 0 and E.bit_length() - 1 <= self.k_exp:
+            # Both ends dyadic no finer than 1/k: the equally spaced pieces tile
+            # each dyadic cell of the piece lattice, so |E ∩ [a,b]| = |E| (b - a).
+            return tn * (B - A), td * E
+        i_min, i_max = self._pieces_met(A, B, E)
+        if i_min > i_max:
+            return 0, 1
+        # Over W = E td k, [a, b] = [A td k, B td k] and piece i = [i td E, i td E + tn E].
+        a, b, pl = A * td << self.k_exp, B * td << self.k_exp, tn * E
+        ends = [min(b, i * td * E + pl) - max(a, i * td * E) for i in (i_min, i_max)]
+        if i_min == i_max:
+            return max(ends[0], 0), td * E << self.k_exp
+        # Interior pieces lie fully inside [a,b] because |E|/k <= 1/k.
+        return sum(ends) + (i_max - i_min - 1) * pl, td * E << self.k_exp
 
     def overlap_measure(self, a: Rational, b: Rational) -> Fraction:
         """Exact |E ∩ [a,b]|, without building the piece count."""
-        a, b, coarse = self._span(a, b)
-        if a == b:
-            return Fraction(0)
-        if coarse:
-            # The equally spaced pieces tile each dyadic cell of the piece
-            # lattice exactly, giving |E ∩ [a,b]| = |E| (b - a) without any
-            # huge-integer reduction.
-            return self.total_measure * (b - a)
-        i_min, i_max = self._pieces_met(a, b)
-        if i_min > i_max:
-            return Fraction(0)
-        k = 1 << self.k_exp
-        pl = self.piece_length
-        first = Fraction(i_min, k)
-        total = min(b, first + pl) - max(a, first)
-        if i_min == i_max:
-            return max(total, Fraction(0))
-        # Interior pieces lie fully inside [a,b] because pl <= 1/k.
-        last = Fraction(i_max, k)
-        return total + (i_max - i_min - 1) * pl + min(b, last + pl) - max(a, last)
+        return Fraction(*self._overlap_parts(*_span(a, b)))
 
     def overlap(self, a: Rational, b: Rational) -> tuple[Fraction, int]:
         """Exact |E ∩ [a,b]| and the number of pieces met.
@@ -145,18 +131,33 @@ class SpacedSetFamily:
         The count is an integer of up to k_exp bits; callers that need only
         the measure use overlap_measure.
         """
-        piece = self.overlap_measure(a, b)
-        a, b, coarse = self._span(a, b)
-        if a == b:
+        A, B, E = _span(a, b)
+        piece = Fraction(*self._overlap_parts(A, B, E))
+        if A == B:
             return piece, 0
-        if coarse:
-            diff = b - a
-            count = diff.numerator << (self.k_exp - (diff.denominator.bit_length() - 1))
-            return piece, count + (1 if b < 1 else 0)
-        i_min, i_max = self._pieces_met(a, b)
-        if i_min == i_max:
-            return piece, (1 if piece > 0 else 0)
-        return piece, max(0, i_max - i_min + 1)
+        if E & (E - 1) == 0 and E.bit_length() - 1 <= self.k_exp:  # (b - a) k, +1 if b < 1
+            return piece, ((B - A) << (self.k_exp - E.bit_length() + 1)) + (B < E)
+        i_min, i_max = self._pieces_met(A, B, E)
+        return piece, (int(piece > 0) if i_min == i_max else max(0, i_max - i_min + 1))
+
+
+def _parts(x: Rational) -> tuple[int, int]:
+    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+
+
+def _span(a: Rational, b: Rational) -> tuple[int, int, int]:
+    """Validated [a, b] as numerators A, B over one denominator E = lcm."""
+    (pa, qa), (pb, qb) = _parts(a), _parts(b)
+    if not (0 <= pa and pa * qb <= pb * qa and pb <= qb):
+        raise OutOfDomain(f"[{Fraction(pa, qa)}, {Fraction(pb, qb)}] not inside [0,1]")
+    E = math.lcm(qa, qb)
+    return pa * (E // qa), pb * (E // qb), E
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) of a 1-D array by sorting (numpy 2.3+ hashes, ~40x slower here)."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 @dataclass
@@ -196,7 +197,7 @@ class LogProductFn:
                 pl = F.piece_length
                 starts = np.arange(k, dtype=np.int64) * (D // k)
                 pts += [starts, starts + D // pl.denominator * pl.numerator]
-            self._breakpoints = np.unique(np.concatenate(pts))
+            self._breakpoints = _sorted_unique(np.concatenate(pts))
         return self._breakpoints
 
     def exponent_batch(self, x) -> np.ndarray:
@@ -283,29 +284,27 @@ def carleson_log_bound(f: LogProductFn, a: Rational, b: Rational) -> CarlesonLog
     """Exact upper bound U(I) = sum_{n > N_I} a_n |E_n ∩ I| of the Carleson integral.
 
     N_I is the largest N with a certified len(I) <= exp(-sum_{n<=N} a_n); the
-    certification compares against 2**-ceil(A * LOG2E_HI), which is at most
-    one binary digit conservative and aligned with the k_n spacing rule, so
-    the resulting bound always dominates the true integral.
+    certification compares against 2**-ceil(A * LOG2E_HI) = 2**-(k_N - 1)
+    (the spacing rule of build_logproduct), which is at most one binary digit
+    conservative, so the resulting bound always dominates the true integral.
+    Both steps run on integer numerators over one denominator; only the
+    final bound is reduced to a Fraction.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    ell = b - a
-    if ell <= 0:
-        raise DegenerateInterval(f"interval [{a}, {b}] has no length")
+    (pa, qa), (pb, qb) = _parts(a), _parts(b)
+    if pb * qa <= pa * qb:
+        raise DegenerateInterval(f"interval [{Fraction(pa, qa)}, {Fraction(pb, qb)}] has no length")
+    A, B, E = _span(a, b)
     cutoff = 0
-    a_cum = 0
     for F in f.factors:
-        a_cum += F.a_n
-        q = _ceil(Fraction(a_cum) * LOG2E_HI)
-        if ell * (1 << q) <= 1:  # ell <= 2**-q <= exp(-a_cum)
-            cutoff = F.n
-        else:
+        if (B - A) << (F.k_exp - 1) > E:  # len(I) > 2**-(k_n - 1)
             break
-    bound = Fraction(0)
+        cutoff = F.n
+    total, den = 0, 1  # sum of a_n |E_n ∩ I| as one unreduced fraction
     for F in f.factors:
         if F.n > cutoff:
-            bound += F.a_n * F.overlap_measure(a, b)
-    return CarlesonLogBound(cutoff=cutoff, bound=bound)
+            n, d = F._overlap_parts(A, B, E)
+            total, den = total * d + F.a_n * n * den, den * d
+    return CarlesonLogBound(cutoff=cutoff, bound=Fraction(total, den))
 
 
 def _exact_nth_root(value: int, n: int) -> int:

@@ -226,6 +226,41 @@ class CantorMeasure:
             total += self._mass_rec(k + 1, coff, clen, mass * geo.child_masses[j], a, b)
         return total
 
+    def interval_masses(self, a, b) -> np.ndarray:
+        """interval_mass of each pair (a[i], b[i]), bit for bit, in one walk.
+
+        Each generation of _mass_rec's recursion is one array step over the
+        (interval, node) pairs it visits; the child masses are then summed
+        back up one generation at a time, digit 0 first, as its loop adds them.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if np.any(b < a):
+            raise ReversedInterval(f"need a <= b, got [{a[b < a][0]}, {b[b < a][0]}]")
+        a, b = np.maximum(a, 0.0), np.minimum(b, 1.0)
+        i = parent = np.flatnonzero(b > a)
+        off, length, mass = np.zeros(i.size), np.ones(i.size), np.ones(i.size)
+        levels = []  # per generation: (value, index of the parent node)
+        for k in range(self.depth + 1):
+            full = (a[i] <= off) & (off + length <= b[i])
+            value = np.where(full, mass, 0.0)
+            levels.append((value, parent))
+            o = np.flatnonzero(~full)
+            if k == self.depth:
+                hi, lo = np.minimum(b[i[o]], off[o] + length[o]), np.maximum(a[i[o]], off[o])
+                value[o] = mass[o] * (hi - lo) / length[o]
+                break
+            geo, parent, ln = self.geometry[k + 1], np.repeat(o, 4), length[o, None]
+            i, off = i[parent], (off[o, None] + np.multiply(geo.child_offsets, ln)).ravel()
+            length = np.multiply(geo.child_lengths, ln).ravel()
+            mass = np.multiply(mass[o, None], geo.child_masses).ravel()
+            meet = (b[i] > off) & (off + length > a[i])  # _mass_rec's child test
+            i, off, length, mass, parent = (v[meet] for v in (i, off, length, mass, parent))
+        for (value, _), (child, parent) in zip(levels[-2::-1], levels[:0:-1]):
+            np.add.at(value, parent, child)  # in index order: each parent's digits in turn
+        out = np.zeros(a.shape)
+        out[b > a] = levels[0][0]
+        return out
+
     def ball_mass(self, x: float, r: float) -> float:
         if r < 0.0:
             raise NegativeRadius(f"radius {r} < 0")

@@ -62,7 +62,7 @@ from .kernels import (
     strip_atoms,
     theta_unit,
 )
-from .logproduct import _segments
+from .logproduct import _segments, _sorted_unique
 from .measures import CantorMeasure, _split_geometry
 
 __all__ = [
@@ -690,62 +690,62 @@ class TestingResult:
         return max((c.per_length for c in self.per_cube), default=0.0)
 
 
-def _cantor_box_integral(measure: CantorMeasure, tables: tuple[np.ndarray, np.ndarray],
-                         b_scale: float, a: float, b: float) -> float:
-    """Box integral of |theta_t (b_scale * 1)|^2 over [a,b] x (0, b-a).
+def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.ndarray],
+                          b_scale: float, cubes) -> list[float]:
+    """Box integral of |theta_t (b_scale * 1)|^2 over [a,b] x (0, b-a) per cube (a, b).
 
     theta is constant beta(n) on each strip/band region, so the box integral
     is a sum over generations of beta^2 * (strip mass inside [a,b]) * (log
     measure of the band clipped to t < len(R)).  Bands of nodes inside R fit
     entirely (L_J <= 0.2 len(J) <= 0.2 len(R)); only partial boundary nodes
     need clipping.  tables holds the strip fractions and beta^2 of
-    generations 0..N, N <= measure.depth - 1.
+    generations 0..N, N <= measure.depth - 1.  All cubes walk the tree
+    together, one generation at a time; the terms of totals[cube, n] are
+    added in the order of their nodes' depth-first keys (path digits + 1 in
+    base 5, padded to N digits), the order of a one-cube depth-first walk.
     """
-    ell = b - a
-    if ell <= 0:
-        return 0.0
     strip_frac, beta_sq = tables
     N = len(strip_frac) - 1
-    totals = np.zeros(N + 1)
-
-    # Depth-first, children popped in digit order (pushed last digit first):
-    # this order fixes the summation order of every totals[n] +=.
-    stack = [(0, 0.0, 1.0, 1.0)]
-    while stack:
-        g, off, length, mass = stack.pop()
-        if off >= b or off + length <= a or g > N:
-            continue
-        if a <= off and off + length <= b:
-            # Bulk: every deeper generation of this subtree contributes fully.
-            for n in range(g, N + 1):
-                totals[n] += mass * strip_frac[n] * LN2
-            continue
-        if g + 1 > measure.depth:
-            continue
-        geo = measure.geometry[g + 1]
-        L_abs = geo.L * length
-        t_hi, t_lo = min(L_abs, ell), L_abs / 2.0
-        if t_hi > t_lo:
+    ca, cb = np.array(cubes, dtype=float).reshape(-1, 2).T
+    cube = np.flatnonzero(cb - ca > 0)
+    off, length, mass = np.zeros(cube.size), np.ones(cube.size), np.ones(cube.size)
+    key = np.zeros(cube.size, dtype=np.int64 if 5**N < 2**63 else object)
+    terms = []  # (cube, n, key, value) arrays
+    for g in range(N + 1):
+        a, b = ca[cube], cb[cube]
+        meet = (off < b) & (off + length > a)
+        bulk = meet & (a <= off) & (off + length <= b)
+        pad, width = 5 ** (N - g), N + 1 - g
+        # Bulk: every deeper generation of this subtree contributes fully.
+        terms.append((np.repeat(cube[bulk], width), np.tile(np.arange(g, N + 1), int(bulk.sum())),
+                      np.repeat(key[bulk] * pad, width),
+                      (mass[bulk][:, None] * strip_frac[g:] * LN2).ravel()))
+        part = meet & ~bulk
+        cube, off, length, mass, key, a, b = (v[part] for v in (cube, off, length, mass, key, a, b))
+        geo = measure.geometry[g + 1]  # g + 1 <= N + 1 <= depth
+        t_hi, t_lo = np.minimum(geo.L * length, b - a), geo.L * length / 2.0
+        band = np.flatnonzero(t_hi > t_lo)
+        logs = []
+        for o, ln, ms, lo_a, hi_b, th, tl in zip(*(v[band].tolist() for v in (
+                off, length, mass, a, b, t_hi, t_lo))):
             sm = 0.0
-            for j in (1, 2):
-                lo = off + geo.child_offsets[j] * length
-                hi = lo + geo.child_lengths[j] * length
-                ca, cb = max(lo, a), min(hi, b)
-                if cb > ca:
-                    sm += measure._mass_rec(
-                        g + 1, lo, geo.child_lengths[j] * length,
-                        mass * geo.child_masses[j], ca, cb,
-                    )
-            totals[g] += sm * math.log(t_hi / t_lo)
-        for j in (3, 2, 1, 0):
-            stack.append((
-                g + 1,
-                off + geo.child_offsets[j] * length,
-                geo.child_lengths[j] * length,
-                mass * geo.child_masses[j],
-            ))
-
-    return float(b_scale**2 * np.sum(beta_sq * totals))
+            for j in (1, 2):  # the strip: both middle children, clipped to [a, b]
+                lo, clen = o + geo.child_offsets[j] * ln, geo.child_lengths[j] * ln
+                ja, jb = max(lo, lo_a), min(lo + clen, hi_b)
+                if jb > ja:
+                    sm += measure._mass_rec(g + 1, lo, clen, ms * geo.child_masses[j], ja, jb)
+            logs.append(sm * math.log(th / tl))
+        terms.append((cube[band], np.full(band.size, g), key[band] * pad, np.array(logs)))
+        co, cl, cm = map(np.asarray, (geo.child_offsets, geo.child_lengths, geo.child_masses))
+        off = (off[:, None] + co[None, :] * length[:, None]).ravel()
+        length, mass = (length[:, None] * cl).ravel(), (mass[:, None] * cm).ravel()
+        key = (key[:, None] * 5 + np.arange(1, 5)).ravel()
+        cube = np.repeat(cube, 4)
+    rows, cols, keys, vals = (np.concatenate(v) for v in zip(*terms))
+    order = np.lexsort((keys, cols, rows))
+    totals = np.zeros((ca.size, N + 1))
+    np.add.at(totals.ravel(), (rows * (N + 1) + cols)[order], vals[order])
+    return (b_scale**2 * np.sum(beta_sq * totals, axis=1)).tolist()
 
 
 def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
@@ -793,12 +793,12 @@ def testing_functional(kernel, measure, b, cubes, quad: QuadratureConfig,
         gens = range(min(quad.trunc_generation, measure.depth - 1) + 1)
         tables = (np.array([ctx.strip_fraction(n) for n in gens]),
                   np.array([ctx.beta(n) for n in gens]) ** 2)
-        for (ca, cb) in cubes:
-            box = _cantor_box_integral(measure, tables, b_scale, ca, cb)
-            mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
-            m3 = measure.interval_mass(mid - 3 * half, mid + 3 * half)
-            per_cube.append(CubeTestingValue((ca, cb), box, m3, cb - ca))
-        return TestingResult(per_cube, degenerate)
+        boxes = _cantor_box_integrals(measure, tables, b_scale, cubes)
+        ca, cb = np.array(cubes, dtype=float).reshape(-1, 2).T
+        mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
+        m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half).tolist()
+        return TestingResult([CubeTestingValue((a, b), box, m, b - a)
+                              for (a, b), box, m in zip(cubes, boxes, m3)], degenerate)
     if isinstance(kernel, LogProductKernel):
         for (ca, cb) in cubes:
             fa, fb = Fraction(ca), Fraction(cb)
@@ -823,7 +823,7 @@ def _ci_segment_table(f, max_depth: int):
     double segment midpoint by f.exponent_batch.
     """
     oct_pts = 2.0 ** (-(np.arange(1, 481)) / 8.0)
-    bp = np.unique(np.concatenate([
+    bp = _sorted_unique(np.concatenate([
         f.breakpoints() / f.lattice,
         np.arange(2**max_depth + 1) / 2**max_depth,
         oct_pts,

@@ -195,6 +195,16 @@ def test_cli_refuses_depth_where_ignored(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+def test_vertical_refuses_depth_below_two(tmp_path, capsys):
+    # The harmonic fit of criterion 3 runs over n = 2..N; N = 0 and 1 leave
+    # it empty, so they are refused with one line instead of a traceback.
+    for depth in (0, 1):
+        assert cli_main(["run", "vertical", "--depth", str(depth), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: vertical needs N >= 2 for its fit over n = 2..N, got {depth}\n")
+        assert not (tmp_path / "vertical" / "report.json").exists()
+
+
 def test_negative_n_or_depth_refused(tmp_path, capsys):
     # One check in ExperimentConfig covers the constructor, config files and --depth.
     for key, val in (("N", -2), ("depth", -5)):

@@ -13,6 +13,8 @@ from nhsq.errors import (
     WrongProfile,
 )
 from nhsq.logproduct import (
+    _ceil,
+    _floor,
     _float_floor,
     _segments,
     LOG2E_HI,
@@ -24,6 +26,7 @@ from nhsq.logproduct import (
     log_moments,
     lp_divergence_witness,
 )
+from nhsq.rng import derive_rng
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +281,23 @@ def test_lattice_breakpoints_and_segments_match_fraction_enumeration(N):
         assert pts == [a] + [p for p in brute if a < p < b] + [b]
 
 
+def test_breakpoints_demo_n4_match_endpoint_set():
+    # The brute-force Fraction oracle stops at N = 3; at N = 4 the sorted
+    # piece endpoints are compared as Python ints on the lattice 1/D.
+    f = build_logproduct("demo", 4)
+    D = f.lattice
+    bp = f.breakpoints()
+    assert bp.dtype == np.int64 and np.all(np.diff(bp) > 0)
+    pts = {0, D}
+    for F in f.factors:
+        k = 1 << F.k_exp
+        step, pl = D // k, D * F.piece_length
+        assert pl.denominator == 1
+        pts.update(i * step for i in range(k))
+        pts.update(i * step + pl.numerator for i in range(k))
+    assert bp.tolist() == sorted(pts)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_lattice_moments_match_fraction_sweep(N):
     # Oracle: exact Fraction sweep of A(mid)^p over the exponent segments.
@@ -287,6 +307,28 @@ def test_lattice_moments_match_fraction_sweep(N):
     for p in (1, 2, 4):
         assert mom[p] == sum(((hi - lo) * f.exponent((lo + hi) / 2) ** p
                               for lo, hi, _ in segs), Fraction(0))
+
+
+def _exponent_by_residue(f, t: float) -> int:
+    """A(t) by SpacedSetFamily.contains' integer residue rule on t's exact ratio."""
+    p, q = t.as_integer_ratio()
+    A = 0
+    for F in f.factors:
+        tm = F.total_measure
+        if p == q:
+            inside = tm == 1
+        else:
+            inside = ((p << F.k_exp) % q) * tm.denominator <= q * tm.numerator
+        A += F.a_n * inside
+    return A
+
+
+def test_exponent_by_residue_matches_exponent():
+    f = build_logproduct("demo", 4)
+    pts = np.concatenate([np.random.default_rng(9).random(300), f.breakpoints()[::997] / f.lattice,
+                          [0.0, 1.0]])
+    assert [_exponent_by_residue(f, t) for t in pts.tolist()] == \
+        [f.exponent(Fraction(t)) for t in pts.tolist()]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -301,7 +343,7 @@ def test_exponent_batch_matches_scalar_exponent(N):
         np.nextafter(bp, np.inf)[:-1],
         [0.0, 1.0],  # t = 1 is outside every family since |E_n| < 1
     ])
-    expected = [f.exponent(Fraction(float(t))) for t in x]
+    expected = [_exponent_by_residue(f, t) for t in x.tolist()]
     assert f.exponent_batch(x).tolist() == expected
     with pytest.raises(OutOfDomain):
         f.exponent_batch([0.5, math.nextafter(1.0, 2.0)])
@@ -327,3 +369,99 @@ def test_overlap_measure_and_bound_match_counted_overlap(paper):
         counted = sum((F.a_n * F.overlap(a, b)[0] for F in paper.factors if F.n > cb.cutoff),
                       Fraction(0))
         assert cb.bound == counted
+
+
+def _fraction_overlap_measure(F, a, b) -> Fraction:
+    """|E ∩ [a,b]| in Fraction arithmetic, as overlap_measure was first written."""
+    a, b = Fraction(a), Fraction(b)
+    if not (0 <= a <= b <= 1):
+        raise OutOfDomain(f"[{a}, {b}] not inside [0,1]")
+    da, db = a.denominator, b.denominator
+    coarse = (da & (da - 1) == 0 and db & (db - 1) == 0
+              and max(da.bit_length(), db.bit_length()) - 1 <= F.k_exp)
+    if a == b:
+        return Fraction(0)
+    if coarse:
+        return F.total_measure * (b - a)
+    k = 1 << F.k_exp
+    pl = F.piece_length
+    i_min, i_max = max(0, _ceil((a - pl) * k)), min(k - 1, _floor(b * k))
+    if i_min > i_max:
+        return Fraction(0)
+    first = Fraction(i_min, k)
+    total = min(b, first + pl) - max(a, first)
+    if i_min == i_max:
+        return max(total, Fraction(0))
+    last = Fraction(i_max, k)
+    return total + (i_max - i_min - 1) * pl + min(b, last + pl) - max(a, last)
+
+
+def _fraction_carleson_log_bound(f, a, b) -> tuple[int, Fraction]:
+    """(cutoff, bound) of carleson_log_bound in Fraction arithmetic."""
+    a, b = Fraction(a), Fraction(b)
+    ell = b - a
+    if ell <= 0:
+        raise DegenerateInterval(f"interval [{a}, {b}] has no length")
+    cutoff = 0
+    a_cum = 0
+    for F in f.factors:
+        a_cum += F.a_n
+        q = _ceil(Fraction(a_cum) * LOG2E_HI)
+        if ell * (1 << q) <= 1:
+            cutoff = F.n
+        else:
+            break
+    bound = Fraction(0)
+    for F in f.factors:
+        if F.n > cutoff:
+            bound += F.a_n * _fraction_overlap_measure(F, a, b)
+    return cutoff, bound
+
+
+def _experiment_intervals(seed):
+    # The draws of criterion 7 in the logproduct experiment.
+    rng = derive_rng(seed, "logproduct-intervals")
+    out = []
+    for _ in range(1000):
+        d = int(rng.integers(1, 40))
+        k = int(rng.integers(0, 2**d))
+        out.append((Fraction(k, 2**d), Fraction(k + 1, 2**d)))
+    return out
+
+
+def _check_against_fraction_route(f, intervals):
+    for a, b in intervals:
+        for F in f.factors:
+            assert F.overlap_measure(a, b) == _fraction_overlap_measure(F, a, b), (F.n, a, b)
+        if a == b:
+            with pytest.raises(DegenerateInterval):
+                carleson_log_bound(f, a, b)
+            continue
+        cb = carleson_log_bound(f, a, b)
+        assert isinstance(cb.bound, Fraction)
+        assert (cb.cutoff, cb.bound) == _fraction_carleson_log_bound(f, a, b), (a, b)
+
+
+@pytest.mark.parametrize("seed", [20250808, 1, 2, 3])
+def test_integer_carleson_matches_fraction_route_on_experiment_intervals(paper, seed):
+    _check_against_fraction_route(paper, _experiment_intervals(seed))
+
+
+@pytest.mark.parametrize("profile,N", [("paper", 3), ("demo", 4)])
+def test_integer_carleson_matches_fraction_route_on_rationals(profile, N):
+    # Non-dyadic ends take the piece-counting route (paper N = 4 is left
+    # out: there its pieces have a 24-million-bit denominator).
+    f = build_logproduct(profile, N)
+    rng = np.random.default_rng(N)
+    ivs = []
+    for _ in range(300):
+        qs = rng.integers(1, 10**5, size=2).tolist()
+        ivs.append(tuple(sorted(Fraction(int(rng.integers(0, q + 1)), q) for q in qs)))
+    ivs += [(0, 1), (0, Fraction(1, 3)), (Fraction(2, 3), 1), (Fraction(1, 7), Fraction(1, 7)),
+            (0, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 1536), Fraction(3, 1536)),
+            (Fraction(5, 16), Fraction(5, 16) + Fraction(1, 1536)), (Fraction(11, 32), Fraction(23, 64))]
+    _check_against_fraction_route(f, ivs)
+    with pytest.raises(OutOfDomain):
+        f.factors[-1].overlap_measure(Fraction(1, 2), Fraction(5, 4))
+    with pytest.raises(OutOfDomain):
+        f.factors[-1].overlap_measure(Fraction(1, 2), Fraction(1, 3))

@@ -39,7 +39,7 @@ from nhsq.sqfn import (
     weak11_functional,
     _band_tail_weight,
     _band_tails,
-    _cantor_box_integral,
+    _cantor_box_integrals,
     _distances,
     _logproduct_box_integral,
     _node_coefficient,
@@ -778,20 +778,20 @@ def test_testing_functional_cantor(measure, quad, ctx):
 
 def test_box_integral_shared_tables_match_fresh_context(measure, quad):
     # testing_functional builds the strip-fraction and beta tables once per
-    # call; per cube, a fresh context with strip fractions straight from
-    # _split_geometry gives the same bits.
+    # call; tables from a fresh context, with strip fractions straight from
+    # _split_geometry, give the same bits for each cube walked on its own.
     kernel = CantorKernel(measure)
     s, l, _ = measure.leaf_table(2)
     cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
     cubes += [(float(a), float(a + b)) for a, b in zip(s[::5], l[::5])]
     res = sq_testing_functional(kernel, measure, 2.0, cubes, quad)
     N = min(quad.trunc_generation, measure.depth - 1)
+    fresh = CantorSquareContext(measure, quad)
+    strip = np.array([_split_geometry(n + 1, M, C).strip_mass for n in range(N + 1)])
+    beta_sq = np.array([fresh.beta(n) for n in range(N + 1)]) ** 2
+    assert [fresh.strip_fraction(n) for n in range(N + 1)] == strip.tolist()
     for (a, b), value in zip(cubes, res.per_cube):
-        fresh = CantorSquareContext(measure, quad)
-        strip = np.array([_split_geometry(n + 1, M, C).strip_mass for n in range(N + 1)])
-        beta_sq = np.array([fresh.beta(n) for n in range(N + 1)]) ** 2
-        assert _cantor_box_integral(measure, (strip, beta_sq), 2.0, a, b) == value.box_integral
-        assert [fresh.strip_fraction(n) for n in range(N + 1)] == strip.tolist()
+        assert _cantor_box_integrals(measure, (strip, beta_sq), 2.0, [(a, b)]) == [value.box_integral]
     # Beyond the measure's depth the strip fraction is built on demand.
     shallow = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=3)), quad)
     assert shallow.strip_fraction(5) == _split_geometry(6, M, C).strip_mass
@@ -810,7 +810,7 @@ def test_testing_functional_counts_degenerate_cubes(measure, quad, ctx):
 
 
 def test_cantor_box_integral_builds_no_reference_cycles(measure, quad, ctx):
-    # The box integral walks the tree with an explicit stack: a testing call
+    # The batched box walk keeps its frontier in arrays: a testing call
     # leaves nothing for the cycle collector.
     kernel = CantorKernel(measure)
     s, l, _ = measure.leaf_table(3)
@@ -866,20 +866,53 @@ def _recursive_box_integral(measure, tables, b_scale, a, b):
     return float(b_scale**2 * np.sum(beta_sq * totals))
 
 
-def test_cantor_box_integral_matches_recursive_walk(measure, quad, ctx):
-    # The explicit stack visits nodes in the recursion's order, so every
-    # totals[n] += runs in the same order and each box integral keeps its bits.
+def _box_tables(measure, quad):
+    ctx = CantorSquareContext(measure, quad)
     gens = range(min(quad.trunc_generation, measure.depth - 1) + 1)
-    tables = (np.array([ctx.strip_fraction(n) for n in gens]),
-              np.array([ctx.beta(n) for n in gens]) ** 2)
+    return (np.array([ctx.strip_fraction(n) for n in gens]),
+            np.array([ctx.beta(n) for n in gens]) ** 2)
+
+
+def test_cantor_box_integral_matches_recursive_walk(measure, quad):
+    # The batched walk adds each totals[n] term in the recursion's depth-first
+    # order, so every box integral keeps its bits, whatever the other cubes.
+    tables = _box_tables(measure, quad)
     rng = np.random.default_rng(11)
     s, l, _ = measure.leaf_table(4)
     cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
     cubes += [(float(a), float(a + b)) for a, b in zip(s, l)]
     cubes += [tuple(sorted(rng.random(2))) for _ in range(200)]
-    for a, b in cubes:
-        got = _cantor_box_integral(measure, tables, 1.5, a, b)
-        assert repr(got) == repr(_recursive_box_integral(measure, tables, 1.5, a, b))
+    tiny = float(measure.leaf_table(10)[1].min())
+    cubes += [(0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.6, 0.4), (-0.5, 2.0), (0.0, 1.0)]
+    got = _cantor_box_integrals(measure, tables, 1.5, cubes)
+    assert len(got) == len(cubes)
+    assert got[-5:-2] == [0.0, 0.0, 0.0] and got[0] == got[-1] > 0
+    for (a, b), value in zip(cubes, got):
+        assert repr(value) == repr(_recursive_box_integral(measure, tables, 1.5, a, b))
+    # Reversing the cube list moves no bit.
+    assert _cantor_box_integrals(measure, tables, 1.5, cubes[::-1]) == got[::-1]
+
+
+def test_cantor_box_integral_full_key_width(monkeypatch):
+    # At N = 27 a depth-first key has 27 base-5 digits, up to 5**27 - 1,
+    # the widest that fits in int64; cubes that end inside the rightmost
+    # subtree give keys past 2**62.
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=28))
+    quad = QuadratureConfig(trunc_generation=27)
+    tables = _box_tables(deep, quad)
+    assert len(tables[0]) == 28 and 5**27 < 2**63 < 5**28
+    s, l, _ = deep.leaf_table(8)
+    x = float(s[-1] + l[-1] / 2)  # inside the leaf on the all-3 path
+    rng = np.random.default_rng(5)
+    cubes = [(0.0, 1.0), (0.5, x), (x, 1.0), (float(s[7]), float(s[7] + l[7]))]
+    cubes += [tuple(sorted(rng.random(2))) for _ in range(20)]
+    keys = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: keys.append(k[0]) or lexsort(k))
+    got = _cantor_box_integrals(deep, tables, 1.0, cubes)
+    assert keys[0].dtype == np.int64 and 2**62 < keys[0].max() < 5**27
+    for (a, b), value in zip(cubes, got):
+        assert repr(value) == repr(_recursive_box_integral(deep, tables, 1.0, a, b))
 
 
 def _ci_digits(prof):
