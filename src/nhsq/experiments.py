@@ -285,14 +285,15 @@ def _exp_logproduct(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     for _ in range(1000):
         d = int(rng.integers(1, 40))
         k = int(rng.integers(0, 2**d))
-        a, b = Fraction(k, 2**d), Fraction(k + 1, 2**d)
-        ell = b - a
+        E = 1 << d  # I = [k/E, (k+1)/E]; the tests below are exact, cleared of denominators
         for F in fp.factors:
             if F.k_exp >= d + 1:  # len(I) >= 2/k_n: spacing regime of the bound
-                if F.overlap_measure(a, b) > 2 * F.total_measure * ell:
+                num, den = F.overlap_parts(k, k + 1, E)
+                tn, td = F.total_measure.as_integer_ratio()
+                if num * td * E > 2 * tn * den:  # |E_n ∩ I| > 2 |E_n| len(I)
                     overlap_ok = False
-        cb = carleson_log_bound(fp, a, b)
-        if cb.bound > 2 * ell:
+        bound = carleson_log_bound(fp, Fraction(k, E), Fraction(k + 1, E)).bound
+        if bound.numerator * E > 2 * bound.denominator:  # U(I) > 2 len(I)
             carleson_ok = False
     ok7 = mass_ok and witness_ok and overlap_ok and carleson_ok
     report.verdicts.append(

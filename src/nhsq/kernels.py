@@ -22,8 +22,9 @@ LogProductFn.exponent stay as the one-point oracles.
 
 The size and continuity checkers are samplers, not proofs: they stratify
 over the kernels' active bands, add adversarial edge points, and report the
-worst observed ratio with its witness.  All sampled points of a checker are
-evaluated in one kernel call per array.
+worst observed ratio with its witness.  A checker draws all its y in one
+stream-exact sample_y call (_branch_draws) and evaluates all its points in
+one kernel call per array.
 """
 
 from __future__ import annotations
@@ -226,7 +227,8 @@ class CantorKernel:
         return out if out.ndim else float(out)
 
     def sample_active(self, rng: np.random.Generator, n: int):
-        """Stratified (t, x) pairs over strips and bands, plus edge points."""
+        """Stratified (t, x) pairs over strips and bands, plus edge points; per
+        point, as its rng.integers digits use the generator's buffered 32-bit word."""
         meas = self.measure
         gens = list(range(0, min(meas.depth, 6)))
         out = []
@@ -251,25 +253,24 @@ class CantorKernel:
                 elif u < 0.3:
                     x = hi
                 else:
-                    x = rng.uniform(lo, hi)
+                    x = lo + (hi - lo) * rng.random()  # rng.uniform(lo, hi), bit for bit
                 v = rng.random()
                 if v < 0.15:
                     t = L_abs / 2.0  # band edge
                 elif v < 0.3:
                     t = L_abs
                 else:
-                    t = math.exp(rng.uniform(math.log(L_abs / 2.0), math.log(L_abs)))
+                    a, b = math.log(L_abs / 2.0), math.log(L_abs)
+                    t = math.exp(a + (b - a) * rng.random())
                 out.append((t, x, (off, length)))
         return out
 
-    def sample_y(self, rng: np.random.Generator, t: float, x: float, node) -> float:
-        off, length = node
-        u = rng.random()
-        if u < 0.2:
-            return off  # support edge of the bump
-        if u < 0.4:
-            return off + length
-        return rng.uniform(off, length + off)
+    def sample_y(self, rng: np.random.Generator, t, x, nodes):
+        """The bump's support edges (u < 0.2, 0.4), else uniform on the node."""
+        off, length = np.asarray(nodes, dtype=float).reshape(-1, 2).T
+        u, w = _branch_draws(rng, len(off), 0.4)
+        end = length + off
+        return np.where(u < 0.2, off, np.where(u < 0.4, off + length, off + (end - off) * w))
 
 
 class LogProductKernel:
@@ -321,13 +322,11 @@ class LogProductKernel:
             out.append((math.exp(lo + (0.0 - lo) * u), x, None))
         return out
 
-    def sample_y(self, rng: np.random.Generator, t: float, x: float, node) -> float:
-        u = rng.random()
-        if u < 0.2:
-            return x + 2.0 * t  # support edge
-        if u < 0.3:
-            return x - t  # plateau edge
-        return x + rng.uniform(-2.5 * t, 2.5 * t)
+    def sample_y(self, rng: np.random.Generator, t, x, nodes):
+        """Support edge x + 2t (u < 0.2), plateau edge x - t (u < 0.3), else near x."""
+        u, w = _branch_draws(rng, len(t), 0.3)
+        lo = -2.5 * t
+        return np.where(u < 0.2, x + 2.0 * t, np.where(u < 0.3, x - t, x + (lo + (2.5 * t - lo) * w)))
 
 
 class TildeKernel:
@@ -354,8 +353,8 @@ class TildeKernel:
     def sample_active(self, rng, n):
         return self.base.sample_active(rng, n)
 
-    def sample_y(self, rng, t, x, node):
-        return self.base.sample_y(rng, t, x, node)
+    def sample_y(self, rng, t, x, nodes):
+        return self.base.sample_y(rng, t, x, nodes)
 
 
 class StepKernel:
@@ -373,15 +372,15 @@ class StepKernel:
         return out if out.ndim else float(out)
 
     def sample_active(self, rng, n):
-        return [(math.exp(rng.uniform(math.log(0.05), 0.0)), rng.random(), None) for _ in range(n)]
+        """Rows (u, x) of draws as rng.uniform(lo, 0.0) and rng.random() take them."""
+        lo = math.log(0.05)
+        return [(math.exp(lo + (0.0 - lo) * u), x, None) for u, x in rng.random((n, 2)).tolist()]
 
-    def sample_y(self, rng, t, x, node):
-        u = rng.random()
-        if u < 0.25:
-            return x  # the step location
-        if u < 0.5:
-            return x + 2.0 * t  # support edge
-        return x + rng.uniform(-2.0 * t, 2.0 * t)
+    def sample_y(self, rng, t, x, nodes):
+        """The step x (u < 0.25), support edge x + 2t (u < 0.5), else near x."""
+        u, w = _branch_draws(rng, len(t), 0.5)
+        lo = -2.0 * t
+        return np.where(u < 0.25, x, np.where(u < 0.5, x + 2.0 * t, x + (lo + (2.0 * t - lo) * w)))
 
 
 # -- theta quadrature ---------------------------------------------------------------
@@ -464,17 +463,35 @@ class HolderReport:
         return self.scale_growth >= 8.0
 
 
+def _branch_draws(rng: np.random.Generator, n: int, cut: float):
+    """(u, w) over n points as per-point draws take them: u = rng.random(), then
+    w = rng.random() only where u >= cut (0 elsewhere); a sampler's uniform is
+    lo + (hi - lo) * w, as rng.uniform(lo, hi) computes it.  rng.random(k) gives
+    k scalar calls' doubles and never touches the buffered 32-bit word, so 2n
+    draws, a restored state and the p draws used leave rng where they would."""
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    state = rng.bit_generator.state
+    buf = rng.random(2 * n)
+    # Position k holds a u unless it follows a u >= cut: in each run of doubles
+    # >= cut, u and w alternate from its start.  The n-th u is at 2n - 2 or before.
+    k = np.arange(2 * n)
+    run_start = np.maximum.accumulate(np.where(np.concatenate(([True], buf[:-1] < cut)), k, 0))
+    pos = np.flatnonzero((k - run_start) % 2 == 0)[:n]
+    u = buf[pos]
+    drawn = u >= cut
+    w = np.where(drawn, buf[pos + 1], 0.0)
+    rng.bit_generator.state = state
+    rng.random(int(pos[-1] + 1 + drawn[-1]))
+    return u, w
+
+
 def _sample_points(kernel, rng, actives, per: int):
-    """Arrays t, x, y holding each active (t, x) with `per` sample_y draws,
-    drawn in the order of the actives."""
-    n = len(actives) * per
-    t, x, y = np.empty(n), np.empty(n), np.empty(n)
-    i = 0
-    for ti, xi, node in actives:
-        for _ in range(per):
-            t[i], x[i], y[i] = ti, xi, kernel.sample_y(rng, ti, xi, node)
-            i += 1
-    return t, x, y
+    """Arrays t, x, y holding each active (t, x) with `per` sampled y, drawn
+    in the order of the actives by one sample_y call."""
+    t, x = (np.repeat([a[c] for a in actives], per) for c in (0, 1))
+    nodes = np.repeat(np.array([a[2] for a in actives]), per, axis=0)
+    return t, x, kernel.sample_y(rng, t, x, nodes)
 
 
 def _ratios(v, t, x, y, scale, m: float, alpha: float) -> np.ndarray:

@@ -103,7 +103,7 @@ class SpacedSetFamily:
         i_min = -((tn * E - (A * td << self.k_exp)) // (td * E))
         return max(0, i_min), min((1 << self.k_exp) - 1, (B << self.k_exp) // E)
 
-    def _overlap_parts(self, A: int, B: int, E: int) -> tuple[int, int]:
+    def overlap_parts(self, A: int, B: int, E: int) -> tuple[int, int]:
         """|E ∩ [A/E, B/E]| as an unreduced (numerator, denominator) pair."""
         tn, td = self.total_measure.numerator, self.total_measure.denominator
         if E & (E - 1) == 0 and E.bit_length() - 1 <= self.k_exp:
@@ -123,7 +123,7 @@ class SpacedSetFamily:
 
     def overlap_measure(self, a: Rational, b: Rational) -> Fraction:
         """Exact |E ∩ [a,b]|, without building the piece count."""
-        return Fraction(*self._overlap_parts(*_span(a, b)))
+        return Fraction(*self.overlap_parts(*_span(a, b)))
 
     def overlap(self, a: Rational, b: Rational) -> tuple[Fraction, int]:
         """Exact |E ∩ [a,b]| and the number of pieces met.
@@ -132,7 +132,7 @@ class SpacedSetFamily:
         the measure use overlap_measure.
         """
         A, B, E = _span(a, b)
-        piece = Fraction(*self._overlap_parts(A, B, E))
+        piece = Fraction(*self.overlap_parts(A, B, E))
         if A == B:
             return piece, 0
         if E & (E - 1) == 0 and E.bit_length() - 1 <= self.k_exp:  # (b - a) k, +1 if b < 1
@@ -302,7 +302,7 @@ def carleson_log_bound(f: LogProductFn, a: Rational, b: Rational) -> CarlesonLog
     total, den = 0, 1  # sum of a_n |E_n ∩ I| as one unreduced fraction
     for F in f.factors:
         if F.n > cutoff:
-            n, d = F._overlap_parts(A, B, E)
+            n, d = F.overlap_parts(A, B, E)
             total, den = total * d + F.a_n * n * den, den * d
     return CarlesonLogBound(cutoff=cutoff, bound=Fraction(total, den))
 

@@ -487,6 +487,15 @@ def _pruned_coefficient(measure, f, nonzero, gen, node_idx, off, length, mass, d
     return _node_coefficient(measure, f, off, length, mass, gen, depth)
 
 
+def _f_lives(nonzero, f_depth: int, g: int, idx) -> np.ndarray:
+    """Whether f (nonzero = flatnonzero(f.values), leaf depth f_depth) is nonzero
+    on the generation-g node of each path idx, as _pruned_coefficient decides;
+    idx is an object array past generation 31, its leaf ranges fit int64."""
+    span = 4 ** max(f_depth - g, 0)
+    lo = (idx * span if g <= f_depth else idx // 4 ** (g - f_depth)).astype(np.int64)
+    return np.searchsorted(nonzero, lo + span) > np.searchsorted(nonzero, lo)
+
+
 def _nodes(idx, alive, off, length, mass):
     """Each distinct node that holds a point where alive is set, in node
     order: (node index, positions of its points, offset, length, mass)."""
@@ -506,8 +515,10 @@ def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
     atoms are computed once for the points it holds.  For apertures <= 2
     only nodes containing x contribute (strips of other nodes are at
     distance >= 2 L from x), so the walk is exhaustive; wider apertures are
-    refused with InvalidParams.
+    refused with InvalidParams.  Points on nodes where the LeafFunction f
+    vanishes are dropped before the nodes are split out.
     """
+    quad.validate()
     _check_collapse_aperture(alpha)
     if not isinstance(kernel, CantorKernel):
         raise InvalidParams("conical_value is defined for the Cantor kernel")
@@ -518,6 +529,8 @@ def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
     nonzero = np.flatnonzero(f.values) if isinstance(f, LeafFunction) else None
     walk = measure.descend(xs, min(quad.trunc_generation, measure.depth - 1))
     for g, off, length, mass, idx, alive in walk:
+        if nonzero is not None:
+            alive = alive & _f_lives(nonzero, f.depth, g, idx)
         for node, pts, o, ln, ms in _nodes(idx, alive, off, length, mass):
             c = _pruned_coefficient(measure, f, nonzero, g, node, o, ln, ms, depth)
             if c == 0.0:
@@ -539,6 +552,7 @@ def vertical_value(kernel, measure, f, x, quad: QuadratureConfig):
     For the Cantor kernel x is a scalar (float result) or an array, walked
     down the tree together; for the log-product kernel x is a scalar.
     """
+    quad.validate()
     if isinstance(kernel, CantorKernel):
         x = np.asarray(x, dtype=float)
         xs = x.ravel()

@@ -221,6 +221,17 @@ def test_negative_n_or_depth_refused(tmp_path, capsys):
     assert not (tmp_path / "weak11").exists() and not (tmp_path / "aperture").exists()
 
 
+def test_weak11_refuses_invalid_quadrature(tmp_path, capsys):
+    # conical_value validates its quadrature as CantorSquareContext does, so a
+    # bad value is refused, not run and echoed into report.json.
+    for key, val in (("y_resolution_depth", -3), ("t_steps_per_band", -1)):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: val}))
+        assert cli_main(["run", "weak11", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", "error: quadrature parameters must be positive\n")
+        assert not (tmp_path / "weak11" / "report.json").exists()
+
+
 def _assert_reference_bytes(experiment, seed, tmp_path):
     """report.json and series.csv equal the benchmark's recorded reference
     bytes, and the run passes exactly when the reference run did."""

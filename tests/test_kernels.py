@@ -21,6 +21,7 @@ from nhsq.kernels import (
     phi_v,
     phi_v_antiderivative,
     theta_unit,
+    _sample_points,
 )
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams
@@ -263,7 +264,7 @@ def test_size_condition(kernel, vkernel):
             "m": 0.4, "alpha": 1.0,
             "evaluate": staticmethod(lambda t, x, y: 0.0),
             "sample_active": staticmethod(lambda rng, n: [(0.5, 0.5, None)] * n),
-            "sample_y": staticmethod(lambda rng, t, x, node: 0.5),
+            "sample_y": staticmethod(lambda rng, t, x, nodes: np.full(len(t), 0.5)),
         })(), 50, seed=1,
     )
     assert zero_rep.worst_ratio == 0.0
@@ -382,9 +383,8 @@ def test_cantor_evaluate_batch_matches_locate(measure, kernel):
     _assert_batch_matches_points(kernel, ts, xs, ys)
     # The active samples of the size checker, with their sampled y.
     rng = derive_rng(3, "batch-test")
-    for t, x, node in kernel.sample_active(rng, 600):
-        y = kernel.sample_y(rng, t, x, node)
-        ts.append(t), xs.append(x), ys.append(y)
+    t, x, y = _sample_points(kernel, rng, kernel.sample_active(rng, 600), 1)
+    ts, xs, ys = ts + t.tolist(), xs + x.tolist(), ys + y.tolist()
     _assert_batch_matches_points(kernel, ts, xs, ys)
     assert np.count_nonzero(kernel.evaluate(np.array(ts), np.array(xs), np.array(ys))) > 500
 
@@ -422,14 +422,7 @@ def test_step_evaluate_batch_matches_points():
 def test_logproduct_sample_active_matches_per_point_draws(vkernel):
     for seed in (1, 7, 20250808):
         got = vkernel.sample_active(np.random.default_rng(seed), 2000)
-        rng = np.random.default_rng(seed)
-        want = []
-        for _ in range(2000):
-            x = rng.random()
-            A = vkernel.f.exponent(Fraction(x))
-            t_lo = max(math.exp(-min(A, 30)), 1e-9)
-            want.append((math.exp(rng.uniform(math.log(t_lo), 0.0)), x, None))
-        assert got == want
+        assert got == _logproduct_actives(vkernel, np.random.default_rng(seed), 2000)
 
 
 def test_logproduct_kernel_refuses_paper_profile():
@@ -437,15 +430,130 @@ def test_logproduct_kernel_refuses_paper_profile():
         LogProductKernel(build_logproduct("paper", 2))
 
 
+# -- one-point samplers: the per-point draws that the batched samplers replace
+
+
+def _cantor_actives(kernel, rng, n):
+    """CantorKernel.sample_active with rng.uniform for its two uniforms."""
+    meas = kernel.measure
+    gens = list(range(0, min(meas.depth, 6)))
+    out = []
+    for g in gens:
+        for _ in range(max(1, n // max(1, len(gens)))):
+            off, length = 0.0, 1.0
+            for k in range(1, g + 1):
+                geo = meas.geometry[k]
+                j = int(rng.integers(0, 4))
+                off += geo.child_offsets[j] * length
+                length *= geo.child_lengths[j]
+            geo = meas.geometry[g + 1]
+            L_abs = geo.L * length
+            j = 1 if rng.random() < 0.5 else 2
+            lo = off + geo.child_offsets[j] * length
+            hi = lo + geo.child_lengths[j] * length
+            u = rng.random()
+            x = lo if u < 0.15 else hi if u < 0.3 else rng.uniform(lo, hi)
+            v = rng.random()
+            if v < 0.15:
+                t = L_abs / 2.0
+            elif v < 0.3:
+                t = L_abs
+            else:
+                t = math.exp(rng.uniform(math.log(L_abs / 2.0), math.log(L_abs)))
+            out.append((t, x, (off, length)))
+    return out
+
+
+def _cantor_y(rng, t, x, node):
+    off, length = node
+    u = rng.random()
+    if u < 0.2:
+        return off  # support edge of the bump
+    if u < 0.4:
+        return off + length
+    return rng.uniform(off, length + off)
+
+
+def _logproduct_actives(kernel, rng, n):
+    out = []
+    for _ in range(n):
+        x = rng.random()
+        A = kernel.f.exponent(Fraction(x))
+        t_lo = max(math.exp(-min(A, 30)), 1e-9)
+        out.append((math.exp(rng.uniform(math.log(t_lo), 0.0)), x, None))
+    return out
+
+
+def _logproduct_y(rng, t, x, node):
+    u = rng.random()
+    if u < 0.2:
+        return x + 2.0 * t  # support edge
+    if u < 0.3:
+        return x - t  # plateau edge
+    return x + rng.uniform(-2.5 * t, 2.5 * t)
+
+
+def _step_actives(kernel, rng, n):
+    return [(math.exp(rng.uniform(math.log(0.05), 0.0)), rng.random(), None) for _ in range(n)]
+
+
+def _step_y(rng, t, x, node):
+    u = rng.random()
+    if u < 0.25:
+        return x  # the step location
+    if u < 0.5:
+        return x + 2.0 * t  # support edge
+    return x + rng.uniform(-2.0 * t, 2.0 * t)
+
+
+def _one_point(kernel):
+    """(sample_active, sample_y) of kernel drawn one point at a time."""
+    base = kernel.base if isinstance(kernel, TildeKernel) else kernel
+    if isinstance(base, _LeftStep):
+        return base.sample_active, lambda rng, t, x, node: -3.0 - rng.random()
+    actives, point_y = {CantorKernel: (_cantor_actives, _cantor_y),
+                        LogProductKernel: (_logproduct_actives, _logproduct_y),
+                        StepKernel: (_step_actives, _step_y)}[type(base)]
+    return (lambda rng, n: actives(base, rng, n)), point_y
+
+
+@pytest.mark.parametrize("name", ["cantor", "logproduct", "step", "tilde"])
+def test_samplers_consume_the_stream_as_per_point_draws(name, measure, kernel, vkernel):
+    # The batched samplers give the one-point values and leave the generator
+    # in the one-point state, also when it enters holding a buffered 32-bit
+    # word (which rng.integers fills and rng.random never touches).
+    k = {"cantor": kernel, "logproduct": vkernel, "step": StepKernel(m=M),
+         "tilde": TildeKernel(kernel, measure)}[name]
+    sample_active, sample_y = _one_point(k)
+    for seed in (1, 7, 20250808):
+        for buffered in (0, 1):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if buffered:
+                rng.integers(0, 4)
+                ref.integers(0, 4)
+            assert rng.bit_generator.state["has_uint32"] == buffered
+            actives = k.sample_active(rng, 300)
+            assert actives == sample_active(ref, 300)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            t, x, y = _sample_points(k, rng, actives, 3)
+            want = [(ti, xi, sample_y(ref, ti, xi, node)) for ti, xi, node in actives for _ in range(3)]
+            assert list(zip(t.tolist(), x.tolist(), y.tolist())) == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert all(v.size == 0 for v in _sample_points(k, rng, [], 3))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _size_loop(kernel, n_samples, seed):
-    """check_size_condition as a per-point loop over _point_value."""
+    """check_size_condition as a per-point loop over _point_value and the
+    one-point samplers."""
     rng = derive_rng(seed, "size-condition")
     m, alpha = kernel.m, kernel.alpha
     worst, witness = 0.0, (0.0, 0.0, 0.0)
-    actives = kernel.sample_active(rng, n_samples)
+    sample_active, sample_y = _one_point(kernel)
+    actives = sample_active(rng, n_samples)
     for t, x, node in actives:
         for _ in range(3):
-            y = kernel.sample_y(rng, t, x, node)
+            y = sample_y(rng, t, x, node)
             val = abs(_point_value(kernel, t, x, y))
             if val == 0.0:
                 continue
@@ -456,16 +564,18 @@ def _size_loop(kernel, n_samples, seed):
 
 
 def _holder_loop(kernel, n_samples, seed, n_scales=4):
-    """check_holder_condition as a per-point loop over _point_value."""
+    """check_holder_condition as a per-point loop over _point_value and the
+    one-point samplers."""
     rng = derive_rng(seed, "holder-condition")
     m, alpha = kernel.m, kernel.alpha
     worst, witness = 0.0, (0.0, 0.0, 0.0, 0.0)
     per_scale = [0.0] * n_scales
     per_anchor = [0.0] * n_scales
     scales = [0.4 * 10.0**-j for j in range(n_scales)]
-    actives = kernel.sample_active(rng, max(1, n_samples // n_scales))
+    sample_active, sample_y = _one_point(kernel)
+    actives = sample_active(rng, max(1, n_samples // n_scales))
     for t, x, node in actives:
-        y0 = kernel.sample_y(rng, t, x, node)
+        y0 = sample_y(rng, t, x, node)
         for j, frac in enumerate(scales):
             delta = t * frac
             anchored = ((y0, y0 + delta), (y0, y0 - delta), (x, x - delta))
@@ -505,8 +615,8 @@ class _LeftStep:
         return [(float(t), 0.5, None) for t in rng.uniform(0.01, 0.1, n)]
 
     @staticmethod
-    def sample_y(rng, t, x, node):
-        return -3.0 - rng.random()
+    def sample_y(rng, t, x, nodes):
+        return -3.0 - rng.random(len(t))
 
 
 @pytest.mark.parametrize("name", ["cantor", "logproduct", "step", "left-step"])

@@ -518,6 +518,14 @@ def test_conical_value_zero_cases(measure, kernel, quad):
     assert conical_value(kernel, measure, None, 0.5, 1.0, quad) == 0.0
 
 
+def test_pointwise_values_refuse_invalid_quadrature(measure, kernel):
+    for bad in (QuadratureConfig(32, -3, 1e-3, 4), QuadratureConfig(-1, 6, 1e-3, 4)):
+        with pytest.raises(InvalidParams, match="quadrature parameters must be positive"):
+            conical_value(kernel, measure, None, 0.3, 1.0, bad)
+        with pytest.raises(InvalidParams, match="quadrature parameters must be positive"):
+            vertical_value(kernel, measure, None, 0.3, bad)
+
+
 def test_conical_value_against_grid_oracle(measure, kernel):
     # Independent oracle: midpoint t grid plus exact interval masses, the
     # integration-order dual of the band tail weight.
