@@ -72,6 +72,18 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg
 
 
+def _runtime_line(seconds: float) -> str:
+    """The closing stdout line: run time and, where the resource module
+    exists, the process's peak RSS (neither goes into the report files)."""
+    try:
+        import resource
+    except ImportError:
+        return f"runtime: {seconds:.2f}s"
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    mb = peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+    return f"runtime: {seconds:.2f}s, peak RSS {mb:.1f} MB"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -102,7 +114,7 @@ def main(argv=None) -> int:
             print(f"wrote {p}")
         for key, val in sorted(report.counters.items()):
             print(f"counter: {key} = {val}")
-        print(f"runtime: {report.runtime_seconds:.2f}s")
+        print(_runtime_line(report.runtime_seconds))
         return 0 if report.all_passed else 1
     except NhsqError as e:
         print(f"error: {e}", file=sys.stderr)

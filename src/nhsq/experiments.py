@@ -27,7 +27,7 @@ from .dyadic import (
     estimate_pi_good,
     martingale_decompose,
 )
-from .errors import ConfigError, UnknownExperiment
+from .errors import ConfigError, InvalidParams, UnknownExperiment
 from .kernels import (
     CantorKernel,
     LogProductKernel,
@@ -76,9 +76,15 @@ class ExperimentConfig:
     svg: bool = False
 
     def __setattr__(self, name, val):
-        # Every route that sets N or depth (constructor, config file, CLI) passes here.
+        # Every route that sets a field (constructor, config file, CLI) passes here.
         if name in ("N", "depth") and val < 0:
             raise ConfigError(f"{name} must be >= 0, got {val}")
+        if name in ("t_steps_per_band", "y_resolution_depth", "rel_tol"):
+            # QuadratureConfig's rules, one key at a time (its other fields are valid defaults).
+            try:
+                QuadratureConfig(**{name: val}).validate()
+            except InvalidParams as e:
+                raise ConfigError(str(e)) from None
         super().__setattr__(name, val)
 
     def quad(self, trunc: int | None = None) -> QuadratureConfig:

@@ -494,6 +494,24 @@ def _sample_points(kernel, rng, actives, per: int):
     return t, x, kernel.sample_y(rng, t, x, nodes)
 
 
+# Points per kernel call of the checkers: a value depends on its own point
+# only, so blocks bound the evaluation's working set without moving a bit.
+POINT_BLOCK = 8192
+
+
+def _blocked_ratios(kernel, t, x, y, z, scale) -> np.ndarray:
+    """_ratios of |s_t(x, y)|, or of |s_t(x, y) - s_t(x, z)| when z is given,
+    evaluated POINT_BLOCK points at a time."""
+    out = np.empty(t.shape)
+    for k in range(0, t.size, POINT_BLOCK):
+        b = slice(k, k + POINT_BLOCK)
+        v = np.broadcast_to(kernel.evaluate(t[b], x[b], y[b]), t[b].shape)
+        if z is not None:
+            v = v - np.broadcast_to(kernel.evaluate(t[b], x[b], z[b]), t[b].shape)
+        out[b] = _ratios(np.abs(v), t[b], x[b], y[b], scale[b], kernel.m, kernel.alpha)
+    return out
+
+
 def _ratios(v, t, x, y, scale, m: float, alpha: float) -> np.ndarray:
     """v (t + |x-y|)^(m+alpha) / scale^alpha where v != 0, else 0."""
     out = np.zeros(v.shape)
@@ -517,8 +535,7 @@ def check_size_condition(kernel, n_samples: int, seed: int) -> ConditionReport:
     rng = derive_rng(seed, "size-condition")
     actives = kernel.sample_active(rng, n_samples)
     t, x, y = _sample_points(kernel, rng, actives, 3)
-    vals = np.abs(np.broadcast_to(kernel.evaluate(t, x, y), t.shape))
-    ratios = _ratios(vals, t, x, y, t, kernel.m, kernel.alpha)
+    ratios = _blocked_ratios(kernel, t, x, y, None, t)
     worst, witness = _worst(ratios, t, x, y)
     return ConditionReport(worst_ratio=worst, witness=witness, n_samples=len(actives) * 3)
 
@@ -546,9 +563,7 @@ def check_holder_condition(kernel, n_samples: int, seed: int, n_scales: int = 4)
         np.broadcast_arrays(y0 + delta, y0 - delta, x - delta, y0 - half, x - half), axis=2
     )
     t, x, y, z, delta = (a.ravel() for a in np.broadcast_arrays(t, x, y, z, delta))
-    dv = np.abs(np.broadcast_to(kernel.evaluate(t, x, y), t.shape)
-                - np.broadcast_to(kernel.evaluate(t, x, z), t.shape))
-    ratios = _ratios(dv, t, x, y, delta, kernel.m, kernel.alpha)
+    ratios = _blocked_ratios(kernel, t, x, y, z, delta)
     by_scale = ratios.reshape(len(actives), n_scales, 5)
     per_scale = by_scale.max(axis=(0, 2), initial=0.0)
     per_anchor = by_scale[:, :, :3].max(axis=(0, 2), initial=0.0)

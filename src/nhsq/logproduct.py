@@ -378,5 +378,5 @@ def log_moments(f: LogProductFn, ps: tuple[int, ...]) -> dict[int, Fraction]:
     for F in f.factors:
         A += F.a_n * ((M * (1 << F.k_exp)) % (2 * D) <= _floor(F.total_measure * 2 * D))
     widths = np.diff(bp)
-    levels = {int(v): int(widths[A == v].sum()) for v in np.unique(A)}
+    levels = {int(v): int(widths[A == v].sum()) for v in _sorted_unique(A)}
     return {p: Fraction(sum(w * v**p for v, w in levels.items()), D) for p in ps}

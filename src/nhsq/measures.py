@@ -377,59 +377,65 @@ class GrowthEstimate:
     n_intervals: int
 
 
+# Intervals per block of growth_constant: every step after the draws is
+# elementwise, so blocks bound its working set without moving a bit.
+GROWTH_BLOCK = 4096
+
+
 def growth_constant(measure, m: float, n_samples: int, seed: int) -> GrowthEstimate:
     """Supremum estimate of mu(J) / len(J)**m over sampled intervals.
 
     The sample always contains the construction intervals (up to an
     enumeration cap) plus seeded random intervals, stratified in scale.
-    Zero-length samples are skipped.
+    Zero-length samples are skipped.  The intervals are taken GROWTH_BLOCK
+    at a time in sample order; the witness is the first largest ratio, as one
+    argmax over the whole sample finds it.
     """
     if n_samples < 1:
         raise InvalidParams("n_samples must be >= 1")
+    block = GROWTH_BLOCK
     rng = derive_rng(seed, "growth-constant")
-
-    starts_list = []
-    ends_list = []
-
-    if isinstance(measure, CantorMeasure):
-        enum_gen = min(measure.depth, 8)
-        for g in range(0, enum_gen + 1):
-            s, ln, _ = measure.leaf_table(g)
-            starts_list.append(s)
-            ends_list.append(s + ln)
 
     n_unif = n_samples // 2
     n_scale = n_samples - n_unif
     a = rng.uniform(-0.05, 1.05, size=n_unif)
     b = rng.uniform(-0.05, 1.05, size=n_unif)
-    starts_list.append(np.minimum(a, b))
-    ends_list.append(np.maximum(a, b))
-
     # Scale-stratified: log-uniform lengths so tiny intervals are exercised.
-    log_len = rng.uniform(np.log(1e-12), np.log(1.0), size=n_scale)
-    lengths = np.exp(log_len)
+    lengths = np.exp(rng.uniform(np.log(1e-12), np.log(1.0), size=n_scale))
     centers = rng.uniform(0.0, 1.0, size=n_scale)
-    starts_list.append(centers - lengths / 2)
-    ends_list.append(centers + lengths / 2)
 
-    starts = np.concatenate(starts_list)
-    ends = np.concatenate(ends_list)
-    lens = ends - starts
-    keep = lens > 0.0
-    starts, ends, lens = starts[keep], ends[keep], lens[keep]
+    # (start, end) of every interval in sample order, one block at a time.
+    def blocks():
+        if isinstance(measure, CantorMeasure):
+            for g in range(0, min(measure.depth, 8) + 1):
+                s, ln, _ = measure.leaf_table(g)
+                for k in range(0, len(s), block):
+                    yield s[k:k + block], s[k:k + block] + ln[k:k + block]
+        for k in range(0, n_unif, block):
+            ak, bk = a[k:k + block], b[k:k + block]
+            yield np.minimum(ak, bk), np.maximum(ak, bk)
+        for k in range(0, n_scale, block):
+            half = lengths[k:k + block] / 2
+            yield centers[k:k + block] - half, centers[k:k + block] + half
 
     # CDF tables are only exact at full depth; deeper Cantor measures descend the tree.
-    if hasattr(measure, "interval_mass_batch") and not (
+    batch = hasattr(measure, "interval_mass_batch") and not (
         isinstance(measure, CantorMeasure) and measure.depth > 10
-    ):
-        masses = measure.interval_mass_batch(starts, ends)
-    else:
-        masses = np.array([measure.interval_mass(s, e) for s, e in zip(starts, ends)])
-
-    ratios = masses / lens**m
-    i = int(np.argmax(ratios))
-    return GrowthEstimate(
-        max_ratio=float(ratios[i]),
-        witness=(float(starts[i]), float(ends[i])),
-        n_intervals=int(len(ratios)),
     )
+    best, witness, n_intervals = None, None, 0
+    for starts, ends in blocks():
+        lens = ends - starts
+        keep = lens > 0.0
+        starts, ends, lens = starts[keep], ends[keep], lens[keep]
+        if not len(lens):
+            continue
+        if batch:
+            masses = measure.interval_mass_batch(starts, ends)
+        else:
+            masses = np.array([measure.interval_mass(s, e) for s, e in zip(starts, ends)])
+        ratios = masses / lens**m
+        i = int(np.argmax(ratios))
+        if best is None or ratios[i] > best:  # strict: a tie keeps the earlier interval
+            best, witness = float(ratios[i]), (float(starts[i]), float(ends[i]))
+        n_intervals += len(lens)
+    return GrowthEstimate(max_ratio=best, witness=witness, n_intervals=n_intervals)

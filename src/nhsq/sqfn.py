@@ -863,33 +863,46 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
     steps = max(24, quad.t_steps_per_band)
     bp, mids, A = _ci_segment_table(kernel.f, max_depth)
     widths = np.diff(bp)
-    sat = np.maximum(np.minimum(mids, 1.0 - mids) / 2.0, 1e-300)
-    ln_sat = np.log(sat)
+    del bp
+    # One array per segment for each of ln sat, the inner integral and the
+    # cube index; every depth reuses them through out= (the same ufuncs on the
+    # same operands, so the same bits).  The zone's lower log-t end
+    # lo = max(ln sat, -A) is built per row block: lo < lnL iff both are.
+    ln_sat = np.subtract(1.0, mids)
+    np.minimum(mids, ln_sat, out=ln_sat)
+    np.divide(ln_sat, 2.0, out=ln_sat)
+    np.maximum(ln_sat, 1e-300, out=ln_sat)
+    np.log(ln_sat, out=ln_sat)
+    inner = np.empty(mids.size)
+    cube = np.empty(mids.size, dtype=int)
+    mask = np.empty(mids.size, dtype=bool)
     per_depth, sup, witness = {}, 0.0, (0, 0)
     elements = blocks = 0
     for d in range(0, max_depth + 1):
         ell = 0.5**d
         lnL = math.log(ell)
+        # floor(mids / ell) as int, with inner as the float scratch.
+        np.copyto(cube, np.floor(np.divide(mids, ell, out=inner), out=inner), casting="unsafe")
         # Saturated part: 9 * (length of [max(-A, min(ln sat, lnL)) .. ] below lnL).
-        upper = np.minimum(ln_sat, lnL)
-        inner = 9.0 * np.maximum(0.0, upper + A)
-        lo = np.maximum(ln_sat, -A)
-        mask = lo < lnL
+        np.minimum(ln_sat, lnL, out=inner)
+        np.add(inner, A, out=inner)
+        np.maximum(0.0, inner, out=inner)
+        np.multiply(9.0, inner, out=inner)
+        np.less(ln_sat, lnL, out=mask)
+        mask &= A > -lnL  # -A < lnL, without a negated copy of A
         if mask.any():
             rows = np.flatnonzero(mask)
-            numeric = np.empty(rows.size)
             u = (np.arange(steps) + 0.5) / steps
             for i in range(0, rows.size, CI_BLOCK_ROWS):
                 blk = rows[i:i + CI_BLOCK_ROWS]
-                span = lnL - lo[blk]
-                t = np.exp(lo[blk, None] + span[:, None] * u[None, :])
+                lo = np.maximum(ln_sat[blk], -A[blk])
+                span = lnL - lo
+                t = np.exp(lo[:, None] + span[:, None] * u[None, :])
                 theta = theta_unit(t, mids[blk, None])
-                numeric[i:i + blk.size] = span * np.mean(theta**2, axis=1)
+                inner[blk] += span * np.mean(theta**2, axis=1)
                 blocks += 1
-            inner[mask] += numeric
             elements += rows.size * steps
-        cube = np.floor(mids / ell).astype(int)
-        boxes = np.bincount(cube, weights=widths * inner, minlength=2**d)
+        boxes = np.bincount(cube, weights=np.multiply(widths, inner, out=inner), minlength=2**d)
         ratios = boxes / ell
         k = int(np.argmax(ratios))
         per_depth[d] = float(ratios[k])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,30 @@ def test_weak11_refuses_invalid_quadrature(tmp_path, capsys):
         assert not (tmp_path / "weak11" / "report.json").exists()
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"y_resolution_depth": -3}, "quadrature parameters must be positive"),
+    ({"t_steps_per_band": 0}, "quadrature parameters must be positive"),
+    ({"rel_tol": 5.0, "t_steps_per_band": 0}, "rel_tol must be in (0, 0.1], got 5.0"),
+    ({"rel_tol": 0.0}, "rel_tol must be in (0, 0.1], got 0.0"),
+])
+def test_config_refuses_invalid_quadrature(raw, message, tmp_path, capsys):
+    # ExperimentConfig applies QuadratureConfig.validate's rules to the keys,
+    # so validate-config and every experiment refuse them before the output
+    # directory exists, also where the experiment builds no quadrature.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(raw)
+    cfg = tmp_path / "quad.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli_main(["validate-config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    for name in list_experiments():
+        assert cli_main(["run", name, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+    edge = {"t_steps_per_band": 1, "y_resolution_depth": 1, "rel_tol": 0.1}
+    assert ExperimentConfig.from_dict(edge).quad().validate() is None
+
+
 def _assert_reference_bytes(experiment, seed, tmp_path):
     """report.json and series.csv equal the benchmark's recorded reference
     bytes, and the run passes exactly when the reference run did."""
@@ -306,6 +331,20 @@ def test_cli_prints_counters_not_serialized(tmp_path, monkeypatch, capsys):
     assert lines[-2:] == ["counter: things = 3", lines[-1]]
     assert lines[-1].startswith("runtime: ")
     assert b"things" not in (tmp_path / "growth" / "report.json").read_bytes()
+
+
+def test_cli_runtime_line_reports_peak_rss(tmp_path, monkeypatch, capsys):
+    # The peak RSS goes to stdout only; without the resource module the line
+    # keeps just the run time.
+    assert cli_main(["run", "growth", "--out", str(tmp_path)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"runtime: \d+\.\d\ds, peak RSS \d+\.\d MB", last)
+    assert float(last.split()[-2]) > 1.0
+    for name in ("report.json", "series.csv"):
+        assert b"RSS" not in (tmp_path / "growth" / name).read_bytes()
+    monkeypatch.setitem(sys.modules, "resource", None)
+    assert cli_main(["run", "growth", "--out", str(tmp_path)]) == 0
+    assert re.fullmatch(r"runtime: \d+\.\d\ds", capsys.readouterr().out.splitlines()[-1])
 
 
 def test_cli_svg_flag(tmp_path):

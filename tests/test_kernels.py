@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nhsq import kernels
 from nhsq.errors import WrongProfile
 from nhsq.kernels import (
     PHI_V_LIPSCHITZ,
@@ -630,3 +631,98 @@ def test_checkers_match_per_point_loop(name, kernel, vkernel):
         hold = check_holder_condition(k, 400, seed)
         assert repr(hold) == repr(_holder_loop(k, 400, seed))
         assert hold.worst_ratio > 0
+
+
+def _size_one_shot(kernel, n_samples, seed):
+    # check_size_condition with all points evaluated in one kernel call: the
+    # oracle of the blocked evaluation.
+    rng = derive_rng(seed, "size-condition")
+    actives = kernel.sample_active(rng, n_samples)
+    t, x, y = _sample_points(kernel, rng, actives, 3)
+    vals = np.abs(np.broadcast_to(kernel.evaluate(t, x, y), t.shape))
+    ratios = kernels._ratios(vals, t, x, y, t, kernel.m, kernel.alpha)
+    worst, witness = kernels._worst(ratios, t, x, y)
+    return ConditionReport(worst_ratio=worst, witness=witness, n_samples=len(actives) * 3)
+
+
+def _holder_one_shot(kernel, n_samples, seed, n_scales=4):
+    # check_holder_condition with all points evaluated in one kernel call.
+    rng = derive_rng(seed, "holder-condition")
+    scales = [0.4 * 10.0**-j for j in range(n_scales)]
+    actives = kernel.sample_active(rng, max(1, n_samples // n_scales))
+    t, x, y0 = (a[:, None, None] for a in _sample_points(kernel, rng, actives, 1))
+    delta = t * np.array(scales)[None, :, None]
+    half = delta / 2
+    y = np.concatenate(np.broadcast_arrays(y0, y0, x, y0 + half, x + half), axis=2)
+    z = np.concatenate(
+        np.broadcast_arrays(y0 + delta, y0 - delta, x - delta, y0 - half, x - half), axis=2
+    )
+    t, x, y, z, delta = (a.ravel() for a in np.broadcast_arrays(t, x, y, z, delta))
+    dv = np.abs(np.broadcast_to(kernel.evaluate(t, x, y), t.shape)
+                - np.broadcast_to(kernel.evaluate(t, x, z), t.shape))
+    ratios = kernels._ratios(dv, t, x, y, delta, kernel.m, kernel.alpha)
+    by_scale = ratios.reshape(len(actives), n_scales, 5)
+    per_scale = by_scale.max(axis=(0, 2), initial=0.0)
+    per_anchor = by_scale[:, :, :3].max(axis=(0, 2), initial=0.0)
+    worst, witness = kernels._worst(ratios, t, x, y, z)
+    return HolderReport(
+        worst_ratio=worst,
+        witness=witness,
+        per_scale=[(s, float(r)) for s, r in zip(scales, per_scale)],
+        per_scale_anchored=[(s, float(r)) for s, r in zip(scales, per_anchor)],
+        n_samples=len(actives) * n_scales * 5,
+    )
+
+
+class _Flat(_LeftStep):
+    """1 for y < x, else 1/2, at m = alpha = 0: every ratio is the kernel value
+    itself, so the worst ratio is attained many times."""
+
+    m, alpha = 0.0, 0.0
+
+    @staticmethod
+    def evaluate(t, x, y):
+        return np.where(np.asarray(y) < x, 1.0, 0.5)
+
+    @staticmethod
+    def sample_y(rng, t, x, nodes):
+        return x + rng.uniform(-1.0, 1.0, len(t))
+
+
+@pytest.mark.parametrize("name", ["cantor", "logproduct", "step", "left-step", "tied"])
+def test_checker_blocks_match_one_shot(name, vkernel, monkeypatch):
+    # Blocks of 1, 7 and more than all points give the one-shot reports bit
+    # for bit, on a depth-7 Cantor kernel and the other kernels.
+    k = {"cantor": CantorKernel(CantorMeasure(CantorParams(m=M, C=C, depth=7))),
+         "logproduct": vkernel, "step": StepKernel(m=M), "left-step": _LeftStep(),
+         "tied": _Flat()}[name]
+    n = 120
+    size, hold = _size_one_shot(k, n, 5), _holder_one_shot(k, n, 5)
+    for block in (1, 7, 5 * n + 1):
+        monkeypatch.setattr(kernels, "POINT_BLOCK", block)
+        assert repr(check_size_condition(k, n, 5)) == repr(size)
+        assert repr(check_holder_condition(k, n, 5)) == repr(hold)
+    if name == "tied":
+        assert size.worst_ratio == 1.0 and size.witness[2] < size.witness[1]
+        assert hold.worst_ratio == 0.5
+
+
+def test_checker_blocks_bound_the_working_set(traced_peak):
+    # The Holder check's evaluation at the kernel-conditions size (10,000
+    # samples: 50,000 point pairs on a depth-10 Cantor kernel) in blocks
+    # against one kernel call per array, on the same points.
+    kernel = CantorKernel(CantorMeasure(CantorParams(m=M, C=C, depth=10)))
+    rng = derive_rng(2, "holder-condition")
+    t, x, y = _sample_points(kernel, rng, kernel.sample_active(rng, 10_000), 5)
+    z = y + t / 1e3
+    args = (kernel.m, kernel.alpha)
+
+    def one_shot():
+        dv = np.abs(kernel.evaluate(t, x, y) - kernel.evaluate(t, x, z))
+        return kernels._ratios(dv, t, x, y, t, *args)
+
+    def blocked():
+        return kernels._blocked_ratios(kernel, t, x, y, z, t)
+
+    assert np.array_equal(blocked(), one_shot())
+    assert traced_peak(blocked) <= traced_peak(one_shot) / 3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nhsq import measures
 from nhsq.errors import (
     GeometryInfeasible,
     InvalidParams,
@@ -15,9 +16,11 @@ from nhsq.errors import (
 from nhsq.measures import (
     CantorMeasure,
     CantorParams,
+    GrowthEstimate,
     LebesgueInterval,
     growth_constant,
 )
+from nhsq.rng import derive_rng
 from nhsq.sqfn import LeafFunction
 
 M, C = 0.4, 16.0
@@ -260,6 +263,102 @@ def test_growth_constants():
         assert ratio == pytest.approx(1.0, rel=1e-12)
     leb = growth_constant(LebesgueInterval(0, 1), 1.0, 1000, seed=5)
     assert leb.max_ratio <= 1.0 + 1e-12
+
+
+def _growth_one_shot(measure, m, n_samples, seed):
+    # growth_constant with every interval built at once: the oracle of the
+    # blocked sweep.
+    rng = derive_rng(seed, "growth-constant")
+    starts_list, ends_list = [], []
+    if isinstance(measure, CantorMeasure):
+        for g in range(0, min(measure.depth, 8) + 1):
+            s, ln, _ = measure.leaf_table(g)
+            starts_list.append(s)
+            ends_list.append(s + ln)
+    n_unif = n_samples // 2
+    n_scale = n_samples - n_unif
+    a = rng.uniform(-0.05, 1.05, size=n_unif)
+    b = rng.uniform(-0.05, 1.05, size=n_unif)
+    starts_list.append(np.minimum(a, b))
+    ends_list.append(np.maximum(a, b))
+    lengths = np.exp(rng.uniform(np.log(1e-12), np.log(1.0), size=n_scale))
+    centers = rng.uniform(0.0, 1.0, size=n_scale)
+    starts_list.append(centers - lengths / 2)
+    ends_list.append(centers + lengths / 2)
+    starts = np.concatenate(starts_list)
+    ends = np.concatenate(ends_list)
+    lens = ends - starts
+    keep = lens > 0.0
+    starts, ends, lens = starts[keep], ends[keep], lens[keep]
+    if hasattr(measure, "interval_mass_batch") and not (
+        isinstance(measure, CantorMeasure) and measure.depth > 10
+    ):
+        masses = measure.interval_mass_batch(starts, ends)
+    else:
+        masses = np.array([measure.interval_mass(s, e) for s, e in zip(starts, ends)])
+    ratios = masses / lens**m
+    i = int(np.argmax(ratios))
+    return GrowthEstimate(float(ratios[i]), (float(starts[i]), float(ends[i])), len(ratios))
+
+
+class _TiedLebesgue(LebesgueInterval):
+    """Ratio len(J)/len(J) = 1 exactly on every J starting right of 1/2 and
+    exactly 1/2 elsewhere (at m = 1), so the sup is attained many times."""
+
+    def interval_mass_batch(self, a, b, max_depth=None):
+        return np.where(a > 0.5, 1.0, 0.5) * (b - a)
+
+
+class _ScalarLebesgue:
+    """Lebesgue measure on [0, 1] with one-interval mass queries only."""
+
+    def interval_mass(self, a, b):
+        return LebesgueInterval(0, 1).interval_mass(a, b)
+
+
+def _same_estimate(got, want):
+    assert repr(got.max_ratio) == repr(want.max_ratio)
+    assert tuple(map(repr, got.witness)) == tuple(map(repr, want.witness))
+    assert got.n_intervals == want.n_intervals
+
+
+@pytest.mark.parametrize("case", ["cantor", "lebesgue", "scalar", "tied"])
+def test_growth_blocks_match_one_shot(case, monkeypatch):
+    # Blocks of 1, 7 and more than the whole sample give the one-shot answer
+    # bit for bit; with ties the first interval in sample order wins.
+    measure, m, n = {
+        "cantor": (CantorMeasure(CantorParams(m=M, C=C, depth=7)), M, 2_000),
+        "scalar": (_ScalarLebesgue(), 0.5, 2_000),
+        "lebesgue": (LebesgueInterval(0, 1), 1.0, 2_000),
+        "tied": (_TiedLebesgue(0, 1), 1.0, 2_000),
+    }[case]
+    want = _growth_one_shot(measure, m, n, 7)
+    for block in (1, 7, want.n_intervals + 1):
+        monkeypatch.setattr(measures, "GROWTH_BLOCK", block)
+        _same_estimate(growth_constant(measure, m, n, 7), want)
+    if case == "tied":
+        assert want.max_ratio == 1.0 and want.witness[0] > 0.5
+
+
+def test_growth_default_blocks_match_one_shot():
+    for seed in (1, 20250808):
+        for m in (M, 0.3):
+            mu = CantorMeasure(CantorParams(m=m, C=C, depth=7))
+            _same_estimate(growth_constant(mu, m, 100_000, seed), _growth_one_shot(mu, m, 100_000, seed))
+        leb = LebesgueInterval(0, 1)
+        _same_estimate(growth_constant(leb, 1.0, 10_000, seed), _growth_one_shot(leb, 1.0, 10_000, seed))
+
+
+def test_growth_blocks_bound_the_working_set(traced_peak):
+    # The random draws and the cached leaf and CDF tables stay; the 121,845
+    # intervals and their temporaries no longer exist all at once.
+    def fresh():
+        return CantorMeasure(CantorParams(m=M, C=C, depth=7))
+
+    growth_constant(fresh(), M, 1_000, 1)  # first-call imports stay untraced
+    one_shot = traced_peak(lambda: _growth_one_shot(fresh(), M, 100_000, 1))
+    blocked = traced_peak(lambda: growth_constant(fresh(), M, 100_000, 1))
+    assert blocked <= one_shot / 3
 
 
 def test_geometry_json(measure):

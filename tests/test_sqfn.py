@@ -19,6 +19,7 @@ from nhsq.kernels import (
     node_atoms,
     phi_v_antiderivative,
     strip_atoms,
+    theta_unit,
 )
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
@@ -981,6 +982,63 @@ def _ci_profile_two_phi(kernel, max_depth, quad):
 def test_ci_profile_matches_two_phi_oracle(quad):
     kv = LogProductKernel(build_logproduct("demo", 4))
     assert _ci_digits(ci_profile(kv, 6, quad)) == _ci_profile_two_phi(kv, 6, quad)
+
+
+def _ci_profile_one_shot(kernel, max_depth, quad):
+    # ci_profile with fresh arrays for every step of every depth: the oracle
+    # of its out= buffers.
+    steps = max(24, quad.t_steps_per_band)
+    bp, mids, A = sqfn._ci_segment_table(kernel.f, max_depth)
+    widths = np.diff(bp)
+    ln_sat = np.log(np.maximum(np.minimum(mids, 1.0 - mids) / 2.0, 1e-300))
+    per_depth, sup, witness = {}, 0.0, (0, 0)
+    elements = blocks = 0
+    for d in range(0, max_depth + 1):
+        ell = 0.5**d
+        lnL = math.log(ell)
+        inner = 9.0 * np.maximum(0.0, np.minimum(ln_sat, lnL) + A)
+        lo = np.maximum(ln_sat, -A)
+        mask = lo < lnL
+        if mask.any():
+            rows = np.flatnonzero(mask)
+            numeric = np.empty(rows.size)
+            u = (np.arange(steps) + 0.5) / steps
+            for i in range(0, rows.size, sqfn.CI_BLOCK_ROWS):
+                blk = rows[i:i + sqfn.CI_BLOCK_ROWS]
+                span = lnL - lo[blk]
+                t = np.exp(lo[blk, None] + span[:, None] * u[None, :])
+                theta = theta_unit(t, mids[blk, None])
+                numeric[i:i + blk.size] = span * np.mean(theta**2, axis=1)
+                blocks += 1
+            inner[mask] += numeric
+            elements += rows.size * steps
+        cube = np.floor(mids / ell).astype(int)
+        boxes = np.bincount(cube, weights=widths * inner, minlength=2**d)
+        ratios = boxes / ell
+        k = int(np.argmax(ratios))
+        per_depth[d] = float(ratios[k])
+        if ratios[k] > sup:
+            sup = float(ratios[k])
+            witness = (d, k)
+    return {"sup": sup, "per_depth": per_depth, "witness": witness,
+            "elements": elements, "blocks": blocks}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_ci_profile_buffers_match_one_shot(N, quad):
+    kv = LogProductKernel(build_logproduct("demo", N))
+    assert repr(ci_profile(kv, 12, quad)) == repr(_ci_profile_one_shot(kv, 12, quad))
+
+
+def test_ci_profile_buffers_bound_the_working_set(quad, traced_peak):
+    # The tb-testing sweep (demo N = 4, depth 12, 133,265 segments) keeps at
+    # least two fewer segment-length arrays alive at its peak.
+    kv = LogProductKernel(build_logproduct("demo", 4))
+    kv.f.breakpoints()  # cached on f: traced by neither run
+    segment_array = 8 * sqfn._ci_segment_table(kv.f, 12)[1].size
+    one_shot = traced_peak(lambda: _ci_profile_one_shot(kv, 12, quad))
+    buffered = traced_peak(lambda: ci_profile(kv, 12, quad))
+    assert buffered <= one_shot - 2 * segment_array
 
 
 def test_logproduct_box_vs_ci_profile(quad):
