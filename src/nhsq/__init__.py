@@ -17,7 +17,6 @@ from .dyadic import (
     carleson_packing,
     classify_good,
     estimate_pi_good,
-    make_grid,
     martingale_decompose,
 )
 from .errors import NhsqError
@@ -34,7 +33,6 @@ from .logproduct import (
     SpacedSetFamily,
     build_logproduct,
     carleson_log_bound,
-    demo_carleson_quadrature,
     eval_f,
     log_moments,
     lp_divergence_witness,

@@ -5,8 +5,9 @@
     nhsq list
     nhsq validate-config PATH
 
-Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 usage, config or
-output error (the output directory is created before the experiment runs).
+Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 usage, config,
+output or out-of-memory error (the output directory is created before the
+experiment runs).
 NHSQ_OUT overrides the output directory; explicit --out wins over
 both the environment and the config file.
 """
@@ -121,6 +122,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a config too large to allocate is a config error
+        print(f"error: out of memory: {str(e) or 'lower the config sizes'}", file=sys.stderr)
         return 2
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "ShiftedGrid",
     "GoodnessParams",
     "GoodnessResult",
-    "make_grid",
     "classify_good",
     "estimate_pi_good",
     "PiGoodEstimate",
@@ -118,14 +117,6 @@ class ShiftedGrid:
         so, lo = self.cube_units(outer)
         si, li = self.cube_units(inner)
         return so <= si and si + li <= so + lo
-
-
-def make_grid(seed: int, scale_range: tuple[int, int]) -> ShiftedGrid:
-    """Seeded grid; shift bits are independent uniform bits, one per scale."""
-    i_min, i_max = scale_range
-    rng = derive_rng(seed, "shifted-grid")
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=i_max - i_min))
-    return ShiftedGrid(i_min=i_min, i_max=i_max, bits=bits)
 
 
 @dataclass(frozen=True)
@@ -220,26 +211,26 @@ class PiGoodEstimate:
         return (max(self.estimates) - min(self.estimates)) / self.pooled_se
 
 
-def estimate_pi_good(m: float, alpha: float, trials: int, seed: int, cutoff: int,
-                     base_positions: tuple[int, ...] = (0, 5)) -> PiGoodEstimate:
-    """Monte Carlo estimate of P(Q + w is good), for several base cubes.
+def estimate_pi_good(m: float, alpha: float, trials: int, seed: int,
+                     cutoff: int) -> PiGoodEstimate:
+    """Monte Carlo estimate of P(Q + w is good), for two base cubes.
 
     The probability is independent of the base cube; the result carries the
     per-cube estimates and the pooled standard error so callers can check
-    the independence directly.
+    the independence directly.  A cutoff below r raises CutoffBelowR.
     """
     if trials < 100:
         raise InvalidParams("need at least 100 trials")
     params = GoodnessParams.from_exponents(m, alpha, ensure_positive=True)
-    if cutoff < params.r:
-        cutoff = params.r + 4
+    if cutoff < params.r:  # before a negative cutoff sizes the grid
+        raise CutoffBelowR(f"cutoff {cutoff} below r={params.r}")
     rng = derive_rng(seed, "pi-good")
-    counts = [0] * len(base_positions)
+    counts = [0, 0]
     i_q = cutoff  # cube scale; scales 0..cutoff are tracked above it
     for _ in range(trials):
         bits = tuple(int(b) for b in rng.integers(0, 2, size=i_q))
         grid = ShiftedGrid(i_min=0, i_max=i_q, bits=bits)
-        for b, k in enumerate(base_positions):
+        for b, k in enumerate((0, 5)):  # two base cubes at scale i_q
             res = classify_good(grid, Cube(i_q, k), params, cutoff)
             if res.status == "good":
                 counts[b] += 1
@@ -437,7 +428,7 @@ class MartingaleCoeffs:
 
 
 def martingale_decompose(measure, forest: StoppingForest, f: np.ndarray,
-                         depth: int, near_zero: float = 1e-9) -> MartingaleCoeffs:
+                         depth: int) -> MartingaleCoeffs:
     """b-adapted martingale differences over the stopping forest.
 
     Delta_Q f = sum over children Q' of
@@ -494,7 +485,7 @@ def martingale_decompose(measure, forest: StoppingForest, f: np.ndarray,
         has_mass = mass > 0.0
         b_avg = np.divide((b_row * masses).reshape(count, ln).sum(axis=1), mass,
                           out=np.zeros(count), where=has_mass)
-        bad = np.flatnonzero(has_mass & (np.abs(b_avg) < near_zero))
+        bad = np.flatnonzero(has_mass & (np.abs(b_avg) < 1e-9))
         if bad.size:
             raise DivisionByNearZeroAverage(
                 f"<b_anc> = {b_avg[bad[0]]:.2e} on {cubes[bad[0]]}; "

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import WrongProfile
 from .logproduct import LogProductFn
-from .measures import CantorMeasure
+from .measures import CantorMeasure, NodeGeometry
 from .rng import derive_rng
 
 __all__ = [
@@ -149,10 +149,11 @@ class CantorKernel:
     the declared exponents are (m, alpha=1).
     """
 
-    def __init__(self, measure: CantorMeasure, alpha: float = 1.0):
+    alpha = 1.0
+
+    def __init__(self, measure: CantorMeasure):
         self.measure = measure
         self.m = measure.m
-        self.alpha = alpha
 
     def locate(self, x: float, t: float) -> Optional[ActiveRegion]:
         """Walk x's node chain; bands decrease strictly, so at most one hit."""
@@ -360,9 +361,10 @@ class TildeKernel:
 class StepKernel:
     """Adversarial fixture: piecewise constant in y, hence not Hoelder."""
 
-    def __init__(self, m: float = 0.4, alpha: float = 1.0):
+    alpha = 1.0
+
+    def __init__(self, m: float = 0.4):
         self.m = m
-        self.alpha = alpha
 
     def evaluate(self, t, x, y):
         t, x, y = _broadcast(t, x, y)
@@ -386,6 +388,11 @@ class StepKernel:
 # -- theta quadrature ---------------------------------------------------------------
 
 
+# Below the truncation depth a node splits into four equal quarters.
+_QUARTERS = NodeGeometry(generation=0, child_offsets=(0.0, 0.25, 0.5, 0.75),
+                         child_lengths=(0.25,) * 4, child_masses=(0.25,) * 4, L=0.25)
+
+
 def node_atoms(measure: CantorMeasure, off: float, length: float, mass: float,
                local_gen: int, extra_depth: int):
     """(midpoints, widths, weights) of the measure restricted to one node.
@@ -394,22 +401,9 @@ def node_atoms(measure: CantorMeasure, off: float, length: float, mass: float,
     truncation depth leaves split uniformly (mass proportional to length),
     matching the measure's below-truncation convention.
     """
-    offs = np.array([off])
-    lens = np.array([length])
-    mas = np.array([mass])
+    offs, lens, mas = np.array([off]), np.array([length]), np.array([mass])
     for k in range(local_gen + 1, local_gen + extra_depth + 1):
-        if k <= measure.depth:
-            geo = measure.geometry[k]
-            o = np.asarray(geo.child_offsets)
-            l = np.asarray(geo.child_lengths)
-            q = np.asarray(geo.child_masses)
-        else:
-            o = np.array([0.0, 0.25, 0.5, 0.75])
-            l = np.array([0.25, 0.25, 0.25, 0.25])
-            q = np.array([0.25, 0.25, 0.25, 0.25])
-        offs = (offs[:, None] + o[None, :] * lens[:, None]).ravel()
-        mas = (mas[:, None] * q[None, :]).ravel()
-        lens = (lens[:, None] * l[None, :]).ravel()
+        offs, lens, mas = measure.geometry.get(k, _QUARTERS).split(offs, lens, mas)
     return offs + lens / 2.0, lens, mas
 
 
@@ -540,7 +534,7 @@ def check_size_condition(kernel, n_samples: int, seed: int) -> ConditionReport:
     return ConditionReport(worst_ratio=worst, witness=witness, n_samples=len(actives) * 3)
 
 
-def check_holder_condition(kernel, n_samples: int, seed: int, n_scales: int = 4) -> HolderReport:
+def check_holder_condition(kernel, n_samples: int, seed: int) -> HolderReport:
     """Worst |s_t(x,y) - s_t(x,z)| (t + |x-y|)^(m+alpha) / |y-z|^alpha.
 
     Pairs satisfy |y - z| < t/2 and are stratified over separation scales
@@ -548,7 +542,8 @@ def check_holder_condition(kernel, n_samples: int, seed: int, n_scales: int = 4)
     separation shrinks.
     """
     rng = derive_rng(seed, "holder-condition")
-    scales = [0.4 * 10.0**-j for j in range(n_scales)]
+    scales = [0.4 * 10.0**-j for j in range(4)]
+    n_scales = len(scales)
     actives = kernel.sample_active(rng, max(1, n_samples // n_scales))
     # One sampled center y0 per active; reused across scales so per-scale
     # worst ratios are comparable and growth is detectable.

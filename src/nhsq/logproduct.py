@@ -49,7 +49,6 @@ __all__ = [
     "eval_f",
     "carleson_log_bound",
     "lp_divergence_witness",
-    "demo_carleson_quadrature",
     "log_moments",
     "LOG2E_HI",
     "LOG2E_LO",
@@ -344,23 +343,6 @@ def _segments(f: LogProductFn, a: Fraction, b: Fraction, budget: int):
         mid = (lo + hi) / 2
         out.append((lo, hi, f.exponent(mid)))
     return out
-
-
-def demo_carleson_quadrature(f: LogProductFn, a: Rational, b: Rational, resolution: int = 300_000) -> float:
-    """Direct ∫_I ln+ (len(I)/f) dt by exact piecewise-constant integration."""
-    if f.profile != "demo":
-        raise WrongProfile("direct quadrature needs the demo profile")
-    a = Fraction(a)
-    b = Fraction(b)
-    ell = b - a
-    if ell <= 0:
-        raise DegenerateInterval(f"interval [{a}, {b}] has no length")
-    log_ell = math.log(float(ell))
-    total = 0.0
-    for lo, hi, A in _segments(f, a, b, resolution):
-        val = max(0.0, A + log_ell)
-        total += float(hi - lo) * val
-    return total
 
 
 def log_moments(f: LogProductFn, ps: tuple[int, ...]) -> dict[int, Fraction]:

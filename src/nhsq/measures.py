@@ -80,7 +80,6 @@ class NodeGeometry:
     """
 
     generation: int
-    parent_length: float
     child_offsets: tuple[float, float, float, float]
     child_lengths: tuple[float, float, float, float]
     child_masses: tuple[float, float, float, float]
@@ -94,6 +93,15 @@ class NodeGeometry:
     def strip_mass(self) -> float:
         """Mass fraction of the two middle children."""
         return self.child_masses[1] + self.child_masses[2]
+
+    def split(self, off, length, mass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offsets, lengths, masses) of the four children of every node
+        (off[i], length[i], mass[i]), node by node in digit order: the base-4
+        path order of leaf_table."""
+        ln = np.asarray(length, dtype=float)[:, None]
+        off = np.asarray(off, dtype=float)[:, None] + np.multiply(self.child_offsets, ln)
+        mass = np.multiply(np.asarray(mass, dtype=float)[:, None], self.child_masses)
+        return off.ravel(), np.multiply(self.child_lengths, ln).ravel(), mass.ravel()
 
 
 def _split_geometry(n: int, m: float, C: float) -> NodeGeometry:
@@ -109,7 +117,6 @@ def _split_geometry(n: int, m: float, C: float) -> NodeGeometry:
     offsets = (0.0, 2.0 * L, 1.0 - 2.0 * L - float(lengths[2]), 1.0 - L)
     geo = NodeGeometry(
         generation=n,
-        parent_length=1.0,
         child_offsets=offsets,
         child_lengths=tuple(float(v) for v in lengths),
         child_masses=tuple(float(v) for v in masses),
@@ -136,9 +143,8 @@ class CantorMeasure:
         self.geometry: dict[int, NodeGeometry] = {}
         for k in range(1, params.depth + 1):
             self.geometry[k] = _split_geometry(params.start_gen + k, params.m, params.C)
-        self.total_mass = 1.0
         self._leaf_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._cdf_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._cdf: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -249,10 +255,8 @@ class CantorMeasure:
                 hi, lo = np.minimum(b[i[o]], off[o] + length[o]), np.maximum(a[i[o]], off[o])
                 value[o] = mass[o] * (hi - lo) / length[o]
                 break
-            geo, parent, ln = self.geometry[k + 1], np.repeat(o, 4), length[o, None]
-            i, off = i[parent], (off[o, None] + np.multiply(geo.child_offsets, ln)).ravel()
-            length = np.multiply(geo.child_lengths, ln).ravel()
-            mass = np.multiply(mass[o, None], geo.child_masses).ravel()
+            parent = np.repeat(o, 4)
+            i, off, length, mass = i[parent], *self.geometry[k + 1].split(off[o], length[o], mass[o])
             meet = (b[i] > off) & (off + length > a[i])  # _mass_rec's child test
             i, off, length, mass, parent = (v[meet] for v in (i, off, length, mass, parent))
         for (value, _), (child, parent) in zip(levels[-2::-1], levels[:0:-1]):
@@ -279,46 +283,24 @@ class CantorMeasure:
                 "pass an explicit max_depth <= 10"
             )
         if d not in self._leaf_cache:
-            starts = np.array([0.0])
-            lengths = np.array([1.0])
-            masses = np.array([1.0])
+            table = (np.zeros(1), np.ones(1), np.ones(1))
             for k in range(1, d + 1):
-                geo = self.geometry[k]
-                off = np.asarray(geo.child_offsets)
-                clen = np.asarray(geo.child_lengths)
-                cmass = np.asarray(geo.child_masses)
-                starts = (starts[:, None] + off[None, :] * lengths[:, None]).ravel()
-                masses = (masses[:, None] * cmass[None, :]).ravel()
-                lengths = (lengths[:, None] * clen[None, :]).ravel()
-            self._leaf_cache[d] = (starts, lengths, masses)
+                table = self.geometry[k].split(*table)
+            self._leaf_cache[d] = table
         return self._leaf_cache[d]
 
-    def cdf_table(self, max_depth: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Breakpoints and values of the piecewise-linear CDF at leaf resolution.
-
-        Exact for the truncated measure when max_depth >= depth; otherwise it
-        is the CDF of the measure uniformized at max_depth.
-        """
-        d = self.depth if max_depth is None else min(max_depth, self.depth)
-        if d not in self._cdf_cache:
-            starts, lengths, masses = self.leaf_table(d)
+    def interval_mass_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Vectorized interval masses through the piecewise-linear CDF of the
+        full-depth leaves, exact for the truncated measure (depth <= 10, as
+        leaf_table; interval_masses walks deeper trees)."""
+        if self._cdf is None:
+            starts, lengths, masses = self.leaf_table()
             cum = np.concatenate([[0.0], np.cumsum(masses)])
-            xs = np.empty(2 * len(starts), dtype=float)
-            fs = np.empty_like(xs)
-            xs[0::2] = starts
-            xs[1::2] = starts + lengths
-            fs[0::2] = cum[:-1]
-            fs[1::2] = cum[1:]
-            self._cdf_cache[d] = (xs, fs)
-        return self._cdf_cache[d]
-
-    def cdf(self, x: np.ndarray, max_depth: Optional[int] = None) -> np.ndarray:
-        xs, fs = self.cdf_table(max_depth)
-        return np.interp(x, xs, fs, left=0.0, right=1.0)
-
-    def interval_mass_batch(self, a: np.ndarray, b: np.ndarray, max_depth: Optional[int] = None) -> np.ndarray:
-        """Vectorized interval masses through the CDF table."""
-        return self.cdf(b, max_depth) - self.cdf(a, max_depth)
+            self._cdf = (np.column_stack((starts, starts + lengths)).ravel(),
+                         np.column_stack((cum[:-1], cum[1:])).ravel())
+        xs, fs = self._cdf
+        return (np.interp(b, xs, fs, left=0.0, right=1.0)
+                - np.interp(a, xs, fs, left=0.0, right=1.0))
 
     # -- serialization --------------------------------------------------------
 
@@ -349,7 +331,6 @@ class LebesgueInterval:
             raise ReversedInterval(f"need a <= b, got [{a}, {b}]")
         self.a = a
         self.b = b
-        self.total_mass = b - a
 
     def interval_mass(self, a: float, b: float) -> float:
         if b < a:
@@ -361,7 +342,7 @@ class LebesgueInterval:
             raise NegativeRadius(f"radius {r} < 0")
         return self.interval_mass(x - r, x + r)
 
-    def interval_mass_batch(self, a: np.ndarray, b: np.ndarray, max_depth=None) -> np.ndarray:
+    def interval_mass_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lo = np.maximum(np.asarray(a, dtype=float), self.a)
         hi = np.minimum(np.asarray(b, dtype=float), self.b)
         return np.maximum(0.0, hi - lo)
@@ -418,7 +399,7 @@ def growth_constant(measure, m: float, n_samples: int, seed: int) -> GrowthEstim
             half = lengths[k:k + block] / 2
             yield centers[k:k + block] - half, centers[k:k + block] + half
 
-    # CDF tables are only exact at full depth; deeper Cantor measures descend the tree.
+    # The CDF table enumerates 4**depth leaves; deeper Cantor measures descend the tree.
     batch = hasattr(measure, "interval_mass_batch") and not (
         isinstance(measure, CantorMeasure) and measure.depth > 10
     )

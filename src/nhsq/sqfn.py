@@ -21,7 +21,7 @@ is built once, and the band tail matrix and its matrix product are evaluated
 once per aperture on it, so every aperture's sums run in the same order as
 for a lone one.  No dense |u - y| matrix is built: _band_tails runs the tail
 formula only on the columns where it is neither 0 nor constant.
-weak11_functional and snorm_by_x_integration work at aperture 1.
+weak11_functional works at aperture 1.
 
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
 (y, t) in its strip/band region (the strip sits 2 L_I from the node ends
@@ -83,8 +83,6 @@ __all__ = [
     "ci_profile",
     "weak11_functional",
     "Weak11Result",
-    "snorm_by_x_integration",
-    "snorm_by_tilde_route",
 ]
 
 LN2 = math.log(2.0)
@@ -610,15 +608,15 @@ def _logproduct_inner_t(kernel: LogProductKernel, x: float, A: int, t_hi: float,
 # -- L2 operator ratio ----------------------------------------------------------
 
 
-def _node_coefficient_arrays(measure: CantorMeasure, f: LeafFunction, max_gen: int,
-                             atom_extra: int = 2) -> dict[int, np.ndarray]:
+def _node_coefficient_arrays(measure: CantorMeasure, f: LeafFunction,
+                             max_gen: int) -> dict[int, np.ndarray]:
     """c_J(f) for every node J at generations 0..max_gen, vectorized.
 
-    Atoms live at depth f.depth + atom_extra; node sums are contiguous
+    Atoms live at depth f.depth + 2 (at most 10); node sums are contiguous
     reshapes because the leaf order is the base-4 path order.
     """
     D = f.depth
-    A = min(D + atom_extra, 10)
+    A = min(D + 2, 10)
     starts, lens, masses = measure.leaf_table(A)
     mids = starts + lens / 2.0
     fv = np.repeat(f.values, 4 ** (A - D))
@@ -750,9 +748,7 @@ def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.n
                     sm += measure._mass_rec(g + 1, lo, clen, ms * geo.child_masses[j], ja, jb)
             logs.append(sm * math.log(th / tl))
         terms.append((cube[band], np.full(band.size, g), key[band] * pad, np.array(logs)))
-        co, cl, cm = map(np.asarray, (geo.child_offsets, geo.child_lengths, geo.child_masses))
-        off = (off[:, None] + co[None, :] * length[:, None]).ravel()
-        length, mass = (length[:, None] * cl).ravel(), (mass[:, None] * cm).ravel()
+        off, length, mass = geo.split(off, length, mass)
         key = (key[:, None] * 5 + np.arange(1, 5)).ravel()
         cube = np.repeat(cube, 4)
     rows, cols, keys, vals = (np.concatenate(v) for v in zip(*terms))
@@ -950,54 +946,3 @@ def weak11_functional(kernel, measure, f: LeafFunction, lambda_grid,
         if v > sup_value:
             sup_value, witness = v, lam
     return Weak11Result(sup_value, witness, l1, per_lambda)
-
-
-# -- S vs tilde-V dual routes -----------------------------------------------------
-
-
-def snorm_by_x_integration(measure: CantorMeasure, f, quad: QuadratureConfig,
-                           x_depth: int = 4) -> float:
-    """||S f||^2 at aperture 1 by integrating S f(x)^2 over x at leaf resolution.
-
-    x resolution must exceed the truncation generation, otherwise leaf
-    midpoints sit in the middle gaps of the finest nodes and miss their
-    strip contributions entirely.
-    """
-    kernel = CantorKernel(measure)
-    x_depth = max(x_depth, quad.trunc_generation + 1)
-    starts, lens, masses = measure.leaf_table(x_depth)
-    mids = starts + lens / 2.0
-    vals = conical_value(kernel, measure, f, mids, 1.0, quad)
-    return float(np.sum(vals**2 * masses))
-
-
-def snorm_by_tilde_route(measure: CantorMeasure, f, quad: QuadratureConfig,
-                         x_depth: int = 4) -> float:
-    """||tilde-V f||^2: vertical square integral of the tilde-transformed kernel.
-
-    theta~_t f(x) = sqrt(mu(B(x,t))/t^m) theta_t f(x); on a strip/band region
-    the theta factor is the node coefficient, and the ball factor is
-    integrated pointwise in x, here at leaf-atom resolution.
-    """
-    N = quad.trunc_generation
-    if N > 6:
-        raise InvalidParams("the tilde route enumerates all nodes; keep N <= 6")
-    total = 0.0
-    m = measure.m
-    depth = min(quad.y_resolution_depth, 6)
-    for g in range(min(N, measure.depth - 1) + 1):
-        L = measure.geometry[g + 1].L
-        extra = min(x_depth, measure.depth - g - 1)
-        for off, length, mass in zip(*measure.leaf_table(g)):
-            c = _node_coefficient(measure, f, off, length, mass, g, depth)
-            if c == 0.0:
-                continue
-            amids, aw = strip_atoms(measure, off, length, mass, g, extra)
-            # Full ball mass around each strip atom: balls stay inside the
-            # node, so the node's own atoms carry all the mass.
-            ymids, _, yw = node_atoms(measure, off, length, mass, g, extra + 1)
-            tails = _band_tail_weight(
-                _distances(amids, ymids), L * length / 2.0, L * length, 1.0, m
-            )
-            total += c * c * float(aw @ tails @ yw)
-    return total

@@ -16,7 +16,6 @@ from nhsq.dyadic import (
     carleson_packing,
     classify_good,
     estimate_pi_good,
-    make_grid,
     martingale_decompose,
 )
 from nhsq.errors import (
@@ -26,6 +25,7 @@ from nhsq.errors import (
     InvalidParams,
 )
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval
+from nhsq.rng import derive_rng
 
 M = 0.4
 
@@ -38,6 +38,14 @@ def grid():
 @pytest.fixture(scope="module")
 def lebesgue():
     return LebesgueInterval(0.0, 1.0)
+
+
+def make_grid(seed: int, scale_range: tuple[int, int]) -> ShiftedGrid:
+    """Seeded grid; shift bits are independent uniform bits, one per scale."""
+    i_min, i_max = scale_range
+    rng = derive_rng(seed, "shifted-grid")
+    bits = tuple(int(b) for b in rng.integers(0, 2, size=i_max - i_min))
+    return ShiftedGrid(i_min=i_min, i_max=i_max, bits=bits)
 
 
 def test_make_grid_deterministic():
@@ -159,6 +167,16 @@ def test_estimate_pi_good():
     assert est.estimates == est2.estimates  # deterministic
     with pytest.raises(InvalidParams):
         estimate_pi_good(M, 1.0, 10, seed=3, cutoff=16)
+
+
+def test_estimate_pi_good_refuses_cutoff_below_r():
+    # As classify_good does, also for cutoffs too small to size a grid; a
+    # cutoff of r itself is accepted.
+    r = GoodnessParams.from_exponents(M, 1.0, ensure_positive=True).r
+    for cutoff in (r - 1, 0, -1):
+        with pytest.raises(CutoffBelowR):
+            estimate_pi_good(M, 1.0, 100, seed=3, cutoff=cutoff)
+    assert len(estimate_pi_good(M, 1.0, 100, seed=3, cutoff=r).estimates) == 2
 
 
 def _flip_b(grid, n_leaves):

@@ -333,6 +333,23 @@ def test_cli_prints_counters_not_serialized(tmp_path, monkeypatch, capsys):
     assert b"things" not in (tmp_path / "growth" / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 748. GiB for an array", ""])
+def test_cli_out_of_memory_exits_two(message, tmp_path, monkeypatch, capsys):
+    # A config too large to allocate ends in one error line and exit 2, not
+    # a traceback and the failed-verdict exit 1.  Nothing is allocated here.
+    import nhsq.cli as cli
+
+    def fake_run(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    assert cli_main(["run", "tb-testing", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
+    assert message in err
+    assert not (tmp_path / "tb-testing" / "report.json").exists()
+
+
 def test_cli_runtime_line_reports_peak_rss(tmp_path, monkeypatch, capsys):
     # The peak RSS goes to stdout only; without the resource module the line
     # keeps just the run time.

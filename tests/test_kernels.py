@@ -302,6 +302,31 @@ def test_node_atoms_total_mass(measure):
     assert weights2.sum() == pytest.approx(1.0, rel=1e-11)
 
 
+def test_node_atoms_match_leaf_table(measure):
+    # Down to the truncation depth, the root's atoms are the leaf table, bit
+    # for bit and in the same (base-4 path) order.
+    for d in range(measure.depth + 1):
+        mids, widths, weights = node_atoms(measure, 0.0, 1.0, 1.0, 0, d)
+        starts, lengths, masses = measure.leaf_table(d)
+        np.testing.assert_array_equal(widths, lengths)
+        np.testing.assert_array_equal(weights, masses)
+        np.testing.assert_array_equal(mids, starts + lengths / 2.0)
+
+
+def test_node_atoms_split_into_quarters_past_truncation(measure):
+    # Each level past the truncation depth cuts every atom into four equal
+    # quarters, in order, each with a quarter of its mass.
+    d = measure.depth
+    off, length, mass = measure.leaf_table(d)
+    for extra in (1, 2):
+        off = (off[:, None] + np.array([0.0, 0.25, 0.5, 0.75]) * length[:, None]).ravel()
+        length, mass = np.repeat(length * 0.25, 4), np.repeat(mass * 0.25, 4)
+        mids, widths, weights = node_atoms(measure, 0.0, 1.0, 1.0, 0, d + extra)
+        np.testing.assert_array_equal(widths, length)
+        np.testing.assert_array_equal(weights, mass)
+        np.testing.assert_array_equal(mids, off + length / 2.0)
+
+
 # -- batch evaluation against the one-point oracles ---------------------------------
 
 

@@ -19,9 +19,10 @@ from nhsq.logproduct import (
     _segments,
     LOG2E_HI,
     LOG2E_LO,
+    LogProductFn,
+    Rational,
     build_logproduct,
     carleson_log_bound,
-    demo_carleson_quadrature,
     eval_f,
     log_moments,
     lp_divergence_witness,
@@ -197,6 +198,23 @@ def test_carleson_log_bound(paper):
     assert cb3.bound >= 0
     with pytest.raises(DegenerateInterval):
         carleson_log_bound(paper, Fraction(1, 2), Fraction(1, 2))
+
+
+def demo_carleson_quadrature(f: LogProductFn, a: Rational, b: Rational, resolution: int = 300_000) -> float:
+    """Direct ∫_I ln+ (len(I)/f) dt by exact piecewise-constant integration."""
+    if f.profile != "demo":
+        raise WrongProfile("direct quadrature needs the demo profile")
+    a = Fraction(a)
+    b = Fraction(b)
+    ell = b - a
+    if ell <= 0:
+        raise DegenerateInterval(f"interval [{a}, {b}] has no length")
+    log_ell = math.log(float(ell))
+    total = 0.0
+    for lo, hi, A in _segments(f, a, b, resolution):
+        val = max(0.0, A + log_ell)
+        total += float(hi - lo) * val
+    return total
 
 
 def test_carleson_bound_dominates_direct_integral():

@@ -32,8 +32,6 @@ from nhsq.sqfn import (
     conical_value,
     direct_norm_series,
     l2_operator_ratio,
-    snorm_by_tilde_route,
-    snorm_by_x_integration,
     validate_collapse,
     vertical_norm_series,
     vertical_value,
@@ -707,6 +705,57 @@ def test_vertical_value_logproduct_lower_bound(quad):
     v = vertical_value(kv, None, None, x, quad)
     assert v**2 >= A
     assert vertical_value(kv, None, None, 1.5, quad) == 0.0
+
+
+# -- S vs tilde-V dual routes -----------------------------------------------------
+
+
+def snorm_by_x_integration(measure: CantorMeasure, f, quad: QuadratureConfig,
+                           x_depth: int = 4) -> float:
+    """||S f||^2 at aperture 1 by integrating S f(x)^2 over x at leaf resolution.
+
+    x resolution must exceed the truncation generation, otherwise leaf
+    midpoints sit in the middle gaps of the finest nodes and miss their
+    strip contributions entirely.
+    """
+    kernel = CantorKernel(measure)
+    x_depth = max(x_depth, quad.trunc_generation + 1)
+    starts, lens, masses = measure.leaf_table(x_depth)
+    mids = starts + lens / 2.0
+    vals = conical_value(kernel, measure, f, mids, 1.0, quad)
+    return float(np.sum(vals**2 * masses))
+
+
+def snorm_by_tilde_route(measure: CantorMeasure, f, quad: QuadratureConfig,
+                         x_depth: int = 4) -> float:
+    """||tilde-V f||^2: vertical square integral of the tilde-transformed kernel.
+
+    theta~_t f(x) = sqrt(mu(B(x,t))/t^m) theta_t f(x); on a strip/band region
+    the theta factor is the node coefficient, and the ball factor is
+    integrated pointwise in x, here at leaf-atom resolution.
+    """
+    N = quad.trunc_generation
+    if N > 6:
+        raise InvalidParams("the tilde route enumerates all nodes; keep N <= 6")
+    total = 0.0
+    m = measure.m
+    depth = min(quad.y_resolution_depth, 6)
+    for g in range(min(N, measure.depth - 1) + 1):
+        L = measure.geometry[g + 1].L
+        extra = min(x_depth, measure.depth - g - 1)
+        for off, length, mass in zip(*measure.leaf_table(g)):
+            c = _node_coefficient(measure, f, off, length, mass, g, depth)
+            if c == 0.0:
+                continue
+            amids, aw = strip_atoms(measure, off, length, mass, g, extra)
+            # Full ball mass around each strip atom: balls stay inside the
+            # node, so the node's own atoms carry all the mass.
+            ymids, _, yw = node_atoms(measure, off, length, mass, g, extra + 1)
+            tails = _band_tail_weight(
+                _distances(amids, ymids), L * length / 2.0, L * length, 1.0, m
+            )
+            total += c * c * float(aw @ tails @ yw)
+    return total
 
 
 def test_s_equals_tilde_v(measure):
