@@ -109,6 +109,8 @@ def main(argv=None) -> int:
         for v in report.verdicts:
             status = "PASS" if v.passed else "FAIL"
             print(f"[{status}] criterion {v.criterion}: {v.detail}")
+        for criterion, reason in report.skipped:
+            print(f"[SKIP] criterion {criterion}: {reason}")
         for key, val in sorted(report.metrics.items()):
             print(f"  {key} = {val}")
         for p in paths:

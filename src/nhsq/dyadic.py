@@ -284,7 +284,7 @@ def _leaf_slice(grid: ShiftedGrid, root: Cube, cube: Cube) -> slice:
 def _leaf_masses(measure, grid: ShiftedGrid, root: Cube) -> np.ndarray:
     s_root, ln = grid.cube_units(root)
     edges = (s_root + np.arange(ln + 1)) * 0.5**grid.i_max
-    return np.array([measure.interval_mass(a, b) for a, b in zip(edges[:-1], edges[1:])])
+    return measure.interval_masses(edges[:-1], edges[1:])
 
 
 def _cube_mass(masses: np.ndarray, grid: ShiftedGrid, root: Cube, cube: Cube) -> float:

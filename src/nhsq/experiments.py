@@ -151,6 +151,13 @@ _FIELD_TYPES = {
 # -- individual experiments ---------------------------------------------------------
 
 
+def _skip_reason(series: dict, alpha: float, N: int, n_min: int) -> str:
+    """Why a criterion on the aperture alpha series up to n_min did not run."""
+    if alpha not in series:
+        return f"needs alpha = {alpha:g} in the aperture grid"
+    return f"needs N >= {n_min}, got N = {N}"
+
+
 def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     measure = cfg.measure()
     quad = cfg.quad()
@@ -173,6 +180,8 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         report.verdicts.append(
             Verdict("1a", ok, f"P40-P20={tail:.3e} vs 1.1*K*sum={1.10*pinned.APERTURE1_TAIL_K*envelope:.3e}")
         )
+    else:
+        report.skipped.append(("1a", _skip_reason(series, 1.0, cfg.N, 40)))
     if 2.0 in series and cfg.N >= 32:
         ps2 = series[2.0].partial_sums
         cs = {}
@@ -185,6 +194,8 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         report.verdicts.append(
             Verdict("1b", ok, f"fitted c: {cs[8]:.4f} (N=8), {cs[16]:.4f} (N=16)")
         )
+    else:
+        report.skipped.append(("1b", _skip_reason(series, 2.0, cfg.N, 32)))
 
     oracle_measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=9))
     worst = validate_collapse(oracle_measure, cfg.alphas, 3, cfg.quad(trunc=3))

@@ -129,6 +129,17 @@ def _split_geometry(n: int, m: float, C: float) -> NodeGeometry:
     return geo
 
 
+def _checked_ends(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as float arrays; a NaN end or a pair with b < a is refused."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a) | np.isnan(b)
+    if nan.any():
+        raise InvalidParams(f"interval ends must not be NaN, got [{a[nan][0]}, {b[nan][0]}]")
+    if np.any(b < a):
+        raise ReversedInterval(f"need a <= b, got [{a[b < a][0]}, {b[b < a][0]}]")
+    return a, b
+
+
 class CantorMeasure:
     """Truncated self-similar measure on [0,1] with exact interval masses.
 
@@ -207,62 +218,43 @@ class CantorMeasure:
 
     def interval_mass(self, a: float, b: float) -> float:
         """Exact mu([a,b]) of the truncated measure (leaf mass spread uniformly)."""
-        if b < a:
-            raise ReversedInterval(f"need a <= b, got [{a}, {b}]")
-        a = max(a, 0.0)
-        b = min(b, 1.0)
-        if b <= a:
-            return 0.0
-        return self._mass_rec(0, 0.0, 1.0, 1.0, a, b)
+        return float(self.interval_masses([a], [b])[0])
 
-    def _mass_rec(self, k: int, off: float, length: float, mass: float, a: float, b: float) -> float:
-        if a <= off and off + length <= b:
-            return mass
-        if b <= off or off + length <= a:
-            return 0.0
-        if k == self.depth:
-            return mass * (min(b, off + length) - max(a, off)) / length
-        geo = self.geometry[k + 1]
-        total = 0.0
-        for j in range(4):
-            coff = off + geo.child_offsets[j] * length
-            clen = geo.child_lengths[j] * length
-            if b <= coff or coff + clen <= a:
-                continue
-            total += self._mass_rec(k + 1, coff, clen, mass * geo.child_masses[j], a, b)
-        return total
+    def interval_masses(self, a, b, start=None) -> np.ndarray:
+        """Exact mu([a[i], b[i]]) of every pair, all pairs walking the tree at once.
 
-    def interval_masses(self, a, b) -> np.ndarray:
-        """interval_mass of each pair (a[i], b[i]), bit for bit, in one walk.
-
-        Each generation of _mass_rec's recursion is one array step over the
-        (interval, node) pairs it visits; the child masses are then summed
-        back up one generation at a time, digit 0 first, as its loop adds them.
+        start = (k, off, length, mass) gives one generation-k node per pair
+        (the root by default); each walk then begins at its node and counts
+        only the mass inside it.  Each generation is one array step over the
+        (interval, node) pairs that meet: a node inside its interval gives
+        its mass, a leaf its mass times the covered fraction, and any other
+        node its four children.  The child masses are then summed back up
+        one generation at a time, digit 0 first, so every value keeps the
+        bits of a depth-first recursion that adds the children in digit order.
         """
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if np.any(b < a):
-            raise ReversedInterval(f"need a <= b, got [{a[b < a][0]}, {b[b < a][0]}]")
+        a, b = _checked_ends(a, b)
         a, b = np.maximum(a, 0.0), np.minimum(b, 1.0)
         i = parent = np.flatnonzero(b > a)
-        off, length, mass = np.zeros(i.size), np.ones(i.size), np.ones(i.size)
+        k0, *node = (0, 0.0, 1.0, 1.0) if start is None else start
+        off, length, mass = (np.broadcast_to(np.asarray(v, dtype=float), a.shape)[i] for v in node)
         levels = []  # per generation: (value, index of the parent node)
-        for k in range(self.depth + 1):
+        for k in range(k0, self.depth + 1):
+            meet = (b[i] > off) & (off + length > a[i])
+            i, off, length, mass, parent = (v[meet] for v in (i, off, length, mass, parent))
             full = (a[i] <= off) & (off + length <= b[i])
             value = np.where(full, mass, 0.0)
             levels.append((value, parent))
             o = np.flatnonzero(~full)
-            if k == self.depth:
+            if k == self.depth or not o.size:
                 hi, lo = np.minimum(b[i[o]], off[o] + length[o]), np.maximum(a[i[o]], off[o])
                 value[o] = mass[o] * (hi - lo) / length[o]
                 break
             parent = np.repeat(o, 4)
             i, off, length, mass = i[parent], *self.geometry[k + 1].split(off[o], length[o], mass[o])
-            meet = (b[i] > off) & (off + length > a[i])  # _mass_rec's child test
-            i, off, length, mass, parent = (v[meet] for v in (i, off, length, mass, parent))
         for (value, _), (child, parent) in zip(levels[-2::-1], levels[:0:-1]):
             np.add.at(value, parent, child)  # in index order: each parent's digits in turn
         out = np.zeros(a.shape)
-        out[b > a] = levels[0][0]
+        out[levels[0][1]] = levels[0][0]
         return out
 
     def ball_mass(self, x: float, r: float) -> float:
@@ -333,19 +325,16 @@ class LebesgueInterval:
         self.b = b
 
     def interval_mass(self, a: float, b: float) -> float:
-        if b < a:
-            raise ReversedInterval(f"need a <= b, got [{a}, {b}]")
-        return max(0.0, min(b, self.b) - max(a, self.a))
+        return float(self.interval_masses([a], [b])[0])
+
+    def interval_masses(self, a, b) -> np.ndarray:
+        a, b = _checked_ends(a, b)
+        return np.maximum(0.0, np.minimum(b, self.b) - np.maximum(a, self.a))
 
     def ball_mass(self, x: float, r: float) -> float:
         if r < 0.0:
             raise NegativeRadius(f"radius {r} < 0")
         return self.interval_mass(x - r, x + r)
-
-    def interval_mass_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lo = np.maximum(np.asarray(a, dtype=float), self.a)
-        hi = np.minimum(np.asarray(b, dtype=float), self.b)
-        return np.maximum(0.0, hi - lo)
 
 
 # -- module-level operations ---------------------------------------------------
@@ -399,10 +388,12 @@ def growth_constant(measure, m: float, n_samples: int, seed: int) -> GrowthEstim
             half = lengths[k:k + block] / 2
             yield centers[k:k + block] - half, centers[k:k + block] + half
 
-    # The CDF table enumerates 4**depth leaves; deeper Cantor measures descend the tree.
-    batch = hasattr(measure, "interval_mass_batch") and not (
-        isinstance(measure, CantorMeasure) and measure.depth > 10
-    )
+    # The CDF route of a Cantor measure (4**depth leaves, depth <= 10) fixes
+    # growth's digits; deeper Cantor measures and every other measure walk.
+    if isinstance(measure, CantorMeasure) and measure.depth <= 10:
+        masses_of = measure.interval_mass_batch
+    else:
+        masses_of = measure.interval_masses
     best, witness, n_intervals = None, None, 0
     for starts, ends in blocks():
         lens = ends - starts
@@ -410,11 +401,7 @@ def growth_constant(measure, m: float, n_samples: int, seed: int) -> GrowthEstim
         starts, ends, lens = starts[keep], ends[keep], lens[keep]
         if not len(lens):
             continue
-        if batch:
-            masses = measure.interval_mass_batch(starts, ends)
-        else:
-            masses = np.array([measure.interval_mass(s, e) for s, e in zip(starts, ends)])
-        ratios = masses / lens**m
+        ratios = masses_of(starts, ends) / lens**m
         i = int(np.argmax(ratios))
         if best is None or ratios[i] > best:  # strict: a tie keeps the earlier interval
             best, witness = float(ratios[i]), (float(starts[i]), float(ends[i]))

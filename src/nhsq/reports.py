@@ -41,6 +41,7 @@ class ExperimentReport:
     verdicts: list = field(default_factory=list)
     runtime_seconds: float = 0.0  # reported on stdout only, never serialized
     counters: dict = field(default_factory=dict)  # stdout only, never serialized
+    skipped: list = field(default_factory=list)  # (criterion, reason); stdout only
 
     @property
     def all_passed(self) -> bool:

@@ -467,28 +467,11 @@ def _node_coefficient(measure, f, off, length, mass, gen, depth) -> float:
     return float(np.sum(weights * phis * fv)) / length**measure.m
 
 
-def _pruned_coefficient(measure, f, nonzero, gen, node_idx, off, length, mass, depth) -> float:
-    """c_J(f) for f None (f = 1) or a LeafFunction with nonzero =
-    flatnonzero(f.values): exactly 0 on a node where f vanishes (the bump is
-    supported inside the node), and f's leaf value times c_J(1) on a node
-    below leaf resolution, where f is constant."""
-    if f is not None:
-        if gen > f.depth:
-            fl = float(f.values[node_idx // 4 ** (gen - f.depth)])
-            if fl == 0.0:
-                return 0.0
-            return fl * _node_coefficient(measure, None, off, length, mass, gen, depth)
-        span = 4 ** (f.depth - gen)
-        i = int(np.searchsorted(nonzero, node_idx * span))
-        if i >= len(nonzero) or nonzero[i] >= (node_idx + 1) * span:
-            return 0.0
-    return _node_coefficient(measure, f, off, length, mass, gen, depth)
-
-
 def _f_lives(nonzero, f_depth: int, g: int, idx) -> np.ndarray:
     """Whether f (nonzero = flatnonzero(f.values), leaf depth f_depth) is nonzero
-    on the generation-g node of each path idx, as _pruned_coefficient decides;
-    idx is an object array past generation 31, its leaf ranges fit int64."""
+    on the generation-g node of each path idx; c_J(f) is exactly 0 on a node
+    where f vanishes, since the bump is supported inside the node.  idx is an
+    object array past generation 31, its leaf ranges fit int64."""
     span = 4 ** max(f_depth - g, 0)
     lo = (idx * span if g <= f_depth else idx // 4 ** (g - f_depth)).astype(np.int64)
     return np.searchsorted(nonzero, lo + span) > np.searchsorted(nonzero, lo)
@@ -530,7 +513,11 @@ def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
         if nonzero is not None:
             alive = alive & _f_lives(nonzero, f.depth, g, idx)
         for node, pts, o, ln, ms in _nodes(idx, alive, off, length, mass):
-            c = _pruned_coefficient(measure, f, nonzero, g, node, o, ln, ms, depth)
+            if nonzero is not None and g > f.depth:  # below leaf resolution f is constant
+                fl = float(f.values[node // 4 ** (g - f.depth)])
+                c = fl * _node_coefficient(measure, None, o, ln, ms, g, depth)
+            else:
+                c = _node_coefficient(measure, f, o, ln, ms, g, depth)
             if c == 0.0:
                 continue
             L_abs = measure.geometry[g + 1].L * ln
@@ -737,18 +724,17 @@ def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.n
         geo = measure.geometry[g + 1]  # g + 1 <= N + 1 <= depth
         t_hi, t_lo = np.minimum(geo.L * length, b - a), geo.L * length / 2.0
         band = np.flatnonzero(t_hi > t_lo)
-        logs = []
-        for o, ln, ms, lo_a, hi_b, th, tl in zip(*(v[band].tolist() for v in (
-                off, length, mass, a, b, t_hi, t_lo))):
-            sm = 0.0
-            for j in (1, 2):  # the strip: both middle children, clipped to [a, b]
-                lo, clen = o + geo.child_offsets[j] * ln, geo.child_lengths[j] * ln
-                ja, jb = max(lo, lo_a), min(lo + clen, hi_b)
-                if jb > ja:
-                    sm += measure._mass_rec(g + 1, lo, clen, ms * geo.child_masses[j], ja, jb)
-            logs.append(sm * math.log(th / tl))
-        terms.append((cube[band], np.full(band.size, g), key[band] * pad, np.array(logs)))
-        off, length, mass = geo.split(off, length, mass)
+        children = [v.reshape(-1, 4) for v in geo.split(off, length, mass)]
+        # The strip: both middle children of every band node, clipped to [a, b].
+        s_off, s_len, s_mass = (v[band, 1:3].ravel() for v in children)
+        ja = np.maximum(s_off, np.repeat(a[band], 2))
+        jb = np.maximum(np.minimum(s_off + s_len, np.repeat(b[band], 2)), ja)
+        sm = measure.interval_masses(ja, jb, start=(g + 1, s_off, s_len, s_mass)).reshape(-1, 2)
+        # libm's log per element: numpy's array log may differ in the last bit.
+        logs = np.array([math.log(r) for r in (t_hi[band] / t_lo[band]).tolist()])
+        terms.append((cube[band], np.full(band.size, g), key[band] * pad,
+                      (sm[:, 0] + sm[:, 1]) * logs))
+        off, length, mass = (v.ravel() for v in children)
         key = (key[:, None] * 5 + np.arange(1, 5)).ravel()
         cube = np.repeat(cube, 4)
     rows, cols, keys, vals = (np.concatenate(v) for v in zip(*terms))
@@ -786,7 +772,8 @@ def testing_functional(kernel, measure, b, cubes, quad: QuadratureConfig,
     """sup over cubes R of mu(3R)^-1 * box integral of |theta_t b|^2.
 
     b may be None (identically 1) or a scalar.  Cubes are (a, b) interval
-    pairs; per-cube values carry both the mu(3R) and len(R) normalizations.
+    pairs, reported as floats; per-cube values carry both the mu(3R) and
+    len(R) normalizations, mu(3R) from one interval_masses call.
     """
     if not cubes:
         raise EmptyCubeList("testing functional needs at least one cube")
@@ -796,7 +783,6 @@ def testing_functional(kernel, measure, b, cubes, quad: QuadratureConfig,
         b_scale = float(b)
     else:
         raise InvalidParams("testing_functional supports b None (=1) or scalar")
-    per_cube = []
     degenerate = sum(1 for (ca, cb) in cubes if not cb > ca)
     if isinstance(kernel, CantorKernel):
         ctx = context if context is not None else CantorSquareContext(measure, quad)
@@ -804,20 +790,16 @@ def testing_functional(kernel, measure, b, cubes, quad: QuadratureConfig,
         tables = (np.array([ctx.strip_fraction(n) for n in gens]),
                   np.array([ctx.beta(n) for n in gens]) ** 2)
         boxes = _cantor_box_integrals(measure, tables, b_scale, cubes)
-        ca, cb = np.array(cubes, dtype=float).reshape(-1, 2).T
-        mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
-        m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half).tolist()
-        return TestingResult([CubeTestingValue((a, b), box, m, b - a)
-                              for (a, b), box, m in zip(cubes, boxes, m3)], degenerate)
-    if isinstance(kernel, LogProductKernel):
-        for (ca, cb) in cubes:
-            fa, fb = Fraction(ca), Fraction(cb)
-            box = b_scale**2 * _logproduct_box_integral(kernel, fa, fb, quad)
-            mid, half = float(fa + fb) / 2.0, float(fb - fa) / 2.0
-            m3 = measure.interval_mass(mid - 3 * half, mid + 3 * half)
-            per_cube.append(CubeTestingValue((float(fa), float(fb)), box, m3, float(fb - fa)))
-        return TestingResult(per_cube, degenerate)
-    raise InvalidParams("testing_functional supports the Cantor and log-product kernels")
+    elif isinstance(kernel, LogProductKernel):
+        boxes = [b_scale**2 * _logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
+                 for (ca, cb) in cubes]
+    else:
+        raise InvalidParams("testing_functional supports the Cantor and log-product kernels")
+    ca, cb = np.array(cubes, dtype=float).reshape(-1, 2).T
+    mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
+    m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half).tolist()
+    return TestingResult([CubeTestingValue((a, b), box, m, b - a) for a, b, box, m
+                          in zip(ca.tolist(), cb.tolist(), boxes, m3)], degenerate)
 
 
 def _ci_segment_table(f, max_depth: int):

@@ -129,59 +129,88 @@ def test_cli_env_out(tmp_path):
     assert (tmp_path / "envdir" / "growth" / "report.json").exists()
 
 
-def test_cli_usage_errors(tmp_path):
-    assert _run_cli(["run", "nope"]).returncode == 2
+def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
+    # Every case runs in-process; the module entry point is checked once.
+    monkeypatch.chdir(tmp_path)
+    proc = _run_cli(["run", "nope"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown experiment 'nope'; known: aperture, ")
+
+    def usage(args, env=None):
+        monkeypatch.delenv("NHSQ_OUT", raising=False)
+        for key, val in (env or {}).items():
+            monkeypatch.setenv(key, val)
+        code = cli_main(args)
+        return code, *capsys.readouterr()
+
+    assert usage(["run", "nope"])[0] == 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"bogus": 1}')
-    assert _run_cli(["validate-config", str(bad)]).returncode == 2
+    assert usage(["validate-config", str(bad)])[0] == 2
     good = tmp_path / "good.json"
     good.write_text('{"seed": 3}')
-    assert _run_cli(["validate-config", str(good)]).returncode == 0
+    assert usage(["validate-config", str(good)])[0] == 0
     # A mistyped value is refused with one message line, never a traceback.
     typed = tmp_path / "typed.json"
     typed.write_text('{"N": "40"}')
     for args in (["validate-config", str(typed)],
                  ["run", "vertical", "--config", str(typed), "--out", str(tmp_path)]):
-        proc = _run_cli(args)
-        assert proc.returncode == 2
-        assert proc.stderr == "error: config key 'N' must be an integer, got \"40\"\n"
-    proc = _run_cli(["run", "aperture", "--alpha", "x", "--out", str(tmp_path)])
-    assert proc.returncode == 2
-    assert proc.stderr == "error: --alpha must be comma-separated numbers, got 'x'\n"
+        code, _, err = usage(args)
+        assert code == 2
+        assert err == "error: config key 'N' must be an integer, got \"40\"\n"
+    code, _, err = usage(["run", "aperture", "--alpha", "x", "--out", str(tmp_path)])
+    assert code == 2
+    assert err == "error: --alpha must be comma-separated numbers, got 'x'\n"
     # --alpha is read by the aperture experiment only; elsewhere it is
     # refused rather than silently replaced by the experiment's own apertures.
     for name, alpha in (("vertical", "1.5"), ("l2-bound", "2.5"), ("growth", "1.0")):
-        proc = _run_cli(["run", name, "--alpha", alpha, "--out", str(tmp_path)])
-        assert proc.returncode == 2
-        assert proc.stderr == f"error: --alpha is read only by aperture, not by {name}\n"
+        code, _, err = usage(["run", name, "--alpha", alpha, "--out", str(tmp_path)])
+        assert code == 2
+        assert err == f"error: --alpha is read only by aperture, not by {name}\n"
     # A measure shallower than the experiments' depth-5 leaf functions.
     shallow = tmp_path / "shallow.json"
     shallow.write_text('{"depth": 4}')
     for name in ("weak11", "l2-bound"):
-        proc = _run_cli(["run", name, "--config", str(shallow), "--out", str(tmp_path)])
-        assert proc.returncode == 2
-        assert proc.stderr == "error: leaf depth 5 must lie in 0..4, the measure's depth\n"
+        code, _, err = usage(["run", name, "--config", str(shallow), "--out", str(tmp_path)])
+        assert code == 2
+        assert err == "error: leaf depth 5 must lie in 0..4, the measure's depth\n"
     # Non-finite parameters are refused, not run: NaN fails every comparison,
     # and an infinite C leaves the middle children without mass.
-    proc = _run_cli(["run", "aperture", "--alpha", "nan", "--out", str(tmp_path)])
-    assert proc.returncode == 2
-    assert proc.stderr == "error: aperture must be finite and >= 1, got nan\n"
+    code, _, err = usage(["run", "aperture", "--alpha", "nan", "--out", str(tmp_path)])
+    assert code == 2
+    assert err == "error: aperture must be finite and >= 1, got nan\n"
     for name, raw, shown in (("vertical", "NaN", "nan"), ("growth", "Infinity", "inf")):
         cfg = tmp_path / f"C_{shown}.json"
         cfg.write_text('{"C": %s}' % raw)
-        proc = _run_cli(["run", name, "--config", str(cfg), "--out", str(tmp_path)])
-        assert proc.returncode == 2
-        assert proc.stderr == f"error: C must be finite and >= 4, got {shown}\n"
+        code, _, err = usage(["run", name, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert err == f"error: C must be finite and >= 4, got {shown}\n"
     # An output directory under a regular file is refused before the run,
     # from --out and from NHSQ_OUT alike.
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     for args, env in ((["--out", str(blocker / "sub")], None), ([], {"NHSQ_OUT": str(blocker)})):
-        proc = _run_cli(["run", "growth", *args], env_extra=env)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: cannot write output: ")
-        assert len(proc.stderr.splitlines()) == 1
+        code, out, err = usage(["run", "growth", *args], env)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_cli_prints_skipped_criteria(tmp_path, capsys):
+    # Below N = 40 (1a) and N = 32 (1b) the aperture criteria cannot run:
+    # each is named on stdout, and neither the report nor the exit code changes.
+    assert cli_main(["run", "aperture", "--depth", "12", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("[SKIP]")] == [
+        "[SKIP] criterion 1a: needs N >= 40, got N = 12",
+        "[SKIP] criterion 1b: needs N >= 32, got N = 12",
+    ]
+    assert b"SKIP" not in (tmp_path / "aperture" / "report.json").read_bytes()
+    assert b"needs" not in (tmp_path / "aperture" / "report.json").read_bytes()
+    assert cli_main(["run", "aperture", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "[SKIP]" not in out and "[PASS] criterion 1a" in out and "[PASS] criterion 1b" in out
 
 
 def test_cli_refuses_depth_where_ignored(tmp_path, capsys):

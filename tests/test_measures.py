@@ -112,6 +112,32 @@ def test_interval_mass_errors(measure):
         measure.ball_mass(0.5, -1.0)
 
 
+def _mass_rec(self, k: int, off: float, length: float, mass: float, a: float, b: float) -> float:
+    """Exact mass of [a, b] inside the generation-k node (off, length, mass):
+    the depth-first recursion, children added in digit order."""
+    if a <= off and off + length <= b:
+        return mass
+    if b <= off or off + length <= a:
+        return 0.0
+    if k == self.depth:
+        return mass * (min(b, off + length) - max(a, off)) / length
+    geo = self.geometry[k + 1]
+    total = 0.0
+    for j in range(4):
+        coff = off + geo.child_offsets[j] * length
+        clen = geo.child_lengths[j] * length
+        if b <= coff or coff + clen <= a:
+            continue
+        total += _mass_rec(self, k + 1, coff, clen, mass * geo.child_masses[j], a, b)
+    return total
+
+
+def _recursive_mass(measure, a, b):
+    """mu([a, b]) by _mass_rec from the root, ends clipped to [0, 1]."""
+    a, b = max(a, 0.0), min(b, 1.0)
+    return _mass_rec(measure, 0, 0.0, 1.0, 1.0, a, b) if b > a else 0.0
+
+
 def test_interval_masses_match_interval_mass(measure):
     # The batched walk sums child masses in _mass_rec's digit order, so each
     # value keeps its bits; ends outside [0,1] are clipped, empty spans are 0.
@@ -124,9 +150,48 @@ def test_interval_masses_match_interval_mass(measure):
     ab = np.vstack([ab, [[0.2533530261382382, 0.3276677275667126],
                          [0.9114895683268422, 0.9515527594111092]]])
     got = measure.interval_masses(ab[:, 0], ab[:, 1])
-    assert repr(got.tolist()) == repr([measure.interval_mass(a, b) for a, b in ab.tolist()])
+    want = [_recursive_mass(measure, a, b) for a, b in ab.tolist()]
+    assert repr(got.tolist()) == repr(want)
+    assert repr([measure.interval_mass(a, b) for a, b in ab.tolist()]) == repr(want)
     with pytest.raises(ReversedInterval):
         measure.interval_masses([0.1, 0.5], [0.2, 0.4])
+    with pytest.raises(ReversedInterval):
+        measure.interval_mass(0.5, 0.4)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_interval_masses_from_start_nodes(measure, k):
+    # Walks that begin at generation-k nodes match _mass_rec started there,
+    # for spans inside, across and outside each node.
+    rng = np.random.default_rng(k)
+    s, l, w = measure.leaf_table(k)
+    node = rng.integers(len(s), size=300)
+    off, length, mass = s[node], l[node], w[node]
+    a = off + length * (rng.random(300) * 1.4 - 0.2)
+    b = a + length * rng.random(300) * 1.2
+    got = measure.interval_masses(a, b, start=(k, off, length, mass))
+    want = [_mass_rec(measure, k, *v) if v[3] < v[4] else 0.0 for v in
+            zip(off.tolist(), length.tolist(), mass.tolist(), np.maximum(a, 0.0).tolist(),
+                np.minimum(b, 1.0).tolist())]
+    assert repr(got.tolist()) == repr(want)
+    assert got.max() > 0.0 and (got == 0.0).any()
+
+
+@pytest.mark.parametrize("mu", [CantorMeasure(CantorParams(m=M, C=C, depth=8)),
+                                LebesgueInterval(0, 1)], ids=["cantor", "lebesgue"])
+def test_nan_interval_ends_refused(mu):
+    # NaN fails every comparison, so it would pass the order check and clip
+    # to nothing; both ends and both forms refuse it.
+    for a, b in ((math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)):
+        with pytest.raises(InvalidParams, match="NaN"):
+            mu.interval_mass(a, b)
+        with pytest.raises(InvalidParams, match="NaN"):
+            mu.interval_masses([0.1, a], [0.2, b])
+    with pytest.raises(InvalidParams, match="NaN"):
+        mu.ball_mass(math.nan, 0.1)
+    # Infinite ends still clip to [0, 1].
+    assert mu.interval_mass(-math.inf, math.inf) == 1.0
+    assert mu.interval_masses([-math.inf], [math.inf]).tolist() == [1.0]
 
 
 def test_ball_mass_matches_interval(measure):
@@ -290,12 +355,10 @@ def _growth_one_shot(measure, m, n_samples, seed):
     lens = ends - starts
     keep = lens > 0.0
     starts, ends, lens = starts[keep], ends[keep], lens[keep]
-    if hasattr(measure, "interval_mass_batch") and not (
-        isinstance(measure, CantorMeasure) and measure.depth > 10
-    ):
+    if isinstance(measure, CantorMeasure) and measure.depth <= 10:
         masses = measure.interval_mass_batch(starts, ends)
     else:
-        masses = np.array([measure.interval_mass(s, e) for s, e in zip(starts, ends)])
+        masses = measure.interval_masses(starts, ends)
     ratios = masses / lens**m
     i = int(np.argmax(ratios))
     return GrowthEstimate(float(ratios[i]), (float(starts[i]), float(ends[i])), len(ratios))
@@ -305,15 +368,8 @@ class _TiedLebesgue(LebesgueInterval):
     """Ratio len(J)/len(J) = 1 exactly on every J starting right of 1/2 and
     exactly 1/2 elsewhere (at m = 1), so the sup is attained many times."""
 
-    def interval_mass_batch(self, a, b, max_depth=None):
+    def interval_masses(self, a, b):
         return np.where(a > 0.5, 1.0, 0.5) * (b - a)
-
-
-class _ScalarLebesgue:
-    """Lebesgue measure on [0, 1] with one-interval mass queries only."""
-
-    def interval_mass(self, a, b):
-        return LebesgueInterval(0, 1).interval_mass(a, b)
 
 
 def _same_estimate(got, want):
@@ -322,13 +378,12 @@ def _same_estimate(got, want):
     assert got.n_intervals == want.n_intervals
 
 
-@pytest.mark.parametrize("case", ["cantor", "lebesgue", "scalar", "tied"])
+@pytest.mark.parametrize("case", ["cantor", "lebesgue", "tied"])
 def test_growth_blocks_match_one_shot(case, monkeypatch):
     # Blocks of 1, 7 and more than the whole sample give the one-shot answer
     # bit for bit; with ties the first interval in sample order wins.
     measure, m, n = {
         "cantor": (CantorMeasure(CantorParams(m=M, C=C, depth=7)), M, 2_000),
-        "scalar": (_ScalarLebesgue(), 0.5, 2_000),
         "lebesgue": (LebesgueInterval(0, 1), 1.0, 2_000),
         "tied": (_TiedLebesgue(0, 1), 1.0, 2_000),
     }[case]

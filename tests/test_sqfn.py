@@ -42,9 +42,9 @@ from nhsq.sqfn import (
     _distances,
     _logproduct_box_integral,
     _node_coefficient,
-    _pruned_coefficient,
 )
 from nhsq.sqfn import testing_functional as sq_testing_functional
+from test_measures import _mass_rec
 
 M, C = 0.4, 16.0
 LN2 = math.log(2.0)
@@ -586,6 +586,24 @@ def test_vertical_value(measure, kernel, quad):
     assert vertical_value(kernel, measure, f0, x_strip, quad) == 0.0
 
 
+def _pruned_coefficient(measure, f, nonzero, gen, node_idx, off, length, mass, depth) -> float:
+    """c_J(f) for f None (f = 1) or a LeafFunction with nonzero =
+    flatnonzero(f.values): exactly 0 on a node where f vanishes (the bump is
+    supported inside the node), and f's leaf value times c_J(1) on a node
+    below leaf resolution, where f is constant."""
+    if f is not None:
+        if gen > f.depth:
+            fl = float(f.values[node_idx // 4 ** (gen - f.depth)])
+            if fl == 0.0:
+                return 0.0
+            return fl * _node_coefficient(measure, None, off, length, mass, gen, depth)
+        span = 4 ** (f.depth - gen)
+        i = int(np.searchsorted(nonzero, node_idx * span))
+        if i >= len(nonzero) or nonzero[i] >= (node_idx + 1) * span:
+            return 0.0
+    return _node_coefficient(measure, f, off, length, mass, gen, depth)
+
+
 def _chain_walk(measure, f, x, alphas, quad, memo):
     """([S_alpha f(x) for alpha in alphas], V f(x)) by one-point walks down
     x's node chain; memo holds the node coefficients across points."""
@@ -913,8 +931,8 @@ def _recursive_box_integral(measure, tables, b_scale, a, b):
                 hi = lo + geo.child_lengths[j] * length
                 ca, cb = max(lo, a), min(hi, b)
                 if cb > ca:
-                    sm += measure._mass_rec(g + 1, lo, geo.child_lengths[j] * length,
-                                            mass * geo.child_masses[j], ca, cb)
+                    sm += _mass_rec(measure, g + 1, lo, geo.child_lengths[j] * length,
+                                    mass * geo.child_masses[j], ca, cb)
             totals[g] += sm * math.log(t_hi / t_lo)
         for j in range(4):
             rec(g + 1, off + geo.child_offsets[j] * length, geo.child_lengths[j] * length,
