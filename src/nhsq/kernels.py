@@ -12,13 +12,16 @@ Two concrete kernels:
 
 Every kernel's evaluate(t, x, y) broadcasts its three arguments and returns
 an array, or a float when all three are scalars.  The Cantor kernel walks
-all points down the tree together (CantorMeasure.descend); the log-product
-kernel takes its exponents from LogProductFn.exponent_batch.  A batch value
-equals the one-point value bit for bit: numpy's SIMD power and log on arrays
-can differ from libm by one unit in the last place, while one-point code
-(Python floats, numpy scalars) uses libm, so the powers, squares and logs of
-the kernels and checkers go through libm elementwise (_libm).  locate and
-LogProductFn.exponent stay as the one-point oracles.
+all points down the tree together (CantorMeasure.descend) and takes x to be
+in a node's strip when descend's first-match rule sends it on to child 1 or
+2; the log-product kernel takes its exponents from
+LogProductFn.exponent_batch.  Powers, squares and logs are numpy ufuncs on
+arrays, also for scalar arguments, which reach them as 0-d or masked 1-d
+arrays.  A ufunc gives each element the same bits whatever its position or
+the array's length, so a batch value equals the one-point value bit for
+bit; a Python float's or numpy scalar's ** calls libm instead, which can
+differ in the last place.  locate and LogProductFn.exponent stay as the
+one-point oracles.
 
 The size and continuity checkers are samplers, not proofs: they stratify
 over the kernels' active bands, add adversarial edge points, and report the
@@ -31,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
 
-from .errors import WrongProfile
+from .errors import InvalidParams, NegativeRadius, WrongProfile
 from .logproduct import LogProductFn
 from .measures import CantorMeasure, NodeGeometry
 from .rng import derive_rng
@@ -65,18 +68,6 @@ __all__ = [
 # -- profiles -------------------------------------------------------------------
 
 
-def _libm(fn, a, *args):
-    """fn(v, *args) for every element v of a, through Python floats.
-
-    numpy's SIMD power and log on arrays can differ from libm by one unit in
-    the last place; one-point code uses libm, and so do batch values that go
-    through here.
-    """
-    a = np.asarray(a, dtype=float)
-    vals = map(fn, a.ravel().tolist(), *map(repeat, args))
-    return np.fromiter(vals, dtype=float, count=a.size).reshape(a.shape)
-
-
 def _broadcast(*args):
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
 
@@ -84,7 +75,8 @@ def _broadcast(*args):
 def bump(u):
     """cos^2(pi u) on [-1/2, 1/2]: even, vanishing at the endpoints, peak 1 at 0."""
     u = np.asarray(u, dtype=float)
-    out = np.where(np.abs(u) <= 0.5, np.cos(np.pi * u) ** 2, 0.0)
+    # np.square, not **: a numpy scalar's ** calls libm pow.
+    out = np.where(np.abs(u) <= 0.5, np.square(np.cos(np.pi * u)), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -92,7 +84,7 @@ def phi_v(z):
     """1 on [-1,1], C^1 smoothstep ramp to 0 on [1,2], even, support [-2,2]."""
     z = np.abs(np.asarray(z, dtype=float))
     u = np.clip(z - 1.0, 0.0, 1.0)
-    ramp = 1.0 - 3.0 * _libm(math.pow, u, 2.0) + 2.0 * _libm(math.pow, u, 3.0)
+    ramp = 1.0 - 3.0 * np.square(u) + 2.0 * np.power(u, 3.0)
     out = np.where(z <= 2.0, ramp, 0.0)
     return out if out.ndim else float(out)
 
@@ -139,7 +131,6 @@ class ActiveRegion:
     mass: float
     t_lo: float
     t_hi: float
-    strips: tuple[tuple[float, float], tuple[float, float]]
 
 
 class CantorKernel:
@@ -156,7 +147,11 @@ class CantorKernel:
         self.m = measure.m
 
     def locate(self, x: float, t: float) -> Optional[ActiveRegion]:
-        """Walk x's node chain; bands decrease strictly, so at most one hit."""
+        """Walk x's node chain; bands decrease strictly, so at most one hit.
+
+        Each step takes the first child with c_off <= x <= c_off + c_len,
+        descend's rule; x is in the strip when that child is 1 or 2.
+        """
         meas = self.measure
         off, length, mass = 0.0, 1.0, 1.0
         if not (0.0 <= x <= 1.0) or t <= 0.0:
@@ -166,37 +161,16 @@ class CantorKernel:
             L_abs = geo.L * length
             if t > L_abs:
                 return None
-            if t >= L_abs / 2.0:
-                strips = tuple(
-                    (
-                        off + geo.child_offsets[j] * length,
-                        off + (geo.child_offsets[j] + geo.child_lengths[j]) * length,
-                    )
-                    for j in (1, 2)
-                )
-                for lo, hi in strips:
-                    if lo <= x <= hi:
-                        return ActiveRegion(
-                            generation=g,
-                            offset=off,
-                            length=length,
-                            mass=mass,
-                            t_lo=L_abs / 2.0,
-                            t_hi=L_abs,
-                            strips=strips,
-                        )
-                return None
-            # Descend into the child containing x.
-            nxt = None
             for j in range(4):
                 coff = off + geo.child_offsets[j] * length
                 clen = geo.child_lengths[j] * length
                 if coff <= x <= coff + clen:
-                    nxt = (coff, clen, mass * geo.child_masses[j])
                     break
-            if nxt is None:
-                return None
-            off, length, mass = nxt
+            else:
+                return None  # x is in a gap
+            if t >= L_abs / 2.0:
+                return ActiveRegion(g, off, length, mass, L_abs / 2.0, L_abs) if j in (1, 2) else None
+            off, length, mass = coff, clen, mass * geo.child_masses[j]
         return None
 
     def evaluate(self, t, x, y):
@@ -205,23 +179,16 @@ class CantorKernel:
         meas = self.measure
         out = np.zeros(t.shape)
         pending = (0.0 <= x) & (x <= 1.0) & (t > 0.0)
-        for g, off, length, _, _, alive in meas.descend(x, meas.depth - 1):
-            geo = meas.geometry[g + 1]
-            L_abs = geo.L * length
+        walk = meas.descend(x, meas.depth)
+        for (g, off, length, _, _, alive), (_, _, _, _, child, on_tree) in pairwise(walk):
+            L_abs = meas.geometry[g + 1].L * length
             pending &= alive & ~(t > L_abs)
             band = pending & (t >= L_abs / 2.0)
-            hit = np.zeros(t.shape, dtype=bool)
-            for j in (1, 2):
-                lo = off + geo.child_offsets[j] * length
-                hi = off + (geo.child_offsets[j] + geo.child_lengths[j]) * length
-                hit |= (lo <= x) & (x <= hi)
-            hit &= band
+            digit = child % 4
+            hit = band & on_tree & ((digit == 1) | (digit == 2))
             if hit.any():
                 ln = length[hit]
-                u = (y[hit] - (off[hit] + ln / 2.0)) / ln
-                # bump(u), squared through libm as bump squares one point.
-                phi = np.where(np.abs(u) <= 0.5, _libm(math.pow, np.cos(np.pi * u), 2.0), 0.0)
-                out[hit] = phi / _libm(math.pow, ln, self.m)
+                out[hit] = bump((y[hit] - (off[hit] + ln / 2.0)) / ln) / ln**self.m
             pending &= ~band
             if not pending.any():
                 break
@@ -291,7 +258,7 @@ class LogProductKernel:
         on = (0.0 <= xf) & (xf <= 1.0) & (0.0 < tf) & (tf <= 1.0)
         i = np.flatnonzero(on)
         # Comparison in log space: t >= e^-A  <=>  ln t >= -A (A exact integer).
-        on[i] = _libm(math.log, tf[i]) >= -self.f.exponent_batch(xf[i])
+        on[i] = np.log(tf[i]) >= -self.f.exponent_batch(xf[i])
         on = on.reshape(x.shape)
         return on if on.ndim else bool(on)
 
@@ -340,12 +307,14 @@ class TildeKernel:
         self.alpha = base.alpha
 
     def factor(self, t, x):
-        """(mu(B(x,t)) / t**m)**(1/2), elementwise over broadcast t, x."""
+        """(mu(B(x,t)) / t**m)**(1/2), elementwise over broadcast t > 0, x."""
         t, x = _broadcast(t, x)
-        out = np.array([
-            math.sqrt(self.measure.ball_mass(xi, ti) / ti**self.m)
-            for ti, xi in zip(t.ravel().tolist(), x.ravel().tolist())
-        ]).reshape(t.shape)
+        if np.any(t < 0.0):
+            raise NegativeRadius(f"radius {t[t < 0.0][0]} < 0")
+        if not np.all(t > 0.0):
+            raise InvalidParams(f"the tilde factor needs t > 0, got {t[~(t > 0.0)][0]}")
+        mass = self.measure.interval_masses((x - t).ravel(), (x + t).ravel()).reshape(t.shape)
+        out = np.sqrt(mass / t**self.m)
         return out if out.ndim else float(out)
 
     def evaluate(self, t: float, x: float, y):
@@ -370,7 +339,7 @@ class StepKernel:
         t, x, y = _broadcast(t, x, y)
         on = (np.abs(x - y) <= 2.0 * t) & (y >= x)
         out = np.zeros(t.shape)
-        out[on] = _libm(math.pow, t[on], self.alpha) / _libm(math.pow, t[on], self.m + self.alpha)
+        out[on] = t[on]**self.alpha / t[on]**(self.m + self.alpha)
         return out if out.ndim else float(out)
 
     def sample_active(self, rng, n):
@@ -510,8 +479,7 @@ def _ratios(v, t, x, y, scale, m: float, alpha: float) -> np.ndarray:
     """v (t + |x-y|)^(m+alpha) / scale^alpha where v != 0, else 0."""
     out = np.zeros(v.shape)
     nz = v != 0.0
-    out[nz] = (v[nz] * _libm(math.pow, t[nz] + np.abs(x[nz] - y[nz]), m + alpha)
-               / _libm(math.pow, scale[nz], alpha))
+    out[nz] = v[nz] * (t[nz] + np.abs(x[nz] - y[nz]))**(m + alpha) / scale[nz]**alpha
     return out
 
 

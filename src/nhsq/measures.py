@@ -282,9 +282,12 @@ class CantorMeasure:
         return self._leaf_cache[d]
 
     def interval_mass_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized interval masses through the piecewise-linear CDF of the
-        full-depth leaves, exact for the truncated measure (depth <= 10, as
-        leaf_table; interval_masses walks deeper trees)."""
+        """Vectorized interval masses by interpolating the piecewise-linear CDF
+        of the full-depth leaves (depth <= 10, as leaf_table).  Not exact:
+        the CDF's cumulative sums and the rounded leaf ends move many values
+        in their last bits (within 4**depth ulps of 1 on the intervals that
+        growth_constant draws, as the tests check); interval_masses is the
+        exact walk."""
         if self._cdf is None:
             starts, lengths, masses = self.leaf_table()
             cum = np.concatenate([[0.0], np.cumsum(masses)])

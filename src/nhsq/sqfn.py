@@ -730,10 +730,8 @@ def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.n
         ja = np.maximum(s_off, np.repeat(a[band], 2))
         jb = np.maximum(np.minimum(s_off + s_len, np.repeat(b[band], 2)), ja)
         sm = measure.interval_masses(ja, jb, start=(g + 1, s_off, s_len, s_mass)).reshape(-1, 2)
-        # libm's log per element: numpy's array log may differ in the last bit.
-        logs = np.array([math.log(r) for r in (t_hi[band] / t_lo[band]).tolist()])
         terms.append((cube[band], np.full(band.size, g), key[band] * pad,
-                      (sm[:, 0] + sm[:, 1]) * logs))
+                      (sm[:, 0] + sm[:, 1]) * np.log(t_hi[band] / t_lo[band])))
         off, length, mass = (v.ravel() for v in children)
         key = (key[:, None] * 5 + np.arange(1, 5)).ravel()
         cube = np.repeat(cube, 4)

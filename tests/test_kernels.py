@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nhsq import kernels
-from nhsq.errors import WrongProfile
+from nhsq.errors import InvalidParams, NegativeRadius, WrongProfile
 from nhsq.kernels import (
     PHI_V_LIPSCHITZ,
     PHI_V_TOTAL,
@@ -27,7 +27,7 @@ from nhsq.kernels import (
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams
 from nhsq.rng import derive_rng
-from nhsq.sqfn import LeafFunction, _node_coefficient
+from nhsq.sqfn import LeafFunction, QuadratureConfig, _node_coefficient, vertical_value
 
 M, C = 0.4, 16.0
 
@@ -58,6 +58,28 @@ def test_bump_profile():
     # Lipschitz constant pi, checked against finite differences.
     diffs = np.abs(np.diff(bump(u))) / (u[1] - u[0])
     assert diffs.max() <= math.pi + 1e-6
+
+
+def test_profiles_give_scalars_the_bits_of_arrays(measure):
+    # u of strip edges relative to their node, as the Cantor kernel forms it
+    # for y at a strip edge, with the neighbouring doubles, and random u; the
+    # first u is one where cos(pi u)**2 on a numpy scalar (libm pow) misses
+    # square's bits.
+    us = [0.03499301474770814, -0.5, 0.5] + np.random.default_rng(3).uniform(-0.6, 0.6, 4000).tolist()
+    for g in range(4):
+        starts, lens, _ = measure.leaf_table(g)
+        geo = measure.geometry[g + 1]
+        for off, length in zip(starts.tolist(), lens.tolist()):
+            for j in (1, 2):
+                lo = off + geo.child_offsets[j] * length
+                for y in (lo, lo + geo.child_lengths[j] * length):
+                    us += _around((y - (off + length / 2.0)) / length)
+    us = np.array(us)
+    for fn, args in ((bump, us), (phi_v, 1.0 + np.abs(us))):
+        batch = fn(args)
+        one = [fn(v) for v in args.tolist()]
+        assert all(type(v) is float for v in one)
+        assert np.array_equal(_bits(batch), _bits(one))
 
 
 def test_phi_v_profile():
@@ -258,6 +280,35 @@ def test_tilde_factor_bound_deeper(measure, kernel):
             assert tk.factor(t, x) ** 2 <= 1.0 / (g + 1) + 1e-12
 
 
+def test_tilde_factor_is_one_mass_walk(measure, kernel):
+    # The array form against per-point ball_mass masses, over points in and
+    # outside [0, 1] and radii from 1e-9 to past the whole interval.
+    tk = TildeKernel(kernel, measure)
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-0.1, 1.1, 3000)
+    t = np.exp(rng.uniform(math.log(1e-9), math.log(1.5), 3000))
+    masses = np.array([measure.ball_mass(xi, ti) for xi, ti in zip(x.tolist(), t.tolist())])
+    assert np.array_equal(measure.interval_masses(x - t, x + t), masses)
+    got = tk.factor(t, x)
+    assert np.array_equal(got, np.sqrt(masses / t**M))
+    assert np.array_equal(tk.factor(t.reshape(-1, 3), x.reshape(-1, 3)), got.reshape(-1, 3))
+    for ti, xi, w in list(zip(t.tolist(), x.tolist(), got))[::97]:
+        one = tk.factor(ti, xi)
+        assert type(one) is float and one == w
+
+
+def test_tilde_factor_refuses_nonpositive_t(measure, kernel):
+    tk = TildeKernel(kernel, measure)
+    for t in (0.0, -0.0, math.nan, np.array([0.1, 0.0])):
+        with pytest.raises(InvalidParams):
+            tk.factor(t, 0.5)
+    for t in (-0.1, np.array([0.1, -1e-300])):
+        with pytest.raises(NegativeRadius):
+            tk.factor(t, 0.5)
+    with pytest.raises(InvalidParams):
+        tk.evaluate(0.0, 0.5, 0.5)
+
+
 def test_size_condition(kernel, vkernel):
     zero = StepKernel()
     zero_rep = check_size_condition(
@@ -330,6 +381,17 @@ def test_node_atoms_split_into_quarters_past_truncation(measure):
 # -- batch evaluation against the one-point oracles ---------------------------------
 
 
+def _pow(v, e):
+    """v**e as the kernels take it, on a one-element array: a Python float's
+    or numpy scalar's ** calls libm, which can differ in the last place."""
+    return float((np.array([v]) ** e)[0])
+
+
+def _log(v):
+    """np.log on a one-element array, as the kernels take it; math.log is libm."""
+    return float(np.log(np.array([v]))[0])
+
+
 def _point_value(kernel, t, x, y):
     """s_t(x, y) at one point from locate, exponent and math, no batch code
     (a duck-typed kernel answers through its own evaluate)."""
@@ -337,19 +399,19 @@ def _point_value(kernel, t, x, y):
         act = kernel.locate(x, t)
         if act is None:
             return 0.0
-        return bump((y - (act.offset + act.length / 2.0)) / act.length) / act.length**kernel.m
+        return bump((y - (act.offset + act.length / 2.0)) / act.length) / _pow(act.length, kernel.m)
     if isinstance(kernel, LogProductKernel):
         if not (0.0 <= x <= 1.0 and 0.0 < t <= 1.0):
             return 0.0
-        if math.log(t) < -kernel.f.exponent(Fraction(x)):
+        if _log(t) < -kernel.f.exponent(Fraction(x)):
             return 0.0
         z = abs((x - y) / t)
         u = min(max(z - 1.0, 0.0), 1.0)
-        return (1.0 - 3.0 * u**2 + 2.0 * u**3 if z <= 2.0 else 0.0) / t
+        return (1.0 - 3.0 * _pow(u, 2) + 2.0 * _pow(u, 3) if z <= 2.0 else 0.0) / t
     if not isinstance(kernel, StepKernel):
         return float(kernel.evaluate(t, x, y))
     if abs(x - y) <= 2.0 * t and y >= x:
-        return t**kernel.alpha / t**(kernel.m + kernel.alpha)
+        return _pow(t, kernel.alpha) / _pow(t, kernel.m + kernel.alpha)
     return 0.0
 
 
@@ -415,6 +477,35 @@ def test_cantor_evaluate_batch_matches_locate(measure, kernel):
     assert np.count_nonzero(kernel.evaluate(np.array(ts), np.array(xs), np.array(ys))) > 500
 
 
+def test_strip_membership_is_descends_rule(measure, kernel):
+    # Strip ends where off + (o_j + l_j) * length and c_off + c_len, the end
+    # that descend tests, differ by an ulp.  x is the larger of the two: in
+    # child j's strip by descend's rule exactly when c_off + c_len is larger.
+    # evaluate, locate and vertical_value must all follow that rule.
+    xs, ts, ys, gens, want = [], [], [], [], []
+    for g in range(1, 5):
+        starts, lens, _ = measure.leaf_table(g)
+        geo = measure.geometry[g + 1]
+        for off, length in zip(starts.tolist(), lens.tolist()):
+            for j in (1, 2):
+                old = off + (geo.child_offsets[j] + geo.child_lengths[j]) * length
+                new = (off + geo.child_offsets[j] * length) + geo.child_lengths[j] * length
+                if old != new:
+                    xs.append(max(old, new)), ts.append(0.75 * geo.L * length)
+                    ys.append(off + length / 2.0), gens.append(g), want.append(new > old)
+    xs, ts, ys, gens, want = (np.array(v) for v in (xs, ts, ys, gens, want))
+    assert want.any() and not want.all()
+    assert np.array_equal(kernel.evaluate(ts, xs, ys) != 0.0, want)
+    located = [kernel.locate(x, t) for x, t in zip(xs.tolist(), ts.tolist())]
+    assert [a is not None and a.generation == g for a, g in zip(located, gens)] == want.tolist()
+    # V f(x) gains the generation-g term exactly when x is in a generation-g strip.
+    for g in range(1, 5):
+        at = gens == g
+        v = [vertical_value(kernel, measure, None, xs[at], QuadratureConfig(trunc_generation=n))
+             for n in (g - 1, g)]
+        assert np.array_equal(v[1] > v[0], want[at])
+
+
 def test_logproduct_evaluate_batch_matches_exponent(vkernel):
     f = vkernel.f
     rng = np.random.default_rng(8)
@@ -430,7 +521,7 @@ def test_logproduct_evaluate_batch_matches_exponent(vkernel):
             for y in (x, x + 2.0 * t, x - t, x + 1.5 * t, x + rng.uniform(-2.5, 2.5) * t):
                 ts.append(t), xs.append(x), ys.append(y)
     _assert_batch_matches_points(vkernel, ts, xs, ys)
-    on = [0.0 <= x <= 1.0 and 0.0 < t <= 1.0 and math.log(t) >= -f.exponent(Fraction(x))
+    on = [0.0 <= x <= 1.0 and 0.0 < t <= 1.0 and _log(t) >= -f.exponent(Fraction(x))
           for t, x in zip(ts, xs)]
     assert np.array_equal(vkernel.active(np.array(xs), np.array(ts)), on)
     assert 0 < sum(on) < len(on)
@@ -583,7 +674,7 @@ def _size_loop(kernel, n_samples, seed):
             val = abs(_point_value(kernel, t, x, y))
             if val == 0.0:
                 continue
-            ratio = val * (t + abs(x - y)) ** (m + alpha) / t**alpha
+            ratio = val * _pow(t + abs(x - y), m + alpha) / _pow(t, alpha)
             if ratio > worst:
                 worst, witness = ratio, (t, x, y)
     return ConditionReport(worst_ratio=worst, witness=witness, n_samples=len(actives) * 3)
@@ -611,7 +702,7 @@ def _holder_loop(kernel, n_samples, seed, n_scales=4):
                     dv = abs(_point_value(kernel, t, x, y) - _point_value(kernel, t, x, z))
                     if dv == 0.0:
                         continue
-                    ratio = dv * (t + abs(x - y)) ** (m + alpha) / delta**alpha
+                    ratio = dv * _pow(t + abs(x - y), m + alpha) / _pow(delta, alpha)
                     per_scale[j] = max(per_scale[j], ratio)
                     if is_anchored:
                         per_anchor[j] = max(per_anchor[j], ratio)

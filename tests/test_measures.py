@@ -159,6 +159,22 @@ def test_interval_masses_match_interval_mass(measure):
         measure.interval_mass(0.5, 0.4)
 
 
+@pytest.mark.parametrize("depth", [7, 10])
+def test_cdf_masses_within_rounding_of_the_walk(depth):
+    # interval_mass_batch interpolates the leaf CDF; it is not exact.  Against
+    # the walk on uniform and scale-stratified intervals (the two kinds
+    # growth_constant draws) it differs in the last bits of many values, by
+    # at most 4**depth ulps of 1.
+    mu = CantorMeasure(CantorParams(m=M, C=C, depth=depth))
+    rng = np.random.default_rng(depth)
+    a, b = np.sort(rng.uniform(-0.05, 1.05, (2, 50_000)), axis=0)
+    center, half = rng.uniform(0.0, 1.0, 50_000), np.exp(rng.uniform(np.log(1e-12), 0.0, 50_000)) / 2
+    a, b = np.concatenate([a, center - half]), np.concatenate([b, center + half])
+    cdf, walk = mu.interval_mass_batch(a, b), mu.interval_masses(a, b)
+    assert (cdf != walk).any()
+    assert np.abs(cdf - walk).max() <= 4**depth * 2.0**-52
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_interval_masses_from_start_nodes(measure, k):
     # Walks that begin at generation-k nodes match _mass_rec started there,
