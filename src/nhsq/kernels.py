@@ -25,14 +25,18 @@ one-point oracles.
 
 The size and continuity checkers are samplers, not proofs: they stratify
 over the kernels' active bands, add adversarial edge points, and report the
-worst observed ratio with its witness.  A checker draws all its y in one
-stream-exact sample_y call (_branch_draws) and evaluates all its points in
-one kernel call per array.
+worst observed ratio with its witness.  sample_active(rng, n) returns
+float64 arrays (t, x, nodes), nodes (n, 2) of (offset, length) or None.  A
+checker works through its actives in blocks of at most POINT_BLOCK points:
+each block draws its y in one stream-exact sample_y call (_branch_draws; the
+blocks' calls chain to the one-call stream), evaluates its points and folds
+them into the running maxima.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Optional
@@ -195,11 +199,12 @@ class CantorKernel:
         return out if out.ndim else float(out)
 
     def sample_active(self, rng: np.random.Generator, n: int):
-        """Stratified (t, x) pairs over strips and bands, plus edge points; per
-        point, as its rng.integers digits use the generator's buffered 32-bit word."""
+        """Stratified (t, x, nodes) over strips and bands, plus edge points; per
+        point, as its rng.integers digits use the generator's buffered 32-bit
+        word, appended to array.array buffers."""
         meas = self.measure
         gens = list(range(0, min(meas.depth, 6)))
-        out = []
+        ts, xs, nodes = array("d"), array("d"), array("d")
         per = max(1, n // max(1, len(gens)))
         for g in gens:
             for _ in range(per):
@@ -230,12 +235,12 @@ class CantorKernel:
                 else:
                     a, b = math.log(L_abs / 2.0), math.log(L_abs)
                     t = math.exp(a + (b - a) * rng.random())
-                out.append((t, x, (off, length)))
-        return out
+                ts.append(t), xs.append(x), nodes.extend((off, length))
+        return np.frombuffer(ts), np.frombuffer(xs), np.frombuffer(nodes).reshape(-1, 2)
 
     def sample_y(self, rng: np.random.Generator, t, x, nodes):
         """The bump's support edges (u < 0.2, 0.4), else uniform on the node."""
-        off, length = np.asarray(nodes, dtype=float).reshape(-1, 2).T
+        off, length = nodes.T
         u, w = _branch_draws(rng, len(off), 0.4)
         end = length + off
         return np.where(u < 0.2, off, np.where(u < 0.4, off + length, off + (end - off) * w))
@@ -276,19 +281,18 @@ class LogProductKernel:
         return float(theta_unit(t, x))
 
     def sample_active(self, rng: np.random.Generator, n: int):
-        """(t, x) with x uniform and ln t uniform on [ln t_lo, 0], where
+        """(t, x, None) with x uniform and ln t uniform on [ln t_lo, 0], where
         t_lo = max(e^-min(A(x), 30), 1e-9).
 
         Each row of draws is (x, u), the order of rng.random() followed by
         rng.uniform(lo, 0.0), which computes lo + (0.0 - lo) * u.
         """
-        draws = rng.random((n, 2))
-        A = self.f.exponent_batch(draws[:, 0])
-        out = []
-        for x, a, u in zip(draws[:, 0].tolist(), A.tolist(), draws[:, 1].tolist()):
+        x, u = rng.random((n, 2)).T
+        t = array("d")
+        for a, v in zip(self.f.exponent_batch(x).tolist(), u.tolist()):
             lo = math.log(max(math.exp(-min(a, 30)), 1e-9))
-            out.append((math.exp(lo + (0.0 - lo) * u), x, None))
-        return out
+            t.append(math.exp(lo + (0.0 - lo) * v))
+        return np.frombuffer(t), x, None
 
     def sample_y(self, rng: np.random.Generator, t, x, nodes):
         """Support edge x + 2t (u < 0.2), plateau edge x - t (u < 0.3), else near x."""
@@ -345,7 +349,8 @@ class StepKernel:
     def sample_active(self, rng, n):
         """Rows (u, x) of draws as rng.uniform(lo, 0.0) and rng.random() take them."""
         lo = math.log(0.05)
-        return [(math.exp(lo + (0.0 - lo) * u), x, None) for u, x in rng.random((n, 2)).tolist()]
+        u, x = rng.random((n, 2)).T
+        return np.array([math.exp(lo + (0.0 - lo) * v) for v in u.tolist()]), x, None
 
     def sample_y(self, rng, t, x, nodes):
         """The step x (u < 0.25), support edge x + 2t (u < 0.5), else near x."""
@@ -452,31 +457,26 @@ def _branch_draws(rng: np.random.Generator, n: int, cut: float):
 def _sample_points(kernel, rng, actives, per: int):
     """Arrays t, x, y holding each active (t, x) with `per` sampled y, drawn
     in the order of the actives by one sample_y call."""
-    t, x = (np.repeat([a[c] for a in actives], per) for c in (0, 1))
-    nodes = np.repeat(np.array([a[2] for a in actives]), per, axis=0)
+    t, x, nodes = (None if a is None else np.repeat(a, per, axis=0) for a in actives)
     return t, x, kernel.sample_y(rng, t, x, nodes)
 
 
-# Points per kernel call of the checkers: a value depends on its own point
-# only, so blocks bound the evaluation's working set without moving a bit.
+# Points per block of the checkers: a value depends on its own point only and
+# sample_y calls chain, so blocks bound the working set without moving a bit.
 POINT_BLOCK = 8192
 
 
-def _blocked_ratios(kernel, t, x, y, z, scale) -> np.ndarray:
-    """_ratios of |s_t(x, y)|, or of |s_t(x, y) - s_t(x, z)| when z is given,
-    evaluated POINT_BLOCK points at a time."""
-    out = np.empty(t.shape)
-    for k in range(0, t.size, POINT_BLOCK):
-        b = slice(k, k + POINT_BLOCK)
-        v = np.broadcast_to(kernel.evaluate(t[b], x[b], y[b]), t[b].shape)
-        if z is not None:
-            v = v - np.broadcast_to(kernel.evaluate(t[b], x[b], z[b]), t[b].shape)
-        out[b] = _ratios(np.abs(v), t[b], x[b], y[b], scale[b], kernel.m, kernel.alpha)
-    return out
+def _active_blocks(actives, points_per_active: int):
+    """The actives (t, x, nodes) in slices of at most POINT_BLOCK points."""
+    step = max(1, POINT_BLOCK // points_per_active)
+    for k in range(0, len(actives[0]), step):
+        yield tuple(None if a is None else a[k:k + step] for a in actives)
 
 
 def _ratios(v, t, x, y, scale, m: float, alpha: float) -> np.ndarray:
-    """v (t + |x-y|)^(m+alpha) / scale^alpha where v != 0, else 0."""
+    """v (t + |x-y|)^(m+alpha) / scale^alpha where v != 0, else 0; v may be
+    a scalar (a duck-typed kernel's answer)."""
+    v = np.broadcast_to(v, t.shape)
     out = np.zeros(v.shape)
     nz = v != 0.0
     out[nz] = v[nz] * (t[nz] + np.abs(x[nz] - y[nz]))**(m + alpha) / scale[nz]**alpha
@@ -496,10 +496,14 @@ def check_size_condition(kernel, n_samples: int, seed: int) -> ConditionReport:
     """Worst |s_t(x,y)| (t + |x-y|)^(m+alpha) / t^alpha over stratified samples."""
     rng = derive_rng(seed, "size-condition")
     actives = kernel.sample_active(rng, n_samples)
-    t, x, y = _sample_points(kernel, rng, actives, 3)
-    ratios = _blocked_ratios(kernel, t, x, y, None, t)
-    worst, witness = _worst(ratios, t, x, y)
-    return ConditionReport(worst_ratio=worst, witness=witness, n_samples=len(actives) * 3)
+    worst, witness = 0.0, (0.0,) * 3
+    for block in _active_blocks(actives, 3):
+        t, x, y = _sample_points(kernel, rng, block, 3)
+        ratios = _ratios(np.abs(kernel.evaluate(t, x, y)), t, x, y, t, kernel.m, kernel.alpha)
+        w, point = _worst(ratios, t, x, y)
+        if w > worst:  # strict: the first largest ratio across blocks
+            worst, witness = w, point
+    return ConditionReport(worst_ratio=worst, witness=witness, n_samples=len(actives[0]) * 3)
 
 
 def check_holder_condition(kernel, n_samples: int, seed: int) -> HolderReport:
@@ -513,28 +517,34 @@ def check_holder_condition(kernel, n_samples: int, seed: int) -> HolderReport:
     scales = [0.4 * 10.0**-j for j in range(4)]
     n_scales = len(scales)
     actives = kernel.sample_active(rng, max(1, n_samples // n_scales))
-    # One sampled center y0 per active; reused across scales so per-scale
-    # worst ratios are comparable and growth is detectable.
-    t, x, y0 = (a[:, None, None] for a in _sample_points(kernel, rng, actives, 1))
-    delta = t * np.array(scales)[None, :, None]  # < t/2 by construction
-    half = delta / 2
-    # Per (active, scale), five pairs in this order: three anchored pairs keep
-    # the evaluation point fixed; two moving pairs straddle the sampled point
-    # and x, where x-anchored kernel features (steps, plateau edges) live.
-    y = np.concatenate(np.broadcast_arrays(y0, y0, x, y0 + half, x + half), axis=2)
-    z = np.concatenate(
-        np.broadcast_arrays(y0 + delta, y0 - delta, x - delta, y0 - half, x - half), axis=2
-    )
-    t, x, y, z, delta = (a.ravel() for a in np.broadcast_arrays(t, x, y, z, delta))
-    ratios = _blocked_ratios(kernel, t, x, y, z, delta)
-    by_scale = ratios.reshape(len(actives), n_scales, 5)
-    per_scale = by_scale.max(axis=(0, 2), initial=0.0)
-    per_anchor = by_scale[:, :, :3].max(axis=(0, 2), initial=0.0)
-    worst, witness = _worst(ratios, t, x, y, z)
+    worst, witness = 0.0, (0.0,) * 4
+    per_scale = per_anchor = np.zeros(n_scales)
+    for block in _active_blocks(actives, n_scales * 5):
+        # One sampled center y0 per active; reused across scales so per-scale
+        # worst ratios are comparable and growth is detectable.
+        t, x, y0 = (a[:, None, None] for a in _sample_points(kernel, rng, block, 1))
+        delta = t * np.array(scales)[None, :, None]  # < t/2 by construction
+        half = delta / 2
+        # Per (active, scale), five pairs in this order: three anchored pairs keep
+        # the evaluation point fixed; two moving pairs straddle the sampled point
+        # and x, where x-anchored kernel features (steps, plateau edges) live.
+        y = np.concatenate(np.broadcast_arrays(y0, y0, x, y0 + half, x + half), axis=2)
+        z = np.concatenate(
+            np.broadcast_arrays(y0 + delta, y0 - delta, x - delta, y0 - half, x - half), axis=2
+        )
+        t, x, y, z, delta = (a.ravel() for a in np.broadcast_arrays(t, x, y, z, delta))
+        dv = np.abs(kernel.evaluate(t, x, y) - kernel.evaluate(t, x, z))
+        ratios = _ratios(dv, t, x, y, delta, kernel.m, kernel.alpha)
+        by_scale = ratios.reshape(-1, n_scales, 5)
+        per_scale = np.maximum(per_scale, by_scale.max(axis=(0, 2), initial=0.0))
+        per_anchor = np.maximum(per_anchor, by_scale[:, :, :3].max(axis=(0, 2), initial=0.0))
+        w, point = _worst(ratios, t, x, y, z)
+        if w > worst:
+            worst, witness = w, point
     return HolderReport(
         worst_ratio=worst,
         witness=witness,
         per_scale=[(s, float(r)) for s, r in zip(scales, per_scale)],
         per_scale_anchored=[(s, float(r)) for s, r in zip(scales, per_anchor)],
-        n_samples=len(actives) * n_scales * 5,
+        n_samples=len(actives[0]) * n_scales * 5,
     )

@@ -193,10 +193,12 @@ class LogProductFn:
             pts = [np.array([0, D], dtype=np.int64)]
             for F in self.factors:
                 k = 1 << F.k_exp
-                pl = F.piece_length
-                starts = np.arange(k, dtype=np.int64) * (D // k)
-                pts += [starts, starts + D // pl.denominator * pl.numerator]
-            self._breakpoints = _sorted_unique(np.concatenate(pts))
+                end = D // F.piece_length.denominator * F.piece_length.numerator
+                pts.append(np.arange(k, dtype=np.int64)[:, None] * (D // k) + np.array([0, end]))
+            # One flat copy, which frees the per-family pieces, sorted in place.
+            pts = np.concatenate(pts, axis=None)
+            pts.sort()
+            self._breakpoints = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
         return self._breakpoints
 
     def exponent_batch(self, x) -> np.ndarray:

@@ -55,6 +55,7 @@ from .errors import (
     QuadratureBudgetExceeded,
 )
 from .kernels import (
+    POINT_BLOCK,
     CantorKernel,
     LogProductKernel,
     bump,
@@ -493,7 +494,8 @@ def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
 
     x is a scalar (float result) or an array.  All points walk the tree
     together (CantorMeasure.descend); each node's coefficient and strip
-    atoms are computed once for the points it holds.  For apertures <= 2
+    atoms are computed once for the points it holds, and its tails in row
+    blocks of at most POINT_BLOCK (x, atom) pairs.  For apertures <= 2
     only nodes containing x contribute (strips of other nodes are at
     distance >= 2 L from x), so the walk is exhaustive; wider apertures are
     refused with InvalidParams.  Points on nodes where the LeafFunction f
@@ -522,11 +524,14 @@ def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
                 continue
             L_abs = measure.geometry[g + 1].L * ln
             mids, weights = strip_atoms(measure, o, ln, ms, g, min(3, measure.depth - g - 1))
-            tails = _band_tail_weight(
-                _distances(xs[pts], mids), L_abs / 2.0, L_abs, alpha, measure.m
-            )
-            # Row sums, not tails @ weights: BLAS would add in another order.
-            total[pts] += c * c * (weights * tails).sum(axis=1)
+            rows = max(1, POINT_BLOCK // len(mids))
+            for k in range(0, len(pts), rows):
+                p = pts[k:k + rows]
+                tails = _band_tail_weight(
+                    _distances(xs[p], mids), L_abs / 2.0, L_abs, alpha, measure.m
+                )
+                # Row sums, each row's bits its own; tails @ weights adds in BLAS order.
+                total[p] += c * c * (weights * tails).sum(axis=1)
     out = np.sqrt(total).reshape(x.shape)
     return out if out.ndim else float(out)
 

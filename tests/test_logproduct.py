@@ -17,6 +17,7 @@ from nhsq.logproduct import (
     _floor,
     _float_floor,
     _segments,
+    _sorted_unique,
     LOG2E_HI,
     LOG2E_LO,
     LogProductFn,
@@ -299,13 +300,32 @@ def test_lattice_breakpoints_and_segments_match_fraction_enumeration(N):
         assert pts == [a] + [p for p in brute if a < p < b] + [b]
 
 
-def test_breakpoints_demo_n4_match_endpoint_set():
+def _breakpoints_by_pieces(f):
+    """The per-family start and end arrays, concatenated and deduplicated by
+    _sorted_unique with every piece still held: the form that breakpoints'
+    in-place sort replaced."""
+    D = f.lattice
+    pts = [np.array([0, D], dtype=np.int64)]
+    for F in f.factors:
+        k = 1 << F.k_exp
+        starts = np.arange(k, dtype=np.int64) * (D // k)
+        pts += [starts, starts + D // F.piece_length.denominator * F.piece_length.numerator]
+    return _sorted_unique(np.concatenate(pts))
+
+
+def test_breakpoints_demo_n4_match_endpoint_set(traced_peak):
     # The brute-force Fraction oracle stops at N = 3; at N = 4 the sorted
     # piece endpoints are compared as Python ints on the lattice 1/D.
     f = build_logproduct("demo", 4)
     D = f.lattice
+    old = []
+    old_peak = traced_peak(lambda: old.append(_breakpoints_by_pieces(f)))
+    # The first call frees the pieces before it sorts their one copy in place:
+    # 2.26 MB traced against 3.32 MB for the old form (0.68).
+    assert traced_peak(f.breakpoints) <= 0.75 * old_peak
     bp = f.breakpoints()
     assert bp.dtype == np.int64 and np.all(np.diff(bp) > 0)
+    assert np.array_equal(bp, old[0]) and old[0].dtype == np.int64
     pts = {0, D}
     for F in f.factors:
         k = 1 << F.k_exp

@@ -23,6 +23,7 @@ from nhsq.kernels import (
 )
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
+from nhsq.rng import derive_rng
 from nhsq.sqfn import (
     CantorSquareContext,
     LeafFunction,
@@ -667,6 +668,33 @@ def test_values_on_arrays_match_chain_walk(measure, kernel, quad):
         assert type(one) is float and one == want[3][0][0]
         grid = xs[:12].reshape(3, 4)
         assert np.array_equal(vertical_value(kernel, measure, f, grid, quad), v[:12].reshape(3, 4))
+
+
+def test_conical_value_row_blocks_match_one_shot(measure, kernel, quad, monkeypatch, traced_peak):
+    # The weak11 spikes of the default seed, S f at every depth-5 leaf
+    # midpoint: row blocks of 1 row, of 3 rows (12 and 48 on the smaller
+    # strips of generations 9 and 10) and of the default POINT_BLOCK give the
+    # values of one block per node, the whole |x - atom| matrix, bit for bit.
+    starts, lens, _ = measure.leaf_table(5)
+    xs = starts + lens / 2.0
+    default = sqfn.POINT_BLOCK
+    for leaf in derive_rng(20250808, "weak11-spikes").integers(0, 4**5, size=10).tolist():
+        f = LeafFunction.spike(measure, 5, leaf)
+        monkeypatch.setattr(sqfn, "POINT_BLOCK", 10**9)
+        one_shot = conical_value(kernel, measure, f, xs, 1.0, quad)
+        assert (one_shot > 0).sum() >= len(xs) // 4
+        for block in (1, 3 * 128 + 5, default):
+            monkeypatch.setattr(sqfn, "POINT_BLOCK", block)
+            assert np.array_equal(conical_value(kernel, measure, f, xs, 1.0, quad), one_shot)
+    # At the root, 1,024 rows by 128 strip atoms: 2.41 MB traced in one block,
+    # 0.32 MB in row blocks.  With f = 1 the coefficient reads no leaf values,
+    # whose lookup over the node's 4,096 atoms (1.2 MB) would set both floors.
+    root = QuadratureConfig(32, 6, 1e-3, 0)
+    peaks = []
+    for block in (10**9, default):
+        monkeypatch.setattr(sqfn, "POINT_BLOCK", block)
+        peaks.append(traced_peak(lambda: conical_value(kernel, measure, None, xs, 1.0, root)))
+    assert peaks[1] <= peaks[0] / 4
 
 
 def test_values_past_generation_31_match_chain_walk():
