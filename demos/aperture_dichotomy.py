@@ -35,7 +35,7 @@ print(f"bump mass constant beta(n) ranges over "
 print()
 
 alphas = (1.0, 1.5, 2.0)
-series = {s.alpha: s for s in conical_norm_series(measure, alphas, N, quad, context=ctx)}
+series = {s.alpha: s for s in conical_norm_series(measure, alphas, N, quad)}
 
 print(f"{'n':>4} {'g(n,1)*(n+1)^2':>16} {'g(n,2)*C(n+1)':>16} "
       f"{'P_n(1)':>12} {'P_n(2)':>12}")

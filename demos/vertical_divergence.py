@@ -12,7 +12,6 @@ divergence transfers.
 from nhsq import (
     CantorMeasure,
     CantorParams,
-    CantorSquareContext,
     QuadratureConfig,
     conical_norm_series,
     vertical_norm_series,
@@ -22,10 +21,9 @@ M, C, N = 0.4, 16.0, 40
 
 measure = CantorMeasure(CantorParams(m=M, C=C, depth=N + 2))
 quad = QuadratureConfig(32, 6, 1e-3, N)
-ctx = CantorSquareContext(measure, quad)
 
-sv = vertical_norm_series(measure, N, quad, context=ctx)
-[s2] = conical_norm_series(measure, [2.0], N, quad, context=ctx)
+sv = vertical_norm_series(measure, N, quad)
+[s2] = conical_norm_series(measure, [2.0], N, quad)
 
 print(f"{'n':>4} {'g_V(n)*C(n+1)':>16} {'partial sum':>12} {'S2 term / V term':>18}")
 pv = sv.partial_sums

@@ -13,10 +13,6 @@ class GeometryInfeasible(NhsqError):
     """A subdivision step produced a negative middle gap."""
 
 
-class OutOfRange(NhsqError):
-    """Requested generation outside the cached range."""
-
-
 class ReversedInterval(NhsqError):
     """Interval endpoints given in the wrong order."""
 

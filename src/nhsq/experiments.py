@@ -45,7 +45,6 @@ from .measures import CantorMeasure, CantorParams, LebesgueInterval, growth_cons
 from .reports import ExperimentReport, Verdict
 from .rng import derive_rng, derive_seed
 from .sqfn import (
-    CantorSquareContext,
     LeafFunction,
     QuadratureConfig,
     ci_profile,
@@ -161,9 +160,8 @@ def _skip_reason(series: dict, alpha: float, N: int, n_min: int) -> str:
 def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     measure = cfg.measure()
     quad = cfg.quad()
-    ctx = CantorSquareContext(measure, quad)
     series = {}
-    for s in conical_norm_series(measure, cfg.alphas, cfg.N, quad, context=ctx):
+    for s in conical_norm_series(measure, cfg.alphas, cfg.N, quad):
         series[s.alpha] = s
         report.add_series(s)
         report.metrics[f"total_alpha_{s.alpha}"] = s.total
@@ -208,9 +206,8 @@ def _exp_vertical(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         raise ConfigError(f"vertical needs N >= 2 for its fit over n = 2..N, got {cfg.N}")
     measure = cfg.measure()
     quad = cfg.quad()
-    ctx = CantorSquareContext(measure, quad)
-    sv = vertical_norm_series(measure, cfg.N, quad, context=ctx)
-    [s2] = conical_norm_series(measure, [2.0], cfg.N, quad, context=ctx)
+    sv = vertical_norm_series(measure, cfg.N, quad)
+    [s2] = conical_norm_series(measure, [2.0], cfg.N, quad)
     report.add_series(sv)
     report.metrics["vertical_total"] = sv.total
 
@@ -228,12 +225,11 @@ def _exp_l2_bound(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     depth = 5
     measure = cfg.measure(min_depth=depth + 4)
     quad = cfg.quad(trunc=min(cfg.N, 12))
-    ctx = CantorSquareContext(measure, quad)
     rng = derive_rng(cfg.seed, "l2-bound-vectors")
     fs = [LeafFunction.constant(measure, depth, 1.0)]
     for _ in range(20):
         fs.append(LeafFunction(measure, depth, rng.choice([-1.0, 1.0], size=4**depth)))
-    best, _, ratios = l2_operator_ratio(measure, fs, 1.0, quad, context=ctx)
+    best, _, ratios = l2_operator_ratio(measure, fs, 1.0, quad)
     report.metrics["l2_ratio_max"] = best
     report.metrics["l2_ratio_f1"] = ratios[0]
     report.verdicts.append(
@@ -356,7 +352,7 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     for g in range(7):
         s, l, _ = measure.leaf_table(g)
         cubes.extend((float(a), float(a + b)) for a, b in zip(s, l))
-    res = testing_functional(kc, measure, None, cubes, quad)
+    res = testing_functional(kc, measure, cubes, quad)
     report.metrics["tb_cantor_sup"] = res.sup_ratio
     report.counters["tb_degenerate_cubes"] = res.degenerate
     report.verdicts.append(

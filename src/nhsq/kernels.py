@@ -53,8 +53,6 @@ __all__ = [
     "phi_v",
     "phi_v_antiderivative",
     "theta_unit",
-    "PHI_V_LIPSCHITZ",
-    "PHI_V_TOTAL",
     "ActiveRegion",
     "CantorKernel",
     "LogProductKernel",
@@ -116,10 +114,6 @@ def theta_unit(t, x):
     """theta_t 1_[0,1](x) = Phi(x/t) - Phi((x-1)/t), bit for bit, for 0 <= x <= 1
     and t > 0 only: there x/t >= 0, fl(x-1) = -fl(1-x) and sign(z) * h = +-h."""
     return (1.5 + _phi_v_half_integral(x / t)) - (1.5 - _phi_v_half_integral((1.0 - x) / t))
-
-
-PHI_V_LIPSCHITZ = 1.5  # max of |d/du (1 - 3u^2 + 2u^3)| at u = 1/2
-PHI_V_TOTAL = 3.0  # integral of phi_v over the line
 
 
 # -- Cantor kernel ----------------------------------------------------------------
@@ -274,12 +268,6 @@ class LogProductKernel:
         out[on] = phi_v((x[on] - y[on]) / t[on]) / t[on]
         return out if out.ndim else float(out)
 
-    def theta_one(self, t: float, x: float) -> float:
-        """theta_t 1_[0,1](x) in closed form via the phi_v antiderivative."""
-        if not self.active(x, t):
-            return 0.0
-        return float(theta_unit(t, x))
-
     def sample_active(self, rng: np.random.Generator, n: int):
         """(t, x, None) with x uniform and ln t uniform on [ln t_lo, 0], where
         t_lo = max(e^-min(A(x), 30), 1e-9).
@@ -363,7 +351,7 @@ class StepKernel:
 
 
 # Below the truncation depth a node splits into four equal quarters.
-_QUARTERS = NodeGeometry(generation=0, child_offsets=(0.0, 0.25, 0.5, 0.75),
+_QUARTERS = NodeGeometry(child_offsets=(0.0, 0.25, 0.5, 0.75),
                          child_lengths=(0.25,) * 4, child_masses=(0.25,) * 4, L=0.25)
 
 

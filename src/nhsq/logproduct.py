@@ -51,15 +51,13 @@ __all__ = [
     "lp_divergence_witness",
     "log_moments",
     "LOG2E_HI",
-    "LOG2E_LO",
 ]
 
 Rational = Union[Fraction, int]
 
-# Certified rational bounds: LOG2E_LO < log2(e) < LOG2E_HI.
+# Certified rational upper bound: log2(e) < LOG2E_HI.
 # log2(e) = 1.4426950408889634074...
 LOG2E_HI = Fraction(14426950408889635, 10**16)
-LOG2E_LO = Fraction(14426950408889633, 10**16)
 
 
 def _floor(x: Fraction) -> int:

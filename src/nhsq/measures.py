@@ -18,20 +18,13 @@ and the normalized measure inside any generation-n node is the same
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    GeometryInfeasible,
-    InvalidParams,
-    NegativeRadius,
-    OutOfRange,
-    ReversedInterval,
-)
+from .errors import GeometryInfeasible, InvalidParams, ReversedInterval
 from .rng import derive_rng
 
 __all__ = [
@@ -75,11 +68,10 @@ class CantorParams:
 class NodeGeometry:
     """Normalized child layout of one subdivision (parent scaled to [0,1], mass 1).
 
-    generation is the splitting index n >= 1 of the rule; all nodes split
-    with the same index share this layout up to the parent's affine map.
+    All nodes split with the same index n >= 1 of the rule share this layout
+    up to the parent's affine map.
     """
 
-    generation: int
     child_offsets: tuple[float, float, float, float]
     child_lengths: tuple[float, float, float, float]
     child_masses: tuple[float, float, float, float]
@@ -116,7 +108,6 @@ def _split_geometry(n: int, m: float, C: float) -> NodeGeometry:
     L = float(lengths[0])
     offsets = (0.0, 2.0 * L, 1.0 - 2.0 * L - float(lengths[2]), 1.0 - L)
     geo = NodeGeometry(
-        generation=n,
         child_offsets=offsets,
         child_lengths=tuple(float(v) for v in lengths),
         child_masses=tuple(float(v) for v in masses),
@@ -151,6 +142,7 @@ class CantorMeasure:
     def __init__(self, params: CantorParams):
         params.validate()
         self.params = params
+        # geometry[k]: the child layout when a local generation-(k - 1) node splits.
         self.geometry: dict[int, NodeGeometry] = {}
         for k in range(1, params.depth + 1):
             self.geometry[k] = _split_geometry(params.start_gen + k, params.m, params.C)
@@ -166,12 +158,6 @@ class CantorMeasure:
     @property
     def m(self) -> float:
         return self.params.m
-
-    def split_geometry(self, local_gen: int) -> NodeGeometry:
-        """Child layout used when a local generation-(local_gen - 1) node splits."""
-        if not (1 <= local_gen <= self.depth):
-            raise OutOfRange(f"generation {local_gen} outside 1..{self.depth}")
-        return self.geometry[local_gen]
 
     def template(self, n: int, depth: Optional[int] = None) -> "CantorMeasure":
         """Normalized measure inside a generation-(start_gen + n) node."""
@@ -257,13 +243,6 @@ class CantorMeasure:
         out[levels[0][1]] = levels[0][0]
         return out
 
-    def ball_mass(self, x: float, r: float) -> float:
-        if r < 0.0:
-            raise NegativeRadius(f"radius {r} < 0")
-        if r == 0.0:
-            return 0.0
-        return self.interval_mass(x - r, x + r)
-
     # -- leaf decompositions --------------------------------------------------
 
     def leaf_table(self, max_depth: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,26 +276,6 @@ class CantorMeasure:
         return (np.interp(b, xs, fs, left=0.0, right=1.0)
                 - np.interp(a, xs, fs, left=0.0, right=1.0))
 
-    # -- serialization --------------------------------------------------------
-
-    def geometry_json(self) -> str:
-        dump = {
-            "m": self.m,
-            "C": self.params.C,
-            "depth": self.depth,
-            "start_gen": self.params.start_gen,
-            "generations": {
-                str(geo.generation): {
-                    "offsets": list(geo.child_offsets),
-                    "lengths": list(geo.child_lengths),
-                    "masses": list(geo.child_masses),
-                    "L": geo.L,
-                }
-                for geo in self.geometry.values()
-            },
-        }
-        return json.dumps(dump, sort_keys=True, indent=2)
-
 
 class LebesgueInterval:
     """Lebesgue measure restricted to [a, b]."""
@@ -333,11 +292,6 @@ class LebesgueInterval:
     def interval_masses(self, a, b) -> np.ndarray:
         a, b = _checked_ends(a, b)
         return np.maximum(0.0, np.minimum(b, self.b) - np.maximum(a, self.a))
-
-    def ball_mass(self, x: float, r: float) -> float:
-        if r < 0.0:
-            raise NegativeRadius(f"radius {r} < 0")
-        return self.interval_mass(x - r, x + r)
 
 
 # -- module-level operations ---------------------------------------------------

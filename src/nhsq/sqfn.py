@@ -254,8 +254,10 @@ class LeafFunction:
 
     def __call__(self, x):
         """f at x, elementwise for arrays and 0 in gaps; the leaf of each
-        point is the one leaf_index finds, looked up for all points at once."""
-        *_, (_, _, _, _, idx, alive) = self.measure.descend(x, self.depth)
+        point is the one leaf_index finds, looked up for all points at once.
+        Only the walk's last generation is held: each step frees the one before."""
+        for *_, idx, alive in self.measure.descend(x, self.depth):
+            pass
         out = np.where(alive, self.values[idx], 0.0)
         return out if out.ndim else float(out)
 
@@ -367,13 +369,12 @@ class CantorSquareContext:
 
 
 def conical_norm_series(
-    measure: CantorMeasure, alphas, N: int, quad: QuadratureConfig,
-    context: Optional[CantorSquareContext] = None,
+    measure: CantorMeasure, alphas, N: int, quad: QuadratureConfig
 ) -> list[NormSeries]:
     """||S_alpha(1)||^2 per-generation series via the template collapse, one
     per aperture, in order; generation n is done for all apertures at once."""
     alphas = _collapse_alphas(alphas)
-    ctx = context if context is not None else CantorSquareContext(measure, quad)
+    ctx = CantorSquareContext(measure, quad)
     g = np.array([ctx.g_term(n, alphas) for n in range(N + 1)])  # (N + 1, apertures, 2)
     out = []
     for k, alpha in enumerate(alphas):
@@ -389,11 +390,10 @@ def conical_norm_series(
 
 
 def vertical_norm_series(
-    measure: CantorMeasure, N: int, quad: QuadratureConfig,
-    context: Optional[CantorSquareContext] = None,
+    measure: CantorMeasure, N: int, quad: QuadratureConfig
 ) -> NormSeries:
     """||V(1)||^2 per-generation series; exact in t (constant band integrand)."""
-    ctx = context if context is not None else CantorSquareContext(measure, quad)
+    ctx = CantorSquareContext(measure, quad)
     terms = np.array([ctx.g_vertical(n) for n in range(N + 1)])
     return NormSeries(alpha=None, terms=terms, err_est=np.zeros(N + 1))
 
@@ -625,8 +625,7 @@ def _node_coefficient_arrays(measure: CantorMeasure, f: LeafFunction,
 
 
 def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
-                      alpha: float, quad: QuadratureConfig,
-                      context: Optional[CantorSquareContext] = None):
+                      alpha: float, quad: QuadratureConfig):
     """max ||S f||^2 / ||f||^2 over leaf-vector samples, with the witness.
 
     ||S f||^2 = sum_n w(n, alpha) sum_J mu(J) c_J(f)^2; for generations at or
@@ -634,7 +633,7 @@ def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
     reduce to g(n, alpha) ||f||^2.
     """
     _check_collapse_aperture(alpha)
-    ctx = context if context is not None else CantorSquareContext(measure, quad)
+    ctx = CantorSquareContext(measure, quad)
     N = quad.trunc_generation
     best = 0.0
     witness = None
@@ -695,8 +694,8 @@ class TestingResult:
 
 
 def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.ndarray],
-                          b_scale: float, cubes) -> list[float]:
-    """Box integral of |theta_t (b_scale * 1)|^2 over [a,b] x (0, b-a) per cube (a, b).
+                          cubes) -> list[float]:
+    """Box integral of |theta_t 1|^2 over [a,b] x (0, b-a) per cube (a, b).
 
     theta is constant beta(n) on each strip/band region, so the box integral
     is a sum over generations of beta^2 * (strip mass inside [a,b]) * (log
@@ -744,7 +743,7 @@ def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.n
     order = np.lexsort((keys, cols, rows))
     totals = np.zeros((ca.size, N + 1))
     np.add.at(totals.ravel(), (rows * (N + 1) + cols)[order], vals[order])
-    return (b_scale**2 * np.sum(beta_sq * totals, axis=1)).tolist()
+    return np.sum(beta_sq * totals, axis=1).tolist()
 
 
 def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
@@ -770,31 +769,24 @@ def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
     return total
 
 
-def testing_functional(kernel, measure, b, cubes, quad: QuadratureConfig,
-                       context: Optional[CantorSquareContext] = None) -> TestingResult:
-    """sup over cubes R of mu(3R)^-1 * box integral of |theta_t b|^2.
+def testing_functional(kernel, measure, cubes, quad: QuadratureConfig) -> TestingResult:
+    """sup over cubes R of mu(3R)^-1 * box integral of |theta_t 1|^2.
 
-    b may be None (identically 1) or a scalar.  Cubes are (a, b) interval
-    pairs, reported as floats; per-cube values carry both the mu(3R) and
-    len(R) normalizations, mu(3R) from one interval_masses call.
+    Cubes are (a, b) interval pairs, reported as floats; per-cube values
+    carry both the mu(3R) and len(R) normalizations, mu(3R) from one
+    interval_masses call.
     """
     if not cubes:
         raise EmptyCubeList("testing functional needs at least one cube")
-    if b is None:
-        b_scale = 1.0
-    elif isinstance(b, (int, float)):
-        b_scale = float(b)
-    else:
-        raise InvalidParams("testing_functional supports b None (=1) or scalar")
     degenerate = sum(1 for (ca, cb) in cubes if not cb > ca)
     if isinstance(kernel, CantorKernel):
-        ctx = context if context is not None else CantorSquareContext(measure, quad)
+        ctx = CantorSquareContext(measure, quad)
         gens = range(min(quad.trunc_generation, measure.depth - 1) + 1)
         tables = (np.array([ctx.strip_fraction(n) for n in gens]),
                   np.array([ctx.beta(n) for n in gens]) ** 2)
-        boxes = _cantor_box_integrals(measure, tables, b_scale, cubes)
+        boxes = _cantor_box_integrals(measure, tables, cubes)
     elif isinstance(kernel, LogProductKernel):
-        boxes = [b_scale**2 * _logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
+        boxes = [_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
                  for (ca, cb) in cubes]
     else:
         raise InvalidParams("testing_functional supports the Cantor and log-product kernels")

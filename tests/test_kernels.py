@@ -7,8 +7,6 @@ import pytest
 from nhsq import kernels
 from nhsq.errors import InvalidParams, NegativeRadius, WrongProfile
 from nhsq.kernels import (
-    PHI_V_LIPSCHITZ,
-    PHI_V_TOTAL,
     CantorKernel,
     ConditionReport,
     HolderReport,
@@ -90,14 +88,14 @@ def test_phi_v_profile():
     assert np.all(vals[np.abs(z) >= 2.0] == 0.0)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     diffs = np.abs(np.diff(vals)) / (z[1] - z[0])
-    assert diffs.max() <= PHI_V_LIPSCHITZ + 1e-6
+    assert diffs.max() <= 1.5 + 1e-6  # max of |d/du (1 - 3u^2 + 2u^3)| at u = 1/2
     # Antiderivative endpoints and total mass.
     assert phi_v_antiderivative(-2.0) == pytest.approx(0.0, abs=1e-15)
-    assert phi_v_antiderivative(2.0) == pytest.approx(PHI_V_TOTAL, rel=1e-15)
+    assert phi_v_antiderivative(2.0) == pytest.approx(3.0, rel=1e-15)
     # Against numeric quadrature.
     grid = np.linspace(-2, 2, 20001)
     num = np.trapezoid(phi_v(grid), grid)
-    assert num == pytest.approx(PHI_V_TOTAL, rel=1e-8)
+    assert num == pytest.approx(3.0, rel=1e-8)
 
 
 def _phi_v_antiderivative_clip(z):
@@ -155,19 +153,6 @@ def test_theta_unit_matches_two_antiderivatives_bitwise():
         got = theta_unit(tt, xx)
         w = phi_v_antiderivative(xx / tt) - phi_v_antiderivative((xx - 1.0) / tt)
         assert _bits(got) == _bits(w)
-
-
-def test_theta_one_is_the_closed_form_as_a_float():
-    vk = LogProductKernel(build_logproduct("demo", 2))
-    rng = np.random.default_rng(17)
-    for x, t in zip(rng.random(40).tolist(), np.exp(-rng.uniform(0.0, 12.0, 40)).tolist()):
-        got = vk.theta_one(t, x)
-        assert type(got) is float
-        if vk.active(x, t):
-            w = phi_v_antiderivative(x / t) - phi_v_antiderivative((x - 1.0) / t)
-            assert _bits(got) == _bits(w)
-        else:
-            assert got == 0.0
 
 
 def test_cantor_kernel_values(measure, kernel):
@@ -248,17 +233,17 @@ def test_root_coefficient_cantor(measure, kernel):
     assert 0.05 < v6 <= 1.0
 
 
-def test_theta_one_logproduct_closed_form(vkernel):
+def test_theta_unit_logproduct_closed_form(vkernel):
     # Oracle: the midpoint rule with 256 points over [x - 2t, x + 2t] & [0, 1].
     for (t, x) in ((0.5, 0.5), (0.25, 0.3), (0.9, 0.1)):
         lo, hi = max(x - 2.0 * t, 0.0), min(x + 2.0 * t, 1.0)
         w = (hi - lo) / 256
         ys = np.linspace(lo, hi, 256, endpoint=False) + w / 2
         q = float(np.sum(vkernel.evaluate(t, x, ys)) * w)
-        closed = vkernel.theta_one(t, x)
+        closed = theta_unit(t, x) if vkernel.active(x, t) else 0.0
         assert q == pytest.approx(closed, rel=1e-6, abs=1e-9)
     # theta_t 1 >= 1 for interior x with f(x) <= t <= 1.
-    assert vkernel.theta_one(0.5, 0.5) >= 1.0
+    assert vkernel.active(0.5, 0.5) and theta_unit(0.5, 0.5) >= 1.0
 
 
 def test_tilde_transform(measure, kernel):
@@ -287,13 +272,15 @@ def test_tilde_factor_bound_deeper(measure, kernel):
 
 
 def test_tilde_factor_is_one_mass_walk(measure, kernel):
-    # The array form against per-point ball_mass masses, over points in and
-    # outside [0, 1] and radii from 1e-9 to past the whole interval.
+    # The array form against per-point interval_mass(x - t, x + t) masses,
+    # over points in and outside [0, 1] and radii from 1e-9 to past the
+    # whole interval.
     tk = TildeKernel(kernel, measure)
     rng = np.random.default_rng(21)
     x = rng.uniform(-0.1, 1.1, 3000)
     t = np.exp(rng.uniform(math.log(1e-9), math.log(1.5), 3000))
-    masses = np.array([measure.ball_mass(xi, ti) for xi, ti in zip(x.tolist(), t.tolist())])
+    masses = np.array([measure.interval_mass(xi - ti, xi + ti)
+                       for xi, ti in zip(x.tolist(), t.tolist())])
     assert np.array_equal(measure.interval_masses(x - t, x + t), masses)
     got = tk.factor(t, x)
     assert np.array_equal(got, np.sqrt(masses / t**M))

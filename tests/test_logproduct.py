@@ -19,7 +19,6 @@ from nhsq.logproduct import (
     _segments,
     _sorted_unique,
     LOG2E_HI,
-    LOG2E_LO,
     LogProductFn,
     Rational,
     build_logproduct,
@@ -29,6 +28,9 @@ from nhsq.logproduct import (
     lp_divergence_witness,
 )
 from nhsq.rng import derive_rng
+
+# Certified rational lower bound: LOG2E_LO < log2(e), the pair of LOG2E_HI.
+LOG2E_LO = Fraction(14426950408889633, 10**16)
 
 
 @pytest.fixture(scope="module")

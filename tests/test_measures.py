@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhsq import measures
-from nhsq.errors import (
-    GeometryInfeasible,
-    InvalidParams,
-    NegativeRadius,
-    OutOfRange,
-    ReversedInterval,
-)
+from nhsq.errors import GeometryInfeasible, InvalidParams, ReversedInterval
 from nhsq.measures import (
     CantorMeasure,
     CantorParams,
@@ -38,7 +31,7 @@ def test_build_single_node_depth_zero():
 
 
 def test_generation_one_masses_and_lengths(measure):
-    geo = measure.split_geometry(1)
+    geo = measure.geometry[1]
     assert geo.child_masses[1] == pytest.approx(1 / 16, abs=0)
     assert geo.child_masses[2] == pytest.approx(1 / 16, abs=0)
     # l = mu^(1/m) with mu = 1/16 and 1/m = 2.5 is an exact power of two
@@ -48,7 +41,7 @@ def test_generation_one_masses_and_lengths(measure):
 
 
 def test_generation_one_middle_gap(measure):
-    geo = measure.split_geometry(1)
+    geo = measure.geometry[1]
     expected = 1.0 - 4.0 * (7 / 16) ** 2.5 - 2.0 * 2.0**-10
     assert geo.middle_gap == pytest.approx(expected, rel=1e-12)
     assert geo.middle_gap > 0
@@ -56,7 +49,7 @@ def test_generation_one_middle_gap(measure):
 
 def test_outer_child_mass_rule(measure):
     for gen in range(1, measure.depth + 1):
-        geo = measure.split_geometry(gen)
+        geo = measure.geometry[gen]
         assert geo.child_masses[0] == pytest.approx(
             (1 - 2 / (C * gen)) / 2, rel=1e-14
         )
@@ -64,7 +57,7 @@ def test_outer_child_mass_rule(measure):
 
 
 def test_child_placement(measure):
-    geo = measure.split_geometry(1)
+    geo = measure.geometry[1]
     assert geo.child_offsets[0] == 0.0
     assert geo.child_offsets[3] + geo.child_lengths[3] == pytest.approx(1.0, abs=1e-15)
     assert geo.child_offsets[1] == pytest.approx(2 * geo.L, rel=1e-15)
@@ -81,8 +74,6 @@ def test_invalid_params():
     for bad_C in (math.nan, math.inf):
         with pytest.raises(InvalidParams):
             CantorMeasure(CantorParams(m=0.4, C=bad_C, depth=2))
-    with pytest.raises(OutOfRange):
-        CantorMeasure(CantorParams(m=M, C=C, depth=2)).split_geometry(3)
 
 
 def test_geometry_infeasible():
@@ -101,15 +92,13 @@ def test_interval_mass_whole_and_gap(measure):
     assert measure.interval_mass(0.0, 1.0) == 1.0
     # generation-1 layout puts the central gap around [0.254, 0.746]
     assert measure.interval_mass(0.49, 0.51) == 0.0
-    geo = measure.split_geometry(1)
+    geo = measure.geometry[1]
     assert measure.interval_mass(0.0, geo.L) == pytest.approx(7 / 16, rel=1e-14)
 
 
 def test_interval_mass_errors(measure):
     with pytest.raises(ReversedInterval):
         measure.interval_mass(0.5, 0.4)
-    with pytest.raises(NegativeRadius):
-        measure.ball_mass(0.5, -1.0)
 
 
 def _mass_rec(self, k: int, off: float, length: float, mass: float, a: float, b: float) -> float:
@@ -203,18 +192,9 @@ def test_nan_interval_ends_refused(mu):
             mu.interval_mass(a, b)
         with pytest.raises(InvalidParams, match="NaN"):
             mu.interval_masses([0.1, a], [0.2, b])
-    with pytest.raises(InvalidParams, match="NaN"):
-        mu.ball_mass(math.nan, 0.1)
     # Infinite ends still clip to [0, 1].
     assert mu.interval_mass(-math.inf, math.inf) == 1.0
     assert mu.interval_masses([-math.inf], [math.inf]).tolist() == [1.0]
-
-
-def test_ball_mass_matches_interval(measure):
-    assert measure.ball_mass(0.3, 0.0) == 0.0
-    assert measure.ball_mass(0.3, 0.2) == pytest.approx(
-        measure.interval_mass(0.1, 0.5), abs=0
-    )
 
 
 def test_strip_ball_bound(measure):
@@ -226,13 +206,13 @@ def test_strip_ball_bound(measure):
         off, length, mass = starts[0], lens[0], masses[0]
         x = off + (geo.child_offsets[1] + geo.child_lengths[1] / 2) * length
         for t in (geo.L * length / 2, geo.L * length):
-            ball = measure.ball_mass(x, t)
+            ball = measure.interval_mass(x - t, x + t)
             assert ball <= 2 * mass / (C * (g + 1)) + 1e-15
 
 
 def test_lebesgue_ball():
     lb = LebesgueInterval(0.0, 1.0)
-    assert lb.ball_mass(0.5, 0.1) == pytest.approx(0.2, rel=1e-12)
+    assert lb.interval_mass(0.5 - 0.1, 0.5 + 0.1) == pytest.approx(0.2, rel=1e-12)
     assert lb.interval_mass(-1.0, 2.0) == 1.0
 
 
@@ -268,7 +248,7 @@ def test_mass_length_law(measure):
 def test_separation_gaps(measure):
     # Outer gaps have width exactly L; the middle gap is positive.
     for gen in range(1, measure.depth + 1):
-        geo = measure.split_geometry(gen)
+        geo = measure.geometry[gen]
         gap01 = geo.child_offsets[1] - geo.child_lengths[0]
         gap23 = geo.child_offsets[3] - (geo.child_offsets[2] + geo.child_lengths[2])
         assert gap01 == pytest.approx(geo.L, rel=1e-12)
@@ -278,10 +258,10 @@ def test_separation_gaps(measure):
 
 def test_template_basic():
     tpl = CantorMeasure(CantorParams(m=M, C=C, depth=3, start_gen=5))
-    assert tpl.split_geometry(1).child_masses[1] == pytest.approx(1 / (C * 6), rel=1e-14)
+    assert tpl.geometry[1].child_masses[1] == pytest.approx(1 / (C * 6), rel=1e-14)
     root = CantorMeasure(CantorParams(m=M, C=C, depth=3, start_gen=0))
     full = CantorMeasure(CantorParams(m=M, C=C, depth=3))
-    assert root.split_geometry(1).child_masses == full.split_geometry(1).child_masses
+    assert root.geometry[1].child_masses == full.geometry[1].child_masses
 
 
 def test_template_matches_full_tree_descent(measure):
@@ -430,11 +410,3 @@ def test_growth_blocks_bound_the_working_set(traced_peak):
     one_shot = traced_peak(lambda: _growth_one_shot(fresh(), M, 100_000, 1))
     blocked = traced_peak(lambda: growth_constant(fresh(), M, 100_000, 1))
     assert blocked <= one_shot / 3
-
-
-def test_geometry_json(measure):
-    dump = json.loads(measure.geometry_json())
-    assert dump["m"] == M
-    gen1 = dump["generations"]["1"]
-    assert gen1["masses"][1] == pytest.approx(1 / 16)
-    assert len(gen1["offsets"]) == 4

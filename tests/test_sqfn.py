@@ -82,8 +82,8 @@ def test_quadrature_config_validation():
             sqfn._check_collapse_aperture(bad)
 
 
-def test_series_shapes_and_monotone(measure, quad, ctx):
-    [s1] = conical_norm_series(measure, [1.0], 10, quad, context=ctx)
+def test_series_shapes_and_monotone(measure, quad):
+    [s1] = conical_norm_series(measure, [1.0], 10, quad)
     assert len(s1.terms) == 11
     assert np.all(s1.terms >= 0)
     assert np.all(np.diff(s1.partial_sums) >= 0)
@@ -92,10 +92,8 @@ def test_series_shapes_and_monotone(measure, quad, ctx):
     assert all(r[1] == 1.0 for r in rows)
 
 
-def test_aperture_dichotomy_shape(measure, quad, ctx):
-    s1, s2 = conical_norm_series(
-        measure, [1.0, 2.0], 10, quad, context=ctx
-    )
+def test_aperture_dichotomy_shape(measure, quad):
+    s1, s2 = conical_norm_series(measure, [1.0, 2.0], 10, quad)
     # alpha = 1 terms decay quadratically; alpha = 2 terms only harmonically.
     k1 = [s1.terms[n] * (n + 1) ** 2 for n in range(11)]
     k2 = [s2.terms[n] * C * (n + 1) for n in range(11)]
@@ -104,8 +102,8 @@ def test_aperture_dichotomy_shape(measure, quad, ctx):
     assert min(k2) > 0
 
 
-def test_aperture_monotone_in_alpha(measure, quad, ctx):
-    series = conical_norm_series(measure, (1.0, 1.5, 2.0), 8, quad, context=ctx)
+def test_aperture_monotone_in_alpha(measure, quad):
+    series = conical_norm_series(measure, (1.0, 1.5, 2.0), 8, quad)
     series = {s.alpha: s.terms for s in series}
     assert np.all(series[1.0] <= series[1.5] + 1e-18)
     assert np.all(series[1.5] <= series[2.0] + 1e-18)
@@ -117,18 +115,18 @@ def test_collapse_against_enumeration(measure, quad):
         assert worst <= 0.01
 
 
-def test_collapse_refuses_wide_aperture(measure, quad, ctx):
+def test_collapse_refuses_wide_aperture(measure, quad):
     # Beyond alpha = 2 the balls leave the node; the collapse would miss
     # that mass, so every collapsed route refuses instead of answering.
     wide = 2.5
     with pytest.raises(InvalidParams):
-        conical_norm_series(measure, [wide], 4, quad, context=ctx)
+        conical_norm_series(measure, [wide], 4, quad)
     with pytest.raises(InvalidParams):
         direct_norm_series(measure, [wide], 2, quad)
     with pytest.raises(InvalidParams):
         validate_collapse(measure, [wide], 2, quad)
     with pytest.raises(InvalidParams):
-        l2_operator_ratio(measure, [LeafFunction.constant(measure, 2)], wide, quad, context=ctx)
+        l2_operator_ratio(measure, [LeafFunction.constant(measure, 2)], wide, quad)
     # The pointwise value sums over the nodes containing x, which misses the
     # strips of neighbouring nodes beyond alpha = 2, so it refuses too.
     with pytest.raises(InvalidParams):
@@ -412,10 +410,8 @@ def test_batched_series_refuse_bad_cone_before_work(measure, quad, monkeypatch):
     for bad in (2.5, math.nan):
         for pos in range(len(good) + 1):
             alphas = good[:pos] + [bad] + good[pos:]
-            fresh = CantorSquareContext(measure, quad)
             with pytest.raises(InvalidParams):
-                conical_norm_series(measure, alphas, 4, quad, context=fresh)
-            assert fresh._weight == {} and fresh._beta == {}
+                conical_norm_series(measure, alphas, 4, quad)
             with pytest.raises(InvalidParams):
                 direct_norm_series(measure, alphas, 2, quad3)
             with pytest.raises(InvalidParams):
@@ -489,12 +485,12 @@ def test_collapse_against_ball_mass_oracle():
 
 
 def test_vertical_series(measure, quad, ctx):
-    sv = vertical_norm_series(measure, 10, quad, context=ctx)
+    sv = vertical_norm_series(measure, 10, quad)
     # Harmonic terms: g_V(n) = beta^2 * 2/(C(n+1)) * ln 2 exactly.
     for n in range(11):
         expected = ctx.beta(n) ** 2 * ctx.strip_fraction(n) * LN2
         assert sv.terms[n] == pytest.approx(expected, rel=1e-14)
-    [s2] = conical_norm_series(measure, [2.0], 10, quad, context=ctx)
+    [s2] = conical_norm_series(measure, [2.0], 10, quad)
     assert np.all(s2.terms <= 0.72 * sv.terms)
 
 
@@ -822,7 +818,7 @@ def test_s_equals_tilde_v(measure):
         assert abs(fa - fb) <= 1e-12 * max(fa, fb)
 
 
-def test_bump_mass_constant_pinned(measure, quad, ctx):
+def test_bump_mass_constant_pinned(measure, quad):
     # theta_t 1 on a strip is integral of phi_I dmu / mu(I): inside [c0, 1]
     # with the pinned lower constant, across every computed generation.
     from nhsq import pinned
@@ -847,35 +843,28 @@ def test_pointwise_aperture_monotone(measure, kernel, quad):
         assert vals[1] <= vals[2] + 1e-15
 
 
-def test_l2_ratio_consistency(measure, quad, ctx):
+def test_l2_ratio_consistency(measure, quad):
     fone = LeafFunction.constant(measure, 5, 1.0)
-    best, witness, ratios = l2_operator_ratio(
-        measure, [fone], 1.0, quad, context=ctx
-    )
-    [s1] = conical_norm_series(measure, [1.0], 10, quad, context=ctx)
+    best, witness, ratios = l2_operator_ratio(measure, [fone], 1.0, quad)
+    [s1] = conical_norm_series(measure, [1.0], 10, quad)
     assert best == pytest.approx(s1.total, rel=2e-3)
     assert witness is fone
     # Zero function contributes nothing.
-    _, _, zr = l2_operator_ratio(
-        measure, [LeafFunction.constant(measure, 3, 0.0)], 1.0, quad, context=ctx
-    )
+    _, _, zr = l2_operator_ratio(measure, [LeafFunction.constant(measure, 3, 0.0)], 1.0, quad)
     assert zr == [0.0]
 
 
-def test_testing_functional_cantor(measure, quad, ctx):
+def test_testing_functional_cantor(measure, quad):
     kernel = CantorKernel(measure)
     with pytest.raises(EmptyCubeList):
-        sq_testing_functional(kernel, measure, None, [], quad)
+        sq_testing_functional(kernel, measure, [], quad)
     cubes = [(0.0, 1.0)]
     for g in (1, 2):
         s, l, _ = measure.leaf_table(g)
         cubes += [(float(a), float(a + b)) for a, b in zip(s, l)]
-    res = sq_testing_functional(kernel, measure, None, cubes, quad, context=ctx)
-    # b == 0 scales to zero.
-    res0 = sq_testing_functional(kernel, measure, 0.0, cubes, quad, context=ctx)
-    assert res0.sup_ratio == 0.0
+    res = sq_testing_functional(kernel, measure, cubes, quad)
     # Root box integral equals the vertical norm total at the truncation.
-    sv = vertical_norm_series(measure, 10, quad, context=ctx)
+    sv = vertical_norm_series(measure, 10, quad)
     assert res.per_cube[0].box_integral == pytest.approx(sv.total, rel=1e-9)
     assert res.sup_ratio > 0
 
@@ -888,50 +877,50 @@ def test_box_integral_shared_tables_match_fresh_context(measure, quad):
     s, l, _ = measure.leaf_table(2)
     cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
     cubes += [(float(a), float(a + b)) for a, b in zip(s[::5], l[::5])]
-    res = sq_testing_functional(kernel, measure, 2.0, cubes, quad)
+    res = sq_testing_functional(kernel, measure, cubes, quad)
     N = min(quad.trunc_generation, measure.depth - 1)
     fresh = CantorSquareContext(measure, quad)
     strip = np.array([_split_geometry(n + 1, M, C).strip_mass for n in range(N + 1)])
     beta_sq = np.array([fresh.beta(n) for n in range(N + 1)]) ** 2
     assert [fresh.strip_fraction(n) for n in range(N + 1)] == strip.tolist()
     for (a, b), value in zip(cubes, res.per_cube):
-        assert _cantor_box_integrals(measure, (strip, beta_sq), 2.0, [(a, b)]) == [value.box_integral]
+        assert _cantor_box_integrals(measure, (strip, beta_sq), [(a, b)]) == [value.box_integral]
     # Beyond the measure's depth the strip fraction is built on demand.
     shallow = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=3)), quad)
     assert shallow.strip_fraction(5) == _split_geometry(6, M, C).strip_mass
 
 
-def test_testing_functional_counts_degenerate_cubes(measure, quad, ctx):
+def test_testing_functional_counts_degenerate_cubes(measure, quad):
     kernel = CantorKernel(measure)
     tiny = float(measure.leaf_table(10)[1].min())
     cubes = [(0.0, 1.0), (0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.2, 0.3)]
     assert 0.75 + tiny / 4 == 0.75 and tiny > 0
-    res = sq_testing_functional(kernel, measure, None, cubes, quad, context=ctx)
+    res = sq_testing_functional(kernel, measure, cubes, quad)
     assert res.degenerate == 2
     assert [c.box_integral for c in res.per_cube[1:3]] == [0.0, 0.0]
-    full = sq_testing_functional(kernel, measure, None, [(0.0, 1.0)], quad, context=ctx)
+    full = sq_testing_functional(kernel, measure, [(0.0, 1.0)], quad)
     assert full.degenerate == 0
 
 
-def test_cantor_box_integral_builds_no_reference_cycles(measure, quad, ctx):
+def test_cantor_box_integral_builds_no_reference_cycles(measure, quad):
     # The batched box walk keeps its frontier in arrays: a testing call
     # leaves nothing for the cycle collector.
     kernel = CantorKernel(measure)
     s, l, _ = measure.leaf_table(3)
     cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
     cubes += [(float(a), float(a + b)) for a, b in zip(s, l)]
-    sq_testing_functional(kernel, measure, None, cubes, quad, context=ctx)
+    sq_testing_functional(kernel, measure, cubes, quad)
     gc.collect()
     gc.disable()
     try:
-        res = sq_testing_functional(kernel, measure, None, cubes, quad, context=ctx)
+        res = sq_testing_functional(kernel, measure, cubes, quad)
         del res
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def _recursive_box_integral(measure, tables, b_scale, a, b):
+def _recursive_box_integral(measure, tables, a, b):
     """The Cantor box integral as first written, a recursive closure."""
     ell = b - a
     if ell <= 0:
@@ -967,7 +956,7 @@ def _recursive_box_integral(measure, tables, b_scale, a, b):
                 mass * geo.child_masses[j])
 
     rec(0, 0.0, 1.0, 1.0)
-    return float(b_scale**2 * np.sum(beta_sq * totals))
+    return float(np.sum(beta_sq * totals))
 
 
 def _box_tables(measure, quad):
@@ -988,13 +977,13 @@ def test_cantor_box_integral_matches_recursive_walk(measure, quad):
     cubes += [tuple(sorted(rng.random(2))) for _ in range(200)]
     tiny = float(measure.leaf_table(10)[1].min())
     cubes += [(0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.6, 0.4), (-0.5, 2.0), (0.0, 1.0)]
-    got = _cantor_box_integrals(measure, tables, 1.5, cubes)
+    got = _cantor_box_integrals(measure, tables, cubes)
     assert len(got) == len(cubes)
     assert got[-5:-2] == [0.0, 0.0, 0.0] and got[0] == got[-1] > 0
     for (a, b), value in zip(cubes, got):
-        assert repr(value) == repr(_recursive_box_integral(measure, tables, 1.5, a, b))
+        assert repr(value) == repr(_recursive_box_integral(measure, tables, a, b))
     # Reversing the cube list moves no bit.
-    assert _cantor_box_integrals(measure, tables, 1.5, cubes[::-1]) == got[::-1]
+    assert _cantor_box_integrals(measure, tables, cubes[::-1]) == got[::-1]
 
 
 def test_cantor_box_integral_full_key_width(monkeypatch):
@@ -1013,10 +1002,10 @@ def test_cantor_box_integral_full_key_width(monkeypatch):
     keys = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda k: keys.append(k[0]) or lexsort(k))
-    got = _cantor_box_integrals(deep, tables, 1.0, cubes)
+    got = _cantor_box_integrals(deep, tables, cubes)
     assert keys[0].dtype == np.int64 and 2**62 < keys[0].max() < 5**27
     for (a, b), value in zip(cubes, got):
-        assert repr(value) == repr(_recursive_box_integral(deep, tables, 1.0, a, b))
+        assert repr(value) == repr(_recursive_box_integral(deep, tables, a, b))
 
 
 def _ci_digits(prof):
@@ -1154,7 +1143,7 @@ def test_logproduct_box_vs_ci_profile(quad):
 def test_testing_functional_logproduct(quad):
     kv = LogProductKernel(build_logproduct("demo", 2))
     lb = LebesgueInterval(0, 1)
-    res = sq_testing_functional(kv, lb, None, [(0.0, 1.0), (0.25, 0.5)], quad)
+    res = sq_testing_functional(kv, lb, [(0.0, 1.0), (0.25, 0.5)], quad)
     assert all(c.box_integral >= 0 for c in res.per_cube)
     assert res.sup_per_length < 10
 
@@ -1177,6 +1166,19 @@ def test_leaf_function_batch_matches_leaf_index(measure):
         assert all(type(f(x)) is float and f(x) == w for x, w in zip(pts[::37], want[::37]))
         if depth:
             assert 0.0 in want and len(set(want)) > 4**depth // 2
+
+
+def test_leaf_function_holds_one_generation_of_the_walk(measure, traced_peak):
+    # f at the 4,096 atoms of one _node_coefficient call at the root, as a
+    # weak11 depth-5 spike is read, keeps only the walk's last generation:
+    # holding every generation's arrays at once traced 0.96 MB, one 0.41 MB.
+    f = LeafFunction.spike(measure, 5, 7)
+    mids = node_atoms(measure, 0.0, 1.0, 1.0, 0, 6)[0]
+    assert mids.size == 4096
+    *_, (_, _, _, _, idx, alive) = measure.descend(mids, f.depth)
+    want = np.where(alive, f.values[idx], 0.0)
+    assert np.array_equal(f(mids), want) and (want > 0).sum() == 4
+    assert traced_peak(lambda: f(mids)) <= 0.6e6
 
 
 def test_weak11(measure, kernel, quad):
