@@ -5,9 +5,9 @@
     nhsq list
     nhsq validate-config PATH
 
-Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 usage, config,
-output or out-of-memory error (the output directory is created before the
-experiment runs).
+Exit codes: 0 every criterion ran and passed, 1 any verdict fails or any
+criterion was skipped, 2 usage, config, output or out-of-memory error (the
+output directory is created before the experiment runs).
 NHSQ_OUT overrides the output directory; explicit --out wins over
 both the environment and the config file.
 """

@@ -1,8 +1,12 @@
 """Named experiments reproducing the boundedness and divergence phenomena.
 
-Each experiment builds its objects from one config, derives all randomness
-from the root seed by name, and returns an ExperimentReport whose verdicts
-reference acceptance criteria by number (e.g. "1a", "11.stopping").
+Each experiment builds its objects from one config and derives all
+randomness from the root seed by name.  It is a generator: it fills the
+report's metrics, series and counters, and yields one (criterion, passed,
+detail) per acceptance criterion, numbered as in "1a" or "11.stopping".
+A criterion that cannot run at this config yields passed=None with the
+reason as detail.  run() alone turns the outcomes into report.verdicts and
+report.skipped.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +162,7 @@ def _skip_reason(series: dict, alpha: float, N: int, n_min: int) -> str:
     return f"needs N >= {n_min}, got N = {N}"
 
 
-def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport):
     measure = cfg.measure()
     quad = cfg.quad()
     series = {}
@@ -165,6 +170,9 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         series[s.alpha] = s
         report.add_series(s)
         report.metrics[f"total_alpha_{s.alpha}"] = s.total
+        # How much of the rel_tol budget the error estimate used (stdout only).
+        report.counters[f"rel_tol_share_alpha_{s.alpha}"] = float(
+            s.err_est.sum() / (cfg.rel_tol * s.total))
 
     if 1.0 in series and cfg.N >= 40:
         s1 = series[1.0]
@@ -174,12 +182,10 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         k_tail = max(s1.terms[n] * (n + 1) ** 2 for n in range(cfg.N + 1))
         report.metrics["tail_p40_minus_p20"] = tail
         report.metrics["tail_envelope_constant"] = float(k_tail)
-        ok = tail <= 1.10 * pinned.APERTURE1_TAIL_K * envelope
-        report.verdicts.append(
-            Verdict("1a", ok, f"P40-P20={tail:.3e} vs 1.1*K*sum={1.10*pinned.APERTURE1_TAIL_K*envelope:.3e}")
-        )
+        limit = 1.10 * pinned.APERTURE1_TAIL_K * envelope
+        yield "1a", tail <= limit, f"P40-P20={tail:.3e} vs 1.1*K*sum={limit:.3e}"
     else:
-        report.skipped.append(("1a", _skip_reason(series, 1.0, cfg.N, 40)))
+        yield "1a", None, _skip_reason(series, 1.0, cfg.N, 40)
     if 2.0 in series and cfg.N >= 32:
         ps2 = series[2.0].partial_sums
         cs = {}
@@ -189,19 +195,17 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         ok = all(c > 0 for c in cs.values()) and stable
         report.metrics["alpha2_fitted_c_n8"] = cs[8]
         report.metrics["alpha2_fitted_c_n16"] = cs[16]
-        report.verdicts.append(
-            Verdict("1b", ok, f"fitted c: {cs[8]:.4f} (N=8), {cs[16]:.4f} (N=16)")
-        )
+        yield "1b", ok, f"fitted c: {cs[8]:.4f} (N=8), {cs[16]:.4f} (N=16)"
     else:
-        report.skipped.append(("1b", _skip_reason(series, 2.0, cfg.N, 32)))
+        yield "1b", None, _skip_reason(series, 2.0, cfg.N, 32)
 
     oracle_measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=9))
     worst = validate_collapse(oracle_measure, cfg.alphas, 3, cfg.quad(trunc=3))
     report.metrics["collapse_worst_rel_err"] = worst
-    report.verdicts.append(Verdict("2", worst <= 0.01, f"collapse vs enumeration: {worst:.2e}"))
+    yield "2", worst <= 0.01, f"collapse vs enumeration: {worst:.2e}"
 
 
-def _exp_vertical(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_vertical(cfg: ExperimentConfig, report: ExperimentReport):
     if cfg.N < (n0 := 2):
         raise ConfigError(f"vertical needs N >= 2 for its fit over n = 2..N, got {cfg.N}")
     measure = cfg.measure()
@@ -216,12 +220,10 @@ def _exp_vertical(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     dom = max(float(s2.terms[n] / sv.terms[n]) for n in range(cfg.N + 1))
     report.metrics["alpha2_over_vertical"] = dom
     ok = c_fit > 0 and dom <= pinned.ALPHA2_OVER_VERTICAL
-    report.verdicts.append(
-        Verdict("3", ok, f"harmonic c={c_fit:.4f} > 0; S2/V termwise max {dom:.4f}")
-    )
+    yield "3", ok, f"harmonic c={c_fit:.4f} > 0; S2/V termwise max {dom:.4f}"
 
 
-def _exp_l2_bound(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_l2_bound(cfg: ExperimentConfig, report: ExperimentReport):
     depth = 5
     measure = cfg.measure(min_depth=depth + 4)
     quad = cfg.quad(trunc=min(cfg.N, 12))
@@ -232,12 +234,10 @@ def _exp_l2_bound(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     best, _, ratios = l2_operator_ratio(measure, fs, 1.0, quad)
     report.metrics["l2_ratio_max"] = best
     report.metrics["l2_ratio_f1"] = ratios[0]
-    report.verdicts.append(
-        Verdict("4", best <= pinned.L2_RATIO_MAX, f"max ratio {best:.4e} <= {pinned.L2_RATIO_MAX}")
-    )
+    yield "4", best <= pinned.L2_RATIO_MAX, f"max ratio {best:.4e} <= {pinned.L2_RATIO_MAX}"
 
 
-def _exp_growth(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_growth(cfg: ExperimentConfig, report: ExperimentReport):
     measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=7))
     est = growth_constant(measure, cfg.m, 100_000, derive_seed(cfg.seed, "growth"))
     report.metrics["growth_max_ratio"] = est.max_ratio
@@ -245,46 +245,34 @@ def _exp_growth(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     leb = growth_constant(LebesgueInterval(0, 1), 1.0, 10_000, derive_seed(cfg.seed, "growth-leb"))
     report.metrics["growth_lebesgue"] = leb.max_ratio
     ok = est.max_ratio <= 4.0 and est.max_ratio <= pinned.GROWTH_MAX
-    report.verdicts.append(
-        Verdict("5", ok, f"sup ratio {est.max_ratio:.4f} <= min(4, pinned {pinned.GROWTH_MAX})")
-    )
+    yield "5", ok, f"sup ratio {est.max_ratio:.4f} <= min(4, pinned {pinned.GROWTH_MAX})"
 
 
-def _exp_kernel_conditions(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_kernel_conditions(cfg: ExperimentConfig, report: ExperimentReport):
     measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=10))
     kc = CantorKernel(measure)
     kv = LogProductKernel(build_logproduct("demo", 3))
     n = 10_000
     seed = derive_seed(cfg.seed, "kernel-conditions")
-    results = {}
+    ok = True
     for name, kernel, s_max, h_max in (
         ("cantor", kc, pinned.SIZE_RATIO_CANTOR, pinned.HOLDER_RATIO_CANTOR),
         ("logproduct", kv, pinned.SIZE_RATIO_LOGPRODUCT, pinned.HOLDER_RATIO_LOGPRODUCT),
     ):
         size = check_size_condition(kernel, n, seed)
         hold = check_holder_condition(kernel, n, seed)
-        results[name] = (size, hold)
         report.metrics[f"size_ratio_{name}"] = size.worst_ratio
         report.metrics[f"holder_ratio_{name}"] = hold.worst_ratio
         report.metrics[f"holder_growth_{name}"] = hold.scale_growth
+        ok = (ok and size.worst_ratio <= s_max and hold.worst_ratio <= h_max
+              and not hold.looks_unbounded)
     step = check_holder_condition(StepKernel(m=cfg.m), n, seed)
     report.metrics["holder_growth_step"] = step.scale_growth
-    ok = (
-        results["cantor"][0].worst_ratio <= pinned.SIZE_RATIO_CANTOR
-        and results["cantor"][1].worst_ratio <= pinned.HOLDER_RATIO_CANTOR
-        and results["logproduct"][0].worst_ratio <= pinned.SIZE_RATIO_LOGPRODUCT
-        and results["logproduct"][1].worst_ratio <= pinned.HOLDER_RATIO_LOGPRODUCT
-        and not results["cantor"][1].looks_unbounded
-        and not results["logproduct"][1].looks_unbounded
-        and step.scale_growth >= 10.0 * (1.0 - 1e-9)
-        and step.looks_unbounded
-    )
-    report.verdicts.append(
-        Verdict("6", ok, f"worst ratios finite and pinned; step growth {step.scale_growth:.3f}x/decade")
-    )
+    ok = ok and step.scale_growth >= 10.0 * (1.0 - 1e-9) and step.looks_unbounded
+    yield "6", ok, f"worst ratios finite and pinned; step growth {step.scale_growth:.3f}x/decade"
 
 
-def _exp_logproduct(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_logproduct(cfg: ExperimentConfig, report: ExperimentReport):
     fp = build_logproduct("paper", 4)
     rng = derive_rng(cfg.seed, "logproduct-intervals")
 
@@ -309,10 +297,8 @@ def _exp_logproduct(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         if bound.numerator * E > 2 * bound.denominator:  # U(I) > 2 len(I)
             carleson_ok = False
     ok7 = mass_ok and witness_ok and overlap_ok and carleson_ok
-    report.verdicts.append(
-        Verdict("7", ok7, f"mass rule {mass_ok}, witnesses {witness_ok}, "
-                          f"overlap {overlap_ok}, carleson {carleson_ok} (exact)")
-    )
+    yield "7", ok7, (f"mass rule {mass_ok}, witnesses {witness_ok}, "
+                     f"overlap {overlap_ok}, carleson {carleson_ok} (exact)")
 
     ratios = {}
     for N in (2, 3, 4):
@@ -321,13 +307,11 @@ def _exp_logproduct(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         ratios[N] = mom[4] / mom[1]
         report.metrics[f"moment_ratio_N{N}"] = float(ratios[N])
     ok9 = ratios[2] < ratios[3] < ratios[4]
-    report.verdicts.append(
-        Verdict("9", ok9, "p=4 to p=1 moment ratio increases with N: "
-                + ", ".join(f"{float(ratios[N]):.4f}" for N in (2, 3, 4)))
-    )
+    yield "9", ok9, ("p=4 to p=1 moment ratio increases with N: "
+                     + ", ".join(f"{float(ratios[N]):.4f}" for N in (2, 3, 4)))
 
 
-def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport):
     quad = cfg.quad(trunc=12)
     sups = {}
     report.counters.update(tb_ci_elements=0, tb_ci_blocks=0)
@@ -341,10 +325,8 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     growth = max(sups[3] / sups[2], sups[4] / sups[3]) - 1.0
     report.metrics["ci_sup_growth"] = growth
     ok8 = max(sups.values()) <= pinned.CI_SUP_MAX and growth <= 0.05
-    report.verdicts.append(
-        Verdict("8", ok8, f"sup C_I/len {max(sups.values()):.4f} <= {pinned.CI_SUP_MAX}, "
-                          f"growth across N {growth:.2%} <= 5%")
-    )
+    yield "8", ok8, (f"sup C_I/len {max(sups.values()):.4f} <= {pinned.CI_SUP_MAX}, "
+                     f"growth across N {growth:.2%} <= 5%")
 
     measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=14))
     kc = CantorKernel(measure)
@@ -355,13 +337,11 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport) -> None:
     res = testing_functional(kc, measure, cubes, quad)
     report.metrics["tb_cantor_sup"] = res.sup_ratio
     report.counters["tb_degenerate_cubes"] = res.degenerate
-    report.verdicts.append(
-        Verdict("8.cantor-pin", res.sup_ratio <= pinned.TB_CANTOR_SUP,
-                f"Cantor-kernel testing sup {res.sup_ratio:.4e} (recorded; grows ~log N)")
-    )
+    yield ("8.cantor-pin", res.sup_ratio <= pinned.TB_CANTOR_SUP,
+           f"Cantor-kernel testing sup {res.sup_ratio:.4e} (recorded; grows ~log N)")
 
 
-def _exp_weak11(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_weak11(cfg: ExperimentConfig, report: ExperimentReport):
     depth = 5
     measure = cfg.measure(min_depth=12)
     quad = cfg.quad(trunc=10)
@@ -375,12 +355,10 @@ def _exp_weak11(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         res = weak11_functional(kernel, measure, f, lam_grid, quad)
         sup = max(sup, res.sup_value)
     report.metrics["weak11_sup"] = sup
-    report.verdicts.append(
-        Verdict("10", sup <= pinned.WEAK11_MAX, f"sup lambda*mu(level)/||f||_1 = {sup:.4f}")
-    )
+    yield "10", sup <= pinned.WEAK11_MAX, f"sup lambda*mu(level)/||f||_1 = {sup:.4f}"
 
 
-def _exp_goodness(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_goodness(cfg: ExperimentConfig, report: ExperimentReport):
     params = GoodnessParams.from_exponents(cfg.m, 1.0, ensure_positive=True)
     cutoff = params.r + 4
     est = estimate_pi_good(cfg.m, 1.0, 500, derive_seed(cfg.seed, "pi-good"), cutoff)
@@ -407,11 +385,8 @@ def _exp_goodness(cfg: ExperimentConfig, report: ExperimentReport) -> None:
             violations += 1
     report.metrics["goodness_shift_violations"] = violations
     ok = indep_ok and det_ok and violations == 0
-    report.verdicts.append(
-        Verdict("11.goodness", ok,
-                f"estimates {est.estimates} spread {est.spread_in_se:.2f} SE; "
-                f"{violations} fine-shift violations")
-    )
+    yield "11.goodness", ok, (f"estimates {est.estimates} spread {est.spread_in_se:.2f} SE; "
+                              f"{violations} fine-shift violations")
 
 
 def _flip_b_family(grid: ShiftedGrid, n_leaves: int):
@@ -433,7 +408,7 @@ def _flip_b_family(grid: ShiftedGrid, n_leaves: int):
     return b_of
 
 
-def _exp_stopping(cfg: ExperimentConfig, report: ExperimentReport) -> None:
+def _exp_stopping(cfg: ExperimentConfig, report: ExperimentReport):
     lb = LebesgueInterval(0, 1)
     i_max = 8
     grid = ShiftedGrid(0, i_max, (0,) * i_max)
@@ -475,11 +450,9 @@ def _exp_stopping(cfg: ExperimentConfig, report: ExperimentReport) -> None:
         and mean_err <= 1e-12
         and energy_ratio <= pinned.ENERGY_RATIO_MAX
     )
-    report.verdicts.append(
-        Verdict("11.stopping", ok,
-                f"tau={tau:.3f}, packing {packing:.3f} <= {bound:.3f}, "
-                f"recon {recon_err:.1e}, zero-mean {mean_err:.1e}, energy {energy_ratio:.4f}")
-    )
+    yield "11.stopping", ok, (f"tau={tau:.3f}, packing {packing:.3f} <= {bound:.3f}, "
+                              f"recon {recon_err:.1e}, zero-mean {mean_err:.1e}, "
+                              f"energy {energy_ratio:.4f}")
 
 
 EXPERIMENTS = {
@@ -509,6 +482,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         )
     report = ExperimentReport(name=cfg.experiment, config=cfg.echo())
     t0 = time.perf_counter()
-    EXPERIMENTS[cfg.experiment](cfg, report)
+    outcomes = list(EXPERIMENTS[cfg.experiment](cfg, report))
+    report.verdicts = list(starmap(Verdict, [o for o in outcomes if o[1] is not None]))
+    report.skipped = [(criterion, why) for criterion, passed, why in outcomes if passed is None]
     report.runtime_seconds = time.perf_counter() - t0
     return report

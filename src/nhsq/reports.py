@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import InvalidParams
@@ -28,9 +28,6 @@ class Verdict:
     passed: bool
     detail: str
 
-    def as_dict(self) -> dict:
-        return {"criterion": self.criterion, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass
 class ExperimentReport:
@@ -45,7 +42,8 @@ class ExperimentReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        """Every criterion ran and passed: a skipped one is not a pass."""
+        return not self.skipped and all(v.passed for v in self.verdicts)
 
     def add_series(self, series) -> None:
         self.series_rows.extend(series.rows())
@@ -56,7 +54,7 @@ class ExperimentReport:
             "config": self.config,
             "metrics": self.metrics,
             "series": [list(r) for r in self.series_rows],
-            "verdicts": [v.as_dict() for v in self.verdicts],
+            "verdicts": [asdict(v) for v in self.verdicts],
         }
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
 

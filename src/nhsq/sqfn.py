@@ -41,6 +41,7 @@ while alpha t <= 2 L_I, so it refuses alpha > 2 as well.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -285,6 +286,10 @@ class LeafFunction:
 
 # -- template machinery -------------------------------------------------------------
 
+# beta(n) per measure, keyed by (n, y_resolution_depth): every context on one
+# measure shares them, so vertical's two series compute each beta once.
+_BETAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 class CantorSquareContext:
     """Caches per-generation template quantities for one (measure, quad) pair.
@@ -293,13 +298,14 @@ class CantorSquareContext:
     theta_t 1 on an active strip.  band_weights(n, alphas): the normalized
     strip x band integral of mu(B(y, alpha t)) / t^m against dmu dt/t, one
     per aperture.  Only the last template is kept: callers walk n outermost.
+    The betas are shared with every other context on the same measure.
     """
 
     def __init__(self, measure: CantorMeasure, quad: QuadratureConfig):
         quad.validate()
         self.measure = measure
         self.quad = quad
-        self._beta: dict[int, float] = {}
+        self._beta: dict[tuple[int, int], float] = _BETAS.setdefault(measure, {})
         self._weight: dict[tuple[int, float, int], float] = {}
         self._tpl: Optional[tuple[int, CantorMeasure]] = None
 
@@ -312,13 +318,14 @@ class CantorSquareContext:
     def beta(self, n: int) -> float:
         """integral of phi_I dmu / mu(I) for generation-n nodes; phi_I pulled
         back to the template is sin^2(pi u)."""
-        if n not in self._beta:
+        key = (n, self.quad.y_resolution_depth)
+        if key not in self._beta:
             tpl = self._template(n)
             d = min(self.quad.y_resolution_depth + 1, tpl.depth)
             starts, lens, masses = tpl.leaf_table(d)
             mids = starts + lens / 2.0
-            self._beta[n] = float(np.sum(masses * np.sin(np.pi * mids) ** 2))
-        return self._beta[n]
+            self._beta[key] = float(np.sum(masses * np.sin(np.pi * mids) ** 2))
+        return self._beta[key]
 
     def band_weights(self, n: int, alphas, y_depth: Optional[int] = None) -> list[float]:
         """Normalized integral over strip x [L/2, L] of nu(B(u, alpha s))/s^m ds/s,

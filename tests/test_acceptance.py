@@ -5,7 +5,10 @@ the first calibration run; all other tolerances are stated inline.  Run with
 `pytest -v -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +168,16 @@ def test_criterion_12_determinism(reports):
     _record("12", not mismatches,
             f"byte-identical report payloads for all {len(list_experiments())} "
             f"experiments" + (f"; mismatches: {mismatches}" if mismatches else ""))
+
+
+def test_default_reports_match_benchmark_reference(reports, tmp_path):
+    # Every default-seed report has the report.json and series.csv bytes the
+    # benchmark records, and passes exactly when the recorded run exited 0.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(reference.read_text())[str(ExperimentConfig().seed)]
+    assert sorted(ref) == list_experiments()
+    for name, report in reports.items():
+        for path in report.write(tmp_path / name):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == ref[name]["sha256"][path.name], (name, path.name)
+        assert report.all_passed == (ref[name]["exit"] == 0), name

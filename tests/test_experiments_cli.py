@@ -199,8 +199,9 @@ def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
 
 def test_cli_prints_skipped_criteria(tmp_path, capsys):
     # Below N = 40 (1a) and N = 32 (1b) the aperture criteria cannot run:
-    # each is named on stdout, and neither the report nor the exit code changes.
-    assert cli_main(["run", "aperture", "--depth", "12", "--out", str(tmp_path)]) == 0
+    # each is named on stdout, the report does not change, and the run exits
+    # 1, since a run that checks less than its criteria is not a pass.
+    assert cli_main(["run", "aperture", "--depth", "12", "--out", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [ln for ln in lines if ln.startswith("[SKIP]")] == [
         "[SKIP] criterion 1a: needs N >= 40, got N = 12",
@@ -208,6 +209,13 @@ def test_cli_prints_skipped_criteria(tmp_path, capsys):
     ]
     assert b"SKIP" not in (tmp_path / "aperture" / "report.json").read_bytes()
     assert b"needs" not in (tmp_path / "aperture" / "report.json").read_bytes()
+    assert cli_main(["run", "aperture", "--alpha", "1.5", "--depth", "12",
+                     "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("[SKIP]")] == [
+        "[SKIP] criterion 1a: needs alpha = 1 in the aperture grid",
+        "[SKIP] criterion 1b: needs alpha = 2 in the aperture grid",
+    ]
     assert cli_main(["run", "aperture", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "[SKIP]" not in out and "[PASS] criterion 1a" in out and "[PASS] criterion 1b" in out

@@ -494,6 +494,30 @@ def test_vertical_series(measure, quad, ctx):
     assert np.all(s2.terms <= 0.72 * sv.terms)
 
 
+def test_contexts_on_one_measure_share_beta(quad, monkeypatch):
+    # vertical_norm_series and conical_norm_series build their own contexts;
+    # on one measure they compute each beta(n) once (one template leaf table
+    # at depth y_resolution_depth + 1 per generation), with the bits of a
+    # context on an equal measure of its own.
+    N, beta_depth = 10, quad.y_resolution_depth + 1
+    calls = []
+    leaf_table = CantorMeasure.leaf_table
+
+    def counted(self, max_depth=None):
+        calls.append(max_depth)
+        return leaf_table(self, max_depth)
+
+    shared = CantorMeasure(CantorParams(m=M, C=C, depth=12))
+    monkeypatch.setattr(CantorMeasure, "leaf_table", counted)
+    vertical_norm_series(shared, N, quad)
+    conical_norm_series(shared, [2.0], N, quad)
+    assert calls.count(beta_depth) == N + 1
+    monkeypatch.undo()
+    own = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=12)), quad)
+    ctx = CantorSquareContext(shared, quad)
+    assert [ctx.beta(n) for n in range(N + 1)] == [own.beta(n) for n in range(N + 1)]
+
+
 def test_quadrature_refinement_invariant(measure):
     # Doubling the t steps or the y resolution moves no reported norm by
     # more than rel_tol.
