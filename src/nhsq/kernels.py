@@ -91,14 +91,15 @@ def phi_v(z):
     return out if out.ndim else float(out)
 
 
-def _phi_v_half_integral(z):
+def _phi_v_half_integral(z, out=None):
     """integral of phi_v over [0, z] for z >= 0 (phi_v is even): min(z, 1)
-    plus the ramp u - u^3 + u^4/2 at u = z - 1 on 1 < z < 2, and 1/2 past it."""
+    plus the ramp u - u^3 + u^4/2 at u = z - 1 on 1 < z < 2, and 1/2 past it.
+    out, if given, may be z itself: the masks and the ramp are read first."""
     z = np.asarray(z, dtype=float)
-    out = np.minimum(z, 1.0, out=np.empty_like(z))  # an array also for 0-d z
-    out[z >= 2.0] = 1.5
-    on = (z > 1.0) & (z < 2.0)
+    top, on = z >= 2.0, (z > 1.0) & (z < 2.0)
     u = z[on] - 1.0
+    out = np.minimum(z, 1.0, out=np.empty_like(z) if out is None else out)  # an array also for 0-d z
+    out[top] = 1.5
     out[on] += u - u**3 + u**4 / 2.0
     return out
 
@@ -110,10 +111,18 @@ def phi_v_antiderivative(z):
     return out if out.ndim else float(out)
 
 
-def theta_unit(t, x):
+def theta_unit(t, x, out=None):
     """theta_t 1_[0,1](x) = Phi(x/t) - Phi((x-1)/t), bit for bit, for 0 <= x <= 1
-    and t > 0 only: there x/t >= 0, fl(x-1) = -fl(1-x) and sign(z) * h = +-h."""
-    return (1.5 + _phi_v_half_integral(x / t)) - (1.5 - _phi_v_half_integral((1.0 - x) / t))
+    and t > 0 only: there x/t >= 0, fl(x-1) = -fl(1-x) and sign(z) * h = +-h.
+
+    With out, a float array of the broadcast shape (t then being one too),
+    the same ufuncs write theta into out and use t as scratch, so no array of
+    that shape is allocated."""
+    if out is None:
+        return (1.5 + _phi_v_half_integral(x / t)) - (1.5 - _phi_v_half_integral((1.0 - x) / t))
+    h = np.add(1.5, _phi_v_half_integral(np.divide(x, t, out=out), out=out), out=out)
+    g = np.subtract(1.5, _phi_v_half_integral(np.divide(1.0 - x, t, out=t), out=t), out=t)
+    return np.subtract(h, g, out=out)
 
 
 # -- Cantor kernel ----------------------------------------------------------------

@@ -18,10 +18,11 @@ Two parameter profiles:
   The slow exponent growth keeps every breakpoint enumerable (k_4 = 2**16),
   which the direct Carleson integrals and exact moment sweeps need.  Every
   piece endpoint lies on the lattice (1/D)Z with D = 3 * 2**30 for N = 4, so
-  the breakpoints (deduplicated by one sort) and the moment sweep run on int64
-  numerators over D, while `exponent` and `_segments` stay exact rational
-  references.  The fast-decaying budget makes the truncated Carleson profile
-  stabilize within a few percent by N = 2, so per-interval checks are uniform.
+  the breakpoints (deduplicated in place by sorting) and the chunked moment
+  sweep run on int64 numerators over D, while `exponent` and `_segments` stay
+  exact rational references.  The fast-decaying budget makes the truncated
+  Carleson profile stabilize within a few percent by N = 2, so per-interval
+  checks are uniform.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ Rational = Union[Fraction, int]
 # Certified rational upper bound: log2(e) < LOG2E_HI.
 # log2(e) = 1.4426950408889634074...
 LOG2E_HI = Fraction(14426950408889635, 10**16)
+MOMENT_CHUNK = 8192  # segments per log_moments chunk (64 KB per int64 temporary)
 
 
 def _floor(x: Fraction) -> int:
@@ -185,18 +187,29 @@ class LogProductFn:
 
     def breakpoints(self) -> np.ndarray:
         """Sorted piece endpoints of every family plus 0 and 1, as int64
-        numerators j of j/D over D = self.lattice (demo profile)."""
+        numerators j of j/D over D = self.lattice (demo profile).
+
+        Every family's starts and ends are written into one int64 array,
+        which is sorted in place; repeats are then set past D and sorted to
+        the end, so no second copy of the points is ever held."""
         D = self.lattice
         if self._breakpoints is None:
-            pts = [np.array([0, D], dtype=np.int64)]
+            pts = np.empty(2 + 2 * sum(1 << F.k_exp for F in self.factors), dtype=np.int64)
+            pts[:2] = 0, D
+            i = 2
             for F in self.factors:
                 k = 1 << F.k_exp
-                end = D // F.piece_length.denominator * F.piece_length.numerator
-                pts.append(np.arange(k, dtype=np.int64)[:, None] * (D // k) + np.array([0, end]))
-            # One flat copy, which frees the per-family pieces, sorted in place.
-            pts = np.concatenate(pts, axis=None)
+                starts, ends = pts[i:i + k], pts[i + k:i + 2 * k]
+                starts.fill(D // k)
+                starts[0] = 0
+                np.cumsum(starts, out=starts)  # i * (D // k), exact in int64
+                np.add(starts, D // F.piece_length.denominator * F.piece_length.numerator, out=ends)
+                i += 2 * k
             pts.sort()
-            self._breakpoints = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+            repeat = pts[1:] == pts[:-1]
+            pts[1:][repeat] = D + 1
+            pts.sort()
+            self._breakpoints = pts[:pts.size - np.count_nonzero(repeat)]
         return self._breakpoints
 
     def exponent_batch(self, x) -> np.ndarray:
@@ -350,15 +363,22 @@ def log_moments(f: LogProductFn, ps: tuple[int, ...]) -> dict[int, Fraction]:
 
     Segment [j/D, j'/D] has midpoint M/(2D) with M = j + j', which lies in
     E_n iff (M k_n mod 2D) <= |E_n| 2D.  For demo N <= 4, M k_n <= 2D k_4 =
-    3 * 2**47, so this is int64 arithmetic; the level-set widths of A are
-    summed as integers and only the final sums are Fractions.
+    3 * 2**47, so this is int64 arithmetic.  The sweep takes MOMENT_CHUNK
+    segments at a time and sums the level-set widths of A as integers across
+    the chunks, so the chunking moves no digit; only the final sums are
+    Fractions.
     """
     bp = f.breakpoints()
     D = f.lattice
-    M = bp[:-1] + bp[1:]
-    A = np.zeros(len(M), dtype=np.int64)
-    for F in f.factors:
-        A += F.a_n * ((M * (1 << F.k_exp)) % (2 * D) <= _floor(F.total_measure * 2 * D))
-    widths = np.diff(bp)
-    levels = {int(v): int(widths[A == v].sum()) for v in _sorted_unique(A)}
+    rules = [(F.a_n, 1 << F.k_exp, _floor(F.total_measure * 2 * D)) for F in f.factors]
+    levels: dict[int, int] = {}
+    for i in range(0, bp.size - 1, MOMENT_CHUNK):
+        ends = bp[i:i + MOMENT_CHUNK + 1]
+        M = ends[:-1] + ends[1:]
+        A = np.zeros(M.size, dtype=np.int64)
+        for a_n, k, cut in rules:
+            A += a_n * ((M * k) % (2 * D) <= cut)
+        widths = np.diff(ends)
+        for v in _sorted_unique(A).tolist():
+            levels[v] = levels.get(v, 0) + int(widths[A == v].sum())
     return {p: Fraction(sum(w * v**p for v, w in levels.items()), D) for p in ps}

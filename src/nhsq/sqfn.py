@@ -89,6 +89,7 @@ __all__ = [
 
 LN2 = math.log(2.0)
 CI_BLOCK_ROWS = 1024  # boundary-zone rows per ci_profile block (256 KB per temporary at 32 steps)
+CI_CHUNK = 16384  # breakpoint intervals per ci_profile chunk (about 128 KB per segment array)
 TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _band_tails
 
 
@@ -804,25 +805,25 @@ def testing_functional(kernel, measure, cubes, quad: QuadratureConfig) -> Testin
                           in zip(ca.tolist(), cb.tolist(), boxes, m3)], degenerate)
 
 
-def _ci_segment_table(f, max_depth: int):
-    """Global segment decomposition for the C_I sweep, as floats.
+def _ci_segment_table(f, ends: np.ndarray, extra: np.ndarray):
+    """Segment decomposition for the C_I sweep between the first and last of
+    ends, a run of consecutive f.breakpoints(), as floats.
 
     Breakpoints: every demo piece endpoint j/D on the lattice 1/D,
     D = 3 * 2**30 for N = 4 (not all dyadic: |E_3| = 1/1536; j / D is one
     correctly rounded division of exact doubles, so it equals
-    float(Fraction(j, D))), every depth-max_depth cube boundary
-    (so segments never straddle a cube at any shallower level), and geometric
-    subdivision points near 0 and 1 (the saturation scale min(x, 1-x) varies
-    fast there).  The per-segment exponent A is evaluated exactly on the
-    double segment midpoint by f.exponent_batch.
+    float(Fraction(j, D))), merged with the sorted points of extra from the
+    first end up to, not including, the last: every depth-max_depth cube
+    boundary (so segments never straddle a cube at any shallower level) and
+    geometric subdivision points near 0 and 1 (the saturation scale
+    min(x, 1-x) varies fast there).  Runs that share their end breakpoints
+    tile [0, 1] with the segments of one global sorted table.  The
+    per-segment exponent A is evaluated exactly on the double segment
+    midpoint by f.exponent_batch.
     """
-    oct_pts = 2.0 ** (-(np.arange(1, 481)) / 8.0)
-    bp = _sorted_unique(np.concatenate([
-        f.breakpoints() / f.lattice,
-        np.arange(2**max_depth + 1) / 2**max_depth,
-        oct_pts,
-        1.0 - oct_pts,
-    ]))
+    ends = ends / f.lattice
+    inside = extra[np.searchsorted(extra, ends[0]):np.searchsorted(extra, ends[-1])]
+    bp = _sorted_unique(np.concatenate([ends, inside]))
     mids = (bp[:-1] + bp[1:]) / 2.0
     return bp, mids, f.exponent_batch(mids).astype(float)
 
@@ -833,57 +834,84 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
     theta_t 1(x) is exactly the full phi_v mass 3 once t <= min(x,1-x)/2 and
     exactly constant in x between exponent breakpoints, so the inner integral
     is closed-form except on a geometrically thin boundary zone, which is
-    batched on a log-t grid in blocks of CI_BLOCK_ROWS rows, so that the
-    (rows x steps) temporaries alive at once fit in one core's L2 cache; each
-    row's mean is reduced on its own, so blocking moves no digit.  theta is the
-    sign-free theta_unit, exact because every segment midpoint lies in [0, 1].
-    Returns the sup ratio, the per-depth sups, the witness cube and, for
-    stdout, the zone's element (rows x steps) and block counts.
+    batched on a log-t grid in blocks of CI_BLOCK_ROWS rows, so that a block's
+    (rows x steps) arrays fit in one core's L2 cache; each row's mean is
+    reduced on its own, so blocking moves no digit.  theta is the sign-free
+    theta_unit, exact because every segment midpoint lies in [0, 1].  A
+    block's t and theta live in two buffers made once per call (theta_unit's
+    out= form): fresh 256 KB arrays per block cost the first demo N = 4 sweep
+    of a new process about 56,000 page faults.
+
+    The segments are swept in chunks of CI_CHUNK breakpoint intervals: each
+    chunk builds its segment table once, runs every depth on it and is
+    dropped, so no array spans the whole table.  Each depth adds its terms to
+    its 2**d boxes with np.add.at in segment order, the additions one
+    np.bincount over the whole table makes, so chunking moves no digit
+    either.  x = 1 (the last segment's midpoint rounds to it) counts in the
+    last cube.  Returns the sup ratio, the per-depth sups, the witness cube
+    and, for stdout, the zone's element (rows x steps) and block counts; a
+    block never spans two chunks.
     """
     steps = max(24, quad.t_steps_per_band)
-    bp, mids, A = _ci_segment_table(kernel.f, max_depth)
-    widths = np.diff(bp)
-    del bp
-    # One array per segment for each of ln sat, the inner integral and the
-    # cube index; every depth reuses them through out= (the same ufuncs on the
-    # same operands, so the same bits).  The zone's lower log-t end
-    # lo = max(ln sat, -A) is built per row block: lo < lnL iff both are.
-    ln_sat = np.subtract(1.0, mids)
-    np.minimum(mids, ln_sat, out=ln_sat)
-    np.divide(ln_sat, 2.0, out=ln_sat)
-    np.maximum(ln_sat, 1e-300, out=ln_sat)
-    np.log(ln_sat, out=ln_sat)
-    inner = np.empty(mids.size)
-    cube = np.empty(mids.size, dtype=int)
-    mask = np.empty(mids.size, dtype=bool)
-    per_depth, sup, witness = {}, 0.0, (0, 0)
+    u = (np.arange(steps) + 0.5) / steps
+    f = kernel.f
+    oct_pts = 2.0 ** (-(np.arange(1, 481)) / 8.0)
+    extra = _sorted_unique(np.concatenate([
+        np.arange(2**max_depth + 1) / 2**max_depth,
+        oct_pts,
+        1.0 - oct_pts,
+    ]))
+    boxes = [np.zeros(2**d) for d in range(max_depth + 1)]
+    zone = np.empty((2, CI_BLOCK_ROWS, steps))  # t and theta of one row block
     elements = blocks = 0
-    for d in range(0, max_depth + 1):
-        ell = 0.5**d
-        lnL = math.log(ell)
-        # floor(mids / ell) as int, with inner as the float scratch.
-        np.copyto(cube, np.floor(np.divide(mids, ell, out=inner), out=inner), casting="unsafe")
-        # Saturated part: 9 * (length of [max(-A, min(ln sat, lnL)) .. ] below lnL).
-        np.minimum(ln_sat, lnL, out=inner)
-        np.add(inner, A, out=inner)
-        np.maximum(0.0, inner, out=inner)
-        np.multiply(9.0, inner, out=inner)
-        np.less(ln_sat, lnL, out=mask)
-        mask &= A > -lnL  # -A < lnL, without a negated copy of A
-        if mask.any():
-            rows = np.flatnonzero(mask)
-            u = (np.arange(steps) + 0.5) / steps
-            for i in range(0, rows.size, CI_BLOCK_ROWS):
-                blk = rows[i:i + CI_BLOCK_ROWS]
-                lo = np.maximum(ln_sat[blk], -A[blk])
-                span = lnL - lo
-                t = np.exp(lo[:, None] + span[:, None] * u[None, :])
-                theta = theta_unit(t, mids[blk, None])
-                inner[blk] += span * np.mean(theta**2, axis=1)
-                blocks += 1
-            elements += rows.size * steps
-        boxes = np.bincount(cube, weights=np.multiply(widths, inner, out=inner), minlength=2**d)
-        ratios = boxes / ell
+    ends = f.breakpoints()
+    for start in range(0, ends.size - 1, CI_CHUNK):
+        bp, mids, A = _ci_segment_table(f, ends[start:start + CI_CHUNK + 1], extra)
+        widths = np.diff(bp)
+        del bp
+        # One array per segment of the chunk for each of ln sat, the inner
+        # integral and the cube index; every depth reuses them through out=
+        # (the same ufuncs on the same operands, so the same bits).  The zone's
+        # lower log-t end lo = max(ln sat, -A) is built per row block: lo < lnL
+        # iff both are.
+        ln_sat = np.subtract(1.0, mids)
+        np.minimum(mids, ln_sat, out=ln_sat)
+        np.divide(ln_sat, 2.0, out=ln_sat)
+        np.maximum(ln_sat, 1e-300, out=ln_sat)
+        np.log(ln_sat, out=ln_sat)
+        inner = np.empty(mids.size)
+        cube = np.empty(mids.size, dtype=int)
+        mask = np.empty(mids.size, dtype=bool)
+        for d, box in enumerate(boxes):
+            ell = 0.5**d
+            lnL = math.log(ell)
+            # min(floor(mids / ell), 2**d - 1) as int, with inner as the float scratch.
+            np.copyto(cube, np.floor(np.divide(mids, ell, out=inner), out=inner), casting="unsafe")
+            np.minimum(cube, box.size - 1, out=cube)
+            # Saturated part: 9 * (length of [max(-A, min(ln sat, lnL)) .. ] below lnL).
+            np.minimum(ln_sat, lnL, out=inner)
+            np.add(inner, A, out=inner)
+            np.maximum(0.0, inner, out=inner)
+            np.multiply(9.0, inner, out=inner)
+            np.less(ln_sat, lnL, out=mask)
+            mask &= A > -lnL  # -A < lnL, without a negated copy of A
+            if mask.any():
+                rows = np.flatnonzero(mask)
+                for i in range(0, rows.size, CI_BLOCK_ROWS):
+                    blk = rows[i:i + CI_BLOCK_ROWS]
+                    lo = np.maximum(ln_sat[blk], -A[blk])
+                    span = lnL - lo
+                    t, theta = zone[0, :blk.size], zone[1, :blk.size]
+                    np.multiply(span[:, None], u, out=t)
+                    np.exp(np.add(lo[:, None], t, out=t), out=t)
+                    theta_unit(t, mids[blk, None], out=theta)
+                    inner[blk] += span * np.mean(np.square(theta, out=theta), axis=1)
+                    blocks += 1
+                elements += rows.size * steps
+            np.add.at(box, cube, np.multiply(widths, inner, out=inner))
+    per_depth, sup, witness = {}, 0.0, (0, 0)
+    for d, box in enumerate(boxes):
+        ratios = box / 0.5**d
         k = int(np.argmax(ratios))
         per_depth[d] = float(ratios[k])
         if ratios[k] > sup:

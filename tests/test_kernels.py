@@ -149,6 +149,10 @@ def test_theta_unit_matches_two_antiderivatives_bitwise():
     for tt, xx, w in ((t, x, want), (t.reshape(-1, 4), x.reshape(-1, 4), want.reshape(-1, 4)),
                       (t[:, None], x[:, None], want[:, None])):
         assert np.array_equal(_bits(theta_unit(tt, xx)), _bits(w))
+        # The out= form: theta in out, t used as scratch, the same bits.
+        out, scratch = np.empty(w.shape), np.array(np.broadcast_to(tt, w.shape))
+        assert theta_unit(scratch, xx, out=out) is out
+        assert np.array_equal(_bits(out), _bits(w))
     for tt, xx in zip(t[::97].tolist(), x[::97].tolist()):
         got = theta_unit(tt, xx)
         w = phi_v_antiderivative(xx / tt) - phi_v_antiderivative((xx - 1.0) / tt)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nhsq import logproduct
 from nhsq.errors import (
     DegenerateInterval,
     ExponentOverflow,
@@ -322,8 +323,8 @@ def test_breakpoints_demo_n4_match_endpoint_set(traced_peak):
     D = f.lattice
     old = []
     old_peak = traced_peak(lambda: old.append(_breakpoints_by_pieces(f)))
-    # The first call frees the pieces before it sorts their one copy in place:
-    # 2.26 MB traced against 3.32 MB for the old form (0.68).
+    # The first call writes every endpoint into one array and deduplicates
+    # it in place: 1.21 MB traced against 3.32 MB for the old form (0.36).
     assert traced_peak(f.breakpoints) <= 0.75 * old_peak
     bp = f.breakpoints()
     assert bp.dtype == np.int64 and np.all(np.diff(bp) > 0)
@@ -336,6 +337,51 @@ def test_breakpoints_demo_n4_match_endpoint_set(traced_peak):
         pts.update(i * step for i in range(k))
         pts.update(i * step + pl.numerator for i in range(k))
     assert bp.tolist() == sorted(pts)
+
+
+def test_breakpoints_build_holds_one_copy(traced_peak):
+    # One int64 per piece endpoint and one bool repeat mask, no second copy
+    # of the points: about 9 bytes per endpoint at N = 4, where per-family
+    # pieces and their concatenated copy traced 2.26 MB.
+    f = build_logproduct("demo", 4)
+    endpoints = 2 + 2 * sum(1 << F.k_exp for F in f.factors)
+    peak = traced_peak(f.breakpoints)
+    assert peak <= 9.5 * endpoints < 2.15e6
+
+
+def _log_moments_one_shot(f, ps):
+    """log_moments over the whole breakpoint table at once: the form the
+    chunked sweep replaced, with numpy's own np.unique for the levels."""
+    bp = f.breakpoints()
+    D = f.lattice
+    M = bp[:-1] + bp[1:]
+    A = np.zeros(len(M), dtype=np.int64)
+    for F in f.factors:
+        A += F.a_n * ((M * (1 << F.k_exp)) % (2 * D) <= _floor(F.total_measure * 2 * D))
+    widths = np.diff(bp)
+    levels = {int(v): int(widths[A == v].sum()) for v in np.unique(A)}
+    return {p: Fraction(sum(w * v**p for v, w in levels.items()), D) for p in ps}
+
+
+@pytest.mark.parametrize("N, chunks", [(1, (1, 7, None)), (2, (1, 7, None)),
+                                       (3, (1, 7, None)), (4, (None,))])
+def test_log_moments_chunks_move_no_digit(N, chunks, monkeypatch):
+    # Chunks of one segment, of seven, the default and one chunk holding
+    # every segment (None) give the one-shot sums exactly.
+    f = build_logproduct("demo", N)
+    want = _log_moments_one_shot(f, (1, 2, 4))
+    assert log_moments(f, (1, 2, 4)) == want
+    for chunk in chunks:
+        monkeypatch.setattr(logproduct, "MOMENT_CHUNK", chunk or f.breakpoints().size)
+        assert log_moments(f, (1, 2, 4)) == want
+
+
+def test_log_moments_chunks_bound_the_working_set(traced_peak):
+    # Demo N = 4 sweeps 132,096 segments; with the breakpoints cached, the
+    # chunked sweep holds less than one segment-length int64 array.
+    f = build_logproduct("demo", 4)
+    segment_array = 8 * (f.breakpoints().size - 1)
+    assert traced_peak(lambda: log_moments(f, (1, 2, 4))) <= segment_array
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

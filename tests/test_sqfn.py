@@ -893,6 +893,20 @@ def test_testing_functional_cantor(measure, quad):
     assert res.sup_ratio > 0
 
 
+def test_root_cube_testing_value_equals_vertical_partial_sum():
+    # Two independent routes to one number: the batched box walk over the
+    # root cube [0, 1] of the depth-14 tb-testing measure (mu(3R) = 1) and
+    # the collapsed vertical series summed to the same truncation T.
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=14))
+    kernel = CantorKernel(deep)
+    for T in range(2, 13, 2):
+        quad = QuadratureConfig(trunc_generation=T)
+        root = sq_testing_functional(kernel, deep, [(0.0, 1.0)], quad).per_cube[0]
+        partial = float(vertical_norm_series(deep, T, quad).partial_sums[T])
+        assert root.mass_3r == 1.0
+        assert abs(root.ratio - partial) <= 2 * math.ulp(partial)
+
+
 def test_box_integral_shared_tables_match_fresh_context(measure, quad):
     # testing_functional builds the strip-fraction and beta tables once per
     # call; tables from a fresh context, with strip fractions straight from
@@ -1036,6 +1050,21 @@ def _ci_digits(prof):
     return prof["sup"], prof["per_depth"], prof["witness"]
 
 
+def _ci_whole_table(f, max_depth):
+    # The C_I segment table built in one piece: every breakpoint, cube
+    # boundary and octave point in one sorted array (the form ci_profile
+    # held for the whole sweep before it went chunk by chunk).
+    oct_pts = 2.0 ** (-(np.arange(1, 481)) / 8.0)
+    bp = np.unique(np.concatenate([
+        f.breakpoints() / f.lattice,
+        np.arange(2**max_depth + 1) / 2**max_depth,
+        oct_pts,
+        1.0 - oct_pts,
+    ]))
+    mids = (bp[:-1] + bp[1:]) / 2.0
+    return bp, mids, f.exponent_batch(mids).astype(float)
+
+
 def test_ci_profile_row_blocks_move_no_digit(quad, monkeypatch):
     kv = LogProductKernel(build_logproduct("demo", 3))
     default = ci_profile(kv, 4, quad)
@@ -1055,7 +1084,7 @@ def _ci_profile_two_phi(kernel, max_depth, quad):
     # ci_profile as it was before kernels.theta_unit: the boundary zone in
     # 8,192-row blocks, theta as the difference of two Phi calls.
     steps = max(24, quad.t_steps_per_band)
-    bp, mids, A = sqfn._ci_segment_table(kernel.f, max_depth)
+    bp, mids, A = _ci_whole_table(kernel.f, max_depth)
     widths = np.diff(bp)
     ln_sat = np.log(np.maximum(np.minimum(mids, 1.0 - mids) / 2.0, 1e-300))
     per_depth, sup, witness = {}, 0.0, (0, 0)
@@ -1093,10 +1122,13 @@ def test_ci_profile_matches_two_phi_oracle(quad):
 
 
 def _ci_profile_one_shot(kernel, max_depth, quad):
-    # ci_profile with fresh arrays for every step of every depth: the oracle
-    # of its out= buffers.
+    # ci_profile over the whole table with fresh arrays for every step of
+    # every depth and one np.bincount per depth: the oracle of its chunks and
+    # out= buffers.  Only the block count follows the chunks: rows are cut
+    # into blocks within each chunk of sqfn.CI_CHUNK breakpoint intervals.
     steps = max(24, quad.t_steps_per_band)
-    bp, mids, A = sqfn._ci_segment_table(kernel.f, max_depth)
+    bp, mids, A = _ci_whole_table(kernel.f, max_depth)
+    chunk_starts = np.searchsorted(bp, kernel.f.breakpoints()[::sqfn.CI_CHUNK] / kernel.f.lattice)
     widths = np.diff(bp)
     ln_sat = np.log(np.maximum(np.minimum(mids, 1.0 - mids) / 2.0, 1e-300))
     per_depth, sup, witness = {}, 0.0, (0, 0)
@@ -1117,10 +1149,11 @@ def _ci_profile_one_shot(kernel, max_depth, quad):
                 t = np.exp(lo[blk, None] + span[:, None] * u[None, :])
                 theta = theta_unit(t, mids[blk, None])
                 numeric[i:i + blk.size] = span * np.mean(theta**2, axis=1)
-                blocks += 1
             inner[mask] += numeric
             elements += rows.size * steps
-        cube = np.floor(mids / ell).astype(int)
+            per_chunk = np.diff(np.searchsorted(rows, np.append(chunk_starts, mids.size)))
+            blocks += int(np.sum(-(-per_chunk // sqfn.CI_BLOCK_ROWS)))
+        cube = np.minimum(np.floor(mids / ell).astype(int), 2**d - 1)  # x = 1 in the last cube
         boxes = np.bincount(cube, weights=widths * inner, minlength=2**d)
         ratios = boxes / ell
         k = int(np.argmax(ratios))
@@ -1138,15 +1171,45 @@ def test_ci_profile_buffers_match_one_shot(N, quad):
     assert repr(ci_profile(kv, 12, quad)) == repr(_ci_profile_one_shot(kv, 12, quad))
 
 
+@pytest.mark.parametrize("N, chunks", [(2, (1, 7, None)), (3, (7, None))])
+def test_ci_profile_chunks_move_no_digit(N, chunks, quad, monkeypatch):
+    # Chunks of one breakpoint interval, of seven, and one chunk holding the
+    # whole table (None): the same digits, elements and rows as the one-shot
+    # oracle, with the blocks cut at the chunk ends.
+    kv = LogProductKernel(build_logproduct("demo", N))
+    for chunk in chunks:
+        monkeypatch.setattr(sqfn, "CI_CHUNK", chunk or kv.f.breakpoints().size)
+        assert repr(ci_profile(kv, 8, quad)) == repr(_ci_profile_one_shot(kv, 8, quad))
+
+
+def test_ci_profile_counts_x_one_in_the_last_cube(quad, monkeypatch):
+    # The last segment [1 - 2**-53, 1] has its midpoint at 1.0, one cube
+    # length past the last cube's start; every depth's argmax runs over its
+    # 2**d cubes and no witness names a cube [1, 1 + 2**-d].
+    kv = LogProductKernel(build_logproduct("demo", 4))
+    assert _ci_whole_table(kv.f, 12)[1][-1] == 1.0
+    seen = []
+    argmax = np.argmax
+    monkeypatch.setattr(np, "argmax", lambda a: seen.append((a.size, argmax(a))) or seen[-1][1])
+    prof = ci_profile(kv, 12, quad)
+    assert [size for size, _ in seen] == [2**d for d in range(13)]
+    assert all(k < size for size, k in seen)
+    d, k = prof["witness"]
+    assert k < 2**d
+
+
 def test_ci_profile_buffers_bound_the_working_set(quad, traced_peak):
-    # The tb-testing sweep (demo N = 4, depth 12, 133,265 segments) keeps at
-    # least two fewer segment-length arrays alive at its peak.
+    # The tb-testing sweep (demo N = 4, depth 12, 132,949 segments) keeps at
+    # least two fewer segment-length arrays alive at its peak than the
+    # one-shot oracle.  Only chunk-length arrays live: 3.6 MB traced, where
+    # the whole-table sweep with out= buffers traced 9.79 MB.
     kv = LogProductKernel(build_logproduct("demo", 4))
     kv.f.breakpoints()  # cached on f: traced by neither run
-    segment_array = 8 * sqfn._ci_segment_table(kv.f, 12)[1].size
+    segment_array = 8 * _ci_whole_table(kv.f, 12)[1].size
     one_shot = traced_peak(lambda: _ci_profile_one_shot(kv, 12, quad))
     buffered = traced_peak(lambda: ci_profile(kv, 12, quad))
     assert buffered <= one_shot - 2 * segment_array
+    assert buffered <= 4.6e6
 
 
 def test_logproduct_box_vs_ci_profile(quad):
