@@ -116,13 +116,15 @@ def theta_unit(t, x, out=None):
     and t > 0 only: there x/t >= 0, fl(x-1) = -fl(1-x) and sign(z) * h = +-h.
 
     With out, a float array of the broadcast shape (t then being one too),
-    the same ufuncs write theta into out and use t as scratch, so no array of
-    that shape is allocated."""
+    theta is written into out and t is used as scratch, so no array of that
+    shape is allocated; without it, both are made here."""
     if out is None:
-        return (1.5 + _phi_v_half_integral(x / t)) - (1.5 - _phi_v_half_integral((1.0 - x) / t))
+        shape = np.broadcast(t, x).shape
+        t, out = np.array(np.broadcast_to(t, shape), dtype=float), np.empty(shape)
     h = np.add(1.5, _phi_v_half_integral(np.divide(x, t, out=out), out=out), out=out)
     g = np.subtract(1.5, _phi_v_half_integral(np.divide(1.0 - x, t, out=t), out=t), out=t)
-    return np.subtract(h, g, out=out)
+    np.subtract(h, g, out=out)
+    return out if out.ndim else float(out)
 
 
 # -- Cantor kernel ----------------------------------------------------------------

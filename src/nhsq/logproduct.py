@@ -59,7 +59,7 @@ Rational = Union[Fraction, int]
 # Certified rational upper bound: log2(e) < LOG2E_HI.
 # log2(e) = 1.4426950408889634074...
 LOG2E_HI = Fraction(14426950408889635, 10**16)
-MOMENT_CHUNK = 8192  # segments per log_moments chunk (64 KB per int64 temporary)
+SEGMENT_CHUNK = 16384  # breakpoint intervals per chunk of log_moments and sqfn.ci_profile (128 KB per segment array)
 
 
 def _floor(x: Fraction) -> int:
@@ -363,7 +363,7 @@ def log_moments(f: LogProductFn, ps: tuple[int, ...]) -> dict[int, Fraction]:
 
     Segment [j/D, j'/D] has midpoint M/(2D) with M = j + j', which lies in
     E_n iff (M k_n mod 2D) <= |E_n| 2D.  For demo N <= 4, M k_n <= 2D k_4 =
-    3 * 2**47, so this is int64 arithmetic.  The sweep takes MOMENT_CHUNK
+    3 * 2**47, so this is int64 arithmetic.  The sweep takes SEGMENT_CHUNK
     segments at a time and sums the level-set widths of A as integers across
     the chunks, so the chunking moves no digit; only the final sums are
     Fractions.
@@ -372,8 +372,8 @@ def log_moments(f: LogProductFn, ps: tuple[int, ...]) -> dict[int, Fraction]:
     D = f.lattice
     rules = [(F.a_n, 1 << F.k_exp, _floor(F.total_measure * 2 * D)) for F in f.factors]
     levels: dict[int, int] = {}
-    for i in range(0, bp.size - 1, MOMENT_CHUNK):
-        ends = bp[i:i + MOMENT_CHUNK + 1]
+    for i in range(0, bp.size - 1, SEGMENT_CHUNK):
+        ends = bp[i:i + SEGMENT_CHUNK + 1]
         M = ends[:-1] + ends[1:]
         A = np.zeros(M.size, dtype=np.int64)
         for a_n, k, cut in rules:

@@ -64,7 +64,7 @@ from .kernels import (
     strip_atoms,
     theta_unit,
 )
-from .logproduct import _segments, _sorted_unique
+from .logproduct import SEGMENT_CHUNK, _segments, _sorted_unique
 from .measures import CantorMeasure, _split_geometry
 
 __all__ = [
@@ -89,7 +89,6 @@ __all__ = [
 
 LN2 = math.log(2.0)
 CI_BLOCK_ROWS = 1024  # boundary-zone rows per ci_profile block (256 KB per temporary at 32 steps)
-CI_CHUNK = 16384  # breakpoint intervals per ci_profile chunk (about 128 KB per segment array)
 TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _band_tails
 
 
@@ -842,7 +841,7 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
     out= form): fresh 256 KB arrays per block cost the first demo N = 4 sweep
     of a new process about 56,000 page faults.
 
-    The segments are swept in chunks of CI_CHUNK breakpoint intervals: each
+    The segments are swept in chunks of SEGMENT_CHUNK breakpoint intervals: each
     chunk builds its segment table once, runs every depth on it and is
     dropped, so no array spans the whole table.  Each depth adds its terms to
     its 2**d boxes with np.add.at in segment order, the additions one
@@ -865,8 +864,8 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
     zone = np.empty((2, CI_BLOCK_ROWS, steps))  # t and theta of one row block
     elements = blocks = 0
     ends = f.breakpoints()
-    for start in range(0, ends.size - 1, CI_CHUNK):
-        bp, mids, A = _ci_segment_table(f, ends[start:start + CI_CHUNK + 1], extra)
+    for start in range(0, ends.size - 1, SEGMENT_CHUNK):
+        bp, mids, A = _ci_segment_table(f, ends[start:start + SEGMENT_CHUNK + 1], extra)
         widths = np.diff(bp)
         del bp
         # One array per segment of the chunk for each of ln sat, the inner

@@ -126,7 +126,7 @@ def test_criterion_8_degenerate_cubes_counted(reports):
 def test_tb_testing_ci_zone_counters_stdout_only(reports):
     # The C_I boundary zone over N = 2, 3, 4: rows x steps elements, run in
     # blocks of sqfn.CI_BLOCK_ROWS (1,024) rows within each chunk of
-    # sqfn.CI_CHUNK breakpoint intervals (299 blocks when one block could
+    # sqfn.SEGMENT_CHUNK breakpoint intervals (299 blocks when one block could
     # span the whole table; the chunk ends cut 36 more at N = 4).
     rep = reports["tb-testing"]
     assert rep.counters["tb_ci_elements"] == 9_394_656

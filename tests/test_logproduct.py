@@ -372,7 +372,7 @@ def test_log_moments_chunks_move_no_digit(N, chunks, monkeypatch):
     want = _log_moments_one_shot(f, (1, 2, 4))
     assert log_moments(f, (1, 2, 4)) == want
     for chunk in chunks:
-        monkeypatch.setattr(logproduct, "MOMENT_CHUNK", chunk or f.breakpoints().size)
+        monkeypatch.setattr(logproduct, "SEGMENT_CHUNK", chunk or f.breakpoints().size)
         assert log_moments(f, (1, 2, 4)) == want
 
 

@@ -1125,10 +1125,10 @@ def _ci_profile_one_shot(kernel, max_depth, quad):
     # ci_profile over the whole table with fresh arrays for every step of
     # every depth and one np.bincount per depth: the oracle of its chunks and
     # out= buffers.  Only the block count follows the chunks: rows are cut
-    # into blocks within each chunk of sqfn.CI_CHUNK breakpoint intervals.
+    # into blocks within each chunk of sqfn.SEGMENT_CHUNK breakpoint intervals.
     steps = max(24, quad.t_steps_per_band)
     bp, mids, A = _ci_whole_table(kernel.f, max_depth)
-    chunk_starts = np.searchsorted(bp, kernel.f.breakpoints()[::sqfn.CI_CHUNK] / kernel.f.lattice)
+    chunk_starts = np.searchsorted(bp, kernel.f.breakpoints()[::sqfn.SEGMENT_CHUNK] / kernel.f.lattice)
     widths = np.diff(bp)
     ln_sat = np.log(np.maximum(np.minimum(mids, 1.0 - mids) / 2.0, 1e-300))
     per_depth, sup, witness = {}, 0.0, (0, 0)
@@ -1178,7 +1178,7 @@ def test_ci_profile_chunks_move_no_digit(N, chunks, quad, monkeypatch):
     # oracle, with the blocks cut at the chunk ends.
     kv = LogProductKernel(build_logproduct("demo", N))
     for chunk in chunks:
-        monkeypatch.setattr(sqfn, "CI_CHUNK", chunk or kv.f.breakpoints().size)
+        monkeypatch.setattr(sqfn, "SEGMENT_CHUNK", chunk or kv.f.breakpoints().size)
         assert repr(ci_profile(kv, 8, quad)) == repr(_ci_profile_one_shot(kv, 8, quad))
 
 
@@ -1201,7 +1201,7 @@ def test_ci_profile_counts_x_one_in_the_last_cube(quad, monkeypatch):
 def test_ci_profile_buffers_bound_the_working_set(quad, traced_peak):
     # The tb-testing sweep (demo N = 4, depth 12, 132,949 segments) keeps at
     # least two fewer segment-length arrays alive at its peak than the
-    # one-shot oracle.  Only chunk-length arrays live: 3.6 MB traced, where
+    # one-shot oracle.  Only chunk-length arrays live: 2.91 MB traced, where
     # the whole-table sweep with out= buffers traced 9.79 MB.
     kv = LogProductKernel(build_logproduct("demo", 4))
     kv.f.breakpoints()  # cached on f: traced by neither run
