@@ -81,7 +81,6 @@ __all__ = [
     "l2_operator_ratio",
     "testing_functional",
     "TestingResult",
-    "CubeTestingValue",
     "ci_profile",
     "weak11_functional",
     "Weak11Result",
@@ -671,37 +670,42 @@ def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
 
 
 @dataclass
-class CubeTestingValue:
-    cube: tuple[float, float]
-    box_integral: float
-    mass_3r: float
-    length: float
-
-    @property
-    def ratio(self) -> float:
-        return self.box_integral / self.mass_3r if self.mass_3r > 0 else 0.0
-
-    @property
-    def per_length(self) -> float:
-        return self.box_integral / self.length if self.length > 0 else 0.0
-
-
-@dataclass
 class TestingResult:
-    per_cube: list[CubeTestingValue]
-    degenerate: int = 0  # cubes with a + len == a in floats: box integral 0
+    """Per-cube arrays of the testing functional, row i for cube i.
+
+    cubes is (n, 2) of (a, b) floats; degenerate marks the cubes with
+    a + len == a in floats, whose box integral is 0.  ratio and per_length
+    are 0 where their denominator is not positive.
+    """
+
+    cubes: np.ndarray
+    box_integral: np.ndarray
+    mass_3r: np.ndarray
+    degenerate: np.ndarray
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return _ratio(self.box_integral, self.mass_3r)
+
+    @property
+    def per_length(self) -> np.ndarray:
+        return _ratio(self.box_integral, self.cubes[:, 1] - self.cubes[:, 0])
 
     @property
     def sup_ratio(self) -> float:
-        return max((c.ratio for c in self.per_cube), default=0.0)
+        return float(self.ratio.max())
 
     @property
     def sup_per_length(self) -> float:
-        return max((c.per_length for c in self.per_cube), default=0.0)
+        return float(self.per_length.max())
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
 def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.ndarray],
-                          cubes) -> list[float]:
+                          cubes) -> np.ndarray:
     """Box integral of |theta_t 1|^2 over [a,b] x (0, b-a) per cube (a, b).
 
     theta is constant beta(n) on each strip/band region, so the box integral
@@ -716,7 +720,7 @@ def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.n
     """
     strip_frac, beta_sq = tables
     N = len(strip_frac) - 1
-    ca, cb = np.array(cubes, dtype=float).reshape(-1, 2).T
+    ca, cb = np.asarray(cubes, dtype=float).reshape(-1, 2).T
     cube = np.flatnonzero(cb - ca > 0)
     off, length, mass = np.zeros(cube.size), np.ones(cube.size), np.ones(cube.size)
     key = np.zeros(cube.size, dtype=np.int64 if 5**N < 2**63 else object)
@@ -750,7 +754,7 @@ def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.n
     order = np.lexsort((keys, cols, rows))
     totals = np.zeros((ca.size, N + 1))
     np.add.at(totals.ravel(), (rows * (N + 1) + cols)[order], vals[order])
-    return np.sum(beta_sq * totals, axis=1).tolist()
+    return np.sum(beta_sq * totals, axis=1)
 
 
 def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
@@ -779,13 +783,13 @@ def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
 def testing_functional(kernel, measure, cubes, quad: QuadratureConfig) -> TestingResult:
     """sup over cubes R of mu(3R)^-1 * box integral of |theta_t 1|^2.
 
-    Cubes are (a, b) interval pairs, reported as floats; per-cube values
-    carry both the mu(3R) and len(R) normalizations, mu(3R) from one
-    interval_masses call.
+    Cubes are (a, b) interval pairs, an (n, 2) array or a list of pairs,
+    read as floats; the result carries both the mu(3R) and len(R)
+    normalizations, mu(3R) from one interval_masses call.
     """
-    if not cubes:
+    cubes = np.array(cubes, dtype=float).reshape(-1, 2)
+    if not cubes.size:
         raise EmptyCubeList("testing functional needs at least one cube")
-    degenerate = sum(1 for (ca, cb) in cubes if not cb > ca)
     if isinstance(kernel, CantorKernel):
         ctx = CantorSquareContext(measure, quad)
         gens = range(min(quad.trunc_generation, measure.depth - 1) + 1)
@@ -793,15 +797,14 @@ def testing_functional(kernel, measure, cubes, quad: QuadratureConfig) -> Testin
                   np.array([ctx.beta(n) for n in gens]) ** 2)
         boxes = _cantor_box_integrals(measure, tables, cubes)
     elif isinstance(kernel, LogProductKernel):
-        boxes = [_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
-                 for (ca, cb) in cubes]
+        boxes = np.array([_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
+                          for ca, cb in cubes.tolist()])
     else:
         raise InvalidParams("testing_functional supports the Cantor and log-product kernels")
-    ca, cb = np.array(cubes, dtype=float).reshape(-1, 2).T
+    ca, cb = cubes.T
     mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
-    m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half).tolist()
-    return TestingResult([CubeTestingValue((a, b), box, m, b - a) for a, b, box, m
-                          in zip(ca.tolist(), cb.tolist(), boxes, m3)], degenerate)
+    m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half)
+    return TestingResult(cubes, boxes, m3, ~(cb > ca))
 
 
 def _ci_segment_table(f, ends: np.ndarray, extra: np.ndarray):
@@ -928,7 +931,6 @@ class Weak11Result:
     sup_value: float
     witness_lambda: float
     l1_norm: float
-    per_lambda: list[tuple[float, float]]
 
 
 def weak11_functional(kernel, measure, f: LeafFunction, lambda_grid,
@@ -943,17 +945,14 @@ def weak11_functional(kernel, measure, f: LeafFunction, lambda_grid,
         raise InvalidParams("weak11_functional is defined for the Cantor kernel")
     l1 = f.l1_norm()
     if l1 == 0.0:
-        return Weak11Result(0.0, 0.0, 0.0, [(float(l), 0.0) for l in lambda_grid])
+        return Weak11Result(0.0, 0.0, 0.0)
     starts, lens, masses = measure.leaf_table(f.depth)
     mids = starts + lens / 2.0
     values = conical_value(kernel, measure, f, mids, 1.0, quad)
-    per_lambda = []
     sup_value, witness = 0.0, 0.0
     for lam in lambda_grid:
         lam = float(lam)
-        level = float(np.sum(masses[values > lam]))
-        v = lam * level / l1
-        per_lambda.append((lam, v))
+        v = lam * float(np.sum(masses[values > lam])) / l1
         if v > sup_value:
             sup_value, witness = v, lam
-    return Weak11Result(sup_value, witness, l1, per_lambda)
+    return Weak11Result(sup_value, witness, l1)

@@ -406,7 +406,12 @@ def test_cli_svg_flag(tmp_path):
         ["run", "aperture", "--depth", "6", "--alpha", "1.0,2.0", "--svg",
          "--out", str(tmp_path)]
     )
-    assert proc.returncode in (0, 1)  # small-N run computes no 1a/1b verdicts
+    # At depth 6 criteria 1a and 1b cannot run: a skip is not a pass.
+    assert proc.returncode == 1
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("[SKIP]")] == [
+        "[SKIP] criterion 1a: needs N >= 40, got N = 6",
+        "[SKIP] criterion 1b: needs N >= 32, got N = 6",
+    ]
     assert (tmp_path / "aperture" / "series.svg").exists()
 
 

@@ -1,6 +1,9 @@
 import gc
 import math
 import re
+import tracemalloc
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from nhsq.kernels import (
     strip_atoms,
     theta_unit,
 )
+from nhsq.experiments import ExperimentConfig
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
 from nhsq.rng import derive_rng
@@ -763,8 +767,6 @@ def test_vertical_value_logproduct_lower_bound(quad):
     # V1(x)^2 >= A(x): the t window [e^-A, 1] contributes at least dt/t.
     f = build_logproduct("demo", 3)
     kv = LogProductKernel(f)
-    from fractions import Fraction
-
     x = 0.01  # in E_1 only: A = 1
     A = f.exponent(Fraction(x))
     assert A == 1
@@ -889,7 +891,7 @@ def test_testing_functional_cantor(measure, quad):
     res = sq_testing_functional(kernel, measure, cubes, quad)
     # Root box integral equals the vertical norm total at the truncation.
     sv = vertical_norm_series(measure, 10, quad)
-    assert res.per_cube[0].box_integral == pytest.approx(sv.total, rel=1e-9)
+    assert res.box_integral[0] == pytest.approx(sv.total, rel=1e-9)
     assert res.sup_ratio > 0
 
 
@@ -901,10 +903,10 @@ def test_root_cube_testing_value_equals_vertical_partial_sum():
     kernel = CantorKernel(deep)
     for T in range(2, 13, 2):
         quad = QuadratureConfig(trunc_generation=T)
-        root = sq_testing_functional(kernel, deep, [(0.0, 1.0)], quad).per_cube[0]
+        root = sq_testing_functional(kernel, deep, [(0.0, 1.0)], quad)
         partial = float(vertical_norm_series(deep, T, quad).partial_sums[T])
-        assert root.mass_3r == 1.0
-        assert abs(root.ratio - partial) <= 2 * math.ulp(partial)
+        assert root.mass_3r.tolist() == [1.0]
+        assert abs(root.ratio[0] - partial) <= 2 * math.ulp(partial)
 
 
 def test_box_integral_shared_tables_match_fresh_context(measure, quad):
@@ -921,8 +923,8 @@ def test_box_integral_shared_tables_match_fresh_context(measure, quad):
     strip = np.array([_split_geometry(n + 1, M, C).strip_mass for n in range(N + 1)])
     beta_sq = np.array([fresh.beta(n) for n in range(N + 1)]) ** 2
     assert [fresh.strip_fraction(n) for n in range(N + 1)] == strip.tolist()
-    for (a, b), value in zip(cubes, res.per_cube):
-        assert _cantor_box_integrals(measure, (strip, beta_sq), [(a, b)]) == [value.box_integral]
+    for (a, b), value in zip(cubes, res.box_integral.tolist()):
+        assert _cantor_box_integrals(measure, (strip, beta_sq), [(a, b)]).tolist() == [value]
     # Beyond the measure's depth the strip fraction is built on demand.
     shallow = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=3)), quad)
     assert shallow.strip_fraction(5) == _split_geometry(6, M, C).strip_mass
@@ -934,10 +936,113 @@ def test_testing_functional_counts_degenerate_cubes(measure, quad):
     cubes = [(0.0, 1.0), (0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.2, 0.3)]
     assert 0.75 + tiny / 4 == 0.75 and tiny > 0
     res = sq_testing_functional(kernel, measure, cubes, quad)
-    assert res.degenerate == 2
-    assert [c.box_integral for c in res.per_cube[1:3]] == [0.0, 0.0]
+    assert res.degenerate.tolist() == [False, True, True, False]
+    assert res.box_integral[1:3].tolist() == [0.0, 0.0]
     full = sq_testing_functional(kernel, measure, [(0.0, 1.0)], quad)
-    assert full.degenerate == 0
+    assert full.degenerate.tolist() == [False]
+
+
+@dataclass
+class _CubeValue:
+    # One cube of the testing functional as a Python record: the oracle of
+    # TestingResult's arrays (the per-cube layer the functional once built).
+    cube: tuple[float, float]
+    box_integral: float
+    mass_3r: float
+    length: float
+
+    @property
+    def ratio(self) -> float:
+        return self.box_integral / self.mass_3r if self.mass_3r > 0 else 0.0
+
+    @property
+    def per_length(self) -> float:
+        return self.box_integral / self.length if self.length > 0 else 0.0
+
+
+def _per_cube_testing(kernel, measure, cubes, quad):
+    """(per-cube records, degenerate count, sup ratio, sup per length), one cube at a time."""
+    degenerate = sum(1 for (ca, cb) in cubes if not cb > ca)
+    if isinstance(kernel, CantorKernel):
+        boxes = _cantor_box_integrals(measure, _box_tables(measure, quad), cubes).tolist()
+    else:
+        boxes = [_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
+                 for (ca, cb) in cubes]
+    ca, cb = np.array(cubes, dtype=float).reshape(-1, 2).T
+    mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
+    m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half).tolist()
+    per_cube = [_CubeValue((a, b), box, m, b - a) for a, b, box, m
+                in zip(ca.tolist(), cb.tolist(), boxes, m3)]
+    return (per_cube, degenerate, max(c.ratio for c in per_cube),
+            max(c.per_length for c in per_cube))
+
+
+def _assert_matches_per_cube(res, oracle):
+    per_cube, degenerate, sup_ratio, sup_per_length = oracle
+    assert all(type(v) is np.ndarray for v in vars(res).values())
+    assert res.cubes.shape == (len(per_cube), 2)
+    for name, got in (("cube", res.cubes), ("box_integral", res.box_integral),
+                      ("mass_3r", res.mass_3r), ("ratio", res.ratio),
+                      ("per_length", res.per_length)):
+        want = np.array([getattr(c, name) for c in per_cube], dtype=float)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
+    assert int(res.degenerate.sum()) == degenerate
+    assert type(res.sup_ratio) is float and repr(res.sup_ratio) == repr(sup_ratio)
+    assert type(res.sup_per_length) is float and repr(res.sup_per_length) == repr(sup_per_length)
+
+
+@pytest.fixture(scope="module")
+def tb_cantor():
+    # The Cantor phase of `nhsq run tb-testing`: the depth-14 measure, the
+    # generation 0-6 construction cubes as one (5,461, 2) array, T = 12.
+    cfg = ExperimentConfig(experiment="tb-testing")
+    deep = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=14))
+    cubes = np.concatenate([np.column_stack((s, s + l))
+                            for s, l, _ in map(deep.leaf_table, range(7))])
+    return CantorKernel(deep), deep, cubes, cfg.quad(trunc=12)
+
+
+def test_testing_result_arrays_match_per_cube_loop(tb_cantor):
+    kernel, deep, cubes, quad = tb_cantor
+    tuples = []  # the cubes as float tuples, one leaf at a time
+    for g in range(7):
+        s, l, _ = deep.leaf_table(g)
+        tuples.extend((float(a), float(a + b)) for a, b in zip(s, l))
+    oracle = _per_cube_testing(kernel, deep, tuples, quad)
+    assert len(tuples) == 5461 and oracle[1] == 1632
+    _assert_matches_per_cube(sq_testing_functional(kernel, deep, cubes, quad), oracle)
+    _assert_matches_per_cube(sq_testing_functional(kernel, deep, tuples, quad), oracle)
+
+
+def test_testing_result_arrays_match_per_cube_loop_on_pairs(measure, quad):
+    kernel = CantorKernel(measure)
+    tiny = float(measure.leaf_table(10)[1].min())
+    rng = np.random.default_rng(23)
+    cubes = [(0.0, 1.0), (0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.1, 0.35), (-0.5, 2.0)]
+    cubes += [tuple(sorted(rng.random(2).tolist())) for _ in range(40)]
+    res = sq_testing_functional(kernel, measure, cubes, quad)
+    _assert_matches_per_cube(res, _per_cube_testing(kernel, measure, cubes, quad))
+    assert res.degenerate.tolist()[:3] == [False, True, True]
+    kv = LogProductKernel(build_logproduct("demo", 2))
+    lb = LebesgueInterval(0, 1)
+    pairs = [(0.0, 1.0), (0.25, 0.5), (0.5, 0.5)]
+    _assert_matches_per_cube(sq_testing_functional(kv, lb, pairs, quad),
+                             _per_cube_testing(kv, lb, pairs, quad))
+
+
+def test_testing_result_holds_arrays_only(tb_cantor):
+    # On the 5,461 tb-testing cubes the result keeps four arrays, about
+    # 0.18 MB; one record per cube kept 1.46 MB.
+    kernel, deep, cubes, quad = tb_cantor
+    sq_testing_functional(kernel, deep, cubes, quad)  # the measure's caches
+    tracemalloc.start()
+    try:
+        res = sq_testing_functional(kernel, deep, cubes, quad)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(type(v) is np.ndarray for v in vars(res).values())
+    assert held <= 0.5e6
 
 
 def test_cantor_box_integral_builds_no_reference_cycles(measure, quad):
@@ -1015,13 +1120,13 @@ def test_cantor_box_integral_matches_recursive_walk(measure, quad):
     cubes += [tuple(sorted(rng.random(2))) for _ in range(200)]
     tiny = float(measure.leaf_table(10)[1].min())
     cubes += [(0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.6, 0.4), (-0.5, 2.0), (0.0, 1.0)]
-    got = _cantor_box_integrals(measure, tables, cubes)
+    got = _cantor_box_integrals(measure, tables, cubes).tolist()
     assert len(got) == len(cubes)
     assert got[-5:-2] == [0.0, 0.0, 0.0] and got[0] == got[-1] > 0
     for (a, b), value in zip(cubes, got):
         assert repr(value) == repr(_recursive_box_integral(measure, tables, a, b))
     # Reversing the cube list moves no bit.
-    assert _cantor_box_integrals(measure, tables, cubes[::-1]) == got[::-1]
+    assert _cantor_box_integrals(measure, tables, cubes[::-1]).tolist() == got[::-1]
 
 
 def test_cantor_box_integral_full_key_width(monkeypatch):
@@ -1040,7 +1145,7 @@ def test_cantor_box_integral_full_key_width(monkeypatch):
     keys = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda k: keys.append(k[0]) or lexsort(k))
-    got = _cantor_box_integrals(deep, tables, cubes)
+    got = _cantor_box_integrals(deep, tables, cubes).tolist()
     assert keys[0].dtype == np.int64 and 2**62 < keys[0].max() < 5**27
     for (a, b), value in zip(cubes, got):
         assert repr(value) == repr(_recursive_box_integral(deep, tables, a, b))
@@ -1215,8 +1320,6 @@ def test_ci_profile_buffers_bound_the_working_set(quad, traced_peak):
 def test_logproduct_box_vs_ci_profile(quad):
     # The vectorized sweep and the segment-Gauss box integral are
     # independent routes to C_I.
-    from fractions import Fraction
-
     kv = LogProductKernel(build_logproduct("demo", 3))
     prof = ci_profile(kv, 4, quad)
     slow_root = _logproduct_box_integral(kv, Fraction(0), Fraction(1), quad)
@@ -1231,7 +1334,7 @@ def test_testing_functional_logproduct(quad):
     kv = LogProductKernel(build_logproduct("demo", 2))
     lb = LebesgueInterval(0, 1)
     res = sq_testing_functional(kv, lb, [(0.0, 1.0), (0.25, 0.5)], quad)
-    assert all(c.box_integral >= 0 for c in res.per_cube)
+    assert all(v >= 0 for v in res.box_integral.tolist())
     assert res.sup_per_length < 10
 
 
