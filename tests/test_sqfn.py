@@ -944,8 +944,8 @@ def test_testing_functional_counts_degenerate_cubes(measure, quad):
 
 @dataclass
 class _CubeValue:
-    # One cube of the testing functional as a Python record: the oracle of
-    # TestingResult's arrays (the per-cube layer the functional once built).
+    # One cube of the testing functional as a Python record, each value
+    # computed on its own: the oracle of TestingResult's arrays.
     cube: tuple[float, float]
     box_integral: float
     mass_3r: float
