@@ -83,6 +83,8 @@ class ExperimentConfig:
         # Every route that sets a field (constructor, config file, CLI) passes here.
         if name in ("N", "depth") and val < 0:
             raise ConfigError(f"{name} must be >= 0, got {val}")
+        if name == "alphas" and len(set(val)) < len(val):  # one series and total per aperture
+            raise ConfigError(f"alphas must not repeat an aperture, got {', '.join(map(str, val))}")
         if name in ("t_steps_per_band", "y_resolution_depth", "rel_tol"):
             # QuadratureConfig's rules, one key at a time (its other fields are valid defaults).
             try:

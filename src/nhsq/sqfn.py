@@ -17,10 +17,12 @@ measure's m.  The collapsed series, its enumeration oracle and
 validate_collapse take a sequence of apertures and answer for all of them in
 one pass: the geometry that does not depend on alpha (template strip atoms
 and leaf table per (n, y resolution), or one oracle node's atoms and theta)
-is built once, and the band tail matrix and its matrix product are evaluated
-once per aperture on it, so every aperture's sums run in the same order as
-for a lone one.  No dense |u - y| matrix is built: _band_tails runs the tail
-formula only on the columns where it is neither 0 nor constant.
+is built once, and each aperture's quadratic form u_w @ tails @ y_w runs
+once on it, so every aperture's sums run in the same order as for a lone one.
+No dense |u - y| or tails matrix is built: _band_form builds the tails in
+chunks of 1,024 columns with all rows and edges on 16-column grains (each
+gemv output is then the full product's, so the digits hold), and _band_tails
+runs the tail formula only where it is neither 0 nor constant.
 weak11_functional works at aperture 1.
 
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
@@ -89,6 +91,8 @@ __all__ = [
 LN2 = math.log(2.0)
 CI_BLOCK_ROWS = 1024  # boundary-zone rows per ci_profile block (256 KB per temporary at 32 steps)
 TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _band_tails
+TAIL_BLOCK_COLS = 1024  # columns of y per _band_tails chunk in _band_form (1 MB at 128 rows)
+TAIL_COL_GRAIN = 16  # _band_form chunk edges: multiples of this many columns, or len(y)
 
 
 def _band_tail_weight(d, t_lo: float, t_hi: float, alpha: float, m: float):
@@ -120,6 +124,14 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d)
 
 
+def _tail_inputs(u, y) -> tuple[np.ndarray, np.ndarray]:
+    """u and y as float arrays; InvalidParams unless finite with y non-decreasing."""
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(y).all() and (y[:-1] <= y[1:]).all()):
+        raise InvalidParams("band tails need finite u and a non-decreasing finite y")
+    return u, y
+
+
 def _band_tails(u, y, t_lo: float, t_hi: float, alpha: float, m: float):
     """_band_tail_weight(_distances(u, y), ...) bit for bit, without the dense
     |u - y| matrix; y must be non-decreasing (InvalidParams otherwise).
@@ -133,9 +145,7 @@ def _band_tails(u, y, t_lo: float, t_hi: float, alpha: float, m: float):
     window bounds are a few ulps of numbers below 1 + alpha t_hi, far inside
     that margin, so no column is misplaced (a wider window costs only time).
     """
-    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
-    if not (np.isfinite(u).all() and np.isfinite(y).all() and (y[:-1] <= y[1:]).all()):
-        raise InvalidParams("band tails need finite u and a non-decreasing finite y")
+    u, y = _tail_inputs(u, y)
     out = np.zeros((len(u), len(y)))
     band = (t_lo, t_hi, alpha, m)
     inner = _band_tail_weight(np.zeros(1), *band)[0]
@@ -151,6 +161,32 @@ def _band_tails(u, y, t_lo: float, t_hi: float, alpha: float, m: float):
         for j, k in ((a, c), (e, b)) if c < e else ((a, b),):
             out[rows, j:k] = _band_tail_weight(_distances(u[rows], y[j:k]), *band)
     return out
+
+
+def _band_form(u, u_w, y, y_w, t_lo: float, t_hi: float, alpha: float, m: float) -> float:
+    """float(u_w @ _band_tails(u, y, ...) @ y_w) bit for bit, from chunks of
+    at most TAIL_BLOCK_COLS columns with all rows (no reduction is split).
+
+    Columns beyond alpha t_hi (and _band_tails' margin) of every u are never
+    built: their entries of v = u_w @ tails stay +0.0.  gemv output j is
+    column j dotted with u_w in one order, except in the BLAS's vector tail
+    (the last width mod 4 outputs) and for one column (numpy's dot path);
+    so chunks run between multiples of TAIL_COL_GRAIN or to len(y), and a
+    lone last column takes the grain before it along.
+    """
+    u, y = _tail_inputs(u, y)
+    v = np.zeros(len(y))
+    if len(u):
+        g = TAIL_COL_GRAIN
+        step = max(TAIL_BLOCK_COLS // g, 1) * g
+        far = alpha * t_hi * (1 + 1e-9) + 1e-12
+        a = np.searchsorted(y, u.min() - far, side="left") // g * g
+        b = min(-(-np.searchsorted(y, u.max() + far, side="right") // g) * g, len(y))
+        for j in range(a, b, step):
+            k = min(j + step, b)
+            j = max(k - g - 1, 0) if k - j == 1 else j
+            v[j:k] = u_w @ _band_tails(u, y[j:k], t_lo, t_hi, alpha, m)
+    return float(v @ y_w)
 
 
 def _check_collapse_aperture(alpha: float) -> None:
@@ -333,7 +369,7 @@ class CantorSquareContext:
         Exact in t via the band tail weight; spatial integrals by measure
         atoms at the configured resolution (midpoint per atom).  The strip
         atoms and leaf table are built once for all apertures not cached yet;
-        each windowed tails matrix (_band_tails) is freed before the next.
+        each aperture's form runs on column chunks of the tails (_band_form).
         """
         y_depth = self.quad.y_resolution_depth if y_depth is None else y_depth
         missing = [a for a in dict.fromkeys(alphas) if (n, a, y_depth) not in self._weight]
@@ -345,9 +381,8 @@ class CantorSquareContext:
             starts, lens, y_w = tpl.leaf_table(min(y_depth, tpl.depth))
             y_mids = starts + lens / 2.0
             for alpha in missing:
-                tails = _band_tails(u_mids, y_mids, Lhat / 2.0, Lhat, alpha, self.measure.m)
-                self._weight[n, alpha, y_depth] = float(u_w @ tails @ y_w)
-                del tails
+                self._weight[n, alpha, y_depth] = _band_form(
+                    u_mids, u_w, y_mids, y_w, Lhat / 2.0, Lhat, alpha, self.measure.m)
         return [self._weight[n, a, y_depth] for a in alphas]
 
     def band_weight(self, n: int, alpha: float, y_depth: Optional[int] = None) -> float:
@@ -411,8 +446,8 @@ def direct_norm_series(
     per aperture, in order.
 
     Uses absolute coordinates and global ball masses; no template collapse.
-    Each node's atoms and theta serve every aperture; its tails matrices
-    come from _band_tails, with no dense distance matrix.  Intended
+    Each node's atoms and theta serve every aperture; each aperture's form
+    runs on column chunks of the tails (_band_form).  Intended
     for shallow N (cost 4**N nodes at generation N).
     """
     alphas = _collapse_alphas(alphas)
@@ -435,9 +470,7 @@ def direct_norm_series(
             s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
             # Balls stay inside the node for alpha <= 2, so node atoms suffice.
             for k, alpha in enumerate(alphas):
-                tails = _band_tails(s_mids, a_m, L_abs / 2.0, L_abs, alpha, m)
-                terms[k][n] += theta**2 * float(s_w @ tails @ a_w)
-                del tails
+                terms[k][n] += theta**2 * _band_form(s_mids, s_w, a_m, a_w, L_abs / 2.0, L_abs, alpha, m)
     return [NormSeries(alpha=a, terms=t, err_est=np.zeros(N + 1)) for a, t in zip(alphas, terms)]
 
 

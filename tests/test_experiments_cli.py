@@ -332,6 +332,25 @@ def test_cli_refuses_wide_aperture(tmp_path):
     assert not (tmp_path / "aperture" / "report.json").exists()
 
 
+def test_cli_refuses_repeated_aperture(tmp_path, capsys):
+    # A repeated aperture would write its series rows twice and overwrite its
+    # total; the flag, a config file and validate-config all refuse it.
+    cfg = tmp_path / "twice.json"
+    cfg.write_text(json.dumps({"alphas": [1.0, 1.5, 1]}))
+    out = tmp_path / "out"
+    for args, shown in ((["run", "aperture", "--alpha", "1,1", "--out", str(out)], "1.0, 1.0"),
+                        (["run", "aperture", "--config", str(cfg), "--out", str(out)],
+                         "1.0, 1.5, 1.0"),
+                        (["validate-config", str(cfg)], "1.0, 1.5, 1.0")):
+        assert cli_main(args) == 2
+        assert capsys.readouterr() == ("", f"error: alphas must not repeat an aperture, got {shown}\n")
+    assert not out.exists()
+    proc = _run_cli(["run", "aperture", "--alpha", "2,1.5,2", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: alphas must not repeat an aperture, got 2.0, 1.5, 2.0\n"
+    assert not out.exists()
+
+
 def test_cli_budget_error_names_aperture(tmp_path):
     # A spent quadrature budget is a one-line error naming the aperture.
     cfg = tmp_path / "tight.json"

@@ -24,7 +24,7 @@ from nhsq.kernels import (
     strip_atoms,
     theta_unit,
 )
-from nhsq.experiments import ExperimentConfig
+from nhsq.experiments import ExperimentConfig, run
 from nhsq.logproduct import build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
 from nhsq.rng import derive_rng
@@ -330,6 +330,126 @@ def test_band_tails_refuse_unsorted_or_nonfinite_y():
     for y in ([0.2, 0.1], [0.1, np.nan], [0.1, np.inf]):
         with pytest.raises(InvalidParams, match="non-decreasing"):
             _band_tails(u, np.array(y), 0.1, 0.2, 1.0, M)
+
+
+def _mass_weights(n, rng):
+    """n positive weights that sum to 1, like the atom masses of the collapse."""
+    w = rng.uniform(0.1, 1.0, n)
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("cols, rows", [(1, 32), (7, 32), (1024, 32), (1024, 1), (None, 32), (None, 1)])
+def test_band_form_matches_dense_product(cols, rows, monkeypatch):
+    # The column-chunked quadratic form equals the dense u_w @ tails @ y_w
+    # bit for bit (None: one chunk wider than y).  Chunks are whole grains of
+    # TAIL_COL_GRAIN columns, at most TAIL_BLOCK_COLS of them when that holds
+    # one grain, and one more column when a lone last column joins the grain
+    # before it; a window that reaches no y builds no chunk.
+    monkeypatch.setattr(sqfn, "TAIL_BLOCK_ROWS", rows)
+    grain = sqfn.TAIL_COL_GRAIN
+    spans = []
+
+    def recorded(u, y, *args):
+        spans.append(len(y))
+        return _band_tails(u, y, *args)
+
+    monkeypatch.setattr(sqfn, "_band_tails", recorded)
+    rng = np.random.default_rng(24)
+    cases = _tails_cases()
+    u, y, t_lo, t_hi, alphas = cases[-1]
+    cases += [(u[:0], y, t_lo, t_hi, alphas), (u, y[:0], t_lo, t_hi, alphas)]
+    # y of 1, 17 and 1,025 points: a last column alone after whole grains.
+    for n in (1, 17, 1025):
+        cases.append((u[:7], np.linspace(0.0, 1.0, n), t_lo, t_hi, alphas))
+        cases.append((np.array([1.0]), np.linspace(0.0, 1.0, n), t_lo, t_hi, alphas))
+    for u, y, t_lo, t_hi, alphas in cases:
+        u_w, y_w = _mass_weights(len(u), rng), _mass_weights(len(y), rng)
+        width = cols or len(y) + 1
+        monkeypatch.setattr(sqfn, "TAIL_BLOCK_COLS", width)
+        for alpha in alphas:
+            ref = float(u_w @ _band_tails(u, y, t_lo, t_hi, alpha, M) @ y_w)
+            spans.clear()
+            got = sqfn._band_form(u, u_w, y, y_w, t_lo, t_hi, alpha, M)
+            assert got == ref and repr(got) == repr(ref)
+            assert all(w <= max(width // grain * grain, grain + 1) for w in spans)
+            if len(u) == 0 or len(y) == 0 or y[0] > u.max() + alpha * t_hi:
+                assert spans == [] and repr(got) == "0.0"
+
+
+def test_gemv_column_slice_is_the_slice_of_gemv():
+    # The premise of _band_form: output j of w @ M is column j of M dotted
+    # with w in an order that depends neither on j nor on the width of M
+    # outside the BLAS's vector tail.  A span of whole grains that ends no
+    # later than M's last whole grain, starting at every residue mod 16, and
+    # a span from a grain start to the end of M (a lone last column with the
+    # grain before it) equal that span of the full product bit for bit, as a
+    # strided view and as a contiguous copy.  A span of another shape may
+    # not: on OpenBLAS 0.3.31 (Haswell dgemv_n) the last width mod 4 outputs
+    # take a scalar loop, and numpy runs one column through dot.
+    grain = sqfn.TAIL_COL_GRAIN
+    rng = np.random.default_rng(16)
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=12))
+    tpl = deep.template(3, depth=8)
+    Lhat = tpl.geometry[1].L
+    mats = []
+    for y_depth in (6, 5):  # the template shapes, 128 x 4,096 and 32 x 1,024
+        u, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, y_depth - 3)
+        starts, lens, _ = tpl.leaf_table(y_depth)
+        mats.append((u_w, _band_tails(u, starts + lens / 2.0, Lhat / 2.0, Lhat, 1.5, M)))
+    for n in (0, 2):  # oracle nodes at the collapse check's y_extra = 5 and at 3
+        off, length, mass = (float(a[-1]) for a in deep.leaf_table(n))
+        L_abs = deep.geometry[n + 1].L * length
+        for extra in (5, 3):
+            s, s_w = strip_atoms(deep, off, length, mass, n, max(extra - 2, 1))
+            a_m = node_atoms(deep, off, length, mass, n, extra + 1)[0]
+            mats.append((s_w, _band_tails(s, a_m, L_abs / 2.0, L_abs, 2.0, M)))
+    mats += [(_mass_weights(r, rng), rng.random((r, c)))
+             for r, c in ((128, 4096), (32, 1024), (8, 150), (128, 17), (3, 1025))]
+    for w, mat in mats:
+        full, cols = w @ mat, mat.shape[1]
+        whole = cols - cols % grain
+        spans = [(j, j + q * grain) for j in range(whole) for q in (1, 3, 64)
+                 if j % grain == 0 or j < grain]
+        spans += [(j, cols) for j in range(0, cols, grain)]
+        if cols % grain == 1:
+            spans.append((max(cols - grain - 1, 0), cols))
+        for j, k in spans:
+            if k > whole and k != cols:
+                continue
+            for part in (mat[:, j:k], np.ascontiguousarray(mat[:, j:k])):
+                assert np.array_equal((w @ part).view(np.int64), full[j:k].view(np.int64))
+
+
+def _dense_band_form(u, u_w, y, y_w, *band):
+    return float(u_w @ _band_tails(u, y, *band) @ y_w)
+
+
+def test_band_form_bounds_the_working_set(measure, quad, monkeypatch, traced_peak):
+    # The chunked form traces at most 40 % of the dense tails route's peak,
+    # for one template's three band weights (1.81 against 4.92 MB: the 1 MB
+    # chunk, 0.5 MB of window temporaries per 32-row block and the template
+    # tables) and for one 128 x 4,096 oracle node (1.19 against 4.33 MB), and
+    # a full aperture run never builds tails wider than TAIL_BLOCK_COLS.
+    def both():
+        return (lambda: CantorSquareContext(measure, quad).band_weights(4, (1.0, 1.5, 2.0), 6),
+                lambda: direct_norm_series(measure, (1.0,), 0, quad))
+
+    chunked = [traced_peak(fn) for fn in both()]
+    monkeypatch.setattr(sqfn, "_band_form", _dense_band_form)
+    dense = [traced_peak(fn) for fn in both()]
+    monkeypatch.undo()
+    for c, d in zip(chunked, dense):
+        assert c <= 0.4 * d
+    widths = []
+
+    def recorded(u, y, *args):
+        out = _band_tails(u, y, *args)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(sqfn, "_band_tails", recorded)
+    run(ExperimentConfig(experiment="aperture"))
+    assert widths and max(widths) <= sqfn.TAIL_BLOCK_COLS
 
 
 def test_collapse_builds_non_decreasing_y():
