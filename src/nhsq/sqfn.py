@@ -19,10 +19,11 @@ one pass: the geometry that does not depend on alpha (template strip atoms
 and leaf table per (n, y resolution), or one oracle node's atoms and theta)
 is built once, and each aperture's quadratic form u_w @ tails @ y_w runs
 once on it, so every aperture's sums run in the same order as for a lone one.
-No dense |u - y| or tails matrix is built: _band_form builds the tails in
-chunks of 1,024 columns with all rows and edges on 16-column grains (each
-gemv output is then the full product's, so the digits hold), and _band_tails
-runs the tail formula only where it is neither 0 nor constant.
+No dense |u - y| or tails matrix is built: _tail_chunks finds each row
+block's column windows once per form and builds the tails in chunks of
+1,024 columns with all rows and edges on 16-column grains (each gemv output
+is then the full product's, so the digits hold), running the tail formula
+only where it is neither 0 nor constant.
 weak11_functional works at aperture 1.
 
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
@@ -90,9 +91,9 @@ __all__ = [
 
 LN2 = math.log(2.0)
 CI_BLOCK_ROWS = 1024  # boundary-zone rows per ci_profile block (256 KB per temporary at 32 steps)
-TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _band_tails
-TAIL_BLOCK_COLS = 1024  # columns of y per _band_tails chunk in _band_form (1 MB at 128 rows)
-TAIL_COL_GRAIN = 16  # _band_form chunk edges: multiples of this many columns, or len(y)
+TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _tail_chunks
+TAIL_BLOCK_COLS = 1024  # columns of y per _tail_chunks chunk (1 MB at 128 rows)
+TAIL_COL_GRAIN = 16  # _tail_chunks chunk edges: multiples of this many columns, or len(y)
 
 
 def _band_tail_weight(d, t_lo: float, t_hi: float, alpha: float, m: float):
@@ -124,68 +125,66 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d)
 
 
-def _tail_inputs(u, y) -> tuple[np.ndarray, np.ndarray]:
-    """u and y as float arrays; InvalidParams unless finite with y non-decreasing."""
+def _tail_chunks(u, y, t_lo: float, t_hi: float, alpha: float, m: float):
+    """(j, T[:, j:k]) chunks of T = _band_tail_weight(_distances(u, y), ...)
+    bit for bit, with all rows, covering every column that is not exactly 0;
+    u and y finite, y non-decreasing (InvalidParams otherwise).
+
+    Per block of TAIL_BLOCK_ROWS rows, found once on the whole y and clipped
+    to each chunk, the columns farther than alpha t_hi from every row are
+    exactly 0 and those nearer than alpha t_lo are exactly the tail weight
+    at d = 0; only the columns between go through the formula, whose
+    per-element result does not depend on the array around it.  The windows
+    widen the two radii by a relative 1e-9 and an absolute 1e-12: with u and
+    y in [0, 1], the roundings in |u - y|, d / alpha and the window bounds
+    are a few ulps of numbers below 1 + alpha t_hi, far inside that margin,
+    so no column is misplaced (a wider window costs only time).  Chunks hold
+    at most TAIL_BLOCK_COLS columns between multiples of TAIL_COL_GRAIN or
+    to len(y); a lone last column takes the grain before it along.
+    """
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     if not (np.isfinite(u).all() and np.isfinite(y).all() and (y[:-1] <= y[1:]).all()):
         raise InvalidParams("band tails need finite u and a non-decreasing finite y")
-    return u, y
-
-
-def _band_tails(u, y, t_lo: float, t_hi: float, alpha: float, m: float):
-    """_band_tail_weight(_distances(u, y), ...) bit for bit, without the dense
-    |u - y| matrix; y must be non-decreasing (InvalidParams otherwise).
-
-    Per block of rows, the columns farther than alpha t_hi from every row are
-    exactly 0 and those nearer than alpha t_lo to every row are exactly the
-    tail weight at d = 0; only the columns between go through the formula,
-    whose per-element result does not depend on the array around it.  The
-    windows widen the two radii by a relative 1e-9 and an absolute 1e-12:
-    with u and y in [0, 1], the roundings in |u - y|, d / alpha and the
-    window bounds are a few ulps of numbers below 1 + alpha t_hi, far inside
-    that margin, so no column is misplaced (a wider window costs only time).
-    """
-    u, y = _tail_inputs(u, y)
-    out = np.zeros((len(u), len(y)))
+    if not len(u):
+        return
     band = (t_lo, t_hi, alpha, m)
     inner = _band_tail_weight(np.zeros(1), *band)[0]
     far = alpha * t_hi * (1 + 1e-9) + 1e-12
     near = alpha * t_lo * (1 - 1e-9) - 1e-12
-    for i in range(0, len(u), TAIL_BLOCK_ROWS):
-        rows = slice(i, i + TAIL_BLOCK_ROWS)
-        lo, hi = u[rows].min(), u[rows].max()
-        a, e = np.searchsorted(y, (lo - far, lo + near), side="left")
-        c, b = np.searchsorted(y, (hi - near, hi + far), side="right")
-        if c < e:
-            out[rows, c:e] = inner
-        for j, k in ((a, c), (e, b)) if c < e else ((a, b),):
-            out[rows, j:k] = _band_tail_weight(_distances(u[rows], y[j:k]), *band)
-    return out
+    rows = np.arange(0, len(u), TAIL_BLOCK_ROWS)
+    lo, hi = np.minimum.reduceat(u, rows), np.maximum.reduceat(u, rows)
+    a, e = np.searchsorted(y, lo - far), np.searchsorted(y, lo + near)
+    c, b = np.searchsorted(y, hi - near, side="right"), np.searchsorted(y, hi + far, side="right")
+    e = np.maximum(c, e)
+    g = TAIL_COL_GRAIN
+    step = max(TAIL_BLOCK_COLS // g, 1) * g
+    first, last = a.min() // g * g, min(-(-b.max() // g) * g, len(y))
+    for j in range(first, last, step):
+        k = min(j + step, last)
+        j = max(k - g - 1, 0) if k - j == 1 else j
+        out = np.zeros((len(u), k - j))
+        for i, (wa, wc, we, wb) in zip(rows.tolist(), np.clip((a, c, e, b), j, k).T.tolist()):
+            r = slice(i, i + TAIL_BLOCK_ROWS)
+            out[r, wc - j:we - j] = inner
+            for p, q in ((wa, wc), (we, wb)):
+                if p < q:
+                    out[r, p - j:q - j] = _band_tail_weight(_distances(u[r], y[p:q]), *band)
+        yield j, out
+        del out  # freed before the next chunk is built
 
 
 def _band_form(u, u_w, y, y_w, t_lo: float, t_hi: float, alpha: float, m: float) -> float:
-    """float(u_w @ _band_tails(u, y, ...) @ y_w) bit for bit, from chunks of
-    at most TAIL_BLOCK_COLS columns with all rows (no reduction is split).
-
-    Columns beyond alpha t_hi (and _band_tails' margin) of every u are never
-    built: their entries of v = u_w @ tails stay +0.0.  gemv output j is
-    column j dotted with u_w in one order, except in the BLAS's vector tail
-    (the last width mod 4 outputs) and for one column (numpy's dot path);
-    so chunks run between multiples of TAIL_COL_GRAIN or to len(y), and a
-    lone last column takes the grain before it along.
+    """float(u_w @ T @ y_w), T = _band_tail_weight(_distances(u, y), ...), bit
+    for bit from the chunks of _tail_chunks: the columns no chunk covers are
+    0 and stay +0.0 in v = u_w @ T, and gemv output j is column j dotted with
+    u_w in one order except in the BLAS's vector tail (the last width mod 4
+    outputs) and for one column (numpy's dot path), which the chunks' grain
+    edges avoid; no reduction is split.
     """
-    u, y = _tail_inputs(u, y)
     v = np.zeros(len(y))
-    if len(u):
-        g = TAIL_COL_GRAIN
-        step = max(TAIL_BLOCK_COLS // g, 1) * g
-        far = alpha * t_hi * (1 + 1e-9) + 1e-12
-        a = np.searchsorted(y, u.min() - far, side="left") // g * g
-        b = min(-(-np.searchsorted(y, u.max() + far, side="right") // g) * g, len(y))
-        for j in range(a, b, step):
-            k = min(j + step, b)
-            j = max(k - g - 1, 0) if k - j == 1 else j
-            v[j:k] = u_w @ _band_tails(u, y[j:k], t_lo, t_hi, alpha, m)
+    for j, tails in _tail_chunks(u, y, t_lo, t_hi, alpha, m):
+        v[j:j + tails.shape[1]] = u_w @ tails
+        del tails  # freed before the next chunk is built
     return float(v @ y_w)
 
 

@@ -42,11 +42,11 @@ from nhsq.sqfn import (
     vertical_value,
     weak11_functional,
     _band_tail_weight,
-    _band_tails,
     _cantor_box_integrals,
     _distances,
     _logproduct_box_integral,
     _node_coefficient,
+    _tail_chunks,
 )
 from nhsq.sqfn import testing_functional as sq_testing_functional
 from test_measures import _mass_rec
@@ -104,6 +104,27 @@ def test_aperture_dichotomy_shape(measure, quad):
     assert max(k1) / min(k1) < 1.5  # stable quadratic-decay constant
     assert max(k2) / min(k2) < 1.5  # stable harmonic constant
     assert min(k2) > 0
+
+
+def test_aperture_threshold_is_harmonic_just_above_one(measure, quad):
+    # Paper result 3 at the threshold: for alpha barely above 1 the excess
+    # e_n = C (n + 1) (g(n, alpha) - g(n, 1)) is already a positive constant
+    # in n (a harmonic, divergent tail), while C (n + 1) g(n, 1) halves per
+    # doubling of n (quadratic decay).  The thin alpha = 1.001 annulus runs
+    # the tail windows at their narrowest.
+    ctx = CantorSquareContext(measure, quad)
+    alphas = (1.0, 1.001, 1.01, 1.1)
+    excess, base = {}, {}
+    for n in (160, 320):
+        (g1, err1), *rest = ctx.g_term(n, alphas)
+        base[n] = C * (n + 1) * g1
+        for alpha, (g, err) in zip(alphas[1:], rest):
+            excess[n, alpha] = C * (n + 1) * (g - g1)
+            assert 1000 * C * (n + 1) * (err + err1) <= excess[n, alpha]
+    for alpha in alphas[1:]:
+        assert excess[160, alpha] > 0 and excess[320, alpha] > 0
+        assert abs(excess[160, alpha] / excess[320, alpha] - 1) < 0.01
+    assert abs(base[160] / base[320] / 2 - 1) < 0.01
 
 
 def test_aperture_monotone_in_alpha(measure, quad):
@@ -230,12 +251,14 @@ def test_band_weights_match_dense_reference(measure, quad, monkeypatch):
         pairs["formula"] += np.size(d)
         return out
 
-    def counted_tails(u, y, *args):
+    band_form = sqfn._band_form
+
+    def counted_form(u, u_w, y, y_w, *args):
         pairs["dense"] += len(u) * len(y)
-        return _band_tails(u, y, *args)
+        return band_form(u, u_w, y, y_w, *args)
 
     monkeypatch.setattr(sqfn, "_band_tail_weight", checked_tail_weight)
-    monkeypatch.setattr(sqfn, "_band_tails", counted_tails)
+    monkeypatch.setattr(sqfn, "_band_form", counted_form)
     fresh = CantorSquareContext(measure, quad)
     for n, y_depth in ((0, 6), (2, 5), (5, 6), (9, 4)):
         refs = [_one_aperture_band_weight(measure, quad, n, a, y_depth) for a in alphas]
@@ -252,11 +275,13 @@ def test_band_weights_match_dense_reference(measure, quad, monkeypatch):
     assert 0 < pairs["formula"] < pairs["dense"]
 
 
-def _tails_cases():
-    """(u, y, t_lo, t_hi, alphas) inputs of _band_tails: template and
-    oracle-node atoms as the collapse builds them, y at the window radii and
-    their float neighbours, repeated y, an empty window and empty bands."""
-    alphas = (1.0, 1.5, 2.0, 6.0, 10.0)
+_ALPHAS = (1.0, 1.5, 2.0, 6.0, 10.0)
+
+
+def _collapse_cases():
+    """(u, y, t_lo, t_hi, alphas) inputs of _tail_chunks: template and
+    oracle-node atoms as the collapse builds them."""
+    alphas = _ALPHAS
     cases = []
     deep = CantorMeasure(CantorParams(m=M, C=C, depth=42))
     for n in (0, 3, 7, 40):
@@ -272,6 +297,14 @@ def _tails_cases():
         u, _ = strip_atoms(shallow, off, length, mass, 3, 1)
         y = node_atoms(shallow, off, length, mass, 3, 4)[0]
         cases.append((u, y, L_abs / 2.0, L_abs, alphas))
+    return cases
+
+
+def _tails_cases():
+    """The collapse cases, y at the window radii and their float neighbours,
+    repeated y, an empty window and empty bands."""
+    alphas = _ALPHAS
+    cases = _collapse_cases()
     # y at u +- alpha t and up to three floats either side.  The radii are
     # picked so that the tail weight at d = alpha * t (as rounded) is not 0
     # at t_hi and not the inner constant at t_lo: a window without margins
@@ -297,16 +330,28 @@ def _tails_cases():
     return cases
 
 
+def _pasted_chunks(u, y, *band):
+    """The chunks of _tail_chunks pasted into a zero (len(u), len(y)) matrix;
+    each chunk is C-contiguous, has all rows and starts after the last one."""
+    out, end = np.zeros((len(u), len(y))), 0
+    for j, tails in _tail_chunks(u, y, *band):
+        assert tails.flags.c_contiguous and tails.shape[0] == len(u) and j >= end
+        end = j + tails.shape[1]
+        out[:, j:end] = tails
+    return out
+
+
 @pytest.mark.parametrize("rows", [32, 5, 1])
 def test_band_tails_match_dense_tail_weight(rows, monkeypatch):
-    # The windowed tails equal the dense |u - y| matrix through the tail
-    # weight bit for bit, for apertures inside and outside the collapse's
-    # alpha <= 2, whatever the block size (one row gives the tightest windows).
+    # The windowed tail chunks, pasted into zeros, equal the dense |u - y|
+    # matrix through the tail weight bit for bit, for apertures inside and
+    # outside the collapse's alpha <= 2, whatever the block size (one row
+    # gives the tightest windows): the columns no chunk covers are exactly 0.
     monkeypatch.setattr(sqfn, "TAIL_BLOCK_ROWS", rows)
     for u, y, t_lo, t_hi, alphas in _tails_cases():
         for alpha in alphas:
             ref = _band_tail_weight(_distances(u, y), t_lo, t_hi, alpha, M)
-            got = _band_tails(u, y, t_lo, t_hi, alpha, M)
+            got = _pasted_chunks(u, y, t_lo, t_hi, alpha, M)
             assert got.flags.c_contiguous and got.shape == ref.shape
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
@@ -325,11 +370,39 @@ def test_tail_weight_of_a_slice_is_the_slice_of_the_tail_weight():
             assert np.array_equal(flat.view(np.int64), full[5, j:k].view(np.int64))
 
 
+def test_band_form_finds_windows_once(monkeypatch):
+    # One form computes the d = 0 constant once and hands the formula the
+    # same pairs at any chunk width: each row block's windows are found once
+    # on the whole y and only clipped to the chunks.
+    shapes = []
+
+    def recorded(d, *args):
+        shapes.append(np.shape(d))
+        return _band_tail_weight(d, *args)
+
+    monkeypatch.setattr(sqfn, "_band_tail_weight", recorded)
+    rng = np.random.default_rng(25)
+    total = 0
+    for u, y, t_lo, t_hi, alphas in _collapse_cases():
+        u_w, y_w = _mass_weights(len(u), rng), _mass_weights(len(y), rng)
+        for alpha in alphas:
+            pairs = []
+            for width in (16, 4096):
+                monkeypatch.setattr(sqfn, "TAIL_BLOCK_COLS", width)
+                shapes.clear()
+                sqfn._band_form(u, u_w, y, y_w, t_lo, t_hi, alpha, M)
+                assert shapes[0] == (1,) and all(len(s) == 2 for s in shapes[1:])
+                pairs.append(sum(math.prod(s) for s in shapes[1:]))
+            assert pairs[0] == pairs[1]
+            total += pairs[0]
+    assert total > 0
+
+
 def test_band_tails_refuse_unsorted_or_nonfinite_y():
     u = np.array([0.5])
     for y in ([0.2, 0.1], [0.1, np.nan], [0.1, np.inf]):
         with pytest.raises(InvalidParams, match="non-decreasing"):
-            _band_tails(u, np.array(y), 0.1, 0.2, 1.0, M)
+            list(_tail_chunks(u, np.array(y), 0.1, 0.2, 1.0, M))
 
 
 def _mass_weights(n, rng):
@@ -338,7 +411,8 @@ def _mass_weights(n, rng):
     return w / w.sum()
 
 
-@pytest.mark.parametrize("cols, rows", [(1, 32), (7, 32), (1024, 32), (1024, 1), (None, 32), (None, 1)])
+@pytest.mark.parametrize("cols, rows", [(1, 32), (7, 32), (1, 1), (7, 1), (1024, 32), (1024, 1),
+                                        (None, 32), (None, 1)])
 def test_band_form_matches_dense_product(cols, rows, monkeypatch):
     # The column-chunked quadratic form equals the dense u_w @ tails @ y_w
     # bit for bit (None: one chunk wider than y).  Chunks are whole grains of
@@ -349,11 +423,12 @@ def test_band_form_matches_dense_product(cols, rows, monkeypatch):
     grain = sqfn.TAIL_COL_GRAIN
     spans = []
 
-    def recorded(u, y, *args):
-        spans.append(len(y))
-        return _band_tails(u, y, *args)
+    def recorded(*args):
+        for j, tails in _tail_chunks(*args):
+            spans.append(tails.shape[1])
+            yield j, tails
 
-    monkeypatch.setattr(sqfn, "_band_tails", recorded)
+    monkeypatch.setattr(sqfn, "_tail_chunks", recorded)
     rng = np.random.default_rng(24)
     cases = _tails_cases()
     u, y, t_lo, t_hi, alphas = cases[-1]
@@ -367,7 +442,7 @@ def test_band_form_matches_dense_product(cols, rows, monkeypatch):
         width = cols or len(y) + 1
         monkeypatch.setattr(sqfn, "TAIL_BLOCK_COLS", width)
         for alpha in alphas:
-            ref = float(u_w @ _band_tails(u, y, t_lo, t_hi, alpha, M) @ y_w)
+            ref = _dense_band_form(u, u_w, y, y_w, t_lo, t_hi, alpha, M)
             spans.clear()
             got = sqfn._band_form(u, u_w, y, y_w, t_lo, t_hi, alpha, M)
             assert got == ref and repr(got) == repr(ref)
@@ -395,14 +470,15 @@ def test_gemv_column_slice_is_the_slice_of_gemv():
     for y_depth in (6, 5):  # the template shapes, 128 x 4,096 and 32 x 1,024
         u, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, y_depth - 3)
         starts, lens, _ = tpl.leaf_table(y_depth)
-        mats.append((u_w, _band_tails(u, starts + lens / 2.0, Lhat / 2.0, Lhat, 1.5, M)))
+        y = starts + lens / 2.0
+        mats.append((u_w, _band_tail_weight(_distances(u, y), Lhat / 2.0, Lhat, 1.5, M)))
     for n in (0, 2):  # oracle nodes at the collapse check's y_extra = 5 and at 3
         off, length, mass = (float(a[-1]) for a in deep.leaf_table(n))
         L_abs = deep.geometry[n + 1].L * length
         for extra in (5, 3):
             s, s_w = strip_atoms(deep, off, length, mass, n, max(extra - 2, 1))
             a_m = node_atoms(deep, off, length, mass, n, extra + 1)[0]
-            mats.append((s_w, _band_tails(s, a_m, L_abs / 2.0, L_abs, 2.0, M)))
+            mats.append((s_w, _band_tail_weight(_distances(s, a_m), L_abs / 2.0, L_abs, 2.0, M)))
     mats += [(_mass_weights(r, rng), rng.random((r, c)))
              for r, c in ((128, 4096), (32, 1024), (8, 150), (128, 17), (3, 1025))]
     for w, mat in mats:
@@ -421,15 +497,17 @@ def test_gemv_column_slice_is_the_slice_of_gemv():
 
 
 def _dense_band_form(u, u_w, y, y_w, *band):
-    return float(u_w @ _band_tails(u, y, *band) @ y_w)
+    """The band form through the dense |u - y| and tails matrices."""
+    return float(u_w @ _band_tail_weight(_distances(u, y), *band) @ y_w)
 
 
 def test_band_form_bounds_the_working_set(measure, quad, monkeypatch, traced_peak):
-    # The chunked form traces at most 40 % of the dense tails route's peak,
-    # for one template's three band weights (1.81 against 4.92 MB: the 1 MB
-    # chunk, 0.5 MB of window temporaries per 32-row block and the template
-    # tables) and for one 128 x 4,096 oracle node (1.19 against 4.33 MB), and
-    # a full aperture run never builds tails wider than TAIL_BLOCK_COLS.
+    # The chunked form traces at most 22 % of the peak of the dense route,
+    # which holds the 4 MB |u - y| and tails matrices at once: for one
+    # template's three band weights (1.74 against 8.64 MB: the 1 MB chunk,
+    # 0.5 MB of window temporaries per 32-row block and the template tables)
+    # and for one 128 x 4,096 oracle node (1.14 against 8.60 MB), and a full
+    # aperture run never builds tails wider than TAIL_BLOCK_COLS.
     def both():
         return (lambda: CantorSquareContext(measure, quad).band_weights(4, (1.0, 1.5, 2.0), 6),
                 lambda: direct_norm_series(measure, (1.0,), 0, quad))
@@ -439,21 +517,21 @@ def test_band_form_bounds_the_working_set(measure, quad, monkeypatch, traced_pea
     dense = [traced_peak(fn) for fn in both()]
     monkeypatch.undo()
     for c, d in zip(chunked, dense):
-        assert c <= 0.4 * d
+        assert c <= 0.22 * d
     widths = []
 
-    def recorded(u, y, *args):
-        out = _band_tails(u, y, *args)
-        widths.append(out.shape[1])
-        return out
+    def recorded(*args):
+        for j, tails in _tail_chunks(*args):
+            widths.append(tails.shape[1])
+            yield j, tails
 
-    monkeypatch.setattr(sqfn, "_band_tails", recorded)
+    monkeypatch.setattr(sqfn, "_tail_chunks", recorded)
     run(ExperimentConfig(experiment="aperture"))
     assert widths and max(widths) <= sqfn.TAIL_BLOCK_COLS
 
 
 def test_collapse_builds_non_decreasing_y():
-    # _band_tails needs a sorted y: the leaf-table mids of the templates and
+    # _tail_chunks needs a sorted y: the leaf-table mids of the templates and
     # the node-atom mids of the oracle nodes are non-decreasing.
     def sorted_(a):
         return bool(np.all(a[:-1] <= a[1:]))
