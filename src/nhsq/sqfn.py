@@ -17,13 +17,14 @@ measure's m.  The collapsed series, its enumeration oracle and
 validate_collapse take a sequence of apertures and answer for all of them in
 one pass: the geometry that does not depend on alpha (template strip atoms
 and leaf table per (n, y resolution), or one oracle node's atoms and theta)
-is built once, and each aperture's quadratic form u_w @ tails @ y_w runs
-once on it, so every aperture's sums run in the same order as for a lone one.
-No dense |u - y| or tails matrix is built: _tail_chunks finds each row
-block's column windows once per form and builds the tails in chunks of
-1,024 columns with all rows and edges on 16-column grains (each gemv output
-is then the full product's, so the digits hold), running the tail formula
-only where it is neither 0 nor constant.
+is built once, and one _band_forms call checks it and runs each aperture's
+quadratic form u_w @ tails @ y_w on it, so every aperture's sums run in the
+same order as for a lone one.  No dense |u - y| or tails matrix is built:
+_tail_chunks builds the tails in chunks of 1,024 columns holding only the
+rows whose windows meet them, edges on 16-row and 16-column grains (each
+gemv output is then the full product's, so the digits hold), and runs the
+tail formula in place in each window's distance buffer, only where it is
+neither 0 nor constant.
 weak11_functional works at aperture 1.
 
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
@@ -93,23 +94,24 @@ LN2 = math.log(2.0)
 CI_BLOCK_ROWS = 1024  # boundary-zone rows per ci_profile block (256 KB per temporary at 32 steps)
 TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _tail_chunks
 TAIL_BLOCK_COLS = 1024  # columns of y per _tail_chunks chunk (1 MB at 128 rows)
-TAIL_COL_GRAIN = 16  # _tail_chunks chunk edges: multiples of this many columns, or len(y)
+TAIL_GRAIN = 16  # _tail_chunks chunk edges: multiples of this many rows and columns, or len(u), len(y)
 
 
-def _band_tail_weight(d, t_lo: float, t_hi: float, alpha: float, m: float):
+def _band_tail_weight(d, t_lo: float, t_hi: float, alpha: float, m: float, out=None):
     """integral of s^(-m-1) over {s in [t_lo, t_hi] : alpha s > d}, elementwise in d.
 
     This is the exact t-integral of the indicator 1_{|y-u| < alpha s} against
     ds/s^(m+1); using it instead of a t grid removes the staircase error that
     the Cantor ball-mass function produces under midpoint rules.
 
-    The result is the one float buffer the function allocates: every step
-    after the division runs in place on it, and d is never written to.  The
-    values are bit-identical to np.where(lo < t_hi, (lo**-m - t_hi**-m)/m, 0)
+    Without out, the result is the one float buffer the function allocates
+    and d is never written to; with out (a float array of d's shape, d
+    itself allowed) it is out.  Every step after the division runs in place.
+    The values are bit-identical to np.where(lo < t_hi, (lo**-m - t_hi**-m)/m, 0)
     with lo = max(t_lo, d/alpha), signed zeros included.
     """
     d = np.asarray(d, dtype=float)
-    lo = np.divide(d, alpha, out=np.empty_like(d))
+    lo = np.divide(d, alpha, out=np.empty_like(d) if out is None else out)
     np.maximum(t_lo, lo, out=lo)
     beyond = ~(lo < t_hi)  # np.where's test, so a NaN lo also gives 0
     lo **= -m
@@ -125,67 +127,85 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d)
 
 
-def _tail_chunks(u, y, t_lo: float, t_hi: float, alpha: float, m: float):
-    """(j, T[:, j:k]) chunks of T = _band_tail_weight(_distances(u, y), ...)
-    bit for bit, with all rows, covering every column that is not exactly 0;
-    u and y finite, y non-decreasing (InvalidParams otherwise).
+def _tail_chunks(u, y, extent, t_lo: float, t_hi: float, alpha: float, m: float):
+    """(i, j, T[i:i + h, j:k]) chunks of T = _band_tail_weight(_distances(u, y),
+    ...) bit for bit, covering every entry that is not exactly 0; y is
+    non-decreasing and extent is the (min, max) of u over each block of
+    TAIL_BLOCK_ROWS rows.
 
-    Per block of TAIL_BLOCK_ROWS rows, found once on the whole y and clipped
-    to each chunk, the columns farther than alpha t_hi from every row are
-    exactly 0 and those nearer than alpha t_lo are exactly the tail weight
-    at d = 0; only the columns between go through the formula, whose
-    per-element result does not depend on the array around it.  The windows
-    widen the two radii by a relative 1e-9 and an absolute 1e-12: with u and
-    y in [0, 1], the roundings in |u - y|, d / alpha and the window bounds
-    are a few ulps of numbers below 1 + alpha t_hi, far inside that margin,
-    so no column is misplaced (a wider window costs only time).  Chunks hold
-    at most TAIL_BLOCK_COLS columns between multiples of TAIL_COL_GRAIN or
-    to len(y); a lone last column takes the grain before it along.
+    Per block, found once on the whole y and clipped to each chunk, the
+    columns farther than alpha t_hi from every row are exactly 0 and those
+    nearer than alpha t_lo are exactly the tail weight at d = 0; only the
+    columns between go through the formula, whose per-element result does
+    not depend on the array around it, in place in each window's fresh
+    distance buffer.  The windows widen the two radii by a relative 1e-9 and
+    an absolute 1e-12: with u and y in [0, 1], the roundings in |u - y|,
+    d / alpha and the window bounds are a few ulps of numbers below
+    1 + alpha t_hi, far inside that margin, so no column is misplaced (a
+    wider window costs only time).  A chunk holds at most TAIL_BLOCK_COLS
+    columns between multiples of TAIL_GRAIN or to len(y) (a lone last column
+    takes the grain before it along), and the rows of the blocks whose
+    windows meet them, widened to the grain or to len(u); other rows are 0.
     """
-    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
-    if not (np.isfinite(u).all() and np.isfinite(y).all() and (y[:-1] <= y[1:]).all()):
-        raise InvalidParams("band tails need finite u and a non-decreasing finite y")
     if not len(u):
         return
     band = (t_lo, t_hi, alpha, m)
     inner = _band_tail_weight(np.zeros(1), *band)[0]
     far = alpha * t_hi * (1 + 1e-9) + 1e-12
     near = alpha * t_lo * (1 - 1e-9) - 1e-12
-    rows = np.arange(0, len(u), TAIL_BLOCK_ROWS)
-    lo, hi = np.minimum.reduceat(u, rows), np.maximum.reduceat(u, rows)
+    lo, hi = extent
     a, e = np.searchsorted(y, lo - far), np.searchsorted(y, lo + near)
     c, b = np.searchsorted(y, hi - near, side="right"), np.searchsorted(y, hi + far, side="right")
     e = np.maximum(c, e)
-    g = TAIL_COL_GRAIN
+    g, rows = TAIL_GRAIN, TAIL_BLOCK_ROWS
     step = max(TAIL_BLOCK_COLS // g, 1) * g
     first, last = a.min() // g * g, min(-(-b.max() // g) * g, len(y))
+    blocks = list(zip(range(0, len(u), rows), a.tolist(), c.tolist(), e.tolist(), b.tolist()))
     for j in range(first, last, step):
         k = min(j + step, last)
         j = max(k - g - 1, 0) if k - j == 1 else j
-        out = np.zeros((len(u), k - j))
-        for i, (wa, wc, we, wb) in zip(rows.tolist(), np.clip((a, c, e, b), j, k).T.tolist()):
-            r = slice(i, i + TAIL_BLOCK_ROWS)
-            out[r, wc - j:we - j] = inner
+        # The blocks whose windows meet [j, k), with the windows clipped to it.
+        live = [(r, max(wa, j), min(max(wc, j), k), min(max(we, j), k), min(wb, k))
+                for r, wa, wc, we, wb in blocks if wa < k and j < wb and wa < wb]
+        if not live:
+            continue
+        i = live[0][0] // g * g
+        out = np.zeros((min(-(-(live[-1][0] + rows) // g) * g, len(u)) - i, k - j))
+        for r, wa, wc, we, wb in live:
+            at = slice(r - i, r - i + rows)
+            out[at, wc - j:we - j] = inner
             for p, q in ((wa, wc), (we, wb)):
                 if p < q:
-                    out[r, p - j:q - j] = _band_tail_weight(_distances(u[r], y[p:q]), *band)
-        yield j, out
+                    d = _distances(u[r:r + rows], y[p:q])
+                    out[at, p - j:q - j] = _band_tail_weight(d, *band, out=d)
+        yield i, j, out
         del out  # freed before the next chunk is built
 
 
-def _band_form(u, u_w, y, y_w, t_lo: float, t_hi: float, alpha: float, m: float) -> float:
-    """float(u_w @ T @ y_w), T = _band_tail_weight(_distances(u, y), ...), bit
-    for bit from the chunks of _tail_chunks: the columns no chunk covers are
-    0 and stay +0.0 in v = u_w @ T, and gemv output j is column j dotted with
-    u_w in one order except in the BLAS's vector tail (the last width mod 4
-    outputs) and for one column (numpy's dot path), which the chunks' grain
-    edges avoid; no reduction is split.
+def _band_forms(u, u_w, y, y_w, t_lo: float, t_hi: float, alphas, m: float) -> list[float]:
+    """float(u_w @ T @ y_w) per aperture in alphas, T = _band_tail_weight(
+    _distances(u, y), t_lo, t_hi, alpha, m), bit for bit; u and y finite, y
+    non-decreasing (InvalidParams otherwise).  The checks and the row blocks'
+    extents are made once for all apertures.  Each chunk of _tail_chunks is
+    multiplied by u_w on its own rows; the columns no chunk covers stay +0.0
+    in v = u_w @ T.  Gemv output j is column j dotted with u_w in one order
+    except in the BLAS's vector tail (the last width mod 4 outputs) and for
+    one column (numpy's dot path), which the column grain avoids, and zero
+    rows outside a span with edges on the grain add exactly nothing.
     """
-    v = np.zeros(len(y))
-    for j, tails in _tail_chunks(u, y, t_lo, t_hi, alpha, m):
-        v[j:j + tails.shape[1]] = u_w @ tails
-        del tails  # freed before the next chunk is built
-    return float(v @ y_w)
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(y).all() and (y[:-1] <= y[1:]).all()):
+        raise InvalidParams("band tails need finite u and a non-decreasing finite y")
+    starts = np.arange(0, len(u), TAIL_BLOCK_ROWS)
+    extent = np.minimum.reduceat(u, starts), np.maximum.reduceat(u, starts)
+    forms = []
+    for alpha in alphas:
+        v = np.zeros(len(y))
+        for i, j, tails in _tail_chunks(u, y, extent, t_lo, t_hi, alpha, m):
+            v[j:j + tails.shape[1]] = u_w[i:i + len(tails)] @ tails
+            del tails  # freed before the next chunk is built
+        forms.append(float(v @ y_w))
+    return forms
 
 
 def _check_collapse_aperture(alpha: float) -> None:
@@ -221,6 +241,8 @@ class QuadratureConfig:
     def validate(self) -> None:
         if self.t_steps_per_band < 1 or self.y_resolution_depth < 1 or self.trunc_generation < 0:
             raise InvalidParams("quadrature parameters must be positive")
+        if self.y_resolution_depth > 8:  # beta reads depth y + 1 of templates capped at depth 9
+            raise InvalidParams(f"y_resolution_depth must be at most 8, got {self.y_resolution_depth}")
         if not (0.0 < self.rel_tol <= 0.1):
             raise InvalidParams(f"rel_tol must be in (0, 0.1], got {self.rel_tol}")
 
@@ -367,8 +389,8 @@ class CantorSquareContext:
 
         Exact in t via the band tail weight; spatial integrals by measure
         atoms at the configured resolution (midpoint per atom).  The strip
-        atoms and leaf table are built once for all apertures not cached yet;
-        each aperture's form runs on column chunks of the tails (_band_form).
+        atoms and leaf table are built once for all apertures not cached yet,
+        and one _band_forms pass over them answers for all of those apertures.
         """
         y_depth = self.quad.y_resolution_depth if y_depth is None else y_depth
         missing = [a for a in dict.fromkeys(alphas) if (n, a, y_depth) not in self._weight]
@@ -379,9 +401,9 @@ class CantorSquareContext:
             u_mids, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, extra)
             starts, lens, y_w = tpl.leaf_table(min(y_depth, tpl.depth))
             y_mids = starts + lens / 2.0
-            for alpha in missing:
-                self._weight[n, alpha, y_depth] = _band_form(
-                    u_mids, u_w, y_mids, y_w, Lhat / 2.0, Lhat, alpha, self.measure.m)
+            forms = _band_forms(u_mids, u_w, y_mids, y_w, Lhat / 2.0, Lhat, missing, self.measure.m)
+            for alpha, form in zip(missing, forms):
+                self._weight[n, alpha, y_depth] = form
         return [self._weight[n, a, y_depth] for a in alphas]
 
     def band_weight(self, n: int, alpha: float, y_depth: Optional[int] = None) -> float:
@@ -445,9 +467,9 @@ def direct_norm_series(
     per aperture, in order.
 
     Uses absolute coordinates and global ball masses; no template collapse.
-    Each node's atoms and theta serve every aperture; each aperture's form
-    runs on column chunks of the tails (_band_form).  Intended
-    for shallow N (cost 4**N nodes at generation N).
+    Each node's atoms and theta serve every aperture, and one _band_forms
+    pass per node answers for all of them.  Intended for shallow N (cost
+    4**N nodes at generation N).
     """
     alphas = _collapse_alphas(alphas)
     if N > 6:
@@ -468,8 +490,9 @@ def direct_norm_series(
             theta = float(np.sum(a_w * bump((a_m - center) / length))) / length**m
             s_mids, s_w = strip_atoms(measure, off, length, mass, n, max(y_extra - 2, 1))
             # Balls stay inside the node for alpha <= 2, so node atoms suffice.
-            for k, alpha in enumerate(alphas):
-                terms[k][n] += theta**2 * _band_form(s_mids, s_w, a_m, a_w, L_abs / 2.0, L_abs, alpha, m)
+            forms = _band_forms(s_mids, s_w, a_m, a_w, L_abs / 2.0, L_abs, alphas, m)
+            for k, form in enumerate(forms):
+                terms[k][n] += theta**2 * form
     return [NormSeries(alpha=a, terms=t, err_est=np.zeros(N + 1)) for a, t in zip(alphas, terms)]
 
 
@@ -638,27 +661,26 @@ def _logproduct_inner_t(kernel: LogProductKernel, x: float, A: int, t_hi: float,
 # -- L2 operator ratio ----------------------------------------------------------
 
 
-def _node_coefficient_arrays(measure: CantorMeasure, f: LeafFunction,
-                             max_gen: int) -> dict[int, np.ndarray]:
-    """c_J(f) for every node J at generations 0..max_gen, vectorized.
+def _node_coefficients(measure: CantorMeasure, fs: list[LeafFunction], n: int) -> list[np.ndarray]:
+    """c_J(f) for every generation-n node J, per f in fs, vectorized.
 
     Atoms live at depth f.depth + 2 (at most 10); node sums are contiguous
-    reshapes because the leaf order is the base-4 path order.
+    reshapes because the leaf order is the base-4 path order.  The atoms'
+    bump table is built once per atom depth for all of fs.
     """
-    D = f.depth
-    A = min(D + 2, 10)
-    starts, lens, masses = measure.leaf_table(A)
-    mids = starts + lens / 2.0
-    fv = np.repeat(f.values, 4 ** (A - D))
-    out = {}
-    for n in range(0, max_gen + 1):
-        sn, ln_, _ = measure.leaf_table(n)
-        blocks = 4 ** (A - n)
-        centers = np.repeat(sn + ln_ / 2.0, blocks)
-        widths = np.repeat(ln_, blocks)
-        phis = bump((mids - centers) / widths)
+    sn, ln_, _ = measure.leaf_table(n)
+    tables, out = {}, []
+    for f in fs:
+        A = min(f.depth + 2, 10)
+        if A not in tables:
+            starts, lens, masses = measure.leaf_table(A)
+            blocks = 4 ** (A - n)
+            centers, widths = np.repeat(sn + ln_ / 2.0, blocks), np.repeat(ln_, blocks)
+            tables[A] = masses, bump((starts + lens / 2.0 - centers) / widths), blocks
+        masses, phis, blocks = tables[A]
+        fv = np.repeat(f.values, 4 ** (A - f.depth))
         integ = (masses * fv * phis).reshape(4**n, blocks).sum(axis=1)
-        out[n] = integ / ln_**measure.m
+        out.append(integ / ln_**measure.m)
     return out
 
 
@@ -668,33 +690,31 @@ def l2_operator_ratio(measure: CantorMeasure, f_samples: list[LeafFunction],
 
     ||S f||^2 = sum_n w(n, alpha) sum_J mu(J) c_J(f)^2; for generations at or
     below the leaf depth, c_J = f_leaf * beta(n) exactly, so those terms
-    reduce to g(n, alpha) ||f||^2.
+    reduce to g(n, alpha) ||f||^2.  All samples share each generation's bump table.
     """
     _check_collapse_aperture(alpha)
     ctx = CantorSquareContext(measure, quad)
     N = quad.trunc_generation
-    best = 0.0
-    witness = None
+    fsq = [f.l2_norm_sq() for f in f_samples]
+    depths = [min(f.depth, N + 1) for f in f_samples]
+    totals = [0.0] * len(f_samples)
+    for n in range(max((D for D, q in zip(depths, fsq) if q != 0.0), default=0)):
+        live = [i for i, (q, D) in enumerate(zip(fsq, depths)) if q != 0.0 and n < D]
+        _, _, mn = measure.leaf_table(n)
+        w = ctx.band_weight(n, alpha)
+        for i, c in zip(live, _node_coefficients(measure, [f_samples[i] for i in live], n)):
+            totals[i] += w * float(np.sum(mn * c ** 2))
     ratios = []
-    for f in f_samples:
-        fsq = f.l2_norm_sq()
-        if fsq == 0.0:
+    for fq, D, total in zip(fsq, depths, totals):
+        if fq == 0.0:
             ratios.append(0.0)
             continue
-        D = min(f.depth, N + 1)
-        coeffs = _node_coefficient_arrays(measure, f, D - 1)
-        total = 0.0
-        for n in range(0, D):
-            _, _, mn = measure.leaf_table(n)
-            total += ctx.band_weight(n, alpha) * float(np.sum(mn * coeffs[n] ** 2))
         for n in range(D, N + 1):
             [(g, _)] = ctx.g_term(n, (alpha,))
-            total += g * fsq
-        ratio = total / fsq
-        ratios.append(ratio)
-        if ratio > best:
-            best = ratio
-            witness = f
+            total += g * fq
+        ratios.append(total / fq)
+    best = max(ratios, default=0.0)
+    witness = f_samples[ratios.index(best)] if best > 0.0 else None  # the first at the max
     return best, witness, ratios
 
 

@@ -275,6 +275,7 @@ def test_weak11_refuses_invalid_quadrature(tmp_path, capsys):
     ({"t_steps_per_band": 0}, "quadrature parameters must be positive"),
     ({"rel_tol": 5.0, "t_steps_per_band": 0}, "rel_tol must be in (0, 0.1], got 5.0"),
     ({"rel_tol": 0.0}, "rel_tol must be in (0, 0.1], got 0.0"),
+    ({"y_resolution_depth": 9}, "y_resolution_depth must be at most 8, got 9"),
 ])
 def test_config_refuses_invalid_quadrature(raw, message, tmp_path, capsys):
     # ExperimentConfig applies QuadratureConfig.validate's rules to the keys,
@@ -290,8 +291,9 @@ def test_config_refuses_invalid_quadrature(raw, message, tmp_path, capsys):
         assert cli_main(["run", name, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
-    edge = {"t_steps_per_band": 1, "y_resolution_depth": 1, "rel_tol": 0.1}
-    assert ExperimentConfig.from_dict(edge).quad().validate() is None
+    for edge in ({"t_steps_per_band": 1, "y_resolution_depth": 1, "rel_tol": 0.1},
+                 {"y_resolution_depth": 8}):
+        assert ExperimentConfig.from_dict(edge).quad().validate() is None
 
 
 def _assert_reference_bytes(experiment, seed, tmp_path):

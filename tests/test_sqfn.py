@@ -198,6 +198,10 @@ def test_band_tail_weight_matches_where_formula(measure, quad):
                 got = _band_tail_weight(d, lo, hi, alpha, m)
                 assert _same_bits(got, _where_tail_weight(d, lo, hi, alpha, m))
                 assert _same_bits(np.asarray(d), before)  # d is never written to
+                if np.ndim(d):  # in place: out=d holds the formula of d as it was
+                    buf = np.array(d, dtype=float)
+                    assert _band_tail_weight(buf, lo, hi, alpha, m, out=buf) is buf
+                    assert _same_bits(buf, got)
 
 
 def _one_aperture_direct(measure, alpha, N, quad):
@@ -237,28 +241,31 @@ def _one_aperture_band_weight(measure, quad, n, alpha, y_depth):
 def test_band_weights_match_dense_reference(measure, quad, monkeypatch):
     # band_weights and the direct enumeration equal the dense |u - y| matrix
     # through the first-written tail weight, bit for bit, for every aperture
-    # of a batch.  All apertures share one distance matrix, so the tail
-    # weight must never write to it.
+    # of a batch.  Every tail weight call is pure: without out it leaves d
+    # as it was, and with out=d it returns the formula of d as it was.
     alphas = (1.0, 1.5, 2.0)
     intact = []
 
     pairs = {"dense": 0, "formula": 0}
 
-    def checked_tail_weight(d, *args):
+    def checked_tail_weight(d, *args, out=None):
         before = np.array(d, copy=True)
-        out = _band_tail_weight(d, *args)
-        intact.append(_same_bits(d, before))
+        got = _band_tail_weight(d, *args, out=out)
+        if out is None:
+            intact.append(_same_bits(d, before))
+        else:
+            intact.append(got is out and _same_bits(got, _where_tail_weight(before, *args)))
         pairs["formula"] += np.size(d)
-        return out
+        return got
 
-    band_form = sqfn._band_form
+    band_forms = sqfn._band_forms
 
-    def counted_form(u, u_w, y, y_w, *args):
-        pairs["dense"] += len(u) * len(y)
-        return band_form(u, u_w, y, y_w, *args)
+    def counted_forms(u, u_w, y, y_w, t_lo, t_hi, alphas, m):
+        pairs["dense"] += len(u) * len(y) * len(alphas)
+        return band_forms(u, u_w, y, y_w, t_lo, t_hi, alphas, m)
 
     monkeypatch.setattr(sqfn, "_band_tail_weight", checked_tail_weight)
-    monkeypatch.setattr(sqfn, "_band_form", counted_form)
+    monkeypatch.setattr(sqfn, "_band_forms", counted_forms)
     fresh = CantorSquareContext(measure, quad)
     for n, y_depth in ((0, 6), (2, 5), (5, 6), (9, 4)):
         refs = [_one_aperture_band_weight(measure, quad, n, a, y_depth) for a in alphas]
@@ -279,7 +286,7 @@ _ALPHAS = (1.0, 1.5, 2.0, 6.0, 10.0)
 
 
 def _collapse_cases():
-    """(u, y, t_lo, t_hi, alphas) inputs of _tail_chunks: template and
+    """(u, y, t_lo, t_hi, alphas) inputs of _band_forms: template and
     oracle-node atoms as the collapse builds them."""
     alphas = _ALPHAS
     cases = []
@@ -330,23 +337,39 @@ def _tails_cases():
     return cases
 
 
+def _extent(u):
+    """The per-block (min, max) of u that _band_forms hands _tail_chunks."""
+    blocks = np.arange(0, len(u), sqfn.TAIL_BLOCK_ROWS)
+    return np.minimum.reduceat(u, blocks), np.maximum.reduceat(u, blocks)
+
+
+def _on_grain(i, h, rows):
+    """Whether rows i .. i + h start on the grain and end on it or at rows."""
+    grain = sqfn.TAIL_GRAIN
+    return h > 0 and i % grain == 0 and (i + h == rows or (i + h) % grain == 0)
+
+
 def _pasted_chunks(u, y, *band):
-    """The chunks of _tail_chunks pasted into a zero (len(u), len(y)) matrix;
-    each chunk is C-contiguous, has all rows and starts after the last one."""
+    """The chunks of _tail_chunks pasted into a zero (len(u), len(y)) matrix
+    at their row offsets; each chunk is C-contiguous, its row span starts on
+    the grain and ends on it or at the last row, and it starts after the
+    last chunk's columns."""
     out, end = np.zeros((len(u), len(y))), 0
-    for j, tails in _tail_chunks(u, y, *band):
-        assert tails.flags.c_contiguous and tails.shape[0] == len(u) and j >= end
+    for i, j, tails in _tail_chunks(u, y, _extent(u), *band):
+        h = tails.shape[0]
+        assert tails.flags.c_contiguous and _on_grain(i, h, len(u)) and j >= end
         end = j + tails.shape[1]
-        out[:, j:end] = tails
+        out[i:i + h, j:end] = tails
     return out
 
 
 @pytest.mark.parametrize("rows", [32, 5, 1])
 def test_band_tails_match_dense_tail_weight(rows, monkeypatch):
-    # The windowed tail chunks, pasted into zeros, equal the dense |u - y|
-    # matrix through the tail weight bit for bit, for apertures inside and
-    # outside the collapse's alpha <= 2, whatever the block size (one row
-    # gives the tightest windows): the columns no chunk covers are exactly 0.
+    # The windowed tail chunks, pasted into zeros at their row offsets, equal
+    # the dense |u - y| matrix through the tail weight bit for bit, for
+    # apertures inside and outside the collapse's alpha <= 2, whatever the
+    # block size (one row gives the tightest windows): the entries no chunk
+    # covers, in its columns or outside them, are exactly 0.
     monkeypatch.setattr(sqfn, "TAIL_BLOCK_ROWS", rows)
     for u, y, t_lo, t_hi, alphas in _tails_cases():
         for alpha in alphas:
@@ -371,38 +394,42 @@ def test_tail_weight_of_a_slice_is_the_slice_of_the_tail_weight():
 
 
 def test_band_form_finds_windows_once(monkeypatch):
-    # One form computes the d = 0 constant once and hands the formula the
-    # same pairs at any chunk width: each row block's windows are found once
-    # on the whole y and only clipped to the chunks.
+    # Each aperture's form computes the d = 0 constant once and hands the
+    # formula the same pairs at any chunk width: each row block's windows
+    # are found once on the whole y and only clipped to the chunks.
     shapes = []
 
-    def recorded(d, *args):
+    def recorded(d, *args, **kwargs):
         shapes.append(np.shape(d))
-        return _band_tail_weight(d, *args)
+        return _band_tail_weight(d, *args, **kwargs)
 
     monkeypatch.setattr(sqfn, "_band_tail_weight", recorded)
     rng = np.random.default_rng(25)
     total = 0
     for u, y, t_lo, t_hi, alphas in _collapse_cases():
         u_w, y_w = _mass_weights(len(u), rng), _mass_weights(len(y), rng)
-        for alpha in alphas:
-            pairs = []
-            for width in (16, 4096):
-                monkeypatch.setattr(sqfn, "TAIL_BLOCK_COLS", width)
-                shapes.clear()
-                sqfn._band_form(u, u_w, y, y_w, t_lo, t_hi, alpha, M)
-                assert shapes[0] == (1,) and all(len(s) == 2 for s in shapes[1:])
-                pairs.append(sum(math.prod(s) for s in shapes[1:]))
-            assert pairs[0] == pairs[1]
-            total += pairs[0]
+        pairs = []
+        for width in (16, 4096):
+            monkeypatch.setattr(sqfn, "TAIL_BLOCK_COLS", width)
+            shapes.clear()
+            sqfn._band_forms(u, u_w, y, y_w, t_lo, t_hi, alphas, M)
+            starts = [k for k, s in enumerate(shapes) if s == (1,)]
+            assert starts[0] == 0 and len(starts) == len(alphas)
+            assert all(len(s) == 2 for s in shapes if s != (1,))
+            per_form = np.split(np.array([math.prod(s) for s in shapes]), starts[1:])
+            pairs.append([int(p[1:].sum()) for p in per_form])
+        assert pairs[0] == pairs[1]
+        total += sum(pairs[0])
     assert total > 0
 
 
 def test_band_tails_refuse_unsorted_or_nonfinite_y():
-    u = np.array([0.5])
+    u, w = np.array([0.5]), np.array([1.0])
     for y in ([0.2, 0.1], [0.1, np.nan], [0.1, np.inf]):
         with pytest.raises(InvalidParams, match="non-decreasing"):
-            list(_tail_chunks(u, np.array(y), 0.1, 0.2, 1.0, M))
+            sqfn._band_forms(u, w, np.array(y), np.ones(2), 0.1, 0.2, (1.0,), M)
+    with pytest.raises(InvalidParams, match="finite u"):
+        sqfn._band_forms(np.array([np.nan]), w, np.array([0.1, 0.2]), np.ones(2), 0.1, 0.2, (1.0,), M)
 
 
 def _mass_weights(n, rng):
@@ -414,19 +441,25 @@ def _mass_weights(n, rng):
 @pytest.mark.parametrize("cols, rows", [(1, 32), (7, 32), (1, 1), (7, 1), (1024, 32), (1024, 1),
                                         (None, 32), (None, 1)])
 def test_band_form_matches_dense_product(cols, rows, monkeypatch):
-    # The column-chunked quadratic form equals the dense u_w @ tails @ y_w
-    # bit for bit (None: one chunk wider than y).  Chunks are whole grains of
-    # TAIL_COL_GRAIN columns, at most TAIL_BLOCK_COLS of them when that holds
-    # one grain, and one more column when a lone last column joins the grain
-    # before it; a window that reaches no y builds no chunk.
+    # One _band_forms call per case equals the dense u_w @ tails @ y_w of
+    # each of its apertures bit for bit (None: one chunk wider than y), with
+    # the checks and the row blocks' extents made once for all of them.
+    # Chunks are whole grains of TAIL_GRAIN columns, at most TAIL_BLOCK_COLS
+    # of them when that holds one grain, and one more column when a lone
+    # last column joins the grain before it; their rows start on the grain
+    # and end on it or at the last row; a window that reaches no y builds
+    # no chunk.
     monkeypatch.setattr(sqfn, "TAIL_BLOCK_ROWS", rows)
-    grain = sqfn.TAIL_COL_GRAIN
-    spans = []
+    grain = sqfn.TAIL_GRAIN
+    spans, extents = {}, []
 
-    def recorded(*args):
-        for j, tails in _tail_chunks(*args):
-            spans.append(tails.shape[1])
-            yield j, tails
+    def recorded(u, y, extent, t_lo, t_hi, alpha, m):
+        extents.append(extent)
+        spans[alpha] = []
+        for i, j, tails in _tail_chunks(u, y, extent, t_lo, t_hi, alpha, m):
+            assert _on_grain(i, tails.shape[0], len(u))
+            spans[alpha].append(tails.shape[1])
+            yield i, j, tails
 
     monkeypatch.setattr(sqfn, "_tail_chunks", recorded)
     rng = np.random.default_rng(24)
@@ -441,18 +474,21 @@ def test_band_form_matches_dense_product(cols, rows, monkeypatch):
         u_w, y_w = _mass_weights(len(u), rng), _mass_weights(len(y), rng)
         width = cols or len(y) + 1
         monkeypatch.setattr(sqfn, "TAIL_BLOCK_COLS", width)
-        for alpha in alphas:
+        spans.clear()
+        extents.clear()
+        forms = sqfn._band_forms(u, u_w, y, y_w, t_lo, t_hi, alphas, M)
+        assert len(forms) == len(alphas) and len(extents) == len(alphas)
+        assert all(extent is extents[0] for extent in extents)
+        for alpha, got in zip(alphas, forms):
             ref = _dense_band_form(u, u_w, y, y_w, t_lo, t_hi, alpha, M)
-            spans.clear()
-            got = sqfn._band_form(u, u_w, y, y_w, t_lo, t_hi, alpha, M)
             assert got == ref and repr(got) == repr(ref)
-            assert all(w <= max(width // grain * grain, grain + 1) for w in spans)
+            assert all(w <= max(width // grain * grain, grain + 1) for w in spans[alpha])
             if len(u) == 0 or len(y) == 0 or y[0] > u.max() + alpha * t_hi:
-                assert spans == [] and repr(got) == "0.0"
+                assert spans[alpha] == [] and repr(got) == "0.0"
 
 
 def test_gemv_column_slice_is_the_slice_of_gemv():
-    # The premise of _band_form: output j of w @ M is column j of M dotted
+    # The premise of _band_forms: output j of w @ M is column j of M dotted
     # with w in an order that depends neither on j nor on the width of M
     # outside the BLAS's vector tail.  A span of whole grains that ends no
     # later than M's last whole grain, starting at every residue mod 16, and
@@ -461,26 +497,10 @@ def test_gemv_column_slice_is_the_slice_of_gemv():
     # strided view and as a contiguous copy.  A span of another shape may
     # not: on OpenBLAS 0.3.31 (Haswell dgemv_n) the last width mod 4 outputs
     # take a scalar loop, and numpy runs one column through dot.
-    grain = sqfn.TAIL_COL_GRAIN
+    grain = sqfn.TAIL_GRAIN
     rng = np.random.default_rng(16)
-    deep = CantorMeasure(CantorParams(m=M, C=C, depth=12))
-    tpl = deep.template(3, depth=8)
-    Lhat = tpl.geometry[1].L
-    mats = []
-    for y_depth in (6, 5):  # the template shapes, 128 x 4,096 and 32 x 1,024
-        u, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, y_depth - 3)
-        starts, lens, _ = tpl.leaf_table(y_depth)
-        y = starts + lens / 2.0
-        mats.append((u_w, _band_tail_weight(_distances(u, y), Lhat / 2.0, Lhat, 1.5, M)))
-    for n in (0, 2):  # oracle nodes at the collapse check's y_extra = 5 and at 3
-        off, length, mass = (float(a[-1]) for a in deep.leaf_table(n))
-        L_abs = deep.geometry[n + 1].L * length
-        for extra in (5, 3):
-            s, s_w = strip_atoms(deep, off, length, mass, n, max(extra - 2, 1))
-            a_m = node_atoms(deep, off, length, mass, n, extra + 1)[0]
-            mats.append((s_w, _band_tail_weight(_distances(s, a_m), L_abs / 2.0, L_abs, 2.0, M)))
-    mats += [(_mass_weights(r, rng), rng.random((r, c)))
-             for r, c in ((128, 4096), (32, 1024), (8, 150), (128, 17), (3, 1025))]
+    mats = _collapse_tails() + [(_mass_weights(r, rng), rng.random((r, c)))
+                                for r, c in ((128, 4096), (32, 1024), (8, 150), (128, 17), (3, 1025))]
     for w, mat in mats:
         full, cols = w @ mat, mat.shape[1]
         whole = cols - cols % grain
@@ -496,34 +516,90 @@ def test_gemv_column_slice_is_the_slice_of_gemv():
                 assert np.array_equal((w @ part).view(np.int64), full[j:k].view(np.int64))
 
 
+def _collapse_tails():
+    """(weights, tails) pairs of the template shapes (128 x 4,096 and
+    32 x 1,024) and of oracle nodes."""
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=12))
+    tpl = deep.template(3, depth=8)
+    Lhat = tpl.geometry[1].L
+    mats = []
+    for y_depth in (6, 5):
+        u, u_w = strip_atoms(tpl, 0.0, 1.0, 1.0, 0, y_depth - 3)
+        starts, lens, _ = tpl.leaf_table(y_depth)
+        y = starts + lens / 2.0
+        mats.append((u_w, _band_tail_weight(_distances(u, y), Lhat / 2.0, Lhat, 1.5, M)))
+    for n in (0, 2):  # oracle nodes at the collapse check's y_extra = 5 and at 3
+        off, length, mass = (float(a[-1]) for a in deep.leaf_table(n))
+        L_abs = deep.geometry[n + 1].L * length
+        for extra in (5, 3):
+            s, s_w = strip_atoms(deep, off, length, mass, n, max(extra - 2, 1))
+            a_m = node_atoms(deep, off, length, mass, n, extra + 1)[0]
+            mats.append((s_w, _band_tail_weight(_distances(s, a_m), L_abs / 2.0, L_abs, 2.0, M)))
+    return mats
+
+
+def test_gemv_row_span_is_the_row_slice_of_gemv():
+    # The premise of the live-row chunks: when the rows of M outside
+    # [r0, r1) are zero, w @ M equals w[r0:r1] @ M[r0:r1] bit for bit for r0
+    # on the grain (so every multiple of TAIL_BLOCK_ROWS = 32) and r1 on it or
+    # at the last row, as strided views and as contiguous copies, over all
+    # columns and over a column span of whole grains.  Zero rows add exactly
+    # +-0 to each output, and the BLAS's row groups keep their alignment.
+    grain = sqfn.TAIL_GRAIN
+    assert sqfn.TAIL_BLOCK_ROWS % grain == 0
+    rng = np.random.default_rng(32)
+    mats = _collapse_tails()
+    for r, c in ((128, 4096), (32, 1024), (8, 150), (128, 17), (3, 1025), (100, 37)):
+        w = _mass_weights(r, rng)
+        mats += [(w, rng.random((r, c))), (w * rng.choice([-1.0, 1.0], r), rng.random((r, c)))]
+    for w, mat in mats:
+        rows, cols = mat.shape
+        ends = [*range(grain, rows, grain), rows]
+        spans = [(r0, r1) for r0 in range(0, rows, grain) for r1 in ends if r1 > r0]
+        k = min(cols - cols % grain or cols, 5 * grain)
+        for r0, r1 in spans:
+            live = np.zeros_like(mat)
+            live[r0:r1] = mat[r0:r1]
+            for part, whole in ((live[r0:r1], w @ live), (live[r0:r1, :k], w @ live[:, :k])):
+                for chunk in (part, np.ascontiguousarray(part)):
+                    assert np.array_equal((w[r0:r1] @ chunk).view(np.int64), whole.view(np.int64))
+
+
 def _dense_band_form(u, u_w, y, y_w, *band):
     """The band form through the dense |u - y| and tails matrices."""
     return float(u_w @ _band_tail_weight(_distances(u, y), *band) @ y_w)
 
 
+def _dense_band_forms(u, u_w, y, y_w, t_lo, t_hi, alphas, m):
+    """_band_forms through the dense matrices, one aperture at a time."""
+    return [_dense_band_form(u, u_w, y, y_w, t_lo, t_hi, alpha, m) for alpha in alphas]
+
+
 def test_band_form_bounds_the_working_set(measure, quad, monkeypatch, traced_peak):
-    # The chunked form traces at most 22 % of the peak of the dense route,
+    # The chunked forms trace at most 18 % of the peak of the dense route,
     # which holds the 4 MB |u - y| and tails matrices at once: for one
-    # template's three band weights (1.74 against 8.64 MB: the 1 MB chunk,
-    # 0.5 MB of window temporaries per 32-row block and the template tables)
-    # and for one 128 x 4,096 oracle node (1.14 against 8.60 MB), and a full
-    # aperture run never builds tails wider than TAIL_BLOCK_COLS.
+    # template's three band weights (1.37 against 8.64 MB: one 128-row 1 MB
+    # chunk where both middle children reach its columns, one 0.25 MB
+    # distance buffer per window that the tail weight overwrites, and the
+    # template tables) and for one 128 x 4,096 oracle node (0.67 against
+    # 8.60 MB: its chunks hold 64 live rows), and a full aperture run never
+    # builds tails wider than TAIL_BLOCK_COLS.
     def both():
         return (lambda: CantorSquareContext(measure, quad).band_weights(4, (1.0, 1.5, 2.0), 6),
                 lambda: direct_norm_series(measure, (1.0,), 0, quad))
 
     chunked = [traced_peak(fn) for fn in both()]
-    monkeypatch.setattr(sqfn, "_band_form", _dense_band_form)
+    monkeypatch.setattr(sqfn, "_band_forms", _dense_band_forms)
     dense = [traced_peak(fn) for fn in both()]
     monkeypatch.undo()
     for c, d in zip(chunked, dense):
-        assert c <= 0.22 * d
+        assert c <= 0.18 * d
     widths = []
 
     def recorded(*args):
-        for j, tails in _tail_chunks(*args):
+        for i, j, tails in _tail_chunks(*args):
             widths.append(tails.shape[1])
-            yield j, tails
+            yield i, j, tails
 
     monkeypatch.setattr(sqfn, "_tail_chunks", recorded)
     run(ExperimentConfig(experiment="aperture"))
@@ -1076,6 +1152,64 @@ def test_l2_ratio_consistency(measure, quad):
     # Zero function contributes nothing.
     _, _, zr = l2_operator_ratio(measure, [LeafFunction.constant(measure, 3, 0.0)], 1.0, quad)
     assert zr == [0.0]
+
+
+def _one_vector_coefficients(measure, f, max_gen):
+    """c_J(f) per generation 0..max_gen as first written: one vector at a
+    time, its own centers, widths and bump table at every generation."""
+    D = f.depth
+    A = min(D + 2, 10)
+    starts, lens, masses = measure.leaf_table(A)
+    mids = starts + lens / 2.0
+    fv = np.repeat(f.values, 4 ** (A - D))
+    out = {}
+    for n in range(0, max_gen + 1):
+        sn, ln_, _ = measure.leaf_table(n)
+        blocks = 4 ** (A - n)
+        centers = np.repeat(sn + ln_ / 2.0, blocks)
+        widths = np.repeat(ln_, blocks)
+        phis = bump((mids - centers) / widths)
+        integ = (masses * fv * phis).reshape(4**n, blocks).sum(axis=1)
+        out[n] = integ / ln_**measure.m
+    return out
+
+
+def test_l2_ratio_builds_one_bump_table_per_generation(measure, monkeypatch):
+    # The operator ratio builds each generation's bump table once per atom
+    # depth for all samples, and every ratio keeps the digits of the
+    # one-vector loop, zero samples and samples of two leaf depths included.
+    quad = QuadratureConfig(32, 6, 1e-3, 4)
+    rng = np.random.default_rng(21)
+    fs = [LeafFunction(measure, 3, rng.choice([-1.0, 1.0], size=4**3)) for _ in range(3)]
+    fs += [LeafFunction.constant(measure, 3, 0.0), LeafFunction.constant(measure, 2, 1.0),
+           LeafFunction(measure, 2, rng.standard_normal(4**2))]
+    calls = []
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return bump(u)
+
+    monkeypatch.setattr(sqfn, "bump", counted)
+    best, witness, ratios = l2_operator_ratio(measure, fs, 1.0, quad)
+    monkeypatch.undo()
+    # Generations 0-1 read atoms at depths 5 and 4, generation 2 at depth 5.
+    assert calls == [(4**5,), (4**4,), (4**5,), (4**4,), (4**5,)]
+    ctx = CantorSquareContext(measure, quad)
+    ref = []
+    for f in fs:
+        fsq = f.l2_norm_sq()
+        if fsq == 0.0:
+            ref.append(0.0)
+            continue
+        D = min(f.depth, quad.trunc_generation + 1)
+        coeffs, total = _one_vector_coefficients(measure, f, D - 1), 0.0
+        for n in range(D):
+            total += ctx.band_weight(n, 1.0) * float(np.sum(measure.leaf_table(n)[2] * coeffs[n] ** 2))
+        for n in range(D, quad.trunc_generation + 1):
+            total += ctx.g_term(n, (1.0,))[0][0] * fsq
+        ref.append(total / fsq)
+    assert list(map(repr, ratios)) == list(map(repr, ref))
+    assert best == max(ref) and witness is fs[ref.index(best)]
 
 
 def test_testing_functional_cantor(measure, quad):
