@@ -332,9 +332,8 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport):
 
     measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=14))
     kc = CantorKernel(measure)
-    cubes = np.concatenate([np.column_stack((s, s + l))
-                            for s, l, _ in map(measure.leaf_table, range(7))])
-    res = testing_functional(kc, measure, cubes, quad)
+    nodes = [(g, i) for g in range(7) for i in range(4**g)]
+    res = testing_functional(kc, measure, nodes, quad)
     report.metrics["tb_cantor_sup"] = res.sup_ratio
     report.counters["tb_degenerate_cubes"] = int(res.degenerate.sum())
     yield ("8.cantor-pin", res.sup_ratio <= pinned.TB_CANTOR_SUP,

@@ -206,25 +206,22 @@ class CantorMeasure:
         """Exact mu([a,b]) of the truncated measure (leaf mass spread uniformly)."""
         return float(self.interval_masses([a], [b])[0])
 
-    def interval_masses(self, a, b, start=None) -> np.ndarray:
+    def interval_masses(self, a, b) -> np.ndarray:
         """Exact mu([a[i], b[i]]) of every pair, all pairs walking the tree at once.
 
-        start = (k, off, length, mass) gives one generation-k node per pair
-        (the root by default); each walk then begins at its node and counts
-        only the mass inside it.  Each generation is one array step over the
-        (interval, node) pairs that meet: a node inside its interval gives
-        its mass, a leaf its mass times the covered fraction, and any other
-        node its four children.  The child masses are then summed back up
-        one generation at a time, digit 0 first, so every value keeps the
-        bits of a depth-first recursion that adds the children in digit order.
+        Each generation is one array step over the (interval, node) pairs
+        that meet: a node inside its interval gives its mass, a leaf its mass
+        times the covered fraction, and any other node its four children.
+        The child masses are then summed back up one generation at a time,
+        digit 0 first, so every value keeps the bits of a depth-first
+        recursion from the root that adds the children in digit order.
         """
         a, b = _checked_ends(a, b)
         a, b = np.maximum(a, 0.0), np.minimum(b, 1.0)
         i = parent = np.flatnonzero(b > a)
-        k0, *node = (0, 0.0, 1.0, 1.0) if start is None else start
-        off, length, mass = (np.broadcast_to(np.asarray(v, dtype=float), a.shape)[i] for v in node)
+        off, length, mass = np.zeros(i.size), np.ones(i.size), np.ones(i.size)
         levels = []  # per generation: (value, index of the parent node)
-        for k in range(k0, self.depth + 1):
+        for k in range(self.depth + 1):
             meet = (b[i] > off) & (off + length > a[i])
             i, off, length, mass, parent = (v[meet] for v in (i, off, length, mass, parent))
             full = (a[i] <= off) & (off + length <= b[i])

@@ -417,17 +417,12 @@ class CantorSquareContext:
         coarse = self.band_weights(n, alphas, y_depth=self.quad.y_resolution_depth - 1)
         return [(b2 * w, b2 * abs(w - wc)) for w, wc in zip(fine, coarse)]
 
-    def strip_fraction(self, n: int) -> float:
-        """Mass fraction of the middle children of a generation-n node
-        (from the geometry table, or built past the measure's depth)."""
-        if n + 1 <= self.measure.depth:
-            return self.measure.geometry[n + 1].strip_mass
-        idx = self.measure.params.start_gen + n + 1
-        return _split_geometry(idx, self.measure.m, self.measure.params.C).strip_mass
-
     def g_vertical(self, n: int) -> float:
-        """g_V(n) = beta(n)^2 * strip mass * ln 2 (the t integrand is constant)."""
-        return self.beta(n) ** 2 * self.strip_fraction(n) * LN2
+        """g_V(n) = beta(n)^2 * strip mass * ln 2 (the t integrand is constant),
+        the strip mass from the geometry table or built past the measure's depth."""
+        p = self.measure.params
+        geo = self.measure.geometry.get(n + 1) or _split_geometry(p.start_gen + n + 1, p.m, p.C)
+        return self.beta(n) ** 2 * geo.strip_mass * LN2
 
 
 def conical_norm_series(
@@ -726,8 +721,8 @@ class TestingResult:
     """Per-cube arrays of the testing functional, row i for cube i.
 
     cubes is (n, 2) of (a, b) floats; degenerate marks the cubes with
-    a + len == a in floats, whose box integral is 0.  ratio and per_length
-    are 0 where their denominator is not positive.
+    not b > a in floats (a + len == a), whose mu(3R) and length read 0.
+    ratio and per_length are 0 where their denominator is not positive.
     """
 
     cubes: np.ndarray
@@ -756,59 +751,6 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.ndarray],
-                          cubes) -> np.ndarray:
-    """Box integral of |theta_t 1|^2 over [a,b] x (0, b-a) per cube (a, b).
-
-    theta is constant beta(n) on each strip/band region, so the box integral
-    is a sum over generations of beta^2 * (strip mass inside [a,b]) * (log
-    measure of the band clipped to t < len(R)).  Bands of nodes inside R fit
-    entirely (L_J <= 0.2 len(J) <= 0.2 len(R)); only partial boundary nodes
-    need clipping.  tables holds the strip fractions and beta^2 of
-    generations 0..N, N <= measure.depth - 1.  All cubes walk the tree
-    together, one generation at a time; the terms of totals[cube, n] are
-    added in the order of their nodes' depth-first keys (path digits + 1 in
-    base 5, padded to N digits), the order of a one-cube depth-first walk.
-    """
-    strip_frac, beta_sq = tables
-    N = len(strip_frac) - 1
-    ca, cb = np.asarray(cubes, dtype=float).reshape(-1, 2).T
-    cube = np.flatnonzero(cb - ca > 0)
-    off, length, mass = np.zeros(cube.size), np.ones(cube.size), np.ones(cube.size)
-    key = np.zeros(cube.size, dtype=np.int64 if 5**N < 2**63 else object)
-    terms = []  # (cube, n, key, value) arrays
-    for g in range(N + 1):
-        a, b = ca[cube], cb[cube]
-        meet = (off < b) & (off + length > a)
-        bulk = meet & (a <= off) & (off + length <= b)
-        pad, width = 5 ** (N - g), N + 1 - g
-        # Bulk: every deeper generation of this subtree contributes fully.
-        terms.append((np.repeat(cube[bulk], width), np.tile(np.arange(g, N + 1), int(bulk.sum())),
-                      np.repeat(key[bulk] * pad, width),
-                      (mass[bulk][:, None] * strip_frac[g:] * LN2).ravel()))
-        part = meet & ~bulk
-        cube, off, length, mass, key, a, b = (v[part] for v in (cube, off, length, mass, key, a, b))
-        geo = measure.geometry[g + 1]  # g + 1 <= N + 1 <= depth
-        t_hi, t_lo = np.minimum(geo.L * length, b - a), geo.L * length / 2.0
-        band = np.flatnonzero(t_hi > t_lo)
-        children = [v.reshape(-1, 4) for v in geo.split(off, length, mass)]
-        # The strip: both middle children of every band node, clipped to [a, b].
-        s_off, s_len, s_mass = (v[band, 1:3].ravel() for v in children)
-        ja = np.maximum(s_off, np.repeat(a[band], 2))
-        jb = np.maximum(np.minimum(s_off + s_len, np.repeat(b[band], 2)), ja)
-        sm = measure.interval_masses(ja, jb, start=(g + 1, s_off, s_len, s_mass)).reshape(-1, 2)
-        terms.append((cube[band], np.full(band.size, g), key[band] * pad,
-                      (sm[:, 0] + sm[:, 1]) * np.log(t_hi[band] / t_lo[band])))
-        off, length, mass = (v.ravel() for v in children)
-        key = (key[:, None] * 5 + np.arange(1, 5)).ravel()
-        cube = np.repeat(cube, 4)
-    rows, cols, keys, vals = (np.concatenate(v) for v in zip(*terms))
-    order = np.lexsort((keys, cols, rows))
-    totals = np.zeros((ca.size, N + 1))
-    np.add.at(totals.ravel(), (rows * (N + 1) + cols)[order], vals[order])
-    return np.sum(beta_sq * totals, axis=1)
-
-
 def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
                              quad: QuadratureConfig) -> float:
     """Box integral of |theta_t 1|^2 over [a,b] x (0, b-a) for the log-product kernel.
@@ -832,23 +774,45 @@ def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
     return total
 
 
+def _checked_nodes(measure: CantorMeasure, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(generation g, index i) of an (n, 2) integer array of construction
+    nodes, with 0 <= g <= min(depth, 10) (leaf_table's reach) and 0 <= i <
+    4**g; InvalidParams for anything else."""
+    top = min(measure.depth, 10)
+    if nodes.dtype.kind in "iu" and nodes.shape[1:] == (2,):
+        g, i = nodes.astype(np.int64).T
+        if np.all((0 <= g) & (g <= top) & (0 <= i) & (i < 4 ** np.clip(g, 0, top))):
+            return g, i
+    raise InvalidParams("Cantor cubes are construction nodes: integer (generation g, index i) "
+                        f"pairs with 0 <= g <= {top} and 0 <= i < 4**g")
+
+
 def testing_functional(kernel, measure, cubes, quad: QuadratureConfig) -> TestingResult:
     """sup over cubes R of mu(3R)^-1 * box integral of |theta_t 1|^2.
 
-    Cubes are (a, b) interval pairs, an (n, 2) array or a list of pairs,
-    read as floats; the result carries both the mu(3R) and len(R)
-    normalizations, mu(3R) from one interval_masses call.
+    Cantor kernel: the cubes are construction nodes (_checked_nodes), i in
+    leaf_table(g)'s order.  theta_t 1 is beta(n) on each generation-n strip
+    band, and the bands of the nodes inside R lie under t < len(R), so the
+    box integral is mass(R) times the tail sum_{n >= g} g_V(n) of
+    vertical_norm_series to N = min(trunc_generation, depth - 1), 0 past N.
+    Log-product kernel: (a, b) interval pairs, read as floats.  mu(3R), for
+    the ratio, is one interval_masses call; len(R) gives per_length.
     """
-    cubes = np.array(cubes, dtype=float).reshape(-1, 2)
+    try:
+        cubes = np.asarray(cubes)
+    except ValueError as e:  # ragged
+        raise InvalidParams(f"cubes must be pairs: {e}") from None
     if not cubes.size:
         raise EmptyCubeList("testing functional needs at least one cube")
     if isinstance(kernel, CantorKernel):
-        ctx = CantorSquareContext(measure, quad)
-        gens = range(min(quad.trunc_generation, measure.depth - 1) + 1)
-        tables = (np.array([ctx.strip_fraction(n) for n in gens]),
-                  np.array([ctx.beta(n) for n in gens]) ** 2)
-        boxes = _cantor_box_integrals(measure, tables, cubes)
+        g, i = _checked_nodes(measure, cubes)
+        tables = [np.concatenate(v) for v in zip(*map(measure.leaf_table, range(g.max() + 1)))]
+        a, length, mass = (v[(4**g - 1) // 3 + i] for v in tables)  # 1 + 4 + ... + 4**(g-1) rows first
+        terms = vertical_norm_series(measure, min(quad.trunc_generation, measure.depth - 1), quad).terms
+        tails = np.array([terms[n:].sum() for n in range(g.max() + 1)])
+        cubes, boxes = np.column_stack((a, a + length)), mass * tails[g]
     elif isinstance(kernel, LogProductKernel):
+        cubes = cubes.astype(float).reshape(-1, 2)
         boxes = np.array([_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
                           for ca, cb in cubes.tolist()])
     else:

@@ -116,7 +116,8 @@ def test_criterion_8_testing_condition(reports):
 
 def test_criterion_8_degenerate_cubes_counted(reports):
     # 1,632 of the 5,461 Cantor cubes (generations 5 and 6) have a + len == a
-    # in floats and a zero box integral; the count goes to stdout only.
+    # in floats: their mu(3R) and length read 0, so their ratios are 0; the
+    # count goes to stdout only.
     rep = reports["tb-testing"]
     n = rep.counters.get("tb_degenerate_cubes")
     assert b"degenerate" not in rep.to_json_bytes()

@@ -166,18 +166,21 @@ def test_cdf_masses_within_rounding_of_the_walk(depth):
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_interval_masses_from_start_nodes(measure, k):
-    # Walks that begin at generation-k nodes match _mass_rec started there,
-    # for spans inside, across and outside each node.
+    # Spans drawn inside, across and outside generation-k nodes, clipped to
+    # their node: root walks match _mass_rec started at the node, bit for
+    # bit, since the walk reaches the node along its path and adds nothing
+    # from the neighbours.
     rng = np.random.default_rng(k)
     s, l, w = measure.leaf_table(k)
     node = rng.integers(len(s), size=300)
     off, length, mass = s[node], l[node], w[node]
     a = off + length * (rng.random(300) * 1.4 - 0.2)
     b = a + length * rng.random(300) * 1.2
-    got = measure.interval_masses(a, b, start=(k, off, length, mass))
+    ja = np.maximum(a, off)
+    jb = np.maximum(np.minimum(b, off + length), ja)
+    got = measure.interval_masses(ja, jb)
     want = [_mass_rec(measure, k, *v) if v[3] < v[4] else 0.0 for v in
-            zip(off.tolist(), length.tolist(), mass.tolist(), np.maximum(a, 0.0).tolist(),
-                np.minimum(b, 1.0).tolist())]
+            zip(off.tolist(), length.tolist(), mass.tolist(), ja.tolist(), jb.tolist())]
     assert repr(got.tolist()) == repr(want)
     assert got.max() > 0.0 and (got == 0.0).any()
 

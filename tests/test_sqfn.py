@@ -42,7 +42,6 @@ from nhsq.sqfn import (
     vertical_value,
     weak11_functional,
     _band_tail_weight,
-    _cantor_box_integrals,
     _distances,
     _logproduct_box_integral,
     _node_coefficient,
@@ -490,13 +489,14 @@ def test_band_form_matches_dense_product(cols, rows, monkeypatch):
 def test_gemv_column_slice_is_the_slice_of_gemv():
     # The premise of _band_forms: output j of w @ M is column j of M dotted
     # with w in an order that depends neither on j nor on the width of M
-    # outside the BLAS's vector tail.  A span of whole grains that ends no
-    # later than M's last whole grain, starting at every residue mod 16, and
-    # a span from a grain start to the end of M (a lone last column with the
-    # grain before it) equal that span of the full product bit for bit, as a
-    # strided view and as a contiguous copy.  A span of another shape may
-    # not: on OpenBLAS 0.3.31 (Haswell dgemv_n) the last width mod 4 outputs
-    # take a scalar loop, and numpy runs one column through dot.
+    # outside the BLAS's vector tail.  The spans _tail_chunks builds start on
+    # the grain: whole grains that end no later than M's last whole grain,
+    # and a span from a grain start to the end of M of two columns or more
+    # (a lone last column with the grain before it).  Each equals that span
+    # of the full product bit for bit, as a strided view and as a contiguous
+    # copy.  A span of another shape may not: on OpenBLAS 0.3.31 (Haswell
+    # dgemv_n) the last width mod 4 outputs take a scalar loop, and numpy
+    # runs one column through dot.
     grain = sqfn.TAIL_GRAIN
     rng = np.random.default_rng(16)
     mats = _collapse_tails() + [(_mass_weights(r, rng), rng.random((r, c)))
@@ -504,9 +504,8 @@ def test_gemv_column_slice_is_the_slice_of_gemv():
     for w, mat in mats:
         full, cols = w @ mat, mat.shape[1]
         whole = cols - cols % grain
-        spans = [(j, j + q * grain) for j in range(whole) for q in (1, 3, 64)
-                 if j % grain == 0 or j < grain]
-        spans += [(j, cols) for j in range(0, cols, grain)]
+        spans = [(j, j + q * grain) for j in range(0, whole, grain) for q in (1, 3, 64)]
+        spans += [(j, cols) for j in range(0, cols - 1, grain)]
         if cols % grain == 1:
             spans.append((max(cols - grain - 1, 0), cols))
         for j, k in spans:
@@ -766,7 +765,7 @@ def test_vertical_series(measure, quad, ctx):
     sv = vertical_norm_series(measure, 10, quad)
     # Harmonic terms: g_V(n) = beta^2 * 2/(C(n+1)) * ln 2 exactly.
     for n in range(11):
-        expected = ctx.beta(n) ** 2 * ctx.strip_fraction(n) * LN2
+        expected = ctx.beta(n) ** 2 * _split_geometry(n + 1, M, C).strip_mass * LN2
         assert sv.terms[n] == pytest.approx(expected, rel=1e-14)
     [s2] = conical_norm_series(measure, [2.0], 10, quad)
     assert np.all(s2.terms <= 0.72 * sv.terms)
@@ -1212,65 +1211,135 @@ def test_l2_ratio_builds_one_bump_table_per_generation(measure, monkeypatch):
     assert best == max(ref) and witness is fs[ref.index(best)]
 
 
+def _degenerate_nodes(measure):
+    """The first node of generations 5 and 6 with a + len == a in floats."""
+    nodes = []
+    for g in (5, 6):
+        s, l, _ = measure.leaf_table(g)
+        nodes.append((g, int(np.flatnonzero(s + l == s)[0])))
+    return nodes
+
+
+def _tails(measure, quad):
+    """sum_{n >= g} g_V(n) of the vertical series, one Python float per g
+    in 0..depth (0 past the truncation)."""
+    terms = vertical_norm_series(measure, min(quad.trunc_generation, measure.depth - 1), quad).terms
+    return [float(terms[g:].sum()) for g in range(measure.depth + 1)]
+
+
 def test_testing_functional_cantor(measure, quad):
     kernel = CantorKernel(measure)
     with pytest.raises(EmptyCubeList):
         sq_testing_functional(kernel, measure, [], quad)
-    cubes = [(0.0, 1.0)]
-    for g in (1, 2):
-        s, l, _ = measure.leaf_table(g)
-        cubes += [(float(a), float(a + b)) for a, b in zip(s, l)]
-    res = sq_testing_functional(kernel, measure, cubes, quad)
+    nodes = [(g, i) for g in range(3) for i in range(4**g)]
+    res = sq_testing_functional(kernel, measure, nodes, quad)
     # Root box integral equals the vertical norm total at the truncation.
     sv = vertical_norm_series(measure, 10, quad)
     assert res.box_integral[0] == pytest.approx(sv.total, rel=1e-9)
     assert res.sup_ratio > 0
 
 
+@pytest.mark.parametrize("cubes", [
+    [(0.0, 1.0)], [(0, 0.0)], [(0, 0), (1,)], [(0, 0, 0)], [0, 0], [("0", "0")], [[(0, 0)]],
+], ids=["float-pair", "float-index", "ragged", "triple", "flat", "strings", "nested"])
+def test_testing_functional_refuses_non_node_cubes(measure, quad, cubes):
+    # Cantor cubes are (generation, index) integer pairs; anything else is
+    # refused with InvalidParams, not read as floats.
+    with pytest.raises(InvalidParams, match="construction nodes|pairs"):
+        sq_testing_functional(CantorKernel(measure), measure, cubes, quad)
+
+
+def test_testing_functional_refuses_negative_generation(measure, quad):
+    with pytest.raises(InvalidParams, match="construction nodes"):
+        sq_testing_functional(CantorKernel(measure), measure, [(0, 0), (-1, 0)], quad)
+
+
+def test_testing_functional_refuses_generation_past_depth(quad):
+    shallow = CantorMeasure(CantorParams(m=M, C=C, depth=3))
+    kernel = CantorKernel(shallow)
+    assert sq_testing_functional(kernel, shallow, [(3, 63)], quad).box_integral.tolist() == [0.0]
+    with pytest.raises(InvalidParams, match="0 <= g <= 3"):
+        sq_testing_functional(kernel, shallow, [(4, 0)], quad)
+    # leaf_table enumerates to generation 10, so a deeper measure stops there.
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=12))
+    with pytest.raises(InvalidParams, match="0 <= g <= 10"):
+        sq_testing_functional(CantorKernel(deep), deep, [(11, 0)], quad)
+
+
+def test_testing_functional_refuses_index_out_of_range(measure, quad):
+    kernel = CantorKernel(measure)
+    for nodes in ([(0, 1)], [(2, 16)], [(2, -1)], [(1, 0), (3, 64)]):
+        with pytest.raises(InvalidParams, match="0 <= i < 4\\*\\*g"):
+            sq_testing_functional(kernel, measure, nodes, quad)
+    assert len(sq_testing_functional(kernel, measure, [(2, 15), (3, 63)], quad).cubes) == 2
+
+
+def test_testing_functional_refuses_empty_cube_list(measure, quad):
+    for cubes in ([], (), np.zeros((0, 2), dtype=np.int64)):
+        with pytest.raises(EmptyCubeList):
+            sq_testing_functional(CantorKernel(measure), measure, cubes, quad)
+    with pytest.raises(EmptyCubeList):
+        sq_testing_functional(LogProductKernel(build_logproduct("demo", 2)),
+                              LebesgueInterval(0, 1), [], quad)
+
+
 def test_root_cube_testing_value_equals_vertical_partial_sum():
-    # Two independent routes to one number: the batched box walk over the
-    # root cube [0, 1] of the depth-14 tb-testing measure (mu(3R) = 1) and
-    # the collapsed vertical series summed to the same truncation T.
+    # The root cube [0, 1] of the depth-14 tb-testing measure (mu(3R) = 1).
+    # Its node value is the collapsed vertical series summed to T, by
+    # construction; the interval walk (_cantor_box_integrals), which sums
+    # per-cube terms from the tree and reads no series, is the independent side.
     deep = CantorMeasure(CantorParams(m=M, C=C, depth=14))
     kernel = CantorKernel(deep)
     for T in range(2, 13, 2):
         quad = QuadratureConfig(trunc_generation=T)
-        root = sq_testing_functional(kernel, deep, [(0.0, 1.0)], quad)
+        root = sq_testing_functional(kernel, deep, [(0, 0)], quad)
+        [walk] = _cantor_box_integrals(deep, _box_tables(deep, quad), [(0.0, 1.0)]).tolist()
         partial = float(vertical_norm_series(deep, T, quad).partial_sums[T])
         assert root.mass_3r.tolist() == [1.0]
+        # Measured: equal to the walk at every T, and 1 ulp below the
+        # cumulative partial sum at T >= 8 (the same terms in another order).
+        assert abs(root.ratio[0] - walk) <= 2 * math.ulp(walk)
         assert abs(root.ratio[0] - partial) <= 2 * math.ulp(partial)
 
 
 def test_box_integral_shared_tables_match_fresh_context(measure, quad):
-    # testing_functional builds the strip-fraction and beta tables once per
-    # call; tables from a fresh context, with strip fractions straight from
-    # _split_geometry, give the same bits for each cube walked on its own.
+    # testing_functional reads vertical_norm_series, whose betas every
+    # context on one measure shares.  An equal measure of its own, with a
+    # fresh context, gives the same bits per node; the walk's tables from
+    # that fresh context, with strip fractions straight from _split_geometry,
+    # give the same bits per non-node cube as tables on the shared measure.
     kernel = CantorKernel(measure)
-    s, l, _ = measure.leaf_table(2)
-    cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
-    cubes += [(float(a), float(a + b)) for a, b in zip(s[::5], l[::5])]
-    res = sq_testing_functional(kernel, measure, cubes, quad)
+    nodes = [(0, 0)] + [(2, i) for i in range(0, 16, 5)]
+    res = sq_testing_functional(kernel, measure, nodes, quad)
     N = min(quad.trunc_generation, measure.depth - 1)
-    fresh = CantorSquareContext(measure, quad)
+    fresh = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=12)), quad)
+    terms = np.array([fresh.g_vertical(n) for n in range(N + 1)])
+    masses = [1.0] + measure.leaf_table(2)[2][::5].tolist()
+    assert res.box_integral.tolist() == [w * terms[g:].sum() for (g, _), w in zip(nodes, masses)]
     strip = np.array([_split_geometry(n + 1, M, C).strip_mass for n in range(N + 1)])
     beta_sq = np.array([fresh.beta(n) for n in range(N + 1)]) ** 2
-    assert [fresh.strip_fraction(n) for n in range(N + 1)] == strip.tolist()
-    for (a, b), value in zip(cubes, res.box_integral.tolist()):
-        assert _cantor_box_integrals(measure, (strip, beta_sq), [(a, b)]).tolist() == [value]
-    # Beyond the measure's depth the strip fraction is built on demand.
+    for a, b in [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]:
+        assert (_cantor_box_integrals(measure, (strip, beta_sq), [(a, b)]).tolist()
+                == _cantor_box_integrals(measure, _box_tables(measure, quad), [(a, b)]).tolist())
+    # Beyond the measure's depth the strip mass is built on demand.
     shallow = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=3)), quad)
-    assert shallow.strip_fraction(5) == _split_geometry(6, M, C).strip_mass
+    assert shallow.g_vertical(5) == shallow.beta(5) ** 2 * _split_geometry(6, M, C).strip_mass * LN2
 
 
 def test_testing_functional_counts_degenerate_cubes(measure, quad):
+    # Nodes of generations 5 and 6 far enough from 0 have a + len == a in
+    # floats: mu(3R) and the length read 0, so ratio and per_length are 0,
+    # while the box integral is mass x tail as for every node.
     kernel = CantorKernel(measure)
-    tiny = float(measure.leaf_table(10)[1].min())
-    cubes = [(0.0, 1.0), (0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.2, 0.3)]
-    assert 0.75 + tiny / 4 == 0.75 and tiny > 0
-    res = sq_testing_functional(kernel, measure, cubes, quad)
+    nodes = [(0, 0), *_degenerate_nodes(measure), (2, 5)]
+    res = sq_testing_functional(kernel, measure, nodes, quad)
     assert res.degenerate.tolist() == [False, True, True, False]
-    assert res.box_integral[1:3].tolist() == [0.0, 0.0]
-    full = sq_testing_functional(kernel, measure, [(0.0, 1.0)], quad)
+    tails = _tails(measure, quad)
+    want = [float(measure.leaf_table(g)[2][i]) * tails[g] for g, i in nodes[1:3]]
+    assert res.box_integral[1:3].tolist() == want and min(want) > 0.0
+    assert res.mass_3r[1:3].tolist() == [0.0, 0.0]
+    assert res.ratio[1:3].tolist() == [0.0, 0.0] and res.per_length[1:3].tolist() == [0.0, 0.0]
+    full = sq_testing_functional(kernel, measure, [(0, 0)], quad)
     assert full.degenerate.tolist() == [False]
 
 
@@ -1293,14 +1362,20 @@ class _CubeValue:
 
 
 def _per_cube_testing(kernel, measure, cubes, quad):
-    """(per-cube records, degenerate count, sup ratio, sup per length), one cube at a time."""
-    degenerate = sum(1 for (ca, cb) in cubes if not cb > ca)
+    """(per-cube records, degenerate count, sup ratio, sup per length), one
+    cube at a time: Cantor cubes are (g, i) nodes, log-product ones (a, b)."""
     if isinstance(kernel, CantorKernel):
-        boxes = _cantor_box_integrals(measure, _box_tables(measure, quad), cubes).tolist()
+        tails, pairs, boxes = _tails(measure, quad), [], []
+        for g, i in cubes:
+            s, l, w = measure.leaf_table(g)
+            pairs.append((float(s[i]), float(s[i] + l[i])))
+            boxes.append(float(w[i]) * tails[g])
     else:
+        pairs = cubes
         boxes = [_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
                  for (ca, cb) in cubes]
-    ca, cb = np.array(cubes, dtype=float).reshape(-1, 2).T
+    degenerate = sum(1 for (ca, cb) in pairs if not cb > ca)
+    ca, cb = np.array(pairs, dtype=float).reshape(-1, 2).T
     mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
     m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half).tolist()
     per_cube = [_CubeValue((a, b), box, m, b - a) for a, b, box, m
@@ -1326,34 +1401,59 @@ def _assert_matches_per_cube(res, oracle):
 @pytest.fixture(scope="module")
 def tb_cantor():
     # The Cantor phase of `nhsq run tb-testing`: the depth-14 measure, the
-    # generation 0-6 construction cubes as one (5,461, 2) array, T = 12.
+    # 5,461 construction nodes of generations 0-6 as one (5,461, 2) array, T = 12.
     cfg = ExperimentConfig(experiment="tb-testing")
     deep = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=14))
-    cubes = np.concatenate([np.column_stack((s, s + l))
-                            for s, l, _ in map(deep.leaf_table, range(7))])
-    return CantorKernel(deep), deep, cubes, cfg.quad(trunc=12)
+    nodes = np.array([(g, i) for g in range(7) for i in range(4**g)])
+    return CantorKernel(deep), deep, nodes, cfg.quad(trunc=12)
 
 
 def test_testing_result_arrays_match_per_cube_loop(tb_cantor):
-    kernel, deep, cubes, quad = tb_cantor
-    tuples = []  # the cubes as float tuples, one leaf at a time
-    for g in range(7):
-        s, l, _ = deep.leaf_table(g)
-        tuples.extend((float(a), float(a + b)) for a, b in zip(s, l))
+    kernel, deep, nodes, quad = tb_cantor
+    tuples = [tuple(v) for v in nodes.tolist()]  # the nodes as int tuples
     oracle = _per_cube_testing(kernel, deep, tuples, quad)
     assert len(tuples) == 5461 and oracle[1] == 1632
-    _assert_matches_per_cube(sq_testing_functional(kernel, deep, cubes, quad), oracle)
+    res = sq_testing_functional(kernel, deep, nodes, quad)
+    _assert_matches_per_cube(res, oracle)
     _assert_matches_per_cube(sq_testing_functional(kernel, deep, tuples, quad), oracle)
+    # The cubes are the stacked leaf-table intervals, bit for bit.
+    stacked = np.concatenate([np.column_stack((s, s + l))
+                              for s, l, _ in map(deep.leaf_table, range(7))])
+    assert res.cubes.tobytes() == stacked.tobytes()
+
+
+def test_node_box_integrals_match_interval_walk(tb_cantor):
+    # On the tb-testing nodes, mass x vertical tail is within 2 ulp of the
+    # interval walk for every non-degenerate cube (measured: 2 ulp at most,
+    # 4.1e-16 relative).  The walk values a degenerate cube at 0.
+    kernel, deep, nodes, quad = tb_cantor
+    res = sq_testing_functional(kernel, deep, nodes, quad)
+    walk = _cantor_box_integrals(deep, _box_tables(deep, quad), res.cubes)
+    live = ~res.degenerate
+    assert live.sum() == 5461 - 1632 and (walk[~live] == 0.0).all()
+    assert (np.abs(res.box_integral - walk)[live] <= 2 * np.spacing(walk[live])).all()
+
+
+def test_node_ratios_peak_at_the_root(tb_cantor):
+    # The tails decrease in g and mass(R) <= mu(3R), so no node's ratio
+    # passes the root's, whose mu(3R) is 1; the sup keeps its digits.
+    kernel, deep, nodes, quad = tb_cantor
+    res = sq_testing_functional(kernel, deep, nodes, quad)
+    tails, N = _tails(deep, quad), quad.trunc_generation
+    assert all(x > y for x, y in zip(tails, tails[1:N + 1])) and tails[N + 1:] == [0.0, 0.0]
+    masses = np.concatenate([deep.leaf_table(g)[2] for g in range(7)])
+    assert (masses <= res.mass_3r)[~res.degenerate].all()
+    assert (res.ratio <= res.ratio[0]).all() and int(np.argmax(res.ratio)) == 0
+    assert repr(res.sup_ratio) == "0.004116211096838229"
 
 
 def test_testing_result_arrays_match_per_cube_loop_on_pairs(measure, quad):
     kernel = CantorKernel(measure)
-    tiny = float(measure.leaf_table(10)[1].min())
     rng = np.random.default_rng(23)
-    cubes = [(0.0, 1.0), (0.5, 0.5), (0.75, 0.75 + tiny / 4), (0.1, 0.35), (-0.5, 2.0)]
-    cubes += [tuple(sorted(rng.random(2).tolist())) for _ in range(40)]
-    res = sq_testing_functional(kernel, measure, cubes, quad)
-    _assert_matches_per_cube(res, _per_cube_testing(kernel, measure, cubes, quad))
+    nodes = [(0, 0), *_degenerate_nodes(measure), (1, 2)]
+    nodes += [(int(g), int(rng.integers(4**g))) for g in rng.integers(0, 9, 40)]
+    res = sq_testing_functional(kernel, measure, nodes, quad)
+    _assert_matches_per_cube(res, _per_cube_testing(kernel, measure, nodes, quad))
     assert res.degenerate.tolist()[:3] == [False, True, True]
     kv = LogProductKernel(build_logproduct("demo", 2))
     lb = LebesgueInterval(0, 1)
@@ -1365,11 +1465,11 @@ def test_testing_result_arrays_match_per_cube_loop_on_pairs(measure, quad):
 def test_testing_result_holds_arrays_only(tb_cantor):
     # On the 5,461 tb-testing cubes the result keeps four arrays, about
     # 0.18 MB; one record per cube kept 1.46 MB.
-    kernel, deep, cubes, quad = tb_cantor
-    sq_testing_functional(kernel, deep, cubes, quad)  # the measure's caches
+    kernel, deep, nodes, quad = tb_cantor
+    sq_testing_functional(kernel, deep, nodes, quad)  # the measure's caches
     tracemalloc.start()
     try:
-        res = sq_testing_functional(kernel, deep, cubes, quad)
+        res = sq_testing_functional(kernel, deep, nodes, quad)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1378,21 +1478,73 @@ def test_testing_result_holds_arrays_only(tb_cantor):
 
 
 def test_cantor_box_integral_builds_no_reference_cycles(measure, quad):
-    # The batched box walk keeps its frontier in arrays: a testing call
-    # leaves nothing for the cycle collector.
+    # The node form works on arrays: a testing call leaves nothing for the
+    # cycle collector.
     kernel = CantorKernel(measure)
-    s, l, _ = measure.leaf_table(3)
-    cubes = [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]
-    cubes += [(float(a), float(a + b)) for a, b in zip(s, l)]
-    sq_testing_functional(kernel, measure, cubes, quad)
+    nodes = [(g, i) for g in range(4) for i in range(4**g)]
+    sq_testing_functional(kernel, measure, nodes, quad)
     gc.collect()
     gc.disable()
     try:
-        res = sq_testing_functional(kernel, measure, cubes, quad)
+        res = sq_testing_functional(kernel, measure, nodes, quad)
         del res
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _cantor_box_integrals(measure: CantorMeasure, tables: tuple[np.ndarray, np.ndarray],
+                          cubes) -> np.ndarray:
+    """Box integral of |theta_t 1|^2 over [a,b] x (0, b-a) per cube (a, b):
+    the interval walk, the oracle of the node form on node and non-node cubes.
+
+    theta is constant beta(n) on each strip/band region, so the box integral
+    is a sum over generations of beta^2 * (strip mass inside [a,b]) * (log
+    measure of the band clipped to t < len(R)).  Bands of nodes inside R fit
+    entirely (L_J <= 0.2 len(J) <= 0.2 len(R)); only partial boundary nodes
+    need clipping.  tables holds the strip fractions and beta^2 of
+    generations 0..N, N <= measure.depth - 1.  All cubes walk the tree
+    together, one generation at a time; the terms of totals[cube, n] are
+    added in the order of their nodes' depth-first keys (path digits + 1 in
+    base 5, padded to N digits), the order of a one-cube depth-first walk.
+    """
+    strip_frac, beta_sq = tables
+    N = len(strip_frac) - 1
+    ca, cb = np.asarray(cubes, dtype=float).reshape(-1, 2).T
+    cube = np.flatnonzero(cb - ca > 0)
+    off, length, mass = np.zeros(cube.size), np.ones(cube.size), np.ones(cube.size)
+    key = np.zeros(cube.size, dtype=np.int64 if 5**N < 2**63 else object)
+    terms = []  # (cube, n, key, value) arrays
+    for g in range(N + 1):
+        a, b = ca[cube], cb[cube]
+        meet = (off < b) & (off + length > a)
+        bulk = meet & (a <= off) & (off + length <= b)
+        pad, width = 5 ** (N - g), N + 1 - g
+        # Bulk: every deeper generation of this subtree contributes fully.
+        terms.append((np.repeat(cube[bulk], width), np.tile(np.arange(g, N + 1), int(bulk.sum())),
+                      np.repeat(key[bulk] * pad, width),
+                      (mass[bulk][:, None] * strip_frac[g:] * LN2).ravel()))
+        part = meet & ~bulk
+        cube, off, length, mass, key, a, b = (v[part] for v in (cube, off, length, mass, key, a, b))
+        geo = measure.geometry[g + 1]  # g + 1 <= N + 1 <= depth
+        t_hi, t_lo = np.minimum(geo.L * length, b - a), geo.L * length / 2.0
+        band = np.flatnonzero(t_hi > t_lo)
+        children = [v.reshape(-1, 4) for v in geo.split(off, length, mass)]
+        # The strip: both middle children of every band node, clipped to [a, b].
+        s_off, s_len = (v[band, 1:3].ravel() for v in children[:2])
+        ja = np.maximum(s_off, np.repeat(a[band], 2))
+        jb = np.maximum(np.minimum(s_off + s_len, np.repeat(b[band], 2)), ja)
+        sm = measure.interval_masses(ja, jb).reshape(-1, 2)  # root walks of spans inside one node
+        terms.append((cube[band], np.full(band.size, g), key[band] * pad,
+                      (sm[:, 0] + sm[:, 1]) * np.log(t_hi[band] / t_lo[band])))
+        off, length, mass = (v.ravel() for v in children)
+        key = (key[:, None] * 5 + np.arange(1, 5)).ravel()
+        cube = np.repeat(cube, 4)
+    rows, cols, keys, vals = (np.concatenate(v) for v in zip(*terms))
+    order = np.lexsort((keys, cols, rows))
+    totals = np.zeros((ca.size, N + 1))
+    np.add.at(totals.ravel(), (rows * (N + 1) + cols)[order], vals[order])
+    return np.sum(beta_sq * totals, axis=1)
 
 
 def _recursive_box_integral(measure, tables, a, b):
@@ -1435,9 +1587,10 @@ def _recursive_box_integral(measure, tables, a, b):
 
 
 def _box_tables(measure, quad):
+    """The walk's strip fractions and beta^2 of generations 0..min(T, depth - 1)."""
     ctx = CantorSquareContext(measure, quad)
     gens = range(min(quad.trunc_generation, measure.depth - 1) + 1)
-    return (np.array([ctx.strip_fraction(n) for n in gens]),
+    return (np.array([measure.geometry[n + 1].strip_mass for n in gens]),
             np.array([ctx.beta(n) for n in gens]) ** 2)
 
 
