@@ -742,10 +742,6 @@ class TestingResult:
     def sup_ratio(self) -> float:
         return float(self.ratio.max())
 
-    @property
-    def sup_per_length(self) -> float:
-        return float(self.per_length.max())
-
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
@@ -774,27 +770,19 @@ def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
     return total
 
 
-def _checked_nodes(measure: CantorMeasure, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(generation g, index i) of an (n, 2) integer array of construction
-    nodes, with 0 <= g <= min(depth, 10) (leaf_table's reach) and 0 <= i <
-    4**g; InvalidParams for anything else."""
-    top = min(measure.depth, 10)
-    if nodes.dtype.kind in "iu" and nodes.shape[1:] == (2,):
-        g, i = nodes.astype(np.int64).T
-        if np.all((0 <= g) & (g <= top) & (0 <= i) & (i < 4 ** np.clip(g, 0, top))):
-            return g, i
-    raise InvalidParams("Cantor cubes are construction nodes: integer (generation g, index i) "
-                        f"pairs with 0 <= g <= {top} and 0 <= i < 4**g")
-
-
 def testing_functional(kernel, measure, cubes, quad: QuadratureConfig) -> TestingResult:
     """sup over cubes R of mu(3R)^-1 * box integral of |theta_t 1|^2.
 
-    Cantor kernel: the cubes are construction nodes (_checked_nodes), i in
-    leaf_table(g)'s order.  theta_t 1 is beta(n) on each generation-n strip
-    band, and the bands of the nodes inside R lie under t < len(R), so the
-    box integral is mass(R) times the tail sum_{n >= g} g_V(n) of
-    vertical_norm_series to N = min(trunc_generation, depth - 1), 0 past N.
+    Cantor kernel: the cubes are construction nodes, integer (g, i) pairs
+    with 0 <= g <= min(depth, 31) (int64 holds 4**31) and 0 <= i < 4**g in
+    leaf_table(g)'s order; anything else is InvalidParams.  theta_t 1 is
+    beta(n) on each generation-n node J's band, J's middle children x
+    (L_J / 2, L_J).  The bands of the nodes inside R give mass(R) times the
+    tail sum_{n >= g} g_V(n) of vertical_norm_series to N = min(
+    trunc_generation, depth - 1), 0 past N; an ancestor J whose middle child
+    holds R adds beta^2 mass(R) log(len(R) / (L_J / 2)) if len(R) > L_J / 2
+    (at C = 4 the generation-1 middle children are L_J long, at the
+    defaults under 0.01 L_J).
     Log-product kernel: (a, b) interval pairs, read as floats.  mu(3R), for
     the ratio, is one interval_masses call; len(R) gives per_length.
     """
@@ -805,12 +793,26 @@ def testing_functional(kernel, measure, cubes, quad: QuadratureConfig) -> Testin
     if not cubes.size:
         raise EmptyCubeList("testing functional needs at least one cube")
     if isinstance(kernel, CantorKernel):
-        g, i = _checked_nodes(measure, cubes)
-        tables = [np.concatenate(v) for v in zip(*map(measure.leaf_table, range(g.max() + 1)))]
-        a, length, mass = (v[(4**g - 1) // 3 + i] for v in tables)  # 1 + 4 + ... + 4**(g-1) rows first
-        terms = vertical_norm_series(measure, min(quad.trunc_generation, measure.depth - 1), quad).terms
-        tails = np.array([terms[n:].sum() for n in range(g.max() + 1)])
-        cubes, boxes = np.column_stack((a, a + length)), mass * tails[g]
+        top, ok = min(measure.depth, 31), cubes.dtype.kind in "iu" and cubes.shape[1:] == (2,)
+        g, i = cubes.astype(np.int64).T if ok else (-1, 0)  # (-1, 0): no node, refused below
+        if not np.all((0 <= g) & (g <= top) & (0 <= i) & (i < 4 ** np.clip(g, 0, top))):
+            raise InvalidParams("Cantor cubes are construction nodes: integer (generation g, "
+                                f"index i) pairs with 0 <= g <= {top} and 0 <= i < 4**g")
+        N, ctx = min(quad.trunc_generation, measure.depth - 1), CantorSquareContext(measure, quad)
+        a, length, mass = np.zeros(g.size), np.ones(g.size), np.ones(g.size)
+        middle = []  # (h, rows, L_J): the nodes in a middle child of their generation-h ancestor J
+        for k in range(1, g.max() + 1):  # one base-4 digit a step, split as in leaf_table
+            geo, on = measure.geometry[k], np.flatnonzero(g >= k)
+            d = (i[on] >> 2 * (g[on] - k)) & 3
+            middle.append((k - 1, on[d % 3 > 0], geo.L * length[on[d % 3 > 0]]))
+            kids = geo.split(a[on], length[on], mass[on])
+            a[on], length[on], mass[on] = (v.reshape(-1, 4)[np.arange(on.size), d] for v in kids)
+        terms = vertical_norm_series(measure, N, quad).terms
+        boxes = mass * np.array([terms[n:].sum() for n in range(g.max() + 1)])[g]
+        for h, rows, L in middle[:N + 1]:  # J's band under t < len(R) <= L_J; log 1 = 0 if none
+            ratio = np.divide(length[rows], L / 2, out=np.ones_like(L), where=length[rows] > L / 2)
+            boxes[rows] += ctx.beta(h) ** 2 * mass[rows] * np.log(ratio)
+        cubes = np.column_stack((a, a + length))
     elif isinstance(kernel, LogProductKernel):
         cubes = cubes.astype(float).reshape(-1, 2)
         boxes = np.array([_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)

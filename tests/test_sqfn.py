@@ -1260,10 +1260,29 @@ def test_testing_functional_refuses_generation_past_depth(quad):
     assert sq_testing_functional(kernel, shallow, [(3, 63)], quad).box_integral.tolist() == [0.0]
     with pytest.raises(InvalidParams, match="0 <= g <= 3"):
         sq_testing_functional(kernel, shallow, [(4, 0)], quad)
-    # leaf_table enumerates to generation 10, so a deeper measure stops there.
-    deep = CantorMeasure(CantorParams(m=M, C=C, depth=12))
-    with pytest.raises(InvalidParams, match="0 <= g <= 10"):
-        sq_testing_functional(CantorKernel(deep), deep, [(11, 0)], quad)
+    # An index of generation 31 fills int64 (4**31 = 2**62), so a deeper
+    # measure stops there.
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=33))
+    with pytest.raises(InvalidParams, match="0 <= g <= 31"):
+        sq_testing_functional(CantorKernel(deep), deep, [(32, 0)], quad)
+
+
+def test_deep_nodes_build_no_leaf_table(quad):
+    # Each node descends its own base-4 digits: a generation-10 or -31 node
+    # costs its path, not a 4**g leaf table, and lands where leaf_table's
+    # splits put it.
+    deep = CantorMeasure(CantorParams(m=M, C=C, depth=33))
+    last = 4**31 - 1
+    res = sq_testing_functional(CantorKernel(deep), deep, [(10, 4**10 - 1), (31, last)], quad)
+    assert deep._leaf_cache == {}
+    s, l, w = deep.leaf_table(10)
+    assert res.cubes[0].tolist() == [s[-1], s[-1] + l[-1]]
+    assert res.box_integral[0] == w[-1] * _tails(deep, quad)[10]
+    off, length, mass = np.zeros(1), np.ones(1), np.ones(1)
+    for k in range(1, 32):  # leaf_table's split, keeping only the last child
+        off, length, mass = (v[3:] for v in deep.geometry[k].split(off, length, mass))
+    assert res.cubes[1].tolist() == [off[0], off[0] + length[0]]
+    assert res.box_integral[1] == 0.0  # past the truncation
 
 
 def test_testing_functional_refuses_index_out_of_range(measure, quad):
@@ -1305,9 +1324,7 @@ def test_root_cube_testing_value_equals_vertical_partial_sum():
 def test_box_integral_shared_tables_match_fresh_context(measure, quad):
     # testing_functional reads vertical_norm_series, whose betas every
     # context on one measure shares.  An equal measure of its own, with a
-    # fresh context, gives the same bits per node; the walk's tables from
-    # that fresh context, with strip fractions straight from _split_geometry,
-    # give the same bits per non-node cube as tables on the shared measure.
+    # fresh context, gives the same bits per node.
     kernel = CantorKernel(measure)
     nodes = [(0, 0)] + [(2, i) for i in range(0, 16, 5)]
     res = sq_testing_functional(kernel, measure, nodes, quad)
@@ -1316,11 +1333,6 @@ def test_box_integral_shared_tables_match_fresh_context(measure, quad):
     terms = np.array([fresh.g_vertical(n) for n in range(N + 1)])
     masses = [1.0] + measure.leaf_table(2)[2][::5].tolist()
     assert res.box_integral.tolist() == [w * terms[g:].sum() for (g, _), w in zip(nodes, masses)]
-    strip = np.array([_split_geometry(n + 1, M, C).strip_mass for n in range(N + 1)])
-    beta_sq = np.array([fresh.beta(n) for n in range(N + 1)]) ** 2
-    for a, b in [(0.0, 1.0), (0.1, 0.35), (0.3, 0.9)]:
-        assert (_cantor_box_integrals(measure, (strip, beta_sq), [(a, b)]).tolist()
-                == _cantor_box_integrals(measure, _box_tables(measure, quad), [(a, b)]).tolist())
     # Beyond the measure's depth the strip mass is built on demand.
     shallow = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=3)), quad)
     assert shallow.g_vertical(5) == shallow.beta(5) ** 2 * _split_geometry(6, M, C).strip_mass * LN2
@@ -1395,7 +1407,7 @@ def _assert_matches_per_cube(res, oracle):
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
     assert int(res.degenerate.sum()) == degenerate
     assert type(res.sup_ratio) is float and repr(res.sup_ratio) == repr(sup_ratio)
-    assert type(res.sup_per_length) is float and repr(res.sup_per_length) == repr(sup_per_length)
+    assert repr(float(res.per_length.max())) == repr(sup_per_length)
 
 
 @pytest.fixture(scope="module")
@@ -1435,9 +1447,12 @@ def test_node_box_integrals_match_interval_walk(tb_cantor):
 
 
 def test_node_ratios_peak_at_the_root(tb_cantor):
-    # The tails decrease in g and mass(R) <= mu(3R), so no node's ratio
-    # passes the root's, whose mu(3R) is 1; the sup keeps its digits.
+    # At the defaults a middle child is under 0.01 L long, so no ancestor's
+    # band reaches under a node's box: the box integral is mass x tail.  The
+    # tails decrease in g and mass(R) <= mu(3R), so no node's ratio passes
+    # the root's, whose mu(3R) is 1; the sup keeps its digits.
     kernel, deep, nodes, quad = tb_cantor
+    assert all(geo.child_lengths[1] < 0.01 * geo.L for geo in deep.geometry.values())
     res = sq_testing_functional(kernel, deep, nodes, quad)
     tails, N = _tails(deep, quad), quad.trunc_generation
     assert all(x > y for x, y in zip(tails, tails[1:N + 1])) and tails[N + 1:] == [0.0, 0.0]
@@ -1445,6 +1460,26 @@ def test_node_ratios_peak_at_the_root(tb_cantor):
     assert (masses <= res.mass_3r)[~res.degenerate].all()
     assert (res.ratio <= res.ratio[0]).all() and int(np.argmax(res.ratio)) == 0
     assert repr(res.sup_ratio) == "0.004116211096838229"
+
+
+@pytest.mark.parametrize("m", [0.4, 0.49])
+def test_node_box_integrals_count_ancestor_bands_at_c4(m, quad):
+    # At C = 4 the generation-1 children are all L long, so the band
+    # (L / 2, L) of the root reaches under each middle child's box: a box
+    # integral of beta(0)^2 mass ln 2 more than mass x tail, which puts the
+    # sup at node (1, 1).  Measured: within 2 ulp of the interval walk on
+    # every non-degenerate node of generations 0-5.
+    deep = CantorMeasure(CantorParams(m=m, C=4.0, depth=10))
+    geo = deep.geometry[1]
+    assert geo.child_lengths[1] == geo.L
+    nodes = np.array([(g, i) for g in range(6) for i in range(4**g)])
+    res = sq_testing_functional(CantorKernel(deep), deep, nodes, quad)
+    walk = _cantor_box_integrals(deep, _box_tables(deep, quad), res.cubes)
+    live = ~res.degenerate
+    assert (np.abs(res.box_integral - walk)[live] <= 2 * np.spacing(walk[live])).all()
+    beta0_sq, tails = CantorSquareContext(deep, quad).beta(0) ** 2, _tails(deep, quad)
+    assert res.box_integral[2] == pytest.approx(0.25 * (beta0_sq * LN2 + tails[1]), rel=1e-15)
+    assert int(np.argmax(res.ratio)) == 2 and res.ratio[2] > res.ratio[0]
 
 
 def test_testing_result_arrays_match_per_cube_loop_on_pairs(measure, quad):
@@ -1820,7 +1855,7 @@ def test_testing_functional_logproduct(quad):
     lb = LebesgueInterval(0, 1)
     res = sq_testing_functional(kv, lb, [(0.0, 1.0), (0.25, 0.5)], quad)
     assert all(v >= 0 for v in res.box_integral.tolist())
-    assert res.sup_per_length < 10
+    assert res.per_length.max() < 10
 
 
 def test_leaf_function_batch_matches_leaf_index(measure):
