@@ -20,11 +20,12 @@ and leaf table per (n, y resolution), or one oracle node's atoms and theta)
 is built once, and one _band_forms call checks it and runs each aperture's
 quadratic form u_w @ tails @ y_w on it, so every aperture's sums run in the
 same order as for a lone one.  No dense |u - y| or tails matrix is built:
-_tail_chunks builds the tails in chunks of 1,024 columns holding only the
-rows whose windows meet them, edges on 16-row and 16-column grains (each
-gemv output is then the full product's, so the digits hold), and runs the
-tail formula in place in each window's distance buffer, only where it is
-neither 0 nor constant.
+_tail_chunks builds the tails of the distinct values of y (many leaf mids
+are one double) in chunks of 512 columns holding only the rows whose
+windows meet them, edges on 16-row and 16-column grains (each gemv output
+is then the full product's, so the digits hold), and runs the tail formula
+in place in each window's distance buffer, only where it is neither 0 nor
+constant.
 weak11_functional works at aperture 1.
 
 For apertures alpha <= 2 the ball B(y, alpha t) never escapes the node I for
@@ -93,7 +94,7 @@ __all__ = [
 LN2 = math.log(2.0)
 CI_BLOCK_ROWS = 1024  # boundary-zone rows per ci_profile block (256 KB per temporary at 32 steps)
 TAIL_BLOCK_ROWS = 32  # rows of u that share one pair of column windows in _tail_chunks
-TAIL_BLOCK_COLS = 1024  # columns of y per _tail_chunks chunk (1 MB at 128 rows)
+TAIL_BLOCK_COLS = 512  # columns of y per _tail_chunks chunk (0.5 MB at 128 rows)
 TAIL_GRAIN = 16  # _tail_chunks chunk edges: multiples of this many rows and columns, or len(u), len(y)
 
 
@@ -191,20 +192,31 @@ def _band_forms(u, u_w, y, y_w, t_lo: float, t_hi: float, alphas, m: float) -> l
     in v = u_w @ T.  Gemv output j is column j dotted with u_w in one order
     except in the BLAS's vector tail (the last width mod 4 outputs) and for
     one column (numpy's dot path), which the column grain avoids, and zero
-    rows outside a span with edges on the grain add exactly nothing.
+    rows outside a span with edges on the grain add exactly nothing.  The
+    chunks are built on ys: the distinct values of y's whole grains, padded
+    to a grain with copies of the last, then y's partial grain as it is (so
+    the vector tail keeps its columns).  T is a function of (u_i, y_j), so
+    each y_j reads its own column's output back through the inverse index.
     """
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     if not (np.isfinite(u).all() and np.isfinite(y).all() and (y[:-1] <= y[1:]).all()):
         raise InvalidParams("band tails need finite u and a non-decreasing finite y")
     starts = np.arange(0, len(u), TAIL_BLOCK_ROWS)
     extent = np.minimum.reduceat(u, starts), np.maximum.reduceat(u, starts)
+    whole = len(y) - len(y) % TAIL_GRAIN
+    head, new = y[:whole], np.ones(whole, dtype=bool)
+    new[1:] = head[1:] != head[:-1]
+    distinct = head[new]
+    pad = np.repeat(distinct[-1:], -len(distinct) % TAIL_GRAIN)
+    ys = np.concatenate([distinct, pad, y[whole:]])
+    back = np.concatenate([np.cumsum(new) - 1, np.arange(len(ys) - len(y) + whole, len(ys))])
     forms = []
     for alpha in alphas:
-        v = np.zeros(len(y))
-        for i, j, tails in _tail_chunks(u, y, extent, t_lo, t_hi, alpha, m):
+        v = np.zeros(len(ys))
+        for i, j, tails in _tail_chunks(u, ys, extent, t_lo, t_hi, alpha, m):
             v[j:j + tails.shape[1]] = u_w[i:i + len(tails)] @ tails
             del tails  # freed before the next chunk is built
-        forms.append(float(v @ y_w))
+        forms.append(float(v[back] @ y_w))
     return forms
 
 

@@ -308,7 +308,7 @@ def _collapse_cases():
 
 def _tails_cases():
     """The collapse cases, y at the window radii and their float neighbours,
-    repeated y, an empty window and empty bands."""
+    repeated y, an empty window, empty bands and duplicate-heavy y."""
     alphas = _ALPHAS
     cases = _collapse_cases()
     # y at u +- alpha t and up to three floats either side.  The radii are
@@ -331,8 +331,15 @@ def _tails_cases():
         cases.append((u, np.sort(np.concatenate(ys)), t_lo, t_hi, (alpha,)))
     u, y, t_lo, t_hi = u[:40], np.repeat(np.linspace(0.0, 1.0, 50), 3), 0.0125, 0.025
     cases += [(u, y, t_lo, t_hi, alphas), (u[:1], y, t_lo, t_hi, alphas),
-              (u, y, t_hi, t_lo, alphas), (u, y, t_hi, t_hi, alphas),
-              (u[:5] * 0.1, np.linspace(0.9, 1.0, 20), t_lo, t_hi, alphas)]
+              (u, y, t_hi, t_lo, alphas), (u, y, t_hi, t_hi, alphas)]
+    # Duplicate-heavy y for the distinct columns of _band_forms: all equal,
+    # on and off the grain; a run of five straddling the end of the whole
+    # grains (index 32 of 45); runs of 40 with len(y) on the grain; no y.
+    runs = np.repeat(np.linspace(0.3, 0.7, 9), 5)
+    cases += [(u, y, 0.05, 0.1, alphas) for y in (
+        np.full(40, 0.5), np.full(32, 0.5), runs, runs[:33],
+        np.repeat(np.linspace(0.0, 1.0, 4), 40), np.zeros(0))]
+    cases.append((u[:5] * 0.1, np.linspace(0.9, 1.0, 20), t_lo, t_hi, alphas))
     return cases
 
 
@@ -420,6 +427,36 @@ def test_band_form_finds_windows_once(monkeypatch):
         assert pairs[0] == pairs[1]
         total += sum(pairs[0])
     assert total > 0
+
+
+def test_band_form_sends_each_y_value_once_per_row_block(monkeypatch):
+    # Per aperture, the tail formula gets each y value at most once per row
+    # block: _band_forms hands _tail_chunks the distinct values of y's whole
+    # grains, so the only repeats left are the copies of the last one that
+    # pad them to a grain (at most TAIL_GRAIN - 1) and the partial last
+    # grain.  On the collapse's atoms, where many leaf midpoints are the
+    # same double, handing the formula every column fails this.
+    forms = []
+
+    def chunks(u, y, *args):
+        forms.append(({}, sqfn.TAIL_GRAIN - 1 + len(y) % sqfn.TAIL_GRAIN))
+        yield from _tail_chunks(u, y, *args)
+
+    def distances(a, b):
+        forms[-1][0].setdefault(a.ctypes.data, []).append(b.copy())
+        return _distances(a, b)
+
+    monkeypatch.setattr(sqfn, "_tail_chunks", chunks)
+    monkeypatch.setattr(sqfn, "_distances", distances)
+    rng = np.random.default_rng(26)
+    for u, y, t_lo, t_hi, alphas in _collapse_cases():
+        sqfn._band_forms(u, _mass_weights(len(u), rng), y, _mass_weights(len(y), rng),
+                         t_lo, t_hi, alphas, M)
+    assert len(forms) == len(_collapse_cases()) * len(_ALPHAS)
+    for blocks, repeats in forms:
+        for ys in blocks.values():
+            ys = np.concatenate(ys)
+            assert len(ys) - len(np.unique(ys)) <= repeats
 
 
 def test_band_tails_refuse_unsorted_or_nonfinite_y():
@@ -515,6 +552,52 @@ def test_gemv_column_slice_is_the_slice_of_gemv():
                 assert np.array_equal((w @ part).view(np.int64), full[j:k].view(np.int64))
 
 
+def _distinct_columns(mat):
+    """(take, back) for mat's columns as _band_forms reads y: the first
+    column of each run of equal columns in the whole grains, the last of
+    them repeated to fill a grain, then the partial last grain as it is;
+    column j of mat is column back[j] of mat[:, take]."""
+    grain = sqfn.TAIL_GRAIN
+    cols = mat.shape[1]
+    whole = cols - cols % grain
+    head, new = mat[:, :whole], np.ones(whole, dtype=bool)
+    new[1:] = (head[:, 1:] != head[:, :-1]).any(axis=0)
+    take = np.flatnonzero(new)
+    take = np.concatenate([take, np.repeat(take[-1:], -len(take) % grain), np.arange(whole, cols)])
+    back = np.concatenate([np.cumsum(new) - 1, np.arange(len(take) - cols + whole, len(take))])
+    return take, back
+
+
+def test_gemv_of_distinct_columns_reads_back_the_gemv():
+    # The premise of the distinct columns of _band_forms: w @ M over the
+    # distinct columns of M's whole grains, padded to a grain with copies of
+    # the last one, and then M's partial grain, read back through the
+    # inverse index, equals w @ M bit for bit, at widths on and off the
+    # grain, with both matrices C-contiguous as the chunks are (a fancy
+    # index along the columns returns a Fortran-ordered copy, which numpy
+    # multiplies in another order).  Outside the BLAS's vector tail each
+    # output is its column dotted with w in one order, so an equal column
+    # gives an equal output wherever it sits; the padded run is whole
+    # grains, so none of it falls in the vector tail.  The partial grain is
+    # kept as it is so that the columns in the full product's vector tail
+    # stay in it, at the same distance from the end: deduplicating it too
+    # (and padding) changed 129 of 5,611 random duplicate-heavy forms with
+    # len(y) % 16 != 0.
+    rng = np.random.default_rng(28)
+    mats = _collapse_tails()
+    for r, c in ((128, 4096), (32, 1024), (8, 150), (128, 17), (3, 1025), (100, 37), (5, 16)):
+        for pool in (1, 3, c // 3 + 1, c):
+            idx = np.sort(rng.integers(0, pool, c))
+            mats.append((_mass_weights(r, rng), np.ascontiguousarray(rng.random((r, pool))[:, idx])))
+    merged = 0
+    for w, mat in mats:
+        take, back = _distinct_columns(mat)
+        merged += mat.shape[1] - len(set(take.tolist()))
+        got = (w @ np.ascontiguousarray(mat[:, take]))[back]
+        assert np.array_equal(got.view(np.int64), (w @ mat).view(np.int64))
+    assert merged > 0
+
+
 def _collapse_tails():
     """(weights, tails) pairs of the template shapes (128 x 4,096 and
     32 x 1,024) and of oracle nodes."""
@@ -577,12 +660,14 @@ def _dense_band_forms(u, u_w, y, y_w, t_lo, t_hi, alphas, m):
 def test_band_form_bounds_the_working_set(measure, quad, monkeypatch, traced_peak):
     # The chunked forms trace at most 18 % of the peak of the dense route,
     # which holds the 4 MB |u - y| and tails matrices at once: for one
-    # template's three band weights (1.37 against 8.64 MB: one 128-row 1 MB
-    # chunk where both middle children reach its columns, one 0.25 MB
+    # template's three band weights (0.86 against 8.64 MB: one 128-row
+    # 0.5 MB chunk where both middle children reach its columns, one
     # distance buffer per window that the tail weight overwrites, and the
-    # template tables) and for one 128 x 4,096 oracle node (0.67 against
-    # 8.60 MB: its chunks hold 64 live rows), and a full aperture run never
-    # builds tails wider than TAIL_BLOCK_COLS.
+    # template tables) and for one 128 x 4,096 oracle node (0.73 against
+    # 8.60 MB: one of its chunks of distinct columns holds all 128 rows), and
+    # a full aperture run never builds tails wider than TAIL_BLOCK_COLS.  At
+    # 1,024 columns the distinct columns put 1 MB chunks of 128 rows in both
+    # (1.64 and 1.23 MB, past the bound on the template).
     def both():
         return (lambda: CantorSquareContext(measure, quad).band_weights(4, (1.0, 1.5, 2.0), 6),
                 lambda: direct_norm_series(measure, (1.0,), 0, quad))
