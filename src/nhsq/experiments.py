@@ -203,6 +203,7 @@ def _exp_aperture(cfg: ExperimentConfig, report: ExperimentReport):
 
     oracle_measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=9))
     worst = validate_collapse(oracle_measure, cfg.alphas, 3, cfg.quad(trunc=3))
+    report.counters["oracle_atom_depth"] = cfg.quad(trunc=3).oracle_atom_depth(oracle_measure.depth, 3)
     report.metrics["collapse_worst_rel_err"] = worst
     yield "2", worst <= 0.01, f"collapse vs enumeration: {worst:.2e}"
 
@@ -344,6 +345,7 @@ def _exp_weak11(cfg: ExperimentConfig, report: ExperimentReport):
     depth = 5
     measure = cfg.measure(min_depth=12)
     quad = cfg.quad(trunc=10)
+    report.counters["conical_value_atom_depth"] = quad.point_atom_depth()
     kernel = CantorKernel(measure)
     rng = derive_rng(cfg.seed, "weak11-spikes")
     leaves = rng.integers(0, 4**depth, size=10)

@@ -10,18 +10,19 @@ Two concrete kernels:
 * LogProductKernel: phi_{V,t}(x - y) for x in [0,1] and f(x) <= t <= 1, zero
   otherwise, with m = alpha = 1.
 
-Every kernel's evaluate(t, x, y) broadcasts its three arguments and returns
-an array, or a float when all three are scalars.  The Cantor kernel walks
-all points down the tree together (CantorMeasure.descend) and takes x to be
-in a node's strip when descend's first-match rule sends it on to child 1 or
-2; the log-product kernel takes its exponents from
-LogProductFn.exponent_batch.  Powers, squares and logs are numpy ufuncs on
-arrays, also for scalar arguments, which reach them as 0-d or masked 1-d
-arrays.  A ufunc gives each element the same bits whatever its position or
-the array's length, so a batch value equals the one-point value bit for
-bit; a Python float's or numpy scalar's ** calls libm instead, which can
-differ in the last place.  locate and LogProductFn.exponent stay as the
-one-point oracles.
+Every kernel's evaluate(t, x, y) returns s_t on the broadcast shape of its
+three arguments, or a float when all three are scalars; it walks the tree or
+reads exponents on the broadcast shape of (t, x) alone, so (t, x) columns
+against rows of y are walked once each.  The Cantor kernel walks them down
+the tree together (CantorMeasure.descend) and takes x to be in a node's strip
+when descend's first-match rule sends it on to child 1 or 2; the log-product
+kernel takes its exponents from LogProductFn.exponent_batch.  Powers, squares
+and logs are numpy ufuncs on arrays, also for scalar arguments, which reach
+them as 0-d or masked 1-d arrays.  A ufunc gives each element the same bits
+whatever its position or the array's length, so a batch value equals the
+one-point value bit for bit; a Python float's or numpy scalar's ** calls libm
+instead, which can differ in the last place.  locate and LogProductFn.exponent
+stay as the one-point oracles.
 
 The size and continuity checkers are samplers, not proofs: they stratify
 over the kernels' active bands, add adversarial edge points, and report the
@@ -31,6 +32,13 @@ checker works through its actives in blocks of at most POINT_BLOCK points:
 each block draws its y in one stream-exact sample_y call (_branch_draws; the
 blocks' calls chain to the one-call stream), evaluates its points and folds
 them into the running maxima.
+
+The stream premise: rng.random(k) turns k 64-bit words W into (W >> 11) 2^-53,
+so W >> 11 = double * 2^53, and leaves the held 32-bit half-word alone;
+rng.integers(0, 4) is the top two bits of the held half-word, else of a new
+word's low half, whose high half it holds (Lemire's method never rejects a
+power-of-two range).  CantorKernel.sample_active reads a block's words in
+per-point order, then redraws the words used and sets the held half-word.
 """
 
 from __future__ import annotations
@@ -183,10 +191,11 @@ class CantorKernel:
         return None
 
     def evaluate(self, t, x, y):
-        """s_t(x, y) elementwise; every point walks x's node chain as in locate."""
-        t, x, y = _broadcast(t, x, y)
+        """s_t(x, y) elementwise; each (t, x) walks x's node chain as in locate."""
+        t, x = _broadcast(t, x)
         meas = self.measure
-        out = np.zeros(t.shape)
+        # The active node per (t, x); it has L_abs >= t > 0, so length 0 marks none.
+        node_off, node_len = np.zeros(t.shape), np.zeros(t.shape)
         pending = (0.0 <= x) & (x <= 1.0) & (t > 0.0)
         walk = meas.descend(x, meas.depth)
         for (g, off, length, _, _, alive), (_, _, _, _, child, on_tree) in pairwise(walk):
@@ -195,52 +204,62 @@ class CantorKernel:
             band = pending & (t >= L_abs / 2.0)
             digit = child % 4
             hit = band & on_tree & ((digit == 1) | (digit == 2))
-            if hit.any():
-                ln = length[hit]
-                out[hit] = bump((y[hit] - (off[hit] + ln / 2.0)) / ln) / ln**self.m
+            node_off[hit], node_len[hit] = off[hit], length[hit]
             pending &= ~band
             if not pending.any():
                 break
+        on, off, ln, y = np.broadcast_arrays(node_len > 0.0, node_off, node_len, y)
+        out = np.zeros(on.shape)
+        out[on] = bump((y[on] - (off[on] + ln[on] / 2.0)) / ln[on]) / ln[on]**self.m
         return out if out.ndim else float(out)
 
     def sample_active(self, rng: np.random.Generator, n: int):
-        """Stratified (t, x, nodes) over strips and bands, plus edge points; per
-        point, as its rng.integers digits use the generator's buffered 32-bit
-        word, appended to array.array buffers."""
+        """Stratified (t, x, nodes) over strips and bands, plus edge points: per
+        generation g, blocks of at most SAMPLE_BLOCK points, each read from one
+        stream-exact draw of ceil(g/2) + 5 words a point (module docstring)."""
         meas = self.measure
-        gens = list(range(0, min(meas.depth, 6)))
+        gens = range(0, min(meas.depth, 6))
         ts, xs, nodes = array("d"), array("d"), array("d")
         per = max(1, n // max(1, len(gens)))
         for g in gens:
-            for _ in range(per):
-                # Random node at generation g via a random child path.
-                off, length = 0.0, 1.0
-                for k in range(1, g + 1):
-                    geo = meas.geometry[k]
-                    j = int(rng.integers(0, 4))
-                    off += geo.child_offsets[j] * length
-                    length *= geo.child_lengths[j]
-                geo = meas.geometry[g + 1]
-                L_abs = geo.L * length
-                j = 1 if rng.random() < 0.5 else 2
-                lo = off + geo.child_offsets[j] * length
-                hi = lo + geo.child_lengths[j] * length
-                u = rng.random()
-                if u < 0.15:
-                    x = lo  # strip edge
-                elif u < 0.3:
-                    x = hi
-                else:
-                    x = lo + (hi - lo) * rng.random()  # rng.uniform(lo, hi), bit for bit
-                v = rng.random()
-                if v < 0.15:
-                    t = L_abs / 2.0  # band edge
-                elif v < 0.3:
-                    t = L_abs
-                else:
-                    a, b = math.log(L_abs / 2.0), math.log(L_abs)
-                    t = math.exp(a + (b - a) * rng.random())
-                ts.append(t), xs.append(x), nodes.extend((off, length))
+            path, geo = [meas.geometry[k] for k in range(1, g + 1)], meas.geometry[g + 1]
+            for start in range(0, per, SAMPLE_BLOCK):
+                count = min(SAMPLE_BLOCK, per - start)
+                state = rng.bit_generator.state
+                has, held = state["has_uint32"], state["uinteger"] << 21  # held as W >> 11
+                d, i = rng.random(count * ((g + 1) // 2 + 5)).tolist(), 0
+                for _ in range(count):
+                    # Random node at generation g via a random child path.
+                    off, length = 0.0, 1.0
+                    for step in path:
+                        if not has:  # W >> 11 of a new word W; its high half is then held
+                            held, i = int(d[i] * 2.0**53), i + 1
+                        j, has = (held >> 51 if has else held >> 19 & 3), 1 - has
+                        off += step.child_offsets[j] * length
+                        length *= step.child_lengths[j]
+                    L_abs = geo.L * length
+                    j = 1 if d[i] < 0.5 else 2
+                    lo = off + geo.child_offsets[j] * length
+                    hi = lo + geo.child_lengths[j] * length
+                    u, i = d[i + 1], i + 2
+                    if u < 0.15:
+                        x = lo  # strip edge
+                    elif u < 0.3:
+                        x = hi
+                    else:
+                        x, i = lo + (hi - lo) * d[i], i + 1  # rng.uniform(lo, hi), bit for bit
+                    v, i = d[i], i + 1
+                    if v < 0.15:
+                        t = L_abs / 2.0  # band edge
+                    elif v < 0.3:
+                        t = L_abs
+                    else:
+                        a, b = math.log(L_abs / 2.0), math.log(L_abs)
+                        t, i = math.exp(a + (b - a) * d[i]), i + 1
+                    ts.append(t), xs.append(x), nodes.extend((off, length))
+                rng.bit_generator.state = state
+                rng.random(i)
+                rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": has, "uinteger": held >> 21}
         return np.frombuffer(ts), np.frombuffer(xs), np.frombuffer(nodes).reshape(-1, 2)
 
     def sample_y(self, rng: np.random.Generator, t, x, nodes):
@@ -273,8 +292,8 @@ class LogProductKernel:
         return on if on.ndim else bool(on)
 
     def evaluate(self, t, x, y):
-        t, x, y = _broadcast(t, x, y)
-        on = np.asarray(self.active(x, t))
+        t, x = _broadcast(t, x)
+        on, t, x, y = np.broadcast_arrays(self.active(x, t), t, x, y)
         out = np.zeros(t.shape)
         out[on] = phi_v((x[on] - y[on]) / t[on]) / t[on]
         return out if out.ndim else float(out)
@@ -284,14 +303,14 @@ class LogProductKernel:
         t_lo = max(e^-min(A(x), 30), 1e-9).
 
         Each row of draws is (x, u), the order of rng.random() followed by
-        rng.uniform(lo, 0.0), which computes lo + (0.0 - lo) * u.
+        rng.uniform(lo, 0.0), which computes lo + (0.0 - lo) * u; lo = ln t_lo
+        is taken once per distinct A.
         """
         x, u = rng.random((n, 2)).T
-        t = array("d")
-        for a, v in zip(self.f.exponent_batch(x).tolist(), u.tolist()):
-            lo = math.log(max(math.exp(-min(a, 30)), 1e-9))
-            t.append(math.exp(lo + (0.0 - lo) * v))
-        return np.frombuffer(t), x, None
+        A = self.f.exponent_batch(x).tolist()
+        lo = {a: math.log(max(math.exp(-min(a, 30)), 1e-9)) for a in set(A)}
+        t = np.fromiter((math.exp(lo[a] + (0.0 - lo[a]) * v) for a, v in zip(A, u.tolist())), float, n)
+        return t, x, None
 
     def sample_y(self, rng: np.random.Generator, t, x, nodes):
         """Support edge x + 2t (u < 0.2), plateau edge x - t (u < 0.3), else near x."""
@@ -454,15 +473,16 @@ def _branch_draws(rng: np.random.Generator, n: int, cut: float):
 
 
 def _sample_points(kernel, rng, actives, per: int):
-    """Arrays t, x, y holding each active (t, x) with `per` sampled y, drawn
-    in the order of the actives by one sample_y call."""
+    """The actives' t and x as (n, 1) columns and their sampled y as (n, per),
+    drawn in the order of the actives by one sample_y call."""
     t, x, nodes = (None if a is None else np.repeat(a, per, axis=0) for a in actives)
-    return t, x, kernel.sample_y(rng, t, x, nodes)
+    return actives[0][:, None], actives[1][:, None], kernel.sample_y(rng, t, x, nodes).reshape(-1, per)
 
 
 # Points per block of the checkers: a value depends on its own point only and
 # sample_y calls chain, so blocks bound the working set without moving a bit.
 POINT_BLOCK = 8192
+SAMPLE_BLOCK = 512  # points per stream-exact draw of CantorKernel.sample_active
 
 
 def _active_blocks(actives, points_per_active: int):
@@ -473,9 +493,9 @@ def _active_blocks(actives, points_per_active: int):
 
 
 def _ratios(v, t, x, y, scale, m: float, alpha: float) -> np.ndarray:
-    """v (t + |x-y|)^(m+alpha) / scale^alpha where v != 0, else 0; v may be
-    a scalar (a duck-typed kernel's answer)."""
-    v = np.broadcast_to(v, t.shape)
+    """v (t + |x-y|)^(m+alpha) / scale^alpha where v != 0, else 0, over the
+    broadcast shape; v may be a scalar (a duck-typed kernel's answer)."""
+    v, t, x, y, scale = np.broadcast_arrays(v, t, x, y, scale)
     out = np.zeros(v.shape)
     nz = v != 0.0
     out[nz] = v[nz] * (t[nz] + np.abs(x[nz] - y[nz]))**(m + alpha) / scale[nz]**alpha
@@ -483,12 +503,12 @@ def _ratios(v, t, x, y, scale, m: float, alpha: float) -> np.ndarray:
 
 
 def _worst(ratios: np.ndarray, *point):
-    """The first largest ratio and its point, as a strict > scan from 0 finds
-    them; 0 and the zero point when no ratio is positive."""
+    """The first largest ratio and its point (broadcast coordinates), as a strict
+    > scan from 0 finds them; 0 and the zero point when no ratio is positive."""
     if not (ratios > 0.0).any():
         return 0.0, (0.0,) * len(point)
     k = int(np.argmax(ratios))
-    return float(ratios[k]), tuple(float(c[k]) for c in point)
+    return float(ratios.flat[k]), tuple(float(np.broadcast_to(c, ratios.shape).flat[k]) for c in point)
 
 
 def check_size_condition(kernel, n_samples: int, seed: int) -> ConditionReport:
@@ -521,7 +541,7 @@ def check_holder_condition(kernel, n_samples: int, seed: int) -> HolderReport:
     for block in _active_blocks(actives, n_scales * 5):
         # One sampled center y0 per active; reused across scales so per-scale
         # worst ratios are comparable and growth is detectable.
-        t, x, y0 = (a[:, None, None] for a in _sample_points(kernel, rng, block, 1))
+        t, x, y0 = (a[:, :, None] for a in _sample_points(kernel, rng, block, 1))
         delta = t * np.array(scales)[None, :, None]  # < t/2 by construction
         half = delta / 2
         # Per (active, scale), five pairs in this order: three anchored pairs keep
@@ -531,7 +551,6 @@ def check_holder_condition(kernel, n_samples: int, seed: int) -> HolderReport:
         z = np.concatenate(
             np.broadcast_arrays(y0 + delta, y0 - delta, x - delta, y0 - half, x - half), axis=2
         )
-        t, x, y, z, delta = (a.ravel() for a in np.broadcast_arrays(t, x, y, z, delta))
         dv = np.abs(kernel.evaluate(t, x, y) - kernel.evaluate(t, x, z))
         ratios = _ratios(dv, t, x, y, delta, kernel.m, kernel.alpha)
         by_scale = ratios.reshape(-1, n_scales, 5)

@@ -258,6 +258,14 @@ class QuadratureConfig:
         if not (0.0 < self.rel_tol <= 0.1):
             raise InvalidParams(f"rel_tol must be in (0, 0.1], got {self.rel_tol}")
 
+    def point_atom_depth(self) -> int:
+        """The node-atom depth of conical_value and vertical_value."""
+        return min(self.y_resolution_depth, 6)
+
+    def oracle_atom_depth(self, measure_depth: int, N: int) -> int:
+        """The node-atom depth of direct_norm_series on a measure of that depth."""
+        return min(self.y_resolution_depth, measure_depth - N, 5)
+
 
 @dataclass
 class NormSeries:
@@ -484,7 +492,7 @@ def direct_norm_series(
     if measure.depth < N + 3:
         raise InvalidParams("measure too shallow for the requested oracle depth")
     m = measure.m
-    y_extra = min(quad.y_resolution_depth, measure.depth - N, 5)
+    y_extra = quad.oracle_atom_depth(measure.depth, N)
     terms = [np.zeros(N + 1) for _ in alphas]
     for n in range(N + 1):
         starts, lens, masses = measure.leaf_table(n)
@@ -576,7 +584,7 @@ def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
     x = np.asarray(x, dtype=float)
     xs = x.ravel()
     total = np.zeros(xs.shape)
-    depth = min(quad.y_resolution_depth, 6)
+    depth = quad.point_atom_depth()
     nonzero = np.flatnonzero(f.values) if isinstance(f, LeafFunction) else None
     walk = measure.descend(xs, min(quad.trunc_generation, measure.depth - 1))
     for g, off, length, mass, idx, alive in walk:
@@ -615,7 +623,7 @@ def vertical_value(kernel, measure, f, x, quad: QuadratureConfig):
         x = np.asarray(x, dtype=float)
         xs = x.ravel()
         total = np.zeros(xs.shape)
-        depth = min(quad.y_resolution_depth, 6)
+        depth = quad.point_atom_depth()
         walk = measure.descend(xs, min(quad.trunc_generation + 1, measure.depth))
         for (g, off, length, mass, idx, _), (_, _, _, _, child, alive) in pairwise(walk):
             # x lies in the strip of its generation-g node when it went on to

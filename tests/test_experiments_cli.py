@@ -442,3 +442,18 @@ def test_cli_seed_changes_report(tmp_path):
     a = (tmp_path / "a" / "growth" / "report.json").read_bytes()
     b = (tmp_path / "b" / "growth" / "report.json").read_bytes()
     assert a != b
+
+
+@pytest.mark.parametrize("args, line", [
+    (["weak11"], "counter: conical_value_atom_depth = 6"),
+    (["aperture", "--depth", "6", "--alpha", "1.0,2.0"], "counter: oracle_atom_depth = 5"),
+])
+def test_cli_names_the_clamped_atom_depth(args, line, tmp_path, capsys):
+    # conical_value reads node atoms at most 6 levels deep and direct_norm_series
+    # at most min(depth - N, 5) (5 on aperture's depth-9 oracle measure), whatever
+    # y_resolution_depth asks; the depth used goes to stdout, not to the report.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"y_resolution_depth": 8}))
+    cli_main(["run", *args, "--config", str(cfg), "--out", str(tmp_path)])
+    assert line in capsys.readouterr().out.splitlines()
+    assert b"atom_depth" not in (tmp_path / args[0] / "report.json").read_bytes()

@@ -22,7 +22,7 @@ from nhsq.kernels import (
     theta_unit,
     _sample_points,
 )
-from nhsq.logproduct import build_logproduct
+from nhsq.logproduct import LogProductFn, build_logproduct
 from nhsq.measures import CantorMeasure, CantorParams
 from nhsq.rng import derive_rng
 from nhsq.sqfn import LeafFunction, QuadratureConfig, _node_coefficient, vertical_value
@@ -468,7 +468,7 @@ def test_cantor_evaluate_batch_matches_locate(measure, kernel):
     _assert_batch_matches_points(kernel, ts, xs, ys)
     # The active samples of the size checker, with their sampled y.
     rng = derive_rng(3, "batch-test")
-    t, x, y = _sample_points(kernel, rng, kernel.sample_active(rng, 600), 1)
+    t, x, y = _flat(_sample_points(kernel, rng, kernel.sample_active(rng, 600), 1))
     ts, xs, ys = ts + t.tolist(), xs + x.tolist(), ys + y.tolist()
     _assert_batch_matches_points(kernel, ts, xs, ys)
     assert np.count_nonzero(kernel.evaluate(np.array(ts), np.array(xs), np.array(ys))) > 500
@@ -545,6 +545,12 @@ def test_logproduct_kernel_refuses_paper_profile():
 
 
 # -- one-point samplers: the per-point draws that the batched samplers replace
+
+
+def _flat(points):
+    """_sample_points' (n, 1) columns t, x and (n, per) rows y as flat arrays,
+    one entry per point."""
+    return tuple(a.ravel() for a in np.broadcast_arrays(*points))
 
 
 def _tuples(actives):
@@ -664,14 +670,14 @@ def test_samplers_consume_the_stream_as_per_point_draws(name, measure, kernel, v
             want_actives = sample_active(ref, 300)
             assert _tuples(actives) == want_actives
             assert rng.bit_generator.state == ref.bit_generator.state
-            t, x, y = _sample_points(k, rng, actives, 3)
+            t, x, y = _flat(_sample_points(k, rng, actives, 3))
             want = [(ti, xi, sample_y(ref, ti, xi, node)) for ti, xi, node in want_actives
                     for _ in range(3)]
             assert list(zip(t.tolist(), x.tolist(), y.tolist())) == want
             assert rng.bit_generator.state == ref.bit_generator.state
             # Two sample_y calls over consecutive slices chain to the one-call stream.
             t, x, nodes = actives
-            parts = [_sample_points(k, rng, (t[b], x[b], None if nodes is None else nodes[b]), 3)
+            parts = [_flat(_sample_points(k, rng, (t[b], x[b], None if nodes is None else nodes[b]), 3))
                      for b in (slice(0, 37), slice(37, None))]
             want = [(ti, xi, sample_y(ref, ti, xi, node)) for ti, xi, node in want_actives
                     for _ in range(3)]
@@ -680,6 +686,64 @@ def test_samplers_consume_the_stream_as_per_point_draws(name, measure, kernel, v
             empty = (t[:0], x[:0], None if nodes is None else nodes[:0])
             assert all(v.size == 0 for v in _sample_points(k, rng, empty, 3))
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("block, n", [(None, 1), (None, 5), (None, 7), (None, 13),
+                                      (None, 6 * 1025), (101, 6 * 250)])
+def test_cantor_sampler_blocks_consume_the_stream_as_per_point_draws(block, n, kernel, monkeypatch):
+    # Each block of a generation's points is read from one rng.random draw.
+    # At per = 1025 a generation is three blocks, the last of one point; in
+    # blocks of 101 at per = 250, the first block of generation 1 takes an
+    # odd number of digits, so the 32-bit half-word it leaves held is the
+    # second block's first digit.  The values, the end state (held word
+    # included) and the next draws of both kinds match the per-point draws.
+    if block:
+        monkeypatch.setattr(kernels, "SAMPLE_BLOCK", block)
+    for seed in (1, 7, 20250808):
+        for buffered in (0, 1):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if buffered:
+                rng.integers(0, 4)
+                ref.integers(0, 4)
+            assert _tuples(kernel.sample_active(rng, n)) == _cantor_actives(kernel, ref, n)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(0, 4) == ref.integers(0, 4)
+            assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("name", ["cantor", "logproduct", "step", "tilde"])
+def test_evaluate_on_columns_matches_the_raveled_call(name, measure, kernel, vkernel):
+    # (t, x) as (n, 1) columns against (n, 6) rows of y: the sampled y, x
+    # itself and a point past the support, bit for bit as the raveled call.
+    k = {"cantor": kernel, "logproduct": vkernel, "step": StepKernel(m=M),
+         "tilde": TildeKernel(kernel, measure)}[name]
+    rng = np.random.default_rng(4)
+    t, x, y = _sample_points(k, rng, k.sample_active(rng, 600), 4)
+    y2d = np.concatenate((y, x, x + 3.0 * t), axis=1)
+    got = k.evaluate(t, x, y2d)
+    want = k.evaluate(*(a.ravel() for a in np.broadcast_arrays(t, x, y2d)))
+    assert got.shape == y2d.shape and np.count_nonzero(got) > 0
+    assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+
+
+def test_checkers_walk_each_active_once_per_evaluation(kernel, vkernel, monkeypatch):
+    # The checkers hand evaluate each (t, x) once against all its y (the
+    # Hoelder check once more against its z): the tree walks and exponent
+    # reads cover the actives, not their 3 or 20 points.
+    walked = []
+    descend, exponent_batch = CantorMeasure.descend, LogProductFn.exponent_batch
+    monkeypatch.setattr(CantorMeasure, "descend",
+                        lambda self, x, g: walked.append(np.size(x)) or descend(self, x, g))
+    monkeypatch.setattr(LogProductFn, "exponent_batch",
+                        lambda self, x: walked.append(np.size(x)) or exponent_batch(self, x))
+    monkeypatch.setattr(kernels, "POINT_BLOCK", 60)  # several blocks per check
+    for k in (kernel, vkernel):
+        sampled = 1 if k is vkernel else 0  # its sample_active reads the actives' exponents
+        for check, per_active, evals in ((check_size_condition, 3, 1), (check_holder_condition, 20, 2)):
+            walked.clear()
+            n_actives = check(k, 600, 3).n_samples // per_active
+            assert walked[:sampled] == [n_actives] * sampled
+            assert len(walked) > sampled + evals and sum(walked[sampled:]) == evals * n_actives
 
 
 def _size_loop(kernel, n_samples, rng):
@@ -798,7 +862,7 @@ def _size_one_shot(kernel, n_samples, seed):
     # oracle of the blocked evaluation.
     rng = derive_rng(seed, "size-condition")
     actives = kernel.sample_active(rng, n_samples)
-    t, x, y = _sample_points(kernel, rng, actives, 3)
+    t, x, y = _flat(_sample_points(kernel, rng, actives, 3))
     vals = np.abs(np.broadcast_to(kernel.evaluate(t, x, y), t.shape))
     ratios = kernels._ratios(vals, t, x, y, t, kernel.m, kernel.alpha)
     worst, witness = kernels._worst(ratios, t, x, y)
@@ -810,7 +874,7 @@ def _holder_one_shot(kernel, n_samples, seed, n_scales=4):
     rng = derive_rng(seed, "holder-condition")
     scales = [0.4 * 10.0**-j for j in range(n_scales)]
     actives = kernel.sample_active(rng, max(1, n_samples // n_scales))
-    t, x, y0 = (a[:, None, None] for a in _sample_points(kernel, rng, actives, 1))
+    t, x, y0 = (a[:, None, None] for a in _flat(_sample_points(kernel, rng, actives, 1)))
     delta = t * np.array(scales)[None, :, None]
     half = delta / 2
     y = np.concatenate(np.broadcast_arrays(y0, y0, x, y0 + half, x + half), axis=2)
