@@ -88,7 +88,7 @@ class ExperimentConfig:
         if name in ("t_steps_per_band", "y_resolution_depth", "rel_tol"):
             # QuadratureConfig's rules, one key at a time (its other fields are valid defaults).
             try:
-                QuadratureConfig(**{name: val}).validate()
+                QuadratureConfig(**{name: val})
             except InvalidParams as e:
                 raise ConfigError(str(e)) from None
         super().__setattr__(name, val)
@@ -332,9 +332,8 @@ def _exp_tb_testing(cfg: ExperimentConfig, report: ExperimentReport):
                      f"growth across N {growth:.2%} <= 5%")
 
     measure = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=14))
-    kc = CantorKernel(measure)
     nodes = [(g, i) for g in range(7) for i in range(4**g)]
-    res = testing_functional(kc, measure, nodes, quad)
+    res = testing_functional(measure, nodes, quad)
     report.metrics["tb_cantor_sup"] = res.sup_ratio
     report.counters["tb_degenerate_cubes"] = int(res.degenerate.sum())
     yield ("8.cantor-pin", res.sup_ratio <= pinned.TB_CANTOR_SUP,

@@ -41,6 +41,11 @@ together, one generation at a time (CantorMeasure.descend), and each node's
 coefficient and strip atoms are computed once for the points it holds.
 conical_value sums over the nodes that contain x, which is exhaustive only
 while alpha t <= 2 L_I, so it refuses alpha > 2 as well.
+
+The log-product kernel's theta-integral (mu = dx), the integral of
+|theta_t 1(x)|^2 dt/t, has one body, _vertical_sq: ci_profile integrates it
+over dyadic boxes (the testing condition C_I) and vertical_value reads it at
+points (V 1(x)).  testing_functional is the Cantor kernel's, on nodes.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import pairwise
 from typing import Optional
 
@@ -69,7 +73,7 @@ from .kernels import (
     strip_atoms,
     theta_unit,
 )
-from .logproduct import SEGMENT_CHUNK, _segments, _sorted_unique
+from .logproduct import SEGMENT_CHUNK, _sorted_unique
 from .measures import CantorMeasure, _split_geometry
 
 __all__ = [
@@ -250,6 +254,9 @@ class QuadratureConfig:
     rel_tol: float = 1e-3
     trunc_generation: int = 20
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.t_steps_per_band < 1 or self.y_resolution_depth < 1 or self.trunc_generation < 0:
             raise InvalidParams("quadrature parameters must be positive")
@@ -378,7 +385,6 @@ class CantorSquareContext:
     """
 
     def __init__(self, measure: CantorMeasure, quad: QuadratureConfig):
-        quad.validate()
         self.measure = measure
         self.quad = quad
         self._beta: dict[tuple[int, int], float] = _BETAS.setdefault(measure, {})
@@ -577,7 +583,6 @@ def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
     refused with InvalidParams.  Points on nodes where the LeafFunction f
     vanishes are dropped before the nodes are split out.
     """
-    quad.validate()
     _check_collapse_aperture(alpha)
     if not isinstance(kernel, CantorKernel):
         raise InvalidParams("conical_value is defined for the Cantor kernel")
@@ -613,16 +618,18 @@ def conical_value(kernel, measure, f, x, alpha: float, quad: QuadratureConfig):
 
 
 def vertical_value(kernel, measure, f, x, quad: QuadratureConfig):
-    """V f(x): the t-only square integral at the point x.
+    """V f(x): the t-only square integral at the point x, a scalar (float
+    result) or an array of any shape.
 
-    For the Cantor kernel x is a scalar (float result) or an array, walked
-    down the tree together; for the log-product kernel x is a scalar.
+    Cantor kernel: the points walk down the tree together.  Log-product
+    kernel (demo profile, f = 1): the integral over [e^-A(x), 1] of
+    |theta_t 1(x)|^2 dt/t, by _vertical_sq at lnL = 0, the depth-0 row of
+    ci_profile's sweep; points outside (0, 1) read 0.
     """
-    quad.validate()
+    x = np.asarray(x, dtype=float)
+    xs = x.ravel()
+    total = np.zeros(xs.shape)
     if isinstance(kernel, CantorKernel):
-        x = np.asarray(x, dtype=float)
-        xs = x.ravel()
-        total = np.zeros(xs.shape)
         depth = quad.point_atom_depth()
         walk = measure.descend(xs, min(quad.trunc_generation + 1, measure.depth))
         for (g, off, length, mass, idx, _), (_, _, _, _, child, alive) in pairwise(walk):
@@ -634,43 +641,18 @@ def vertical_value(kernel, measure, f, x, quad: QuadratureConfig):
             for _, pts, o, ln, ms in _nodes(idx, strip, off, length, mass):
                 c = _node_coefficient(measure, f, o, ln, ms, g, depth)
                 total[pts] += c * c * LN2
-        out = np.sqrt(total).reshape(x.shape)
-        return out if out.ndim else float(out)
-    if isinstance(kernel, LogProductKernel):
-        if not (0.0 < x < 1.0):
-            return 0.0
-        A = kernel.f.exponent(Fraction(x))
-        return math.sqrt(_logproduct_inner_t(kernel, x, A, 1.0, quad))
-    raise InvalidParams("vertical_value supports the Cantor and log-product kernels")
-
-
-def _logproduct_inner_t(kernel: LogProductKernel, x: float, A: int, t_hi: float,
-                        quad: QuadratureConfig) -> float:
-    """integral over [e^-A, t_hi] of |theta_t 1(x)|^2 dt/t, exact below saturation.
-
-    theta_t 1(x) = Phi(x/t) - Phi((x-1)/t) saturates to the full phi_v mass 3
-    once t <= min(x, 1-x)/2; there the integrand is 9 and the integral is a
-    closed-form log length.  The remaining window is at most a few octaves.
-    """
-    if t_hi <= 0.0 or x <= 0.0 or x >= 1.0:
-        return 0.0
-    log_lo = -float(A)
-    log_hi = math.log(min(t_hi, 1.0))
-    if log_hi <= log_lo:
-        return 0.0
-    t_sat = min(x, 1.0 - x) / 2.0
-    log_sat = min(max(math.log(t_sat), log_lo), log_hi)
-    total = 9.0 * (log_sat - log_lo)
-    # Numeric part on [t_sat, t_hi]: smooth in log t.
-    span = log_hi - log_sat
-    if span > 0.0:
-        steps = max(quad.t_steps_per_band, int(math.ceil(span / LN2 * 16)))
-        dv = span / steps
-        v = log_sat + (np.arange(steps) + 0.5) * dv
-        t = np.exp(v)
-        theta = theta_unit(t, x)
-        total += float(np.sum(theta**2) * dv)
-    return total
+    elif isinstance(kernel, LogProductKernel):
+        inside = np.flatnonzero((xs > 0.0) & (xs < 1.0))
+        p = xs[inside]
+        zone = np.empty((2, CI_BLOCK_ROWS, max(24, quad.t_steps_per_band)))
+        sq, mask = np.empty(p.size), np.empty(p.size, dtype=bool)
+        A = kernel.f.exponent_batch(p).astype(float)
+        _vertical_sq(p, A, _ln_sat(p), 0.0, zone, sq, mask)
+        total[inside] = sq
+    else:
+        raise InvalidParams("vertical_value supports the Cantor and log-product kernels")
+    out = np.sqrt(total).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 # -- L2 operator ratio ----------------------------------------------------------
@@ -741,8 +723,8 @@ class TestingResult:
     """Per-cube arrays of the testing functional, row i for cube i.
 
     cubes is (n, 2) of (a, b) floats; degenerate marks the cubes with
-    not b > a in floats (a + len == a), whose mu(3R) and length read 0.
-    ratio and per_length are 0 where their denominator is not positive.
+    not b > a in floats (a + len == a), whose mu(3R) reads 0.  ratio is 0
+    where mu(3R) is not positive.
     """
 
     cubes: np.ndarray
@@ -752,97 +734,58 @@ class TestingResult:
 
     @property
     def ratio(self) -> np.ndarray:
-        return _ratio(self.box_integral, self.mass_3r)
-
-    @property
-    def per_length(self) -> np.ndarray:
-        return _ratio(self.box_integral, self.cubes[:, 1] - self.cubes[:, 0])
+        num, den = self.box_integral, self.mass_3r
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
     @property
     def sup_ratio(self) -> float:
         return float(self.ratio.max())
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+def testing_functional(measure, nodes, quad: QuadratureConfig) -> TestingResult:
+    """sup over cubes R of mu(3R)^-1 * box integral of |theta_t 1|^2 for
+    the Cantor kernel, the cubes R being construction nodes.
 
-
-def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
-                             quad: QuadratureConfig) -> float:
-    """Box integral of |theta_t 1|^2 over [a,b] x (0, b-a) for the log-product kernel.
-
-    x integration is exact over the segments where the exponent A(x) is
-    constant (2-point Gauss per segment; theta varies smoothly there).
-    """
-    ell = float(b - a)
-    if ell <= 0:
-        return 0.0
-    total = 0.0
-    gauss = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-    for lo, hi, A in _segments(kernel.f, Fraction(a), Fraction(b), 10**6):
-        w = float(hi - lo)
-        flo = float(lo)
-        acc = 0.0
-        for gpt in gauss:
-            x = flo + gpt * w
-            acc += _logproduct_inner_t(kernel, x, A, ell, quad)
-        total += w * acc / len(gauss)
-    return total
-
-
-def testing_functional(kernel, measure, cubes, quad: QuadratureConfig) -> TestingResult:
-    """sup over cubes R of mu(3R)^-1 * box integral of |theta_t 1|^2.
-
-    Cantor kernel: the cubes are construction nodes, integer (g, i) pairs
-    with 0 <= g <= min(depth, 31) (int64 holds 4**31) and 0 <= i < 4**g in
-    leaf_table(g)'s order; anything else is InvalidParams.  theta_t 1 is
-    beta(n) on each generation-n node J's band, J's middle children x
-    (L_J / 2, L_J).  The bands of the nodes inside R give mass(R) times the
-    tail sum_{n >= g} g_V(n) of vertical_norm_series to N = min(
-    trunc_generation, depth - 1), 0 past N; an ancestor J whose middle child
-    holds R adds beta^2 mass(R) log(len(R) / (L_J / 2)) if len(R) > L_J / 2
-    (at C = 4 the generation-1 middle children are L_J long, at the
-    defaults under 0.01 L_J).
-    Log-product kernel: (a, b) interval pairs, read as floats.  mu(3R), for
-    the ratio, is one interval_masses call; len(R) gives per_length.
+    nodes are integer (g, i) pairs with 0 <= g <= min(depth, 31) (int64
+    holds 4**31) and 0 <= i < 4**g in leaf_table(g)'s order; anything else
+    is InvalidParams.  theta_t 1 is beta(n) on each generation-n node J's
+    band, J's middle children x (L_J / 2, L_J).  The bands of the nodes
+    inside R give mass(R) times the tail sum_{n >= g} g_V(n) of
+    vertical_norm_series to N = min(trunc_generation, depth - 1), 0 past N;
+    an ancestor J whose middle child holds R adds beta^2 mass(R)
+    log(len(R) / (L_J / 2)) if len(R) > L_J / 2 (at C = 4 the generation-1
+    middle children are L_J long, at the defaults under 0.01 L_J).  mu(3R),
+    for the ratio, is one interval_masses call.
     """
     try:
-        cubes = np.asarray(cubes)
+        nodes = np.asarray(nodes)
     except ValueError as e:  # ragged
-        raise InvalidParams(f"cubes must be pairs: {e}") from None
-    if not cubes.size:
+        raise InvalidParams(f"nodes must be pairs: {e}") from None
+    if not nodes.size:
         raise EmptyCubeList("testing functional needs at least one cube")
-    if isinstance(kernel, CantorKernel):
-        top, ok = min(measure.depth, 31), cubes.dtype.kind in "iu" and cubes.shape[1:] == (2,)
-        g, i = cubes.astype(np.int64).T if ok else (-1, 0)  # (-1, 0): no node, refused below
-        if not np.all((0 <= g) & (g <= top) & (0 <= i) & (i < 4 ** np.clip(g, 0, top))):
-            raise InvalidParams("Cantor cubes are construction nodes: integer (generation g, "
-                                f"index i) pairs with 0 <= g <= {top} and 0 <= i < 4**g")
-        N, ctx = min(quad.trunc_generation, measure.depth - 1), CantorSquareContext(measure, quad)
-        a, length, mass = np.zeros(g.size), np.ones(g.size), np.ones(g.size)
-        middle = []  # (h, rows, L_J): the nodes in a middle child of their generation-h ancestor J
-        for k in range(1, g.max() + 1):  # one base-4 digit a step, split as in leaf_table
-            geo, on = measure.geometry[k], np.flatnonzero(g >= k)
-            d = (i[on] >> 2 * (g[on] - k)) & 3
-            middle.append((k - 1, on[d % 3 > 0], geo.L * length[on[d % 3 > 0]]))
-            kids = geo.split(a[on], length[on], mass[on])
-            a[on], length[on], mass[on] = (v.reshape(-1, 4)[np.arange(on.size), d] for v in kids)
-        terms = vertical_norm_series(measure, N, quad).terms
-        boxes = mass * np.array([terms[n:].sum() for n in range(g.max() + 1)])[g]
-        for h, rows, L in middle[:N + 1]:  # J's band under t < len(R) <= L_J; log 1 = 0 if none
-            ratio = np.divide(length[rows], L / 2, out=np.ones_like(L), where=length[rows] > L / 2)
-            boxes[rows] += ctx.beta(h) ** 2 * mass[rows] * np.log(ratio)
-        cubes = np.column_stack((a, a + length))
-    elif isinstance(kernel, LogProductKernel):
-        cubes = cubes.astype(float).reshape(-1, 2)
-        boxes = np.array([_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
-                          for ca, cb in cubes.tolist()])
-    else:
-        raise InvalidParams("testing_functional supports the Cantor and log-product kernels")
-    ca, cb = cubes.T
-    mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
+    top, ok = min(measure.depth, 31), nodes.dtype.kind in "iu" and nodes.shape[1:] == (2,)
+    g, i = nodes.astype(np.int64).T if ok else (-1, 0)  # (-1, 0): no node, refused below
+    if not np.all((0 <= g) & (g <= top) & (0 <= i) & (i < 4 ** np.clip(g, 0, top))):
+        raise InvalidParams("Cantor cubes are construction nodes: integer (generation g, "
+                            f"index i) pairs with 0 <= g <= {top} and 0 <= i < 4**g")
+    N, ctx = min(quad.trunc_generation, measure.depth - 1), CantorSquareContext(measure, quad)
+    a, length, mass = np.zeros(g.size), np.ones(g.size), np.ones(g.size)
+    middle = []  # (h, rows, L_J): the nodes in a middle child of their generation-h ancestor J
+    for k in range(1, g.max() + 1):  # one base-4 digit a step, split as in leaf_table
+        geo, on = measure.geometry[k], np.flatnonzero(g >= k)
+        d = (i[on] >> 2 * (g[on] - k)) & 3
+        middle.append((k - 1, on[d % 3 > 0], geo.L * length[on[d % 3 > 0]]))
+        kids = geo.split(a[on], length[on], mass[on])
+        a[on], length[on], mass[on] = (v.reshape(-1, 4)[np.arange(on.size), d] for v in kids)
+    terms = vertical_norm_series(measure, N, quad).terms
+    boxes = mass * np.array([terms[n:].sum() for n in range(g.max() + 1)])[g]
+    for h, rows, L in middle[:N + 1]:  # J's band under t < len(R) <= L_J; log 1 = 0 if none
+        ratio = np.divide(length[rows], L / 2, out=np.ones_like(L), where=length[rows] > L / 2)
+        boxes[rows] += ctx.beta(h) ** 2 * mass[rows] * np.log(ratio)
+    b = a + length
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
     m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half)
-    return TestingResult(cubes, boxes, m3, ~(cb > ca))
+    return TestingResult(np.column_stack((a, b)), boxes, m3, ~(b > a))
 
 
 def _ci_segment_table(f, ends: np.ndarray, extra: np.ndarray):
@@ -868,19 +811,62 @@ def _ci_segment_table(f, ends: np.ndarray, extra: np.ndarray):
     return bp, mids, f.exponent_batch(mids).astype(float)
 
 
+def _ln_sat(x: np.ndarray) -> np.ndarray:
+    """ln(min(x, 1 - x) / 2) elementwise (the argument floored at 1e-300),
+    in one new array: theta_t 1(x) is saturated for t up to its exp."""
+    ln_sat = np.subtract(1.0, x)
+    np.minimum(x, ln_sat, out=ln_sat)
+    np.divide(ln_sat, 2.0, out=ln_sat)
+    np.maximum(ln_sat, 1e-300, out=ln_sat)
+    return np.log(ln_sat, out=ln_sat)
+
+
+def _vertical_sq(x, A, ln_sat, lnL: float, zone, out, mask) -> tuple[int, int]:
+    """out = integral over [e^-A, e^lnL] of |theta_t 1(x)|^2 dt/t, the
+    log-product kernel's theta-integral (mu = dx), elementwise in x in
+    [0, 1]; A is the float exponent A(x), ln_sat is _ln_sat(x), mask scratch.
+
+    theta_t 1(x) is exactly the full phi_v mass 3 once t <= min(x, 1-x)/2,
+    so the part below ln sat is 9 times a log length.  The boundary zone
+    [max(ln sat, -A), lnL] is a midpoint rule in log t with zone.shape[2]
+    steps (theta_unit, exact on [0, 1]), in blocks of CI_BLOCK_ROWS rows
+    whose t and theta live in zone: a block fits in one core's L2 cache, and
+    each row's mean is reduced on its own, so no row's digits depend on the
+    others.  Returns the zone's element (rows x steps) and block counts.
+    """
+    np.minimum(ln_sat, lnL, out=out)
+    np.add(out, A, out=out)
+    np.maximum(0.0, out, out=out)
+    np.multiply(9.0, out, out=out)
+    np.less(ln_sat, lnL, out=mask)
+    mask &= A > -lnL  # -A < lnL, without a negated copy of A
+    if not mask.any():
+        return 0, 0
+    steps = zone.shape[2]
+    u = (np.arange(steps) + 0.5) / steps
+    rows, blocks = np.flatnonzero(mask), 0
+    for i in range(0, rows.size, CI_BLOCK_ROWS):
+        blk = rows[i:i + CI_BLOCK_ROWS]
+        lo = np.maximum(ln_sat[blk], -A[blk])
+        span = lnL - lo
+        t, theta = zone[0, :blk.size], zone[1, :blk.size]
+        np.multiply(span[:, None], u, out=t)
+        np.exp(np.add(lo[:, None], t, out=t), out=t)
+        theta_unit(t, x[blk, None], out=theta)
+        out[blk] += span * np.mean(np.square(theta, out=theta), axis=1)
+        blocks += 1
+    return rows.size * steps, blocks
+
+
 def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig) -> dict:
     """C_I / len(I) for every dyadic I in [0,1] down to max_depth.
 
-    theta_t 1(x) is exactly the full phi_v mass 3 once t <= min(x,1-x)/2 and
-    exactly constant in x between exponent breakpoints, so the inner integral
-    is closed-form except on a geometrically thin boundary zone, which is
-    batched on a log-t grid in blocks of CI_BLOCK_ROWS rows, so that a block's
-    (rows x steps) arrays fit in one core's L2 cache; each row's mean is
-    reduced on its own, so blocking moves no digit.  theta is the sign-free
-    theta_unit, exact because every segment midpoint lies in [0, 1].  A
-    block's t and theta live in two buffers made once per call (theta_unit's
-    out= form): fresh 256 KB arrays per block cost the first demo N = 4 sweep
-    of a new process about 56,000 page faults.
+    C_I is the integral over I of _vertical_sq at lnL = ln len(I) (which
+    vertical_value reads at lnL = 0), with max(24, t_steps_per_band) steps,
+    by the midpoint rule on a segment table on whose segments A(x) is
+    constant.  The zone buffer is made once per call: fresh 256 KB arrays
+    per block cost the first demo N = 4 sweep of a new process about 56,000
+    page faults.
 
     The segments are swept in chunks of SEGMENT_CHUNK breakpoint intervals: each
     chunk builds its segment table once, runs every depth on it and is
@@ -892,8 +878,6 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
     and, for stdout, the zone's element (rows x steps) and block counts; a
     block never spans two chunks.
     """
-    steps = max(24, quad.t_steps_per_band)
-    u = (np.arange(steps) + 0.5) / steps
     f = kernel.f
     oct_pts = 2.0 ** (-(np.arange(1, 481)) / 8.0)
     extra = _sorted_unique(np.concatenate([
@@ -902,7 +886,7 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
         1.0 - oct_pts,
     ]))
     boxes = [np.zeros(2**d) for d in range(max_depth + 1)]
-    zone = np.empty((2, CI_BLOCK_ROWS, steps))  # t and theta of one row block
+    zone = np.empty((2, CI_BLOCK_ROWS, max(24, quad.t_steps_per_band)))  # t and theta of one row block
     elements = blocks = 0
     ends = f.breakpoints()
     for start in range(0, ends.size - 1, SEGMENT_CHUNK):
@@ -911,43 +895,18 @@ def ci_profile(kernel: LogProductKernel, max_depth: int, quad: QuadratureConfig)
         del bp
         # One array per segment of the chunk for each of ln sat, the inner
         # integral and the cube index; every depth reuses them through out=
-        # (the same ufuncs on the same operands, so the same bits).  The zone's
-        # lower log-t end lo = max(ln sat, -A) is built per row block: lo < lnL
-        # iff both are.
-        ln_sat = np.subtract(1.0, mids)
-        np.minimum(mids, ln_sat, out=ln_sat)
-        np.divide(ln_sat, 2.0, out=ln_sat)
-        np.maximum(ln_sat, 1e-300, out=ln_sat)
-        np.log(ln_sat, out=ln_sat)
+        # (the same ufuncs on the same operands, so the same bits).
+        ln_sat = _ln_sat(mids)
         inner = np.empty(mids.size)
         cube = np.empty(mids.size, dtype=int)
         mask = np.empty(mids.size, dtype=bool)
         for d, box in enumerate(boxes):
             ell = 0.5**d
-            lnL = math.log(ell)
             # min(floor(mids / ell), 2**d - 1) as int, with inner as the float scratch.
             np.copyto(cube, np.floor(np.divide(mids, ell, out=inner), out=inner), casting="unsafe")
             np.minimum(cube, box.size - 1, out=cube)
-            # Saturated part: 9 * (length of [max(-A, min(ln sat, lnL)) .. ] below lnL).
-            np.minimum(ln_sat, lnL, out=inner)
-            np.add(inner, A, out=inner)
-            np.maximum(0.0, inner, out=inner)
-            np.multiply(9.0, inner, out=inner)
-            np.less(ln_sat, lnL, out=mask)
-            mask &= A > -lnL  # -A < lnL, without a negated copy of A
-            if mask.any():
-                rows = np.flatnonzero(mask)
-                for i in range(0, rows.size, CI_BLOCK_ROWS):
-                    blk = rows[i:i + CI_BLOCK_ROWS]
-                    lo = np.maximum(ln_sat[blk], -A[blk])
-                    span = lnL - lo
-                    t, theta = zone[0, :blk.size], zone[1, :blk.size]
-                    np.multiply(span[:, None], u, out=t)
-                    np.exp(np.add(lo[:, None], t, out=t), out=t)
-                    theta_unit(t, mids[blk, None], out=theta)
-                    inner[blk] += span * np.mean(np.square(theta, out=theta), axis=1)
-                    blocks += 1
-                elements += rows.size * steps
+            e, b = _vertical_sq(mids, A, ln_sat, math.log(ell), zone, inner, mask)
+            elements, blocks = elements + e, blocks + b
             np.add.at(box, cube, np.multiply(widths, inner, out=inner))
     per_depth, sup, witness = {}, 0.0, (0, 0)
     for d, box in enumerate(boxes):

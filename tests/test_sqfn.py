@@ -25,8 +25,8 @@ from nhsq.kernels import (
     theta_unit,
 )
 from nhsq.experiments import ExperimentConfig, run
-from nhsq.logproduct import build_logproduct
-from nhsq.measures import CantorMeasure, CantorParams, LebesgueInterval, _split_geometry
+from nhsq.logproduct import _segments, build_logproduct
+from nhsq.measures import CantorMeasure, CantorParams, _split_geometry
 from nhsq.rng import derive_rng
 from nhsq.sqfn import (
     CantorSquareContext,
@@ -43,9 +43,10 @@ from nhsq.sqfn import (
     weak11_functional,
     _band_tail_weight,
     _distances,
-    _logproduct_box_integral,
+    _ln_sat,
     _node_coefficient,
     _tail_chunks,
+    _vertical_sq,
 )
 from nhsq.sqfn import testing_functional as sq_testing_functional
 from test_measures import _mass_rec
@@ -76,10 +77,14 @@ def ctx(measure, quad):
 
 
 def test_quadrature_config_validation():
+    # A config checks itself on construction: no route can run on a bad one.
     with pytest.raises(InvalidParams):
-        QuadratureConfig(rel_tol=0.5).validate()
+        QuadratureConfig(rel_tol=0.5)
     with pytest.raises(InvalidParams):
-        QuadratureConfig(t_steps_per_band=0).validate()
+        QuadratureConfig(t_steps_per_band=0)
+    with pytest.raises(InvalidParams):
+        ci_profile(LogProductKernel(build_logproduct("demo", 2)), 2,
+                   QuadratureConfig(t_steps_per_band=0, rel_tol=5.0))
     for bad in (0.5, math.nan, math.inf):
         with pytest.raises(InvalidParams, match="aperture must be finite and >= 1"):
             sqfn._check_collapse_aperture(bad)
@@ -901,11 +906,11 @@ def test_conical_value_zero_cases(measure, kernel, quad):
 
 
 def test_pointwise_values_refuse_invalid_quadrature(measure, kernel):
-    for bad in (QuadratureConfig(32, -3, 1e-3, 4), QuadratureConfig(-1, 6, 1e-3, 4)):
+    for bad in ((32, -3, 1e-3, 4), (-1, 6, 1e-3, 4)):
         with pytest.raises(InvalidParams, match="quadrature parameters must be positive"):
-            conical_value(kernel, measure, None, 0.3, 1.0, bad)
+            conical_value(kernel, measure, None, 0.3, 1.0, QuadratureConfig(*bad))
         with pytest.raises(InvalidParams, match="quadrature parameters must be positive"):
-            vertical_value(kernel, measure, None, 0.3, bad)
+            vertical_value(kernel, measure, None, 0.3, QuadratureConfig(*bad))
 
 
 def test_conical_value_against_grid_oracle(measure, kernel):
@@ -1133,6 +1138,21 @@ def test_vertical_value_logproduct_lower_bound(quad):
     assert vertical_value(kv, None, None, 1.5, quad) == 0.0
 
 
+def test_vertical_value_logproduct_takes_arrays(quad):
+    # One shape contract for both kernels: an array gives the per-point
+    # scalar values bit for bit, in x's shape, and points outside (0, 1) read 0.
+    kv = LogProductKernel(build_logproduct("demo", 3))
+    xs = np.concatenate([np.random.default_rng(7).random(10), [0.0, 1.0, -0.5, 1.5]])
+    v = vertical_value(kv, None, None, xs, quad)
+    scalars = [vertical_value(kv, None, None, x, quad) for x in xs.tolist()]
+    assert all(type(s) is float for s in scalars) and v.tolist() == scalars
+    # V 1(x) integrates over [e^-A(x), 1], empty where no E_n holds x.
+    assert ((v[:10] > 0.0) == (kv.f.exponent_batch(xs[:10]) > 0)).all() and v.max() > 0.0
+    assert v[10:].tolist() == [0.0] * 4
+    grid = vertical_value(kv, None, None, xs[:12].reshape(3, 4), quad)
+    assert grid.shape == (3, 4) and grid.tobytes() == v[:12].tobytes()
+
+
 # -- S vs tilde-V dual routes -----------------------------------------------------
 
 
@@ -1313,11 +1333,10 @@ def _tails(measure, quad):
 
 
 def test_testing_functional_cantor(measure, quad):
-    kernel = CantorKernel(measure)
     with pytest.raises(EmptyCubeList):
-        sq_testing_functional(kernel, measure, [], quad)
+        sq_testing_functional(measure, [], quad)
     nodes = [(g, i) for g in range(3) for i in range(4**g)]
-    res = sq_testing_functional(kernel, measure, nodes, quad)
+    res = sq_testing_functional(measure, nodes, quad)
     # Root box integral equals the vertical norm total at the truncation.
     sv = vertical_norm_series(measure, 10, quad)
     assert res.box_integral[0] == pytest.approx(sv.total, rel=1e-9)
@@ -1331,25 +1350,24 @@ def test_testing_functional_refuses_non_node_cubes(measure, quad, cubes):
     # Cantor cubes are (generation, index) integer pairs; anything else is
     # refused with InvalidParams, not read as floats.
     with pytest.raises(InvalidParams, match="construction nodes|pairs"):
-        sq_testing_functional(CantorKernel(measure), measure, cubes, quad)
+        sq_testing_functional(measure, cubes, quad)
 
 
 def test_testing_functional_refuses_negative_generation(measure, quad):
     with pytest.raises(InvalidParams, match="construction nodes"):
-        sq_testing_functional(CantorKernel(measure), measure, [(0, 0), (-1, 0)], quad)
+        sq_testing_functional(measure, [(0, 0), (-1, 0)], quad)
 
 
 def test_testing_functional_refuses_generation_past_depth(quad):
     shallow = CantorMeasure(CantorParams(m=M, C=C, depth=3))
-    kernel = CantorKernel(shallow)
-    assert sq_testing_functional(kernel, shallow, [(3, 63)], quad).box_integral.tolist() == [0.0]
+    assert sq_testing_functional(shallow, [(3, 63)], quad).box_integral.tolist() == [0.0]
     with pytest.raises(InvalidParams, match="0 <= g <= 3"):
-        sq_testing_functional(kernel, shallow, [(4, 0)], quad)
+        sq_testing_functional(shallow, [(4, 0)], quad)
     # An index of generation 31 fills int64 (4**31 = 2**62), so a deeper
     # measure stops there.
     deep = CantorMeasure(CantorParams(m=M, C=C, depth=33))
     with pytest.raises(InvalidParams, match="0 <= g <= 31"):
-        sq_testing_functional(CantorKernel(deep), deep, [(32, 0)], quad)
+        sq_testing_functional(deep, [(32, 0)], quad)
 
 
 def test_deep_nodes_build_no_leaf_table(quad):
@@ -1358,7 +1376,7 @@ def test_deep_nodes_build_no_leaf_table(quad):
     # splits put it.
     deep = CantorMeasure(CantorParams(m=M, C=C, depth=33))
     last = 4**31 - 1
-    res = sq_testing_functional(CantorKernel(deep), deep, [(10, 4**10 - 1), (31, last)], quad)
+    res = sq_testing_functional(deep, [(10, 4**10 - 1), (31, last)], quad)
     assert deep._leaf_cache == {}
     s, l, w = deep.leaf_table(10)
     assert res.cubes[0].tolist() == [s[-1], s[-1] + l[-1]]
@@ -1371,20 +1389,16 @@ def test_deep_nodes_build_no_leaf_table(quad):
 
 
 def test_testing_functional_refuses_index_out_of_range(measure, quad):
-    kernel = CantorKernel(measure)
     for nodes in ([(0, 1)], [(2, 16)], [(2, -1)], [(1, 0), (3, 64)]):
         with pytest.raises(InvalidParams, match="0 <= i < 4\\*\\*g"):
-            sq_testing_functional(kernel, measure, nodes, quad)
-    assert len(sq_testing_functional(kernel, measure, [(2, 15), (3, 63)], quad).cubes) == 2
+            sq_testing_functional(measure, nodes, quad)
+    assert len(sq_testing_functional(measure, [(2, 15), (3, 63)], quad).cubes) == 2
 
 
 def test_testing_functional_refuses_empty_cube_list(measure, quad):
     for cubes in ([], (), np.zeros((0, 2), dtype=np.int64)):
         with pytest.raises(EmptyCubeList):
-            sq_testing_functional(CantorKernel(measure), measure, cubes, quad)
-    with pytest.raises(EmptyCubeList):
-        sq_testing_functional(LogProductKernel(build_logproduct("demo", 2)),
-                              LebesgueInterval(0, 1), [], quad)
+            sq_testing_functional(measure, cubes, quad)
 
 
 def test_root_cube_testing_value_equals_vertical_partial_sum():
@@ -1393,10 +1407,9 @@ def test_root_cube_testing_value_equals_vertical_partial_sum():
     # construction; the interval walk (_cantor_box_integrals), which sums
     # per-cube terms from the tree and reads no series, is the independent side.
     deep = CantorMeasure(CantorParams(m=M, C=C, depth=14))
-    kernel = CantorKernel(deep)
     for T in range(2, 13, 2):
         quad = QuadratureConfig(trunc_generation=T)
-        root = sq_testing_functional(kernel, deep, [(0, 0)], quad)
+        root = sq_testing_functional(deep, [(0, 0)], quad)
         [walk] = _cantor_box_integrals(deep, _box_tables(deep, quad), [(0.0, 1.0)]).tolist()
         partial = float(vertical_norm_series(deep, T, quad).partial_sums[T])
         assert root.mass_3r.tolist() == [1.0]
@@ -1410,9 +1423,8 @@ def test_box_integral_shared_tables_match_fresh_context(measure, quad):
     # testing_functional reads vertical_norm_series, whose betas every
     # context on one measure shares.  An equal measure of its own, with a
     # fresh context, gives the same bits per node.
-    kernel = CantorKernel(measure)
     nodes = [(0, 0)] + [(2, i) for i in range(0, 16, 5)]
-    res = sq_testing_functional(kernel, measure, nodes, quad)
+    res = sq_testing_functional(measure, nodes, quad)
     N = min(quad.trunc_generation, measure.depth - 1)
     fresh = CantorSquareContext(CantorMeasure(CantorParams(m=M, C=C, depth=12)), quad)
     terms = np.array([fresh.g_vertical(n) for n in range(N + 1)])
@@ -1425,18 +1437,17 @@ def test_box_integral_shared_tables_match_fresh_context(measure, quad):
 
 def test_testing_functional_counts_degenerate_cubes(measure, quad):
     # Nodes of generations 5 and 6 far enough from 0 have a + len == a in
-    # floats: mu(3R) and the length read 0, so ratio and per_length are 0,
-    # while the box integral is mass x tail as for every node.
-    kernel = CantorKernel(measure)
+    # floats: mu(3R) reads 0, so the ratio is 0, while the box integral is
+    # mass x tail as for every node.
     nodes = [(0, 0), *_degenerate_nodes(measure), (2, 5)]
-    res = sq_testing_functional(kernel, measure, nodes, quad)
+    res = sq_testing_functional(measure, nodes, quad)
     assert res.degenerate.tolist() == [False, True, True, False]
     tails = _tails(measure, quad)
     want = [float(measure.leaf_table(g)[2][i]) * tails[g] for g, i in nodes[1:3]]
     assert res.box_integral[1:3].tolist() == want and min(want) > 0.0
     assert res.mass_3r[1:3].tolist() == [0.0, 0.0]
-    assert res.ratio[1:3].tolist() == [0.0, 0.0] and res.per_length[1:3].tolist() == [0.0, 0.0]
-    full = sq_testing_functional(kernel, measure, [(0, 0)], quad)
+    assert res.ratio[1:3].tolist() == [0.0, 0.0]
+    full = sq_testing_functional(measure, [(0, 0)], quad)
     assert full.degenerate.tolist() == [False]
 
 
@@ -1447,52 +1458,38 @@ class _CubeValue:
     cube: tuple[float, float]
     box_integral: float
     mass_3r: float
-    length: float
 
     @property
     def ratio(self) -> float:
         return self.box_integral / self.mass_3r if self.mass_3r > 0 else 0.0
 
-    @property
-    def per_length(self) -> float:
-        return self.box_integral / self.length if self.length > 0 else 0.0
 
-
-def _per_cube_testing(kernel, measure, cubes, quad):
-    """(per-cube records, degenerate count, sup ratio, sup per length), one
-    cube at a time: Cantor cubes are (g, i) nodes, log-product ones (a, b)."""
-    if isinstance(kernel, CantorKernel):
-        tails, pairs, boxes = _tails(measure, quad), [], []
-        for g, i in cubes:
-            s, l, w = measure.leaf_table(g)
-            pairs.append((float(s[i]), float(s[i] + l[i])))
-            boxes.append(float(w[i]) * tails[g])
-    else:
-        pairs = cubes
-        boxes = [_logproduct_box_integral(kernel, Fraction(ca), Fraction(cb), quad)
-                 for (ca, cb) in cubes]
+def _per_cube_testing(measure, nodes, quad):
+    """(per-cube records, degenerate count, sup ratio), one (g, i) node at a time."""
+    tails, pairs, boxes = _tails(measure, quad), [], []
+    for g, i in nodes:
+        s, l, w = measure.leaf_table(g)
+        pairs.append((float(s[i]), float(s[i] + l[i])))
+        boxes.append(float(w[i]) * tails[g])
     degenerate = sum(1 for (ca, cb) in pairs if not cb > ca)
     ca, cb = np.array(pairs, dtype=float).reshape(-1, 2).T
     mid, half = (ca + cb) / 2.0, (cb - ca) / 2.0
     m3 = measure.interval_masses(mid - 3 * half, mid + 3 * half).tolist()
-    per_cube = [_CubeValue((a, b), box, m, b - a) for a, b, box, m
+    per_cube = [_CubeValue((a, b), box, m) for a, b, box, m
                 in zip(ca.tolist(), cb.tolist(), boxes, m3)]
-    return (per_cube, degenerate, max(c.ratio for c in per_cube),
-            max(c.per_length for c in per_cube))
+    return per_cube, degenerate, max(c.ratio for c in per_cube)
 
 
 def _assert_matches_per_cube(res, oracle):
-    per_cube, degenerate, sup_ratio, sup_per_length = oracle
+    per_cube, degenerate, sup_ratio = oracle
     assert all(type(v) is np.ndarray for v in vars(res).values())
     assert res.cubes.shape == (len(per_cube), 2)
     for name, got in (("cube", res.cubes), ("box_integral", res.box_integral),
-                      ("mass_3r", res.mass_3r), ("ratio", res.ratio),
-                      ("per_length", res.per_length)):
+                      ("mass_3r", res.mass_3r), ("ratio", res.ratio)):
         want = np.array([getattr(c, name) for c in per_cube], dtype=float)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), name
     assert int(res.degenerate.sum()) == degenerate
     assert type(res.sup_ratio) is float and repr(res.sup_ratio) == repr(sup_ratio)
-    assert repr(float(res.per_length.max())) == repr(sup_per_length)
 
 
 @pytest.fixture(scope="module")
@@ -1502,17 +1499,17 @@ def tb_cantor():
     cfg = ExperimentConfig(experiment="tb-testing")
     deep = CantorMeasure(CantorParams(m=cfg.m, C=cfg.C, depth=14))
     nodes = np.array([(g, i) for g in range(7) for i in range(4**g)])
-    return CantorKernel(deep), deep, nodes, cfg.quad(trunc=12)
+    return deep, nodes, cfg.quad(trunc=12)
 
 
 def test_testing_result_arrays_match_per_cube_loop(tb_cantor):
-    kernel, deep, nodes, quad = tb_cantor
+    deep, nodes, quad = tb_cantor
     tuples = [tuple(v) for v in nodes.tolist()]  # the nodes as int tuples
-    oracle = _per_cube_testing(kernel, deep, tuples, quad)
+    oracle = _per_cube_testing(deep, tuples, quad)
     assert len(tuples) == 5461 and oracle[1] == 1632
-    res = sq_testing_functional(kernel, deep, nodes, quad)
+    res = sq_testing_functional(deep, nodes, quad)
     _assert_matches_per_cube(res, oracle)
-    _assert_matches_per_cube(sq_testing_functional(kernel, deep, tuples, quad), oracle)
+    _assert_matches_per_cube(sq_testing_functional(deep, tuples, quad), oracle)
     # The cubes are the stacked leaf-table intervals, bit for bit.
     stacked = np.concatenate([np.column_stack((s, s + l))
                               for s, l, _ in map(deep.leaf_table, range(7))])
@@ -1523,8 +1520,8 @@ def test_node_box_integrals_match_interval_walk(tb_cantor):
     # On the tb-testing nodes, mass x vertical tail is within 2 ulp of the
     # interval walk for every non-degenerate cube (measured: 2 ulp at most,
     # 4.1e-16 relative).  The walk values a degenerate cube at 0.
-    kernel, deep, nodes, quad = tb_cantor
-    res = sq_testing_functional(kernel, deep, nodes, quad)
+    deep, nodes, quad = tb_cantor
+    res = sq_testing_functional(deep, nodes, quad)
     walk = _cantor_box_integrals(deep, _box_tables(deep, quad), res.cubes)
     live = ~res.degenerate
     assert live.sum() == 5461 - 1632 and (walk[~live] == 0.0).all()
@@ -1536,9 +1533,9 @@ def test_node_ratios_peak_at_the_root(tb_cantor):
     # band reaches under a node's box: the box integral is mass x tail.  The
     # tails decrease in g and mass(R) <= mu(3R), so no node's ratio passes
     # the root's, whose mu(3R) is 1; the sup keeps its digits.
-    kernel, deep, nodes, quad = tb_cantor
+    deep, nodes, quad = tb_cantor
     assert all(geo.child_lengths[1] < 0.01 * geo.L for geo in deep.geometry.values())
-    res = sq_testing_functional(kernel, deep, nodes, quad)
+    res = sq_testing_functional(deep, nodes, quad)
     tails, N = _tails(deep, quad), quad.trunc_generation
     assert all(x > y for x, y in zip(tails, tails[1:N + 1])) and tails[N + 1:] == [0.0, 0.0]
     masses = np.concatenate([deep.leaf_table(g)[2] for g in range(7)])
@@ -1558,7 +1555,7 @@ def test_node_box_integrals_count_ancestor_bands_at_c4(m, quad):
     geo = deep.geometry[1]
     assert geo.child_lengths[1] == geo.L
     nodes = np.array([(g, i) for g in range(6) for i in range(4**g)])
-    res = sq_testing_functional(CantorKernel(deep), deep, nodes, quad)
+    res = sq_testing_functional(deep, nodes, quad)
     walk = _cantor_box_integrals(deep, _box_tables(deep, quad), res.cubes)
     live = ~res.degenerate
     assert (np.abs(res.box_integral - walk)[live] <= 2 * np.spacing(walk[live])).all()
@@ -1568,28 +1565,22 @@ def test_node_box_integrals_count_ancestor_bands_at_c4(m, quad):
 
 
 def test_testing_result_arrays_match_per_cube_loop_on_pairs(measure, quad):
-    kernel = CantorKernel(measure)
     rng = np.random.default_rng(23)
     nodes = [(0, 0), *_degenerate_nodes(measure), (1, 2)]
     nodes += [(int(g), int(rng.integers(4**g))) for g in rng.integers(0, 9, 40)]
-    res = sq_testing_functional(kernel, measure, nodes, quad)
-    _assert_matches_per_cube(res, _per_cube_testing(kernel, measure, nodes, quad))
+    res = sq_testing_functional(measure, nodes, quad)
+    _assert_matches_per_cube(res, _per_cube_testing(measure, nodes, quad))
     assert res.degenerate.tolist()[:3] == [False, True, True]
-    kv = LogProductKernel(build_logproduct("demo", 2))
-    lb = LebesgueInterval(0, 1)
-    pairs = [(0.0, 1.0), (0.25, 0.5), (0.5, 0.5)]
-    _assert_matches_per_cube(sq_testing_functional(kv, lb, pairs, quad),
-                             _per_cube_testing(kv, lb, pairs, quad))
 
 
 def test_testing_result_holds_arrays_only(tb_cantor):
     # On the 5,461 tb-testing cubes the result keeps four arrays, about
     # 0.18 MB; one record per cube kept 1.46 MB.
-    kernel, deep, nodes, quad = tb_cantor
-    sq_testing_functional(kernel, deep, nodes, quad)  # the measure's caches
+    deep, nodes, quad = tb_cantor
+    sq_testing_functional(deep, nodes, quad)  # the measure's caches
     tracemalloc.start()
     try:
-        res = sq_testing_functional(kernel, deep, nodes, quad)
+        res = sq_testing_functional(deep, nodes, quad)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1600,13 +1591,12 @@ def test_testing_result_holds_arrays_only(tb_cantor):
 def test_cantor_box_integral_builds_no_reference_cycles(measure, quad):
     # The node form works on arrays: a testing call leaves nothing for the
     # cycle collector.
-    kernel = CantorKernel(measure)
     nodes = [(g, i) for g in range(4) for i in range(4**g)]
-    sq_testing_functional(kernel, measure, nodes, quad)
+    sq_testing_functional(measure, nodes, quad)
     gc.collect()
     gc.disable()
     try:
-        res = sq_testing_functional(kernel, measure, nodes, quad)
+        res = sq_testing_functional(measure, nodes, quad)
         del res
         assert gc.collect() == 0
     finally:
@@ -1922,9 +1912,61 @@ def test_ci_profile_buffers_bound_the_working_set(quad, traced_peak):
     assert buffered <= 4.6e6
 
 
+def _logproduct_inner_t(kernel: LogProductKernel, x: float, A: int, t_hi: float,
+                        quad: QuadratureConfig) -> float:
+    """integral over [e^-A, t_hi] of |theta_t 1(x)|^2 dt/t, exact below saturation.
+
+    theta_t 1(x) = Phi(x/t) - Phi((x-1)/t) saturates to the full phi_v mass 3
+    once t <= min(x, 1-x)/2; there the integrand is 9 and the integral is a
+    closed-form log length.  The remaining window is at most a few octaves.
+    """
+    if t_hi <= 0.0 or x <= 0.0 or x >= 1.0:
+        return 0.0
+    log_lo = -float(A)
+    log_hi = math.log(min(t_hi, 1.0))
+    if log_hi <= log_lo:
+        return 0.0
+    t_sat = min(x, 1.0 - x) / 2.0
+    log_sat = min(max(math.log(t_sat), log_lo), log_hi)
+    total = 9.0 * (log_sat - log_lo)
+    # Numeric part on [t_sat, t_hi]: smooth in log t.
+    span = log_hi - log_sat
+    if span > 0.0:
+        steps = max(quad.t_steps_per_band, int(math.ceil(span / LN2 * 16)))
+        dv = span / steps
+        v = log_sat + (np.arange(steps) + 0.5) * dv
+        t = np.exp(v)
+        theta = theta_unit(t, x)
+        total += float(np.sum(theta**2) * dv)
+    return total
+
+
+def _logproduct_box_integral(kernel: LogProductKernel, a: Fraction, b: Fraction,
+                             quad: QuadratureConfig) -> float:
+    """Box integral of |theta_t 1|^2 over [a,b] x (0, b-a) for the log-product kernel.
+
+    x integration is exact over the segments where the exponent A(x) is
+    constant (2-point Gauss per segment; theta varies smoothly there).
+    """
+    ell = float(b - a)
+    if ell <= 0:
+        return 0.0
+    total = 0.0
+    gauss = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+    for lo, hi, A in _segments(kernel.f, Fraction(a), Fraction(b), 10**6):
+        w = float(hi - lo)
+        flo = float(lo)
+        acc = 0.0
+        for gpt in gauss:
+            x = flo + gpt * w
+            acc += _logproduct_inner_t(kernel, x, A, ell, quad)
+        total += w * acc / len(gauss)
+    return total
+
+
 def test_logproduct_box_vs_ci_profile(quad):
-    # The vectorized sweep and the segment-Gauss box integral are
-    # independent routes to C_I.
+    # The vectorized sweep and the segment-Gauss box integral, with its own
+    # t grid and its own x rule, are independent routes to C_I.
     kv = LogProductKernel(build_logproduct("demo", 3))
     prof = ci_profile(kv, 4, quad)
     slow_root = _logproduct_box_integral(kv, Fraction(0), Fraction(1), quad)
@@ -1935,12 +1977,37 @@ def test_logproduct_box_vs_ci_profile(quad):
     assert slow <= prof["per_depth"][4] + 1e-12
 
 
-def test_testing_functional_logproduct(quad):
-    kv = LogProductKernel(build_logproduct("demo", 2))
-    lb = LebesgueInterval(0, 1)
-    res = sq_testing_functional(kv, lb, [(0.0, 1.0), (0.25, 0.5)], quad)
-    assert all(v >= 0 for v in res.box_integral.tolist())
-    assert res.per_length.max() < 10
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_vertical_value_is_the_depth0_row_of_the_ci_sweep(N, quad):
+    # V 1(x) is the theta-integral of C_I at a point: at 400 midpoints of
+    # tb-testing's C_I segment table (x = 1 left out, where V reads 0),
+    # vertical_value is the square root of _vertical_sq's row at lnL = 0,
+    # bit for bit, one point at a time and as one array.
+    kv = LogProductKernel(build_logproduct("demo", N))
+    _, mids, A = _ci_whole_table(kv.f, 12)
+    zone = np.empty((2, sqfn.CI_BLOCK_ROWS, max(24, quad.t_steps_per_band)))
+    row, mask = np.empty(mids.size), np.empty(mids.size, dtype=bool)
+    _vertical_sq(mids, A, _ln_sat(mids), 0.0, zone, row, mask)
+    pick = np.unique(np.linspace(0, np.flatnonzero(mids < 1.0)[-1], 400).astype(int))
+    assert pick.size == 400 and 0.0 < mids[pick].min() and mids[pick].max() < 1.0
+    want = [math.sqrt(v) for v in row[pick].tolist()]
+    assert [vertical_value(kv, None, None, x, quad) for x in mids[pick].tolist()] == want
+    assert vertical_value(kv, None, None, mids[pick], quad).tolist() == want
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_vertical_value_logproduct_matches_inner_t_oracle(N, quad):
+    # The oracle reads the exact exponent and its own t grid (16 steps per
+    # octave above saturation), so the two t-quadratures meet only at the
+    # tolerance of test_logproduct_box_vs_ci_profile.
+    f = build_logproduct("demo", N)
+    kv = LogProductKernel(f)
+    edges = [10.0**-k for k in range(1, 12)]
+    xs = np.concatenate([np.random.default_rng(30 + N).random(1000), edges, [1 - e for e in edges]])
+    got = vertical_value(kv, None, None, xs, quad)
+    for x, v in zip(xs.tolist(), got.tolist()):
+        oracle = math.sqrt(_logproduct_inner_t(kv, x, f.exponent(Fraction(x)), 1.0, quad))
+        assert v == pytest.approx(oracle, rel=2e-3), x
 
 
 def test_leaf_function_batch_matches_leaf_index(measure):
